@@ -331,20 +331,17 @@ func runWire(a wireArgs, stdout, stderr io.Writer) error {
 			return err
 		}
 	} else {
-		b, err := pickBench(a.bench)
+		bp, err := placer.Benchmark(a.bench)
 		if err != nil {
 			return err
 		}
-		p, err := wire.FromBench(b)
-		if err != nil {
-			return err
-		}
+		p := wire.FromCanon(bp)
 		if a.objectiveSet {
 			applyObjectiveFlags(&p.Objective, a.objective)
 		}
 		if a.method == "hbstar" && a.objective.WireWeight == 0 {
 			// Parity with the classic path: hbstar's historical default
-			// wire weight, not the flat placers' 1.0 FromBench encodes.
+			// wire weight, not the flat placers' 1.0 Benchmark encodes.
 			p.Objective.WireWeight = hbstar.DefaultWireWeight
 		}
 		req = &wire.Request{Problem: *p}

@@ -169,8 +169,9 @@
 //
 // Package repro/placer is the importable front door over all of the
 // above: one canonical placer.Problem (flat view plus optional design
-// hierarchy, losslessly convertible to and from the wire format via
-// wire.Problem.ToCanon and wire.FromCanon), an Engine interface with
+// hierarchy, whose JSON tags are the wire spelling — wire.Problem is
+// placer.Problem behind a format version, plus strict decoding and
+// content hashing), an Engine interface with
 // a self-registration registry (placer.Register) behind which all six
 // built-in engines live, and a context-first
 // placer.Solve(ctx, problem, opts...) with functional options —

@@ -26,9 +26,9 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/circuits"
 	"repro/internal/service"
 	"repro/internal/wire"
+	"repro/placer"
 )
 
 func main() {
@@ -48,10 +48,11 @@ func main() {
 
 	// The bench crosses the wire as a canonical, versioned problem;
 	// its hash is the content address identical requests share.
-	prob, err := wire.FromBench(circuits.MillerOpAmp())
+	miller, err := placer.Benchmark("miller")
 	if err != nil {
 		log.Fatal(err)
 	}
+	prob := wire.FromCanon(miller)
 	hash, _ := prob.Hash()
 	fmt.Printf("problem %q, content address %s...\n", prob.Name, hash[:12])
 

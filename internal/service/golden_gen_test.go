@@ -7,8 +7,8 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/circuits"
 	"repro/internal/wire"
+	"repro/placer"
 )
 
 // TestGenerateGoldens regenerates the pin-test fixtures under
@@ -53,10 +53,7 @@ func TestGenerateGoldens(t *testing.T) {
 // sequence-pair instance on a short schedule.
 func PinRequests(t *testing.T) map[string]*wire.Request {
 	t.Helper()
-	miller, err := wire.FromBench(circuits.MillerOpAmp())
-	if err != nil {
-		t.Fatal(err)
-	}
+	miller := benchProblem(t, "miller")
 	reqs := map[string]*wire.Request{
 		"miller_seqpair":   {Problem: *miller, Options: wire.Options{Method: wire.MethodSeqPair, Seed: 1}},
 		"miller_hbstar":    {Problem: *miller, Options: wire.Options{Method: wire.MethodHBStar, Seed: 1}},
@@ -81,7 +78,7 @@ func PinRequests(t *testing.T) map[string]*wire.Request {
 func pinN1000() *wire.Problem {
 	const n = 1000
 	rng := rand.New(rand.NewSource(42))
-	p := &wire.Problem{Name: "pin-n1000", Modules: make([]wire.Module, n)}
+	p := &wire.Problem{Problem: placer.Problem{Name: "pin-n1000", Modules: make([]wire.Module, n)}}
 	for i := range p.Modules {
 		p.Modules[i] = wire.Module{
 			Name: "m" + itoa(i),

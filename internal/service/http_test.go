@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/circuits"
 	"repro/internal/wire"
 )
 
@@ -107,11 +106,7 @@ func (h *httpHarness) metric(name string) float64 {
 
 func millerWireRequest(t *testing.T) []byte {
 	t.Helper()
-	p, err := wire.FromBench(circuits.MillerOpAmp())
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := wire.Request{Problem: *p, Options: wire.Options{
+	req := wire.Request{Problem: *benchProblem(t, "miller"), Options: wire.Options{
 		Method: wire.MethodSeqPair, Seed: 3, MovesPerStage: 60, MaxStages: 40, StallStages: 40,
 	}}
 	b, err := json.Marshal(req)
@@ -186,14 +181,7 @@ func TestEndToEnd(t *testing.T) {
 
 	// 3. Cancellation: start a big job, wait until it reports
 	// progress, DELETE it, and require a prompt best-so-far result.
-	big, err := circuits.TableIBench("lnamixbias")
-	if err != nil {
-		t.Fatal(err)
-	}
-	bp, err := wire.FromBench(big)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bp := benchProblem(t, "lnamixbias")
 	// B*-tree: the 110-module bench has too many interleaved symmetry
 	// groups for a random symmetric-feasible seed (seqpair fails its
 	// init retries on it even outside the service). Near-flat cooling
@@ -297,11 +285,7 @@ func TestHTTPSyncAndErrors(t *testing.T) {
 // HTTP and checks the winner is constraint-feasible.
 func TestHTTPPortfolio(t *testing.T) {
 	h := newHarness(t, Config{Workers: 1})
-	p, err := wire.FromBench(circuits.MillerOpAmp())
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := json.Marshal(wire.Request{Problem: *p, Options: wire.Options{
+	body, err := json.Marshal(wire.Request{Problem: *benchProblem(t, "miller"), Options: wire.Options{
 		Method: wire.MethodPortfolio, MovesPerStage: 40, MaxStages: 20, StallStages: 20,
 	}})
 	if err != nil {

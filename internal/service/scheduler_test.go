@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/circuits"
 	"repro/internal/wire"
 	"repro/placer"
 )
@@ -18,11 +17,7 @@ func quickOptions(method string) wire.Options {
 
 func millerRequest(t *testing.T, method string) *wire.Request {
 	t.Helper()
-	p, err := wire.FromBench(circuits.MillerOpAmp())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &wire.Request{Problem: *p, Options: quickOptions(method)}
+	return &wire.Request{Problem: *benchProblem(t, "miller"), Options: quickOptions(method)}
 }
 
 func waitJob(t *testing.T, j *Job) *wire.Result {
@@ -158,12 +153,16 @@ func TestSchedulerCancelQueued(t *testing.T) {
 func TestSchedulerCoalescesInflight(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Close()
-	req := &wire.Request{Problem: *benchProblem(t, "buffer"), Options: wire.Options{MovesPerStage: 300, MaxStages: 300, StallStages: 300}}
-	j1, err := s.Submit(req)
+	// Two equal requests, not one submitted twice: Submit owns its
+	// request, and the first job's solve normalizes it concurrently.
+	mk := func() *wire.Request {
+		return &wire.Request{Problem: *benchProblem(t, "buffer"), Options: wire.Options{MovesPerStage: 300, MaxStages: 300, StallStages: 300}}
+	}
+	j1, err := s.Submit(mk())
 	if err != nil {
 		t.Fatal(err)
 	}
-	j2, err := s.Submit(req)
+	j2, err := s.Submit(mk())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,17 +274,14 @@ func TestPortfolioPicksFeasible(t *testing.T) {
 	}
 }
 
+// benchProblem puts one of placer's built-in benchmarks on the wire.
 func benchProblem(t *testing.T, name string) *wire.Problem {
 	t.Helper()
-	b, err := circuits.TableIBench(name)
+	p, err := placer.Benchmark(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := wire.FromBench(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
+	return wire.FromCanon(p)
 }
 
 // TestProgressMultiStartMoves pins the per-chain progress sources:

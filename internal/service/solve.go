@@ -16,8 +16,8 @@ import (
 // scheduler, the CLI's -json mode and client examples, and it alone
 // converts the request's timeout_ms into a context deadline (callers
 // layer their own ceilings on ctx). It is a thin adapter over
-// placer.Solve: the wire problem converts to the canonical
-// placer.Problem, the options map onto functional options, and the
+// placer.Solve: the wire problem is a placer.Problem behind a
+// version field, the options map onto functional options, and the
 // placer registry does all algorithm dispatch — the service carries
 // no algorithm switch of its own. The progress callback (may be nil)
 // receives every annealing stage snapshot tagged with the algorithm
@@ -68,7 +68,7 @@ func Solve(ctx context.Context, req *wire.Request, progress func(placer.Progress
 		return nil, err
 	}
 	start := time.Now()
-	res, err := placer.Solve(ctx, req.Problem.ToCanon(), opts...)
+	res, err := placer.Solve(ctx, &req.Problem.Problem, opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -126,7 +126,7 @@ func injectSolveFaults(ctx context.Context) (fired []string, err error) {
 
 // wireResult encodes a placer result onto the wire.
 func wireResult(p *wire.Problem, method string, res *placer.Result) *wire.Result {
-	out := &wire.Result{
+	return &wire.Result{
 		Version:    wire.Version,
 		Name:       p.Name,
 		Method:     method,
@@ -140,13 +140,10 @@ func wireResult(p *wire.Problem, method string, res *placer.Result) *wire.Result
 		Cancelled:  res.Cancelled,
 		Stages:     res.Stages,
 		Moves:      res.Moves,
+		// Wire placements list modules in problem order (placer.Result
+		// already does), so byte-equal results mean identical placements.
+		Placement: res.Placement,
 	}
-	// Wire placements list modules in problem order (placer.Result
-	// already does), so byte-equal results mean identical placements.
-	for _, m := range res.Placement {
-		out.Placement = append(out.Placement, wire.Placed(m))
-	}
-	return out
 }
 
 // wireBreakdown maps the per-term cost decomposition onto the named

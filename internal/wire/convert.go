@@ -1,239 +1,10 @@
 package wire
 
-import (
-	"repro/internal/circuits"
-	"repro/internal/constraint"
-	"repro/internal/place"
-	"repro/placer"
-)
+import "repro/placer"
 
-// ToCanon converts the wire problem to the canonical placer.Problem —
-// a deep copy, losslessly (nil-versus-empty distinctions preserved,
-// so normalizing either representation yields the same canonical
-// bytes). The wire version is transport framing and is dropped;
-// Validate checks it separately.
-func (p *Problem) ToCanon() *placer.Problem {
-	cp := &placer.Problem{
-		Name:      p.Name,
-		Nets:      cloneIDLists(p.Nets),
-		Proximity: cloneIDLists(p.Proximity),
-		Power:     append([]float64(nil), p.Power...),
-		Objective: placer.Objective{
-			AreaWeight:    p.Objective.AreaWeight,
-			WireWeight:    p.Objective.WireWeight,
-			OutlineW:      p.Objective.OutlineW,
-			OutlineH:      p.Objective.OutlineH,
-			OutlineWeight: p.Objective.OutlineWeight,
-			ProxWeight:    p.Objective.ProxWeight,
-			ThermalWeight: p.Objective.ThermalWeight,
-			ThermalSigma:  p.Objective.ThermalSigma,
-		},
-		Hierarchy: nodeToCanon(p.Hierarchy),
-	}
-	if p.Modules != nil {
-		cp.Modules = make([]placer.Module, len(p.Modules))
-		for i, m := range p.Modules {
-			cp.Modules[i] = placer.Module{Name: m.Name, W: m.W, H: m.H}
-		}
-	}
-	if p.Symmetry != nil {
-		cp.Symmetry = make([]placer.SymGroup, len(p.Symmetry))
-		for i, g := range p.Symmetry {
-			cp.Symmetry[i] = placer.SymGroup{
-				Pairs: clonePairs(g.Pairs),
-				Selfs: append([]int(nil), g.Selfs...),
-			}
-		}
-	}
-	return cp
-}
-
-// FromCanon encodes a canonical placer.Problem onto the wire — a deep
-// copy, losslessly, with the version written explicitly. The input is
-// not normalized implicitly; encode what you mean.
+// FromCanon puts a deep copy of a placer problem on the wire, with
+// the version written explicitly. The input is not normalized
+// implicitly; encode what you mean.
 func FromCanon(cp *placer.Problem) *Problem {
-	p := &Problem{
-		Version:   Version,
-		Name:      cp.Name,
-		Nets:      cloneIDLists(cp.Nets),
-		Proximity: cloneIDLists(cp.Proximity),
-		Power:     append([]float64(nil), cp.Power...),
-		Objective: Objective{
-			AreaWeight:    cp.Objective.AreaWeight,
-			WireWeight:    cp.Objective.WireWeight,
-			OutlineW:      cp.Objective.OutlineW,
-			OutlineH:      cp.Objective.OutlineH,
-			OutlineWeight: cp.Objective.OutlineWeight,
-			ProxWeight:    cp.Objective.ProxWeight,
-			ThermalWeight: cp.Objective.ThermalWeight,
-			ThermalSigma:  cp.Objective.ThermalSigma,
-		},
-		Hierarchy: nodeFromCanon(cp.Hierarchy),
-	}
-	if cp.Modules != nil {
-		p.Modules = make([]Module, len(cp.Modules))
-		for i, m := range cp.Modules {
-			p.Modules[i] = Module{Name: m.Name, W: m.W, H: m.H}
-		}
-	}
-	if cp.Symmetry != nil {
-		p.Symmetry = make([]SymGroup, len(cp.Symmetry))
-		for i, g := range cp.Symmetry {
-			p.Symmetry[i] = SymGroup{
-				Pairs: clonePairs(g.Pairs),
-				Selfs: append([]int(nil), g.Selfs...),
-			}
-		}
-	}
-	return p
-}
-
-func nodeToCanon(nd *Node) *placer.Node {
-	if nd == nil {
-		return nil
-	}
-	c := &placer.Node{
-		Name:    nd.Name,
-		Kind:    nd.Kind,
-		Devices: append([]string(nil), nd.Devices...),
-		Pairs:   append([][2]string(nil), nd.Pairs...),
-		Selfs:   append([]string(nil), nd.Selfs...),
-	}
-	if nd.Units != nil {
-		c.Units = make(map[string][]string, len(nd.Units))
-		for k, v := range nd.Units {
-			c.Units[k] = append([]string(nil), v...)
-		}
-	}
-	if nd.Children != nil {
-		c.Children = make([]*placer.Node, len(nd.Children))
-		for i, ch := range nd.Children {
-			c.Children[i] = nodeToCanon(ch)
-		}
-	}
-	return c
-}
-
-func nodeFromCanon(cn *placer.Node) *Node {
-	if cn == nil {
-		return nil
-	}
-	nd := &Node{
-		Name:    cn.Name,
-		Kind:    cn.Kind,
-		Devices: append([]string(nil), cn.Devices...),
-		Pairs:   append([][2]string(nil), cn.Pairs...),
-		Selfs:   append([]string(nil), cn.Selfs...),
-	}
-	if cn.Units != nil {
-		nd.Units = make(map[string][]string, len(cn.Units))
-		for k, v := range cn.Units {
-			nd.Units[k] = append([]string(nil), v...)
-		}
-	}
-	if cn.Children != nil {
-		nd.Children = make([]*Node, len(cn.Children))
-		for i, ch := range cn.Children {
-			nd.Children[i] = nodeFromCanon(ch)
-		}
-	}
-	return nd
-}
-
-// FromPlace encodes a flat placement problem onto the wire. The
-// result is normalized.
-func FromPlace(name string, pp *place.Problem) *Problem {
-	p := &Problem{
-		Version: Version,
-		Name:    name,
-		Modules: make([]Module, pp.N()),
-		Objective: Objective{
-			AreaWeight:    pp.AreaWeight,
-			WireWeight:    pp.WireWeight,
-			OutlineW:      pp.OutlineW,
-			OutlineH:      pp.OutlineH,
-			OutlineWeight: pp.OutlineWeight,
-			ProxWeight:    pp.ProxWeight,
-			ThermalWeight: pp.ThermalWeight,
-			ThermalSigma:  pp.ThermalSigma,
-		},
-		Nets:      cloneIDLists(pp.Nets),
-		Proximity: cloneIDLists(pp.ProxGroups),
-		Power:     append([]float64(nil), pp.Power...),
-	}
-	for i := 0; i < pp.N(); i++ {
-		p.Modules[i] = Module{Name: pp.Names[i], W: pp.W[i], H: pp.H[i]}
-	}
-	for _, g := range pp.Groups {
-		p.Symmetry = append(p.Symmetry, SymGroup{
-			Pairs: clonePairs(g.Pairs),
-			Selfs: append([]int(nil), g.Selfs...),
-		})
-	}
-	p.Normalize()
-	return p
-}
-
-// FromBench encodes a benchmark circuit onto the wire: the flat view
-// (modules, symmetry groups, nets, proximity groups) through
-// place.FromBench — so the conventional area + HPWL objective is
-// preserved — plus the design hierarchy, so the hierarchical placer
-// sees the same tree a native run would.
-func FromBench(b *circuits.Bench) (*Problem, error) {
-	pp, err := place.FromBench(b)
-	if err != nil {
-		return nil, err
-	}
-	p := FromPlace(b.Name, pp)
-	if b.Tree != nil {
-		p.Hierarchy = fromConstraintNode(b.Tree)
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	p.Normalize() // hierarchy attached after FromPlace's normalization
-	return p, nil
-}
-
-// kindNames maps constraint kinds to their wire spelling.
-var kindNames = map[constraint.Kind]string{
-	constraint.KindNone:           "",
-	constraint.KindSymmetry:       "symmetry",
-	constraint.KindCommonCentroid: "common_centroid",
-	constraint.KindProximity:      "proximity",
-}
-
-func fromConstraintNode(n *constraint.Node) *Node {
-	nd := &Node{
-		Name:    n.Name,
-		Kind:    kindNames[n.Kind],
-		Devices: append([]string(nil), n.Devices...),
-		Pairs:   append([][2]string(nil), n.SymPairs...),
-		Selfs:   append([]string(nil), n.SymSelfs...),
-	}
-	if n.Units != nil {
-		nd.Units = make(map[string][]string, len(n.Units))
-		for k, v := range n.Units {
-			nd.Units[k] = append([]string(nil), v...)
-		}
-	}
-	for _, c := range n.Children {
-		nd.Children = append(nd.Children, fromConstraintNode(c))
-	}
-	return nd
-}
-
-func clonePairs(ps [][2]int) [][2]int {
-	return append([][2]int(nil), ps...)
-}
-
-func cloneIDLists(lists [][]int) [][]int {
-	if lists == nil {
-		return nil
-	}
-	out := make([][]int, len(lists))
-	for i, l := range lists {
-		out[i] = append([]int(nil), l...)
-	}
-	return out
+	return &Problem{Version: Version, Problem: *cp.Clone()}
 }

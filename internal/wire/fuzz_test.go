@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 )
 
@@ -61,6 +62,64 @@ func FuzzDecodeProblem(f *testing.F) {
 		}
 		if h1 != h2 {
 			t.Fatalf("hash changed across canonical round-trip: %s vs %s", h1, h2)
+		}
+	})
+}
+
+// FuzzDecodeBatchRequest fuzzes batch decoding the same way: arbitrary
+// bytes must never panic, and a batch that decodes must re-encode to
+// a fixed point of the decoder whose items keep their content
+// addresses. The corpus under testdata/fuzz/FuzzDecodeBatchRequest
+// covers the batch-level edges — empty, one over the item limit,
+// trailing delimiters.
+func FuzzDecodeBatchRequest(f *testing.F) {
+	item := `{"problem":{"modules":[{"name":"A","w":4,"h":2},{"name":"B","w":4,"h":2}],` +
+		`"symmetry":[{"pairs":[[1,0]]}],"nets":[[1,0]],"objective":{}},"options":{"seed":3}}`
+	seeds := []string{
+		``,
+		`{}`,
+		`{"items":null}`,
+		`{"items":[]}`,
+		`{"items":[` + item + `]}`,
+		`{"items":[` + item + `,` + item + `]}`,
+		`{"items":[` + item + `]}]`,
+		`{"items":[{"problem":{"modules":[{"name":"A","w":1,"h":1}],"objective":{}},"options":{"method":"sorcery"}}]}`,
+	}
+	for _, s := range seeds {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b, err := DecodeBatchRequest(data) // must not panic, ever
+		if err != nil {
+			return
+		}
+		enc, err := json.Marshal(b)
+		if err != nil {
+			t.Fatalf("decoded batch fails to encode: %v\ninput: %q", err, data)
+		}
+		b2, err := DecodeBatchRequest(enc)
+		if err != nil {
+			t.Fatalf("re-encoded batch fails to decode: %v\nencoding: %s", err, enc)
+		}
+		enc2, err := json.Marshal(b2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(enc, enc2) {
+			t.Fatalf("batch encoding not a fixed point:\nfirst:  %s\nsecond: %s", enc, enc2)
+		}
+		for i := range b.Items {
+			h1, err := b.Items[i].Hash()
+			if err != nil {
+				t.Fatalf("item %d: %v", i, err)
+			}
+			h2, err := b2.Items[i].Hash()
+			if err != nil {
+				t.Fatalf("item %d after round-trip: %v", i, err)
+			}
+			if h1 != h2 {
+				t.Fatalf("item %d hash changed across round-trip: %s vs %s", i, h1, h2)
+			}
 		}
 	})
 }

@@ -5,11 +5,13 @@
 // hierarchical placer), Options describe how to solve it, and a
 // Request bundles the two. Result carries a solved placement back.
 //
-// The format is the JSON transport encoding of the public
-// placer.Problem: ToCanon and FromCanon convert losslessly between
-// the two, and validation and normalization are delegated to the
-// placer package so the wire format and the public API can never
-// disagree about what a well-formed problem is.
+// The format is the JSON encoding of the public placer types: their
+// JSON tags are the wire spelling, and a wire Problem is a
+// placer.Problem behind a version field. This package adds only what
+// transport needs — the version, strict decoding and content hashing —
+// and delegates validation and normalization to the placer package, so
+// the wire format and the public API can never disagree about what a
+// well-formed problem is.
 //
 // The format is strict and canonical. Decoding rejects unknown
 // fields, trailing data and semantically invalid problems; decoded
@@ -26,6 +28,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 
 	"repro/placer"
@@ -36,62 +39,22 @@ import (
 // canonicalization always writes it explicitly.
 const Version = 1
 
-// Module is one placeable rectangle.
-type Module struct {
-	Name string `json:"name"`
-	W    int    `json:"w"`
-	H    int    `json:"h"`
-}
+// The problem's parts are the placer types themselves: their JSON
+// tags are the wire spelling.
+type (
+	Module    = placer.Module
+	SymGroup  = placer.SymGroup
+	Objective = placer.Objective
+	Node      = placer.Node
+	Placed    = placer.Placed
+)
 
-// SymGroup is a symmetry group over module ids: pairs mirror about a
-// shared vertical axis, selfs are self-symmetric on it.
-type SymGroup struct {
-	Pairs [][2]int `json:"pairs,omitempty"`
-	Selfs []int    `json:"selfs,omitempty"`
-}
-
-// Objective carries the weights of the composable cost model. Weights
-// are literal: a zero WireWeight means no wirelength term (encoders
-// that want the conventional area + HPWL objective write 1), while a
-// zero AreaWeight keeps the default area weight of 1. ProxWeight
-// applies to the flat placers' proximity pull term; the hierarchical
-// placer always enforces proximity through its fragments penalty.
-type Objective struct {
-	AreaWeight    float64 `json:"area_weight,omitempty"`
-	WireWeight    float64 `json:"wire_weight,omitempty"`
-	OutlineW      int     `json:"outline_w,omitempty"`
-	OutlineH      int     `json:"outline_h,omitempty"`
-	OutlineWeight float64 `json:"outline_weight,omitempty"`
-	ProxWeight    float64 `json:"prox_weight,omitempty"`
-	ThermalWeight float64 `json:"thermal_weight,omitempty"`
-	ThermalSigma  float64 `json:"thermal_sigma,omitempty"`
-}
-
-// Node is one node of the layout design hierarchy (the constraint
-// tree the hierarchical HB*-tree placer consumes). Devices name
-// modules; symmetry pairs and selfs may name either modules or child
-// nodes (a child participates as one rigid object).
-type Node struct {
-	Name     string              `json:"name,omitempty"`
-	Kind     string              `json:"kind,omitempty"` // "", "symmetry", "common_centroid", "proximity"
-	Devices  []string            `json:"devices,omitempty"`
-	Pairs    [][2]string         `json:"pairs,omitempty"`
-	Selfs    []string            `json:"selfs,omitempty"`
-	Units    map[string][]string `json:"units,omitempty"`
-	Children []*Node             `json:"children,omitempty"`
-}
-
-// Problem is one placement instance on the wire.
+// Problem is one placement instance on the wire: the placer problem
+// behind an explicit format version. The embedded fields encode
+// inline after "version", so the version leads the canonical bytes.
 type Problem struct {
-	Version   int        `json:"version"`
-	Name      string     `json:"name,omitempty"`
-	Modules   []Module   `json:"modules"`
-	Symmetry  []SymGroup `json:"symmetry,omitempty"`
-	Nets      [][]int    `json:"nets,omitempty"`
-	Proximity [][]int    `json:"proximity,omitempty"`
-	Power     []float64  `json:"power,omitempty"`
-	Objective Objective  `json:"objective"`
-	Hierarchy *Node      `json:"hierarchy,omitempty"`
+	Version int `json:"version"`
+	placer.Problem
 }
 
 // Methods the service understands: the placer registry's algorithms,
@@ -149,15 +112,6 @@ type Options struct {
 type Request struct {
 	Problem Problem `json:"problem"`
 	Options Options `json:"options"`
-}
-
-// Placed is one module of a solved placement.
-type Placed struct {
-	Name string `json:"name"`
-	X    int    `json:"x"`
-	Y    int    `json:"y"`
-	W    int    `json:"w"`
-	H    int    `json:"h"`
 }
 
 // Breakdown decomposes a result's cost per objective term: each field
@@ -220,26 +174,22 @@ func (p *Problem) Validate() error {
 	if p.Version != 0 && p.Version != Version {
 		return fmt.Errorf("wire: unsupported version %d (this build speaks %d)", p.Version, Version)
 	}
-	return p.ToCanon().Validate()
+	return p.Problem.Validate()
 }
 
-// Normalize rewrites the problem into its canonical form: version
-// explicit, pair endpoints ordered, member lists sorted, group and
-// net lists sorted lexicographically, and empty slices nil (the
-// placer package's canonical form, round-tripped through ToCanon).
-// Two semantically identical problems normalize to equal values,
-// which is what makes Hash a content address. Decode normalizes
-// automatically.
+// Normalize rewrites the problem in place into its canonical form:
+// version explicit, then the placer package's canonical form (pair
+// endpoints ordered, member lists sorted, group and net lists sorted
+// lexicographically, empty slices nil). Two semantically identical
+// problems normalize to equal values, which is what makes Hash a
+// content address. Decode normalizes automatically.
 func (p *Problem) Normalize() {
-	cp := p.ToCanon()
-	cp.Normalize()
-	v := p.Version
-	*p = *FromCanon(cp)
-	if v != 0 {
+	if p.Version == 0 {
 		// Only the omitted version is made explicit; an unsupported
 		// one is left for Validate to reject, not silently rewritten.
-		p.Version = v
+		p.Version = Version
 	}
+	p.Problem.Normalize()
 }
 
 // Normalize canonicalizes the options: the service's solver defaults
@@ -354,9 +304,9 @@ func (p *Problem) Canonical() ([]byte, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	cp := p.ToCanon()
-	cp.Normalize()
-	return json.Marshal(FromCanon(cp))
+	c := FromCanon(&p.Problem)
+	c.Normalize()
+	return json.Marshal(c)
 }
 
 // Hash returns the hex SHA-256 of the problem's canonical encoding —
@@ -410,9 +360,8 @@ func (r *Request) Canonical() ([]byte, error) {
 	if err := r.Validate(); err != nil {
 		return nil, err
 	}
-	cp := r.Problem.ToCanon()
-	cp.Normalize()
-	c := Request{Problem: *FromCanon(cp), Options: r.Options}
+	c := Request{Problem: *FromCanon(&r.Problem.Problem), Options: r.Options}
+	c.Problem.Normalize()
 	c.Options.Normalize()
 	c.Options.TimeoutMS = 0
 	return json.Marshal(c)
@@ -458,7 +407,9 @@ func decodeStrict(data []byte, v any) error {
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("wire: %v", err)
 	}
-	if dec.More() {
+	// Token, unlike More, also sees a stray closing delimiter: a
+	// well-formed value followed by `}` or `]` is trailing data too.
+	if _, err := dec.Token(); err != io.EOF {
 		return fmt.Errorf("wire: trailing data after JSON value")
 	}
 	return nil

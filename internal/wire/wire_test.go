@@ -7,13 +7,12 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/circuits"
+	"repro/placer"
 )
 
 func testProblem() *Problem {
-	return &Problem{
-		Version: Version,
-		Name:    "toy",
+	return &Problem{Version: Version, Problem: placer.Problem{
+		Name: "toy",
 		Modules: []Module{
 			{Name: "A", W: 4, H: 2}, {Name: "B", W: 4, H: 2},
 			{Name: "C", W: 3, H: 3}, {Name: "D", W: 5, H: 1},
@@ -22,7 +21,7 @@ func testProblem() *Problem {
 		Nets:      [][]int{{0, 2}, {1, 3}},
 		Proximity: [][]int{{2, 3}},
 		Objective: Objective{AreaWeight: 1, WireWeight: 1},
-	}
+	}}
 }
 
 // TestObjectiveDefaultCanonical: area_weight 0 means the default 1,
@@ -242,18 +241,32 @@ func TestDecodeStrict(t *testing.T) {
 	if _, err := DecodeProblem([]byte(`{"version":1,"modules":[{"name":"A","w":1,"h":1}],"objective":{},"bogus":3}`)); err == nil {
 		t.Fatal("unknown field accepted")
 	}
-	if _, err := DecodeProblem([]byte(`{"version":1,"modules":[{"name":"A","w":1,"h":1}],"objective":{}} trailing`)); err == nil {
-		t.Fatal("trailing data accepted")
+	const valid = `{"version":1,"modules":[{"name":"A","w":1,"h":1}],"objective":{}}`
+	if _, err := DecodeProblem([]byte(valid + "  \n")); err != nil {
+		t.Fatalf("trailing whitespace rejected: %v", err)
+	}
+	// A stray closing delimiter is trailing data too, though
+	// json.Decoder.More reports no further value before it.
+	for _, tail := range []string{" trailing", "}", "]", "]]]garbage"} {
+		if _, err := DecodeProblem([]byte(valid + tail)); err == nil {
+			t.Errorf("problem with trailing %q accepted", tail)
+		}
+		if _, err := DecodeRequest([]byte(`{"problem":` + valid + `}` + tail)); err == nil {
+			t.Errorf("request with trailing %q accepted", tail)
+		}
+		if _, err := DecodeBatchRequest([]byte(`{"items":[{"problem":` + valid + `}]}` + tail)); err == nil {
+			t.Errorf("batch with trailing %q accepted", tail)
+		}
 	}
 	if _, err := DecodeRequest([]byte(`{"problem":{"modules":[{"name":"A","w":1,"h":1}],"objective":{}},"options":{"method":"sorcery"}}`)); err == nil {
 		t.Fatal("unknown method accepted")
 	}
 }
 
-// TestCanonRoundTrip: wire → placer → wire must be lossless — same
-// content address, and byte-identical canonical encodings — including
-// the hierarchy. (The semantic conversions to the engines' internal
-// representations are tested with the placer package.)
+// TestCanonRoundTrip: placer → wire via FromCanon must be lossless —
+// same content address, and byte-identical canonical encodings —
+// including the hierarchy. (The semantic conversions to the engines'
+// internal representations are tested with the placer package.)
 func TestCanonRoundTrip(t *testing.T) {
 	for name, p := range map[string]*Problem{
 		"toy": testProblem(),
@@ -272,7 +285,7 @@ func TestCanonRoundTrip(t *testing.T) {
 			return p
 		}(),
 	} {
-		back := FromCanon(p.ToCanon())
+		back := FromCanon(&p.Problem)
 		h1, err := p.Hash()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -282,7 +295,7 @@ func TestCanonRoundTrip(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if h1 != h2 {
-			t.Fatalf("%s: ToCanon/FromCanon round-trip changed the content address", name)
+			t.Fatalf("%s: FromCanon changed the content address", name)
 		}
 		c1, _ := p.Canonical()
 		c2, _ := back.Canonical()
@@ -292,11 +305,14 @@ func TestCanonRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFromBenchMiller: a built-in benchmark reaches the wire with its
+// flat view, hierarchy and conventional objective intact.
 func TestFromBenchMiller(t *testing.T) {
-	p, err := FromBench(circuits.MillerOpAmp())
+	bp, err := placer.Benchmark("miller")
 	if err != nil {
 		t.Fatal(err)
 	}
+	p := FromCanon(bp)
 	if len(p.Modules) != 9 {
 		t.Fatalf("miller has 9 modules, wire sees %d", len(p.Modules))
 	}
@@ -341,7 +357,7 @@ func TestNormalizeIdempotent(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
 		n := 2 + rng.Intn(10)
-		p := &Problem{Modules: make([]Module, n)}
+		p := &Problem{Problem: placer.Problem{Modules: make([]Module, n)}}
 		for i := range p.Modules {
 			p.Modules[i] = Module{Name: string(rune('a' + i)), W: 1 + rng.Intn(9), H: 1 + rng.Intn(9)}
 		}

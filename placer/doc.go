@@ -46,9 +46,10 @@
 //
 // The package is a facade: engines run on internal/place and
 // internal/hbstar, objectives on internal/cost, schedules on
-// internal/anneal. internal/wire is the JSON transport encoding of
-// [Problem] (wire.Problem.ToCanon / wire.FromCanon convert
-// losslessly), and internal/service schedules Solve calls behind the
-// HTTP daemon. See PERFORMANCE.md's "Public API" section for
-// migration notes from the internal packages.
+// internal/anneal. The JSON tags on [Problem] and its parts are the
+// wire spelling: internal/wire embeds Problem behind a format
+// version and adds strict decoding and content hashing, with no
+// conversion layer between the two. internal/service schedules Solve
+// calls behind the HTTP daemon. See PERFORMANCE.md's "Public API"
+// section for migration notes from the internal packages.
 package placer

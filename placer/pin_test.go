@@ -104,7 +104,7 @@ func TestPinPublicSolve(t *testing.T) {
 			} else {
 				opts = append(opts, placer.WithAlgorithm(req.Options.Method))
 			}
-			res, err := placer.Solve(t.Context(), req.Problem.ToCanon(), opts...)
+			res, err := placer.Solve(t.Context(), &req.Problem.Problem, opts...)
 			if err != nil {
 				t.Fatal(err)
 			}

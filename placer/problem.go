@@ -8,16 +8,17 @@ import (
 
 // Module is one placeable rectangle of W × H layout units.
 type Module struct {
-	Name string
-	W, H int
+	Name string `json:"name"`
+	W    int    `json:"w"`
+	H    int    `json:"h"`
 }
 
 // SymGroup is a symmetry group over module ids: Pairs mirror about a
 // shared vertical axis, Selfs are self-symmetric on it. A module may
 // belong to at most one group.
 type SymGroup struct {
-	Pairs [][2]int
-	Selfs []int
+	Pairs [][2]int `json:"pairs,omitempty"`
+	Selfs []int    `json:"selfs,omitempty"`
 }
 
 // Objective carries the weights of the composable cost model every
@@ -27,16 +28,17 @@ type SymGroup struct {
 // term; the hierarchical engine always enforces proximity through its
 // fragments penalty.
 type Objective struct {
-	AreaWeight float64
-	WireWeight float64
+	AreaWeight float64 `json:"area_weight,omitempty"`
+	WireWeight float64 `json:"wire_weight,omitempty"`
 	// OutlineW/OutlineH, when both positive, add a fixed-outline term:
 	// a quadratic penalty on the bounding box exceeding the outline.
-	OutlineW, OutlineH int
+	OutlineW int `json:"outline_w,omitempty"`
+	OutlineH int `json:"outline_h,omitempty"`
 	// OutlineWeight scales that penalty (0 = heuristic default).
-	OutlineWeight float64
-	ProxWeight    float64
-	ThermalWeight float64
-	ThermalSigma  float64
+	OutlineWeight float64 `json:"outline_weight,omitempty"`
+	ProxWeight    float64 `json:"prox_weight,omitempty"`
+	ThermalWeight float64 `json:"thermal_weight,omitempty"`
+	ThermalSigma  float64 `json:"thermal_sigma,omitempty"`
 }
 
 // Hierarchy node kinds.
@@ -52,37 +54,39 @@ const (
 // modules; symmetry Pairs and Selfs may name either modules or child
 // nodes (a child participates as one rigid object).
 type Node struct {
-	Name     string
-	Kind     string // one of the Kind constants
-	Devices  []string
-	Pairs    [][2]string
-	Selfs    []string
-	Units    map[string][]string
-	Children []*Node
+	Name     string              `json:"name,omitempty"`
+	Kind     string              `json:"kind,omitempty"` // one of the Kind constants
+	Devices  []string            `json:"devices,omitempty"`
+	Pairs    [][2]string         `json:"pairs,omitempty"`
+	Selfs    []string            `json:"selfs,omitempty"`
+	Units    map[string][]string `json:"units,omitempty"`
+	Children []*Node             `json:"children,omitempty"`
 }
 
 // Problem is the canonical placement instance every consumer of this
-// repository speaks: the CLI, the daemon's wire format, the engines
-// and the examples all convert to or from it. It unifies the flat
-// inputs (modules, id-based symmetry groups, nets, proximity groups)
-// with the optional design hierarchy; engines that only understand
-// one of the two derive what they need (flat engines bind
-// hierarchy-spelled symmetry, the hierarchical engine synthesizes a
-// tree from flat groups).
+// repository speaks: the CLI, the daemon, the engines and the
+// examples all use it, and its JSON tags are the wire format's
+// spelling (internal/wire adds the version, strict decoding and
+// content hashing around it). It unifies the flat inputs (modules,
+// id-based symmetry groups, nets, proximity groups) with the optional
+// design hierarchy; engines that only understand one of the two
+// derive what they need (flat engines bind hierarchy-spelled
+// symmetry, the hierarchical engine synthesizes a tree from flat
+// groups).
 type Problem struct {
-	Name    string
-	Modules []Module
+	Name    string   `json:"name,omitempty"`
+	Modules []Module `json:"modules"`
 	// Symmetry groups over module ids (vertical axes).
-	Symmetry []SymGroup
+	Symmetry []SymGroup `json:"symmetry,omitempty"`
 	// Nets lists signal nets as module-id sets for wirelength.
-	Nets [][]int
+	Nets [][]int `json:"nets,omitempty"`
 	// Proximity lists proximity groups as module-id sets.
-	Proximity [][]int
+	Proximity [][]int `json:"proximity,omitempty"`
 	// Power gives per-module dissipated power for the thermal term
 	// (nil = area-normalized default).
-	Power     []float64
-	Objective Objective
-	Hierarchy *Node
+	Power     []float64 `json:"power,omitempty"`
+	Objective Objective `json:"objective"`
+	Hierarchy *Node     `json:"hierarchy,omitempty"`
 }
 
 // N returns the module count.

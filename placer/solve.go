@@ -192,9 +192,11 @@ func (o EngineOptions) annealOptions(ctx context.Context, algorithm string) anne
 
 // Placed is one module of a solved placement.
 type Placed struct {
-	Name string
-	X, Y int
-	W, H int
+	Name string `json:"name"`
+	X    int    `json:"x"`
+	Y    int    `json:"y"`
+	W    int    `json:"w"`
+	H    int    `json:"h"`
 }
 
 // TermCost is one objective term's share of a result's cost:
