@@ -196,17 +196,17 @@ func BenchmarkTable1(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, m := range []struct {
-			label  string
-			method core.Method
-		}{{"esf", core.MethodDeterministicESF}, {"rsf", core.MethodDeterministicRSF}} {
+			label    string
+			enhanced bool
+		}{{"esf", true}, {"rsf", false}} {
 			b.Run(name+"/"+m.label, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					res, err := core.PlaceBench(bench, m.method, anneal.Options{})
+					res, err := core.PlaceDeterministic(bench, m.enhanced)
 					if err != nil {
 						b.Fatal(err)
 					}
-					if !res.Legal {
+					if !res.Placement.Legal() {
 						b.Fatal("illegal placement")
 					}
 				}
@@ -226,7 +226,7 @@ func BenchmarkTable1Large(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.PlaceBench(bench, core.MethodDeterministicESF, anneal.Options{}); err != nil {
+				if _, err := core.PlaceDeterministic(bench, true); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,6 +1,6 @@
 // Command analogplace places a benchmark circuit with a selectable
-// algorithm from the placer registry and prints the resulting layout
-// statistics, per-term cost breakdown and module coordinates.
+// algorithm and prints the resulting layout statistics, per-term cost
+// breakdown and module coordinates.
 //
 // Usage:
 //
@@ -14,48 +14,47 @@
 // -algorithms lists the placer registry — every valid -method value
 // with its kind (flat/hierarchical) and portfolio eligibility — and
 // exits; the daemon serves the same listing on GET /v1/algorithms.
-// The CLI performs no algorithm dispatch of its own: the wire path
-// (-json/-json-out) runs any registered algorithm through
-// placer.Solve, so a backend registered with placer.Register is
-// immediately placeable here; the classic path is limited to the
-// paper's built-in methods (it drives internal/core's ablation
-// harness) and points registry-only algorithms at -json-out.
+//
+// Every annealing method, registry algorithm or portfolio, takes one
+// path: the CLI assembles a wire Request (internal/wire) from -bench
+// and the flags, or reads it from -json, and solves it with
+// service.Solve, the function the placed daemon runs. The CLI does no
+// algorithm dispatch of its own, so a backend registered with
+// placer.Register is placeable here at once, and a CLI run and a
+// daemon run of the same request give the same placement. Method
+// portfolio races seqpair/bstar/tcg.
 //
 // -workers above 1 runs parallel multi-start annealing: that many
 // independent chains on separate cores, keeping the best placement.
 //
 // The objective flags tune the composable cost model: -outline adds a
-// fixed-outline penalty (the result reports whether the bounding box
-// respects it, or the violation penalty), -thermal adds thermal
-// mismatch over symmetry pairs, -prox pulls proximity groups together,
-// and -wire/-area reweight the default terms.
+// fixed-outline penalty (the output reports whether the bounding box
+// fits the outline, or by how much and at what penalty it violates
+// it), -thermal adds thermal mismatch over symmetry pairs, -prox
+// pulls proximity groups together, and -wire/-area reweight the
+// default terms.
 //
-// # Wire-format mode
+// # Wire format
 //
-// The CLI speaks the same canonical JSON wire format as the placed
-// daemon (internal/wire). -json FILE (or "-" for stdin) reads a wire
-// Problem or Request instead of -bench and solves it through the
-// identical service path; -json-out FILE (or "-" for stdout) writes
-// the wire Result; -json-req FILE emits the assembled Request itself
+// -json FILE (or "-" for stdin) reads a wire Problem or Request
+// instead of -bench; -json-out FILE (or "-" for stdout) writes the
+// wire Result; -json-req FILE emits the assembled Request itself
 // (canonically encoded, without solving), so
 //
 //	analogplace -bench miller -method seqpair -json-req - | curl -s \
 //	  -X POST --data-binary @- 'localhost:8080/v1/place?wait=1'
 //
 // and the local `analogplace -bench miller -method seqpair -json-out -`
-// produce the same placement for the same request. -json-out with a
-// benchmark runs the wire path too (method portfolio races
-// seqpair/bstar/tcg); the deterministic esf/rsf methods have no wire
-// representation and reject the -json* flags.
+// produce the same placement.
 //
-// One deliberate difference from the classic path: classic runs keep
-// the paper's ablation semantics and strip symmetry groups from the
-// problem for the non-seqpair flat methods (so bstar/tcg/slicing/
-// absolute are the unconstrained baselines of the paper, and -thermal
-// has no pairs to act on), while the wire path keeps every method on
-// the identical composite objective — symmetry-pair thermal term
-// included — so service results and portfolio racers compare like
-// for like.
+// # Deterministic methods
+//
+// esf and rsf run Section IV's hierarchically bounded enumeration
+// with enhanced or regular shape functions (core.PlaceDeterministic).
+// They are not registry algorithms: the enumeration cannot be
+// cancelled, so it never runs inside the daemon. They optimize no
+// tunable objective and have no wire form, so they reject the
+// objective flags and -json/-json-out/-json-req/-trace-out.
 package main
 
 import (
@@ -68,13 +67,11 @@ import (
 	"os"
 	"sort"
 	"strings"
+	"time"
 
-	"repro/internal/anneal"
 	"repro/internal/circuits"
 	"repro/internal/core"
-	"repro/internal/cost"
 	"repro/internal/geom"
-	"repro/internal/hbstar"
 	"repro/internal/render"
 	"repro/internal/service"
 	"repro/internal/wire"
@@ -106,7 +103,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	thermalWeight := fs.Float64("thermal", 0, "thermal-mismatch weight over symmetry pairs (0 = off)")
 	thermalSigma := fs.Float64("thermal-sigma", 0, "thermal decay length (0 = default 50)")
 	proxWeight := fs.Float64("prox", 0, "proximity-group pull weight for flat placers (0 = off)")
-	wireWeight := fs.Float64("wire", 0, "HPWL weight (0 = method default)")
+	wireWeight := fs.Float64("wire", 0, "HPWL weight (0 = default 1)")
 	areaWeight := fs.Float64("area", 0, "bounding-box area weight (0 = default 1)")
 	verbose := fs.Bool("v", false, "print module coordinates")
 	svgPath := fs.String("svg", "", "write the placement as SVG to this file")
@@ -159,12 +156,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 
-	// esf/rsf are deterministic Section IV methods with no wire
-	// representation: always the classic path, never -json.
-	classicOnly := *method == "esf" || *method == "rsf"
+	objectiveSet := set["outline"] || set["outline-weight"] || set["thermal"] ||
+		set["thermal-sigma"] || set["prox"] || set["wire"] || set["area"]
 	wireMode := set["json"] || set["json-out"] || set["json-req"] || set["trace-out"]
-	if classicOnly && wireMode {
-		return fmt.Errorf("method %q is deterministic and has no wire representation; drop -json/-json-out/-json-req/-trace-out", *method)
+	if *method == "esf" || *method == "rsf" {
+		if wireMode || objectiveSet {
+			return fmt.Errorf("method %q is deterministic: it takes no objective flags and has no wire representation (drop -json/-json-out/-json-req/-trace-out)", *method)
+		}
+		return runDeterministic(*bench, *method, *verbose, *svgPath, stdout)
 	}
 	if set["json-req"] && (set["json-out"] || set["svg"] || set["trace-out"]) {
 		return fmt.Errorf("-json-req emits the request without solving; it conflicts with -json-out/-svg/-trace-out")
@@ -178,101 +177,60 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("-json-out and -trace-out cannot both write to stdout")
 	}
 
-	if wireMode {
-		return runWire(wireArgs{
-			method: *method, methodSet: set["method"],
-			seed: *seed, seedSet: set["seed"],
-			workers: *workers, workersSet: set["workers"],
-			temperChains: *temperChains, temperChainsSet: set["temper-chains"],
-			exchangeEvery: *exchangeEvery, exchangeEverySet: set["exchange-every"],
-			jsonIn: *jsonIn, jsonOut: *jsonOut, jsonReq: *jsonReq, traceOut: *traceOut,
-			objective: wire.Objective{
-				AreaWeight:    *areaWeight,
-				WireWeight:    *wireWeight,
-				OutlineW:      outlineW,
-				OutlineH:      outlineH,
-				OutlineWeight: *outlineWeight,
-				ProxWeight:    *proxWeight,
-				ThermalWeight: *thermalWeight,
-				ThermalSigma:  *thermalSigma,
-			},
-			objectiveSet: set["outline"] || set["outline-weight"] || set["thermal"] ||
-				set["thermal-sigma"] || set["prox"] || set["wire"] || set["area"],
-			bench:   *bench,
-			verbose: *verbose, svgPath: *svgPath,
-		}, stdout, stderr)
-	}
+	return runSolve(solveArgs{
+		method: *method, methodSet: set["method"],
+		seed: *seed, seedSet: set["seed"],
+		workers: *workers, workersSet: set["workers"],
+		temperChains: *temperChains, temperChainsSet: set["temper-chains"],
+		exchangeEvery: *exchangeEvery, exchangeEverySet: set["exchange-every"],
+		jsonIn: *jsonIn, jsonOut: *jsonOut, jsonReq: *jsonReq, traceOut: *traceOut,
+		objective: wire.Objective{
+			AreaWeight:    *areaWeight,
+			WireWeight:    *wireWeight,
+			OutlineW:      outlineW,
+			OutlineH:      outlineH,
+			OutlineWeight: *outlineWeight,
+			ProxWeight:    *proxWeight,
+			ThermalWeight: *thermalWeight,
+			ThermalSigma:  *thermalSigma,
+		},
+		objectiveSet: objectiveSet,
+		bench:        *bench,
+		verbose:      *verbose, svgPath: *svgPath,
+	}, stdout, stderr)
+}
 
-	if *method == "portfolio" {
-		return fmt.Errorf("method portfolio needs the wire path: add -json-out (or -json)")
-	}
-	b, err := pickBench(*bench)
+// runDeterministic places a benchmark with Section IV's enumeration
+// (esf: enhanced shape functions, rsf: regular ones) and reports.
+func runDeterministic(bench, method string, verbose bool, svgPath string, stdout io.Writer) error {
+	b, err := circuits.ByName(bench)
 	if err != nil {
 		return err
 	}
-	// The registry (plus core's deterministic esf/rsf) is the only
-	// method namespace; the CLI carries no dispatch of its own. The
-	// classic path runs core's paper-ablation harness, so it only
-	// knows the built-in methods — registered-but-not-built-in
-	// algorithms run through the wire path.
-	m, err := core.ParseMethod(*method)
-	if err != nil {
-		if placer.Known(*method) {
-			return fmt.Errorf("method %q is registry-only and needs the wire path: add -json-out (or -json)", *method)
-		}
-		return err
-	}
-	obj := &core.Objective{
-		AreaWeight:    *areaWeight,
-		WireWeight:    *wireWeight,
-		OutlineW:      outlineW,
-		OutlineH:      outlineH,
-		OutlineWeight: *outlineWeight,
-		ProxWeight:    *proxWeight,
-		ThermalWeight: *thermalWeight,
-		ThermalSigma:  *thermalSigma,
-	}
-	opt := anneal.Options{
-		Seed:          *seed,
-		MovesPerStage: wire.DefaultMovesPerStage,
-		MaxStages:     wire.DefaultMaxStages,
-		StallStages:   wire.DefaultStallStages,
-		Workers:       *workers,
-		TemperChains:  *temperChains,
-		ExchangeEvery: *exchangeEvery,
-	}
-	res, err := core.PlaceBenchObjective(b, m, opt, obj)
+	start := time.Now()
+	res, err := core.PlaceDeterministic(b, method == "esf")
 	if err != nil {
 		return err
 	}
-	bb := res.Placement.BBox()
-	fmt.Fprintf(stdout, "bench=%s method=%v modules=%d\n", b.Name, m, len(res.Placement))
+	pl := res.Placement
+	bb := pl.BBox()
+	fmt.Fprintf(stdout, "bench=%s method=%s modules=%d\n", b.Name, method, len(pl))
 	fmt.Fprintf(stdout, "bounding box: %dx%d  area usage: %.2f%%  legal: %v  runtime: %s\n",
-		bb.W, bb.H, 100*res.AreaUsage, res.Legal, res.Runtime.Round(1e6))
-	printTermBreakdown(stdout, res.Breakdown)
-	if o := res.Outline; o != nil {
-		if o.Fits() {
-			fmt.Fprintf(stdout, "outline %dx%d: bounding box fits\n", o.W, o.H)
-		} else {
-			fmt.Fprintf(stdout, "outline %dx%d: violated by %dx%d, penalty %.4g\n",
-				o.W, o.H, o.ExcessW, o.ExcessH, o.Penalty)
-		}
+		bb.W, bb.H, 100*pl.AreaUsage(), pl.Legal(), time.Since(start).Round(time.Millisecond))
+	if verbose {
+		printCoords(stdout, pl)
 	}
-	printViolations(stdout, stringifyErrs(res.Violations))
-	if *verbose {
-		printCoords(stdout, res.Placement)
-	}
-	if *svgPath != "" {
-		if err := writeSVG(*svgPath, res.Placement); err != nil {
+	if svgPath != "" {
+		if err := writeSVG(svgPath, pl); err != nil {
 			return err
 		}
-		fmt.Fprintln(stdout, "wrote", *svgPath)
+		fmt.Fprintln(stdout, "wrote", svgPath)
 	}
 	return nil
 }
 
 // printAlgorithms lists the registry: one row per engine plus the
-// portfolio meta-method and the classic-only deterministic methods.
+// portfolio meta-method and the CLI-only deterministic methods.
 func printAlgorithms(w io.Writer) {
 	fmt.Fprintf(w, "%-16s %-13s %-10s %s\n", "ALGORITHM", "KIND", "PORTFOLIO", "DESCRIPTION")
 	for _, v := range service.AlgorithmViews() {
@@ -285,12 +243,12 @@ func printAlgorithms(w io.Writer) {
 		}
 		fmt.Fprintf(w, "%-16s %-13s %-10s %s\n", v.Name, v.Kind, eligible, v.Description)
 	}
-	fmt.Fprintf(w, "%-16s %-13s %-10s %s\n", "esf", "deterministic", "-", "Section IV enumeration with enhanced shape functions (classic path only)")
-	fmt.Fprintf(w, "%-16s %-13s %-10s %s\n", "rsf", "deterministic", "-", "Section IV enumeration with regular shape functions (classic path only)")
+	fmt.Fprintf(w, "%-16s %-13s %-10s %s\n", "esf", "deterministic", "-", "Section IV enumeration with enhanced shape functions (CLI only, not in the registry)")
+	fmt.Fprintf(w, "%-16s %-13s %-10s %s\n", "rsf", "deterministic", "-", "Section IV enumeration with regular shape functions (CLI only, not in the registry)")
 }
 
-// wireArgs carries the flag state into the wire-format path.
-type wireArgs struct {
+// solveArgs carries the flag state into runSolve.
+type solveArgs struct {
 	method           string
 	methodSet        bool
 	seed             int64
@@ -312,10 +270,10 @@ type wireArgs struct {
 	svgPath          string
 }
 
-// runWire is the CLI end of the wire format: assemble a wire.Request
-// from a JSON file or a benchmark, solve it through the same
-// service.Solve path the placed daemon uses, and report.
-func runWire(a wireArgs, stdout, stderr io.Writer) error {
+// runSolve is the CLI's one solve path: assemble a wire.Request from a
+// JSON file or a benchmark, solve it through service.Solve, the path
+// the placed daemon uses, and report.
+func runSolve(a solveArgs, stdout, stderr io.Writer) error {
 	var req *wire.Request
 	fromFile := a.jsonIn != ""
 	if fromFile {
@@ -337,19 +295,14 @@ func runWire(a wireArgs, stdout, stderr io.Writer) error {
 		}
 		p := wire.FromCanon(bp)
 		if a.objectiveSet {
-			applyObjectiveFlags(&p.Objective, a.objective)
-		}
-		if a.method == "hbstar" && a.objective.WireWeight == 0 {
-			// Parity with the classic path: hbstar's historical default
-			// wire weight, not the flat placers' 1.0 Benchmark encodes.
-			p.Objective.WireWeight = hbstar.DefaultWireWeight
+			overlayObjective(&p.Objective, a.objective)
 		}
 		req = &wire.Request{Problem: *p}
 	}
 	// A file request solves exactly as the daemon would solve the same
 	// bytes — CLI flags only override it when explicitly set. A
-	// benchmark run keeps the classic CLI defaults (method hbstar,
-	// seed 1, the historical schedule).
+	// benchmark run takes the CLI defaults (method hbstar, seed 1, the
+	// wire default schedule).
 	if a.methodSet || !fromFile {
 		if !wire.KnownMethod(a.method) {
 			return placer.ErrUnknownAlgorithm(a.method)
@@ -415,6 +368,19 @@ func runWire(a wireArgs, stdout, stderr io.Writer) error {
 	fmt.Fprintf(humanOut, "bounding box: %dx%d  area usage: %.2f%%  legal: %v  cost: %.4g  runtime: %dms\n",
 		res.BBoxW, res.BBoxH, 100*res.AreaUsage, res.Legal, res.Cost, res.RuntimeMS)
 	printWireBreakdown(humanOut, res.Breakdown)
+	if o := req.Problem.Objective; o.OutlineW > 0 && o.OutlineH > 0 {
+		exW, exH := max(0, res.BBoxW-o.OutlineW), max(0, res.BBoxH-o.OutlineH)
+		if exW == 0 && exH == 0 {
+			fmt.Fprintf(humanOut, "outline %dx%d: bounding box fits\n", o.OutlineW, o.OutlineH)
+		} else {
+			var penalty float64 // the outline term's weighted cost
+			if res.Breakdown != nil {
+				penalty = res.Breakdown.Outline
+			}
+			fmt.Fprintf(humanOut, "outline %dx%d: violated by %dx%d, penalty %.4g\n",
+				o.OutlineW, o.OutlineH, exW, exH, penalty)
+		}
+	}
 	if res.Cancelled {
 		fmt.Fprintln(humanOut, "run cancelled: placement is best-so-far")
 	}
@@ -457,19 +423,6 @@ func runWire(a wireArgs, stdout, stderr io.Writer) error {
 		fmt.Fprintln(humanOut, "wrote", a.svgPath)
 	}
 	return nil
-}
-
-// printTermBreakdown reports a classic-path cost decomposition: each
-// term's weighted contribution, weights spelled out.
-func printTermBreakdown(w io.Writer, terms []cost.TermValue) {
-	if len(terms) == 0 {
-		return
-	}
-	parts := make([]string, len(terms))
-	for i, tv := range terms {
-		parts[i] = fmt.Sprintf("%s=%.4g", tv.Name, tv.Weight*tv.Value)
-	}
-	fmt.Fprintf(w, "cost breakdown: %s\n", strings.Join(parts, "  "))
 }
 
 // printWireBreakdown reports a wire result's named per-term fields
@@ -517,10 +470,10 @@ func readInput(path string) ([]byte, error) {
 	return os.ReadFile(path)
 }
 
-// applyObjectiveFlags overlays explicitly-set CLI weights on a
+// overlayObjective overlays explicitly-set CLI weights on a
 // benchmark-derived objective (zero flag values leave the benchmark's
-// defaults alone, matching the classic path's semantics).
-func applyObjectiveFlags(dst *wire.Objective, flags wire.Objective) {
+// defaults alone).
+func overlayObjective(dst *wire.Objective, flags wire.Objective) {
 	if flags.AreaWeight > 0 {
 		dst.AreaWeight = flags.AreaWeight
 	}
@@ -581,14 +534,6 @@ func writeOutput(path string, data []byte, stdout io.Writer) error {
 	return os.WriteFile(path, data, 0o644)
 }
 
-func stringifyErrs(errs []error) []string {
-	out := make([]string, len(errs))
-	for i, e := range errs {
-		out[i] = e.Error()
-	}
-	return out
-}
-
 func writeSVG(path string, pl geom.Placement) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -596,14 +541,4 @@ func writeSVG(path string, pl geom.Placement) error {
 	}
 	defer f.Close()
 	return render.SVG(f, pl, render.Options{})
-}
-
-func pickBench(name string) (*circuits.Bench, error) {
-	switch name {
-	case "miller":
-		return circuits.MillerOpAmp(), nil
-	case "folded":
-		return circuits.FoldedCascode(), nil
-	}
-	return circuits.TableIBench(name)
 }

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -24,7 +25,7 @@ func cli(t *testing.T, args ...string) (string, error) {
 }
 
 // TestAlgorithmsFlag: -algorithms lists every registry engine, the
-// portfolio meta-method and the classic-only deterministic methods.
+// portfolio meta-method and the CLI-only deterministic methods.
 func TestAlgorithmsFlag(t *testing.T) {
 	out, err := cli(t, "-algorithms")
 	if err != nil {
@@ -43,7 +44,7 @@ func TestAlgorithmsFlag(t *testing.T) {
 }
 
 // TestGeneticEndToEnd: the memetic registry entry is a first-class
-// CLI citizen — -algorithms lists it, and a wire-path solve with
+// CLI citizen — -algorithms lists it, and a solve with
 // -method genetic:seqpair produces a legal, constraint-satisfying
 // placement over every module.
 func TestGeneticEndToEnd(t *testing.T) {
@@ -82,115 +83,182 @@ func TestGeneticEndToEnd(t *testing.T) {
 }
 
 // TestUnknownMethodSharedError: a typo'd method must fail with the
-// placer registry's one shared message, on the classic path and the
-// wire path alike (the daemon shares it through wire.Options.Validate
-// — see the service package's registry test).
+// placer registry's one shared message, with and without -json-out
+// (the daemon shares it through wire.Options.Validate — see the
+// service package's registry test).
 func TestUnknownMethodSharedError(t *testing.T) {
 	want := placer.ErrUnknownAlgorithm("sorcery").Error()
 	if _, err := cli(t, "-bench", "miller", "-method", "sorcery"); err == nil || err.Error() != want {
-		t.Errorf("classic path: got %v, want %q", err, want)
+		t.Errorf("text output: got %v, want %q", err, want)
 	}
 	if _, err := cli(t, "-bench", "miller", "-method", "sorcery", "-json-out", os.DevNull); err == nil || err.Error() != want {
-		t.Errorf("wire path: got %v, want %q", err, want)
+		t.Errorf("wire output: got %v, want %q", err, want)
 	}
 }
 
-// TestBreakdownInTextOutput: both output paths surface the per-term
-// cost breakdown.
+// TestBreakdownInTextOutput: the text report surfaces the per-term
+// cost breakdown, with and without -json-out.
 func TestBreakdownInTextOutput(t *testing.T) {
-	out, err := cli(t, "-bench", "miller", "-method", "seqpair")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "cost breakdown:") || !strings.Contains(out, "hpwl=") {
-		t.Errorf("classic output misses the cost breakdown:\n%s", out)
-	}
-	out, err = cli(t, "-bench", "miller", "-method", "seqpair",
-		"-json-out", filepath.Join(t.TempDir(), "res.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "cost breakdown:") || !strings.Contains(out, "area=") {
-		t.Errorf("wire output misses the cost breakdown:\n%s", out)
+	for _, extra := range [][]string{nil, {"-json-out", filepath.Join(t.TempDir(), "res.json")}} {
+		out, err := cli(t, append([]string{"-bench", "miller", "-method", "seqpair"}, extra...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(out, "cost breakdown:") || !strings.Contains(out, "area=") || !strings.Contains(out, "hpwl=") {
+			t.Errorf("%v: output misses the cost breakdown:\n%s", extra, out)
+		}
 	}
 }
 
-// TestPinCLIVsDaemonVsGolden is the CLI leg of the refactor pin: the
-// CLI's wire mode, the placed daemon's HTTP path, and the checked-in
-// pre-refactor fixture must all agree bit for bit on the Miller
-// seqpair placement.
-func TestPinCLIVsDaemonVsGolden(t *testing.T) {
-	dir := t.TempDir()
-
-	// CLI leg: solve through analogplace's wire mode.
-	resPath := filepath.Join(dir, "res.json")
-	if _, err := cli(t, "-bench", "miller", "-method", "seqpair", "-json-out", resPath); err != nil {
-		t.Fatal(err)
-	}
-	cliRes := readResult(t, resPath)
-
-	// Daemon leg: emit the very request the CLI solved (-json-req) and
-	// POST it to a placed-equivalent HTTP server.
-	reqPath := filepath.Join(dir, "req.json")
-	if _, err := cli(t, "-bench", "miller", "-method", "seqpair", "-json-req", reqPath); err != nil {
-		t.Fatal(err)
-	}
-	reqBody, err := os.ReadFile(reqPath)
+// TestOutlineLine: -outline reports a generous outline as fitting and
+// an impossible one as violated, with the outline term's cost.
+func TestOutlineLine(t *testing.T) {
+	out, err := cli(t, "-bench", "miller", "-method", "seqpair", "-outline", "1000x1000")
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !strings.Contains(out, "outline 1000x1000: bounding box fits") {
+		t.Errorf("generous outline not reported as fitting:\n%s", out)
+	}
+	out, err = cli(t, "-bench", "miller", "-method", "seqpair", "-outline", "1x1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "outline 1x1: violated by ") || !strings.Contains(out, "outline=") {
+		t.Errorf("impossible outline not reported as violated:\n%s", out)
+	}
+	if out, err = cli(t, "-bench", "miller", "-method", "seqpair"); err != nil || strings.Contains(out, "outline") {
+		t.Errorf("no -outline, yet an outline line (err %v):\n%s", err, out)
+	}
+}
+
+// TestPortfolioSolves: method portfolio runs without -json-out and
+// reports the winning racer.
+func TestPortfolioSolves(t *testing.T) {
+	out, err := cli(t, "-bench", "miller", "-method", "portfolio")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "bench=miller_opamp method=seqpair") || !strings.Contains(out, "legal: true") {
+		t.Errorf("portfolio run output:\n%s", out)
+	}
+}
+
+// TestDeterministicMethods: esf and rsf place a benchmark legally
+// through core.PlaceDeterministic.
+func TestDeterministicMethods(t *testing.T) {
+	for _, m := range []string{"esf", "rsf"} {
+		out, err := cli(t, "-bench", "comparator_v2", "-method", m)
+		if err != nil {
+			t.Fatalf("%s: %v", m, err)
+		}
+		if !strings.Contains(out, "method="+m+" modules=10") || !strings.Contains(out, "legal: true") {
+			t.Errorf("%s output:\n%s", m, out)
+		}
+	}
+}
+
+// TestPinCLIVsDaemonVsGolden is the CLI leg of the refactor pin. For
+// each pinned Miller method, the request the CLI assembles from -bench
+// has the checked-in pin request's content hash, and the CLI's result,
+// the placed daemon's answer to that request, and the checked-in
+// golden agree bit for bit.
+func TestPinCLIVsDaemonVsGolden(t *testing.T) {
 	sched := service.New(service.Config{Workers: 1})
 	defer sched.Close()
 	srv := httptest.NewServer(service.NewHandler(sched))
 	defer srv.Close()
-	httpRes, err := http.Post(srv.URL+"/v1/place?wait=1", "application/json", bytes.NewReader(reqBody))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer httpRes.Body.Close()
-	if httpRes.StatusCode != http.StatusOK {
-		t.Fatalf("daemon status %d", httpRes.StatusCode)
-	}
-	var view struct {
-		Result *wire.Result `json:"result"`
-	}
-	if err := json.NewDecoder(httpRes.Body).Decode(&view); err != nil {
-		t.Fatal(err)
-	}
-	if view.Result == nil {
-		t.Fatal("daemon job has no result")
-	}
+	pins := filepath.Join("..", "..", "placer", "testdata")
 
-	// Pre-refactor leg: the golden fixture captured before the placer
-	// API existed.
-	golden := readResult(t, filepath.Join("..", "..", "placer", "testdata", "pin_miller_seqpair_result.json"))
+	for _, method := range []string{"seqpair", "hbstar", "portfolio"} {
+		t.Run(method, func(t *testing.T) {
+			dir := t.TempDir()
+			args := []string{"-bench", "miller", "-method", method}
 
-	for _, leg := range []struct {
-		name string
-		res  *wire.Result
-	}{{"daemon", view.Result}, {"pre-refactor golden", golden}} {
-		if cliRes.Cost != leg.res.Cost {
-			t.Errorf("CLI cost %v != %s cost %v", cliRes.Cost, leg.name, leg.res.Cost)
-		}
-		if len(cliRes.Placement) != len(leg.res.Placement) {
-			t.Fatalf("CLI placed %d modules, %s %d", len(cliRes.Placement), leg.name, len(leg.res.Placement))
-		}
-		for i := range cliRes.Placement {
-			if cliRes.Placement[i] != leg.res.Placement[i] {
-				t.Fatalf("module %d: CLI %+v != %s %+v", i, cliRes.Placement[i], leg.name, leg.res.Placement[i])
+			// Request leg: the CLI's request is the pinned one.
+			reqPath := filepath.Join(dir, "req.json")
+			if _, err := cli(t, append(args, "-json-req", reqPath)...); err != nil {
+				t.Fatal(err)
 			}
-		}
+			reqBody, err := os.ReadFile(reqPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := requestHash(t, reqBody), requestHash(t, readFile(t, filepath.Join(pins, "pin_miller_"+method+"_request.json"))); got != want {
+				t.Fatalf("CLI request hash %s, pinned request %s", got, want)
+			}
+
+			// CLI leg: solve through analogplace.
+			resPath := filepath.Join(dir, "res.json")
+			if _, err := cli(t, append(args, "-json-out", resPath)...); err != nil {
+				t.Fatal(err)
+			}
+			cliRes := readResult(t, resPath)
+
+			// Daemon leg: POST the very request the CLI solved.
+			httpRes, err := http.Post(srv.URL+"/v1/place?wait=1", "application/json", bytes.NewReader(reqBody))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer httpRes.Body.Close()
+			if httpRes.StatusCode != http.StatusOK {
+				t.Fatalf("daemon status %d", httpRes.StatusCode)
+			}
+			var view struct {
+				Result *wire.Result `json:"result"`
+			}
+			if err := json.NewDecoder(httpRes.Body).Decode(&view); err != nil {
+				t.Fatal(err)
+			}
+			if view.Result == nil {
+				t.Fatal("daemon job has no result")
+			}
+
+			// Wall-clock may differ, the daemon records a flight trace
+			// the CLI did not ask for, and the golden predates the cost
+			// breakdown.
+			got := *cliRes
+			got.RuntimeMS = 0
+			daemon := *view.Result
+			daemon.RuntimeMS, daemon.Trace, daemon.EngineTraces = 0, nil, nil
+			if !reflect.DeepEqual(got, daemon) {
+				t.Errorf("CLI result\n%+v\n!= daemon result\n%+v", got, daemon)
+			}
+			golden := readResult(t, filepath.Join(pins, "pin_miller_"+method+"_result.json"))
+			got.Breakdown = nil
+			if !reflect.DeepEqual(got, *golden) {
+				t.Errorf("CLI result\n%+v\n!= golden\n%+v", got, *golden)
+			}
+		})
 	}
 }
 
-func readResult(t *testing.T, path string) *wire.Result {
+func requestHash(t *testing.T, data []byte) string {
+	t.Helper()
+	req, err := wire.DecodeRequest(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := req.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
+func readFile(t *testing.T, path string) []byte {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return data
+}
+
+func readResult(t *testing.T, path string) *wire.Result {
+	t.Helper()
 	res := &wire.Result{}
-	if err := json.Unmarshal(data, res); err != nil {
+	if err := json.Unmarshal(readFile(t, path), res); err != nil {
 		t.Fatal(err)
 	}
 	return res
@@ -206,7 +274,7 @@ func TestFlagValidation(t *testing.T) {
 		{"-outline", "400x300junk"},
 		{"-json", ""},
 		{"-method", "esf", "-json-out", "-"},
-		{"-method", "portfolio"},
+		{"-method", "esf", "-thermal", "1"},
 		{"-json-req", "-", "-json-out", "-"},
 	}
 	for _, args := range cases {

@@ -7,7 +7,9 @@
 //
 //	go run ./cmd/benchtrend [-max-regress 0.25] [-filter REGEX] old.json new.json
 //
-// Benchmarks are matched by name. For every benchmark present in both
+// Benchmarks are matched by name; a name with several rows (a
+// `go test -count N` run) is represented by its fastest row, so the
+// gate compares min-of-N. For every benchmark present in both
 // reports, the new ns/op must not exceed old ns/op × (1 + max-regress)
 // — the default 25% headroom absorbs machine noise while catching
 // order-of-magnitude regressions (an accidentally disabled incremental
@@ -83,12 +85,12 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	fresh := make(map[string]Benchmark, len(newRep.Benchmarks))
-	for _, b := range newRep.Benchmarks {
+	for _, b := range fastest(newRep.Benchmarks) {
 		fresh[b.Name] = b
 	}
 	var failures []string
 	compared := 0
-	for _, old := range oldRep.Benchmarks {
+	for _, old := range fastest(oldRep.Benchmarks) {
 		if re != nil && !re.MatchString(old.Name) {
 			continue
 		}
@@ -122,6 +124,24 @@ func run(args []string, stdout io.Writer) error {
 	}
 	fmt.Fprintf(stdout, "benchtrend: %d benchmark(s) within the %.0f%% budget\n", compared, *maxRegress*100)
 	return nil
+}
+
+// fastest reduces a report to one row per benchmark name, in
+// first-appearance order: the row with the lowest ns/op. A report from
+// `go test -count N` holds N rows per name, and the gate compares
+// best-of-N, which measures capability rather than scheduler jitter.
+func fastest(rows []Benchmark) []Benchmark {
+	index := make(map[string]int, len(rows))
+	var out []Benchmark
+	for _, b := range rows {
+		if i, ok := index[b.Name]; !ok {
+			index[b.Name] = len(out)
+			out = append(out, b)
+		} else if b.NsPerOp < out[i].NsPerOp {
+			out[i] = b
+		}
+	}
+	return out
 }
 
 func load(path string) (*Report, error) {

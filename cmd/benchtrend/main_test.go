@@ -83,3 +83,34 @@ func TestTrendRejectsBadInput(t *testing.T) {
 		t.Fatal("empty baseline accepted")
 	}
 }
+
+// TestTrendComparesFastestDuplicate: a report with several rows per
+// name (go test -count N) is gated on its fastest row, so a slow last
+// run within a within-budget minimum passes, and a report whose every
+// run is over budget still fails.
+func TestTrendComparesFastestDuplicate(t *testing.T) {
+	dir := t.TempDir()
+	old := writeReport(t, dir, "old.json", []Benchmark{
+		{Name: "BenchmarkA", NsPerOp: 1000},
+		{Name: "BenchmarkA", NsPerOp: 900},
+	})
+	fresh := writeReport(t, dir, "new.json", []Benchmark{
+		{Name: "BenchmarkA", NsPerOp: 1400},
+		{Name: "BenchmarkA", NsPerOp: 1000}, // min: 1000/900 = +11%
+		{Name: "BenchmarkA", NsPerOp: 2000}, // last row: over budget
+	})
+	var out strings.Builder
+	if err := run([]string{old, fresh}, &out); err != nil {
+		t.Fatalf("min-of-N within budget failed: %v\n%s", err, out.String())
+	}
+	if strings.Count(out.String(), "BenchmarkA") != 1 {
+		t.Errorf("duplicate names compared more than once:\n%s", out.String())
+	}
+	slow := writeReport(t, dir, "slow.json", []Benchmark{
+		{Name: "BenchmarkA", NsPerOp: 1200},
+		{Name: "BenchmarkA", NsPerOp: 1300},
+	})
+	if err := run([]string{old, slow}, &out); err == nil {
+		t.Fatalf("every run over budget (best 1200 vs 900) passed:\n%s", out.String())
+	}
+}

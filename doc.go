@@ -24,9 +24,10 @@
 //     (internal/perf), layout templates (internal/template) and
 //     parasitic extraction (internal/extract).
 //
-// internal/core ties everything together behind one API and hosts the
-// drivers that regenerate each table and figure; the benchmarks in
-// this package (bench_test.go) exercise them. See DESIGN.md for the
+// Every stochastic placement runs through the placer registry behind
+// placer.Solve; internal/core hosts the paper-experiment drivers that
+// regenerate each table and figure, and the benchmarks in this package
+// (bench_test.go) exercise them. See DESIGN.md for the
 // experiment index and EXPERIMENTS.md for measured results.
 //
 // # The optimization hot path
@@ -93,9 +94,8 @@
 // verification; the property tests in internal/place and
 // internal/cost pin incremental-equals-full with tolerance zero.
 // place.Problem (flat placers) and hbstar.Problem (hierarchical)
-// carry the per-term weights; core.PlaceBenchObjective and
-// cmd/analogplace's -outline/-thermal/-prox/-wire/-area flags thread
-// them from the top.
+// carry the per-term weights; placer.Objective and cmd/analogplace's
+// -outline/-thermal/-prox/-wire/-area flags thread them from the top.
 //
 // Packing — the annealer's dominant inner operation — is
 // allocation-free at steady state through reusable workspaces:

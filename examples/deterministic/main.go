@@ -10,8 +10,8 @@ package main
 import (
 	"fmt"
 	"log"
+	"time"
 
-	"repro/internal/anneal"
 	"repro/internal/bstar"
 	"repro/internal/circuits"
 	"repro/internal/core"
@@ -32,18 +32,16 @@ func main() {
 			log.Fatal(err)
 		}
 		for _, r := range []struct {
-			method core.Method
-			label  string
-		}{
-			{core.MethodDeterministicRSF, "RSF"},
-			{core.MethodDeterministicESF, "ESF"},
-		} {
-			res, err := core.PlaceBench(bench, r.method, anneal.Options{})
+			enhanced bool
+			label    string
+		}{{false, "RSF"}, {true, "ESF"}} {
+			start := time.Now()
+			res, err := core.PlaceDeterministic(bench, r.enhanced)
 			if err != nil {
 				log.Fatal(err)
 			}
 			fmt.Printf("  %-14s %s: usage %.2f%%  (%s, legal=%v)\n",
-				name, r.label, 100*res.AreaUsage, res.Runtime.Round(1e6), res.Legal)
+				name, r.label, 100*res.Placement.AreaUsage(), time.Since(start).Round(time.Millisecond), res.Placement.Legal())
 		}
 	}
 	fmt.Println("\nESF interleaves sub-placements (Fig. 7's w_imp), so its area")

@@ -9,41 +9,50 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
-	"repro/internal/anneal"
-	"repro/internal/circuits"
-	"repro/internal/core"
+	"repro/placer"
 )
 
 func main() {
-	bench := circuits.MillerOpAmp()
-	opt := anneal.Options{Seed: 3, MovesPerStage: 150, MaxStages: 200, StallStages: 40}
-
-	// Unconstrained baseline: whatever shape minimizes area + HPWL.
-	free, err := core.PlaceBench(bench, core.MethodSeqPair, opt)
+	ctx := context.Background()
+	opts := []placer.Option{
+		placer.WithAlgorithm(placer.SeqPair),
+		placer.WithSeed(3),
+		placer.WithSchedule(placer.Schedule{MovesPerStage: 150, MaxStages: 200, StallStages: 40}),
+	}
+	p, err := placer.Benchmark("miller")
 	if err != nil {
 		log.Fatal(err)
 	}
-	fb := free.Placement.BBox()
+
+	// Unconstrained baseline: whatever shape minimizes area + HPWL.
+	free, err := placer.Solve(ctx, p, opts...)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("unconstrained: %dx%d bounding box (aspect %.2f)\n",
-		fb.W, fb.H, float64(fb.W)/float64(fb.H))
+		free.BBoxW, free.BBoxH, float64(free.BBoxW)/float64(free.BBoxH))
 
 	// Fixed outline: ask for a wide, short strip the baseline does not
 	// naturally produce.
-	obj := &core.Objective{OutlineW: fb.W + fb.W/2, OutlineH: fb.H - fb.H/5}
-	fit, err := core.PlaceBenchObjective(bench, core.MethodSeqPair, opt, obj)
+	ow, oh := free.BBoxW+free.BBoxW/2, free.BBoxH-free.BBoxH/5
+	p.Objective.OutlineW, p.Objective.OutlineH = ow, oh
+	fit, err := placer.Solve(ctx, p, opts...)
 	if err != nil {
 		log.Fatal(err)
 	}
-	bb := fit.Placement.BBox()
-	o := fit.Outline
-	fmt.Printf("fixed outline %dx%d: placed %dx%d\n", o.W, o.H, bb.W, bb.H)
-	if o.Fits() {
+	fmt.Printf("fixed outline %dx%d: placed %dx%d\n", ow, oh, fit.BBoxW, fit.BBoxH)
+	if exW, exH := max(0, fit.BBoxW-ow), max(0, fit.BBoxH-oh); exW == 0 && exH == 0 {
 		fmt.Println("  bounding box respects the outline")
 	} else {
-		fmt.Printf("  violated by %dx%d, penalty %.4g\n", o.ExcessW, o.ExcessH, o.Penalty)
+		for _, tc := range fit.Breakdown {
+			if tc.Name == "outline" {
+				fmt.Printf("  violated by %dx%d, penalty %.4g\n", exW, exH, tc.Cost)
+			}
+		}
 	}
 	if len(fit.Violations) == 0 {
 		fmt.Println("  symmetry constraints: all satisfied")

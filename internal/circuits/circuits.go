@@ -242,6 +242,28 @@ func TableIBench(name string) (*Bench, error) {
 	return nil, fmt.Errorf("circuits: unknown Table I benchmark %q", name)
 }
 
+// Names lists the names ByName accepts: the two hand-built op amps,
+// then the Table I circuits in table order.
+func Names() []string {
+	return append([]string{"miller", "folded"}, TableINames()...)
+}
+
+// ByName builds a named benchmark: "miller" (MillerOpAmp), "folded"
+// (FoldedCascode) or a Table I name (TableIBench).
+func ByName(name string) (*Bench, error) {
+	switch name {
+	case "miller":
+		return MillerOpAmp(), nil
+	case "folded":
+		return FoldedCascode(), nil
+	}
+	b, err := TableIBench(name)
+	if err != nil {
+		return nil, fmt.Errorf("circuits: unknown benchmark %q (have %v)", name, Names())
+	}
+	return b, nil
+}
+
 // TableIBenches builds all six Table I benchmarks.
 func TableIBenches() []*Bench {
 	out := make([]*Bench, len(tableI))

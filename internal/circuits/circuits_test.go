@@ -205,3 +205,20 @@ func TestSyntheticNetsReferToDevices(t *testing.T) {
 		}
 	}
 }
+
+// TestByName: every listed name builds a benchmark, the hand-built op
+// amps by their constructors; an unknown name fails.
+func TestByName(t *testing.T) {
+	for _, name := range Names() {
+		b, err := ByName(name)
+		if err != nil || len(b.Circuit.Devices) == 0 {
+			t.Errorf("ByName(%q): %v", name, err)
+		}
+	}
+	if b, _ := ByName("miller"); b.Name != MillerOpAmp().Name {
+		t.Errorf("miller built %q", b.Name)
+	}
+	if _, err := ByName("nope"); err == nil {
+		t.Error("unknown benchmark accepted")
+	}
+}

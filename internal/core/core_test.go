@@ -7,118 +7,34 @@ import (
 	"repro/internal/circuits"
 )
 
-func fastOpts(seed int64) anneal.Options {
-	return anneal.Options{Seed: seed, MovesPerStage: 40, MaxStages: 60, StallStages: 15}
-}
-
-func TestPlaceBenchAllMethods(t *testing.T) {
-	b := circuits.MillerOpAmp()
-	for _, m := range []Method{
-		MethodSeqPair, MethodBStar, MethodHBStar, MethodTCG,
-		MethodSlicing, MethodDeterministicESF, MethodDeterministicRSF,
-	} {
-		res, err := PlaceBench(b, m, fastOpts(1))
+// TestPlaceDeterministic: ESF and RSF each place every device of a
+// benchmark legally, and ESF's root shape function is never worse
+// than RSF's minimum-area shape.
+func TestPlaceDeterministic(t *testing.T) {
+	for _, name := range []string{"miller", "comparator_v2"} {
+		b, err := circuits.ByName(name)
 		if err != nil {
-			t.Fatalf("%v: %v", m, err)
+			t.Fatal(err)
 		}
-		if !res.Legal {
-			t.Errorf("%v: illegal placement", m)
+		usage := map[bool]float64{}
+		for _, enhanced := range []bool{true, false} {
+			res, err := PlaceDeterministic(b, enhanced)
+			if err != nil {
+				t.Fatalf("%s enhanced=%v: %v", name, enhanced, err)
+			}
+			if !res.Placement.Legal() {
+				t.Errorf("%s enhanced=%v: illegal placement", name, enhanced)
+			}
+			if len(res.Placement) != len(b.Circuit.Devices) {
+				t.Errorf("%s enhanced=%v: placement misses devices", name, enhanced)
+			}
+			usage[enhanced] = res.Placement.AreaUsage()
+			if usage[enhanced] < 1 {
+				t.Errorf("%s enhanced=%v: area usage %.3f below 1 is impossible", name, enhanced, usage[enhanced])
+			}
 		}
-		if len(res.Placement) != len(b.Circuit.Devices) {
-			t.Errorf("%v: placement misses devices", m)
-		}
-		if res.AreaUsage < 1 {
-			t.Errorf("%v: area usage %.3f below 1 is impossible", m, res.AreaUsage)
-		}
-	}
-}
-
-// TestPlaceBenchObjectiveOutline pins the objective threading: a
-// requested fixed outline always yields an OutlineReport, a generous
-// outline is met, and a default-objective run reports none.
-func TestPlaceBenchObjectiveOutline(t *testing.T) {
-	b := circuits.MillerOpAmp()
-	plain, err := PlaceBench(b, MethodSeqPair, fastOpts(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Outline != nil {
-		t.Fatal("default objective must not report an outline")
-	}
-	bb := plain.Placement.BBox()
-
-	for _, m := range []Method{MethodSeqPair, MethodBStar, MethodHBStar} {
-		obj := &Objective{OutlineW: 2 * bb.W, OutlineH: 2 * bb.H}
-		res, err := PlaceBenchObjective(b, m, fastOpts(2), obj)
-		if err != nil {
-			t.Fatalf("%v: %v", m, err)
-		}
-		o := res.Outline
-		if o == nil {
-			t.Fatalf("%v: outline requested but not reported", m)
-		}
-		if !o.Fits() || o.Penalty != 0 {
-			t.Errorf("%v: generous outline %dx%d violated by %dx%d (penalty %v)",
-				m, o.W, o.H, o.ExcessW, o.ExcessH, o.Penalty)
-		}
-	}
-
-	// An impossible outline must be reported as violated with a
-	// positive penalty, not silently dropped.
-	res, err := PlaceBenchObjective(b, MethodSeqPair, fastOpts(2), &Objective{OutlineW: 1, OutlineH: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o := res.Outline; o == nil || o.Fits() || o.Penalty <= 0 {
-		t.Fatalf("impossible outline: report %+v, want violated with positive penalty", res.Outline)
-	}
-}
-
-// TestPlaceBenchObjectiveThermal pins that the thermal and proximity
-// weights reach the placers without breaking constraints.
-func TestPlaceBenchObjectiveThermal(t *testing.T) {
-	b := circuits.MillerOpAmp()
-	obj := &Objective{ThermalWeight: 2, ProxWeight: 0.5}
-	for _, m := range []Method{MethodSeqPair, MethodHBStar} {
-		res, err := PlaceBenchObjective(b, m, fastOpts(3), obj)
-		if err != nil {
-			t.Fatalf("%v: %v", m, err)
-		}
-		if !res.Legal {
-			t.Errorf("%v: illegal placement under thermal objective", m)
-		}
-	}
-}
-
-func TestPlaceBenchAbsoluteMayOverlap(t *testing.T) {
-	b := circuits.MillerOpAmp()
-	res, err := PlaceBench(b, MethodAbsolute, fastOpts(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Absolute placement is allowed to be illegal; the result must
-	// still cover all devices.
-	if len(res.Placement) != len(b.Circuit.Devices) {
-		t.Fatal("absolute placement misses devices")
-	}
-}
-
-func TestPlaceBenchUnknownMethod(t *testing.T) {
-	b := circuits.MillerOpAmp()
-	if _, err := PlaceBench(b, Method(99), fastOpts(1)); err == nil {
-		t.Fatal("unknown method must fail")
-	}
-}
-
-func TestMethodString(t *testing.T) {
-	names := map[Method]string{
-		MethodSeqPair: "seqpair", MethodBStar: "bstar", MethodHBStar: "hbstar",
-		MethodSlicing: "slicing", MethodAbsolute: "absolute", MethodTCG: "tcg",
-		MethodDeterministicESF: "esf", MethodDeterministicRSF: "rsf",
-	}
-	for m, want := range names {
-		if m.String() != want {
-			t.Errorf("%d.String() = %q, want %q", int(m), m.String(), want)
+		if usage[true] > usage[false] {
+			t.Errorf("%s: ESF usage %.4f worse than RSF %.4f", name, usage[true], usage[false])
 		}
 	}
 }

@@ -5,10 +5,8 @@ import (
 	"math/big"
 	"time"
 
-	"repro/internal/anneal"
 	"repro/internal/circuits"
 	"repro/internal/seqpair"
-	"repro/internal/shapefn"
 )
 
 // TableIRow is one line of the paper's Table I: ESF versus RSF on one
@@ -36,31 +34,32 @@ func RunTableI(names []string) ([]TableIRow, error) {
 			return nil, err
 		}
 		row := TableIRow{Name: name, Modules: len(bench.Circuit.Devices)}
-
-		esf, err := PlaceBench(bench, MethodDeterministicESF, anneal.Options{})
-		if err != nil {
+		if row.ESFUsage, row.ESFTime, err = tableICell(bench, true); err != nil {
 			return nil, fmt.Errorf("core: %s ESF: %v", name, err)
 		}
-		if !esf.Legal {
-			return nil, fmt.Errorf("core: %s ESF produced an illegal placement", name)
-		}
-		row.ESFUsage, row.ESFTime = esf.AreaUsage, esf.Runtime
-
-		rsf, err := PlaceBench(bench, MethodDeterministicRSF, anneal.Options{})
-		if err != nil {
+		if row.RSFUsage, row.RSFTime, err = tableICell(bench, false); err != nil {
 			return nil, fmt.Errorf("core: %s RSF: %v", name, err)
 		}
-		if !rsf.Legal {
-			return nil, fmt.Errorf("core: %s RSF produced an illegal placement", name)
-		}
-		row.RSFUsage, row.RSFTime = rsf.AreaUsage, rsf.Runtime
-
 		if row.RSFUsage > 0 {
 			row.Improvement = (row.RSFUsage - row.ESFUsage) / row.RSFUsage
 		}
 		rows = append(rows, row)
 	}
 	return rows, nil
+}
+
+// tableICell places a benchmark deterministically and measures its
+// area usage and wall-clock; an illegal placement is an error.
+func tableICell(b *circuits.Bench, enhanced bool) (float64, time.Duration, error) {
+	start := time.Now()
+	res, err := PlaceDeterministic(b, enhanced)
+	if err != nil {
+		return 0, 0, err
+	}
+	if !res.Placement.Legal() {
+		return 0, 0, fmt.Errorf("illegal placement")
+	}
+	return res.Placement.AreaUsage(), time.Since(start), nil
 }
 
 // ShapeCurve is one (w, h) staircase of a shape function, the data
@@ -76,11 +75,7 @@ func RunFig8(name string) (esf, rsf ShapeCurve, err error) {
 		return nil, nil, err
 	}
 	curve := func(enhanced bool) (ShapeCurve, error) {
-		p, err := shapefn.NewPlacer(bench.Tree, benchDims(bench), enhanced)
-		if err != nil {
-			return nil, err
-		}
-		res, err := p.Place(bench.Tree)
+		res, err := PlaceDeterministic(bench, enhanced)
 		if err != nil {
 			return nil, err
 		}

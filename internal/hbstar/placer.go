@@ -71,11 +71,6 @@ func (f *Forest) PerturbUndoable(rng *rand.Rand, u *ForestUndo) {
 	}
 }
 
-// DefaultWireWeight is the hierarchical placer's historical HPWL
-// weight — the one default shared by core.PlaceBenchObjective and the
-// CLI's wire mode, so every path that wants "classic hbstar" agrees.
-const DefaultWireWeight = 0.5
-
 // Problem is a hierarchical placement instance. Its objective is the
 // composite cost.Model of internal/cost: area plus weighted HPWL, the
 // proximity-fragments penalty, and optional fixed-outline and thermal

@@ -25,6 +25,20 @@ func sortedKeys[V any](m map[string]V) []string {
 // A fixed-size array keeps the counter array below sized in lockstep.
 var latencyBuckets = [...]float64{0.005, 0.025, 0.1, 0.5, 2, 10, 60, 300}
 
+// storeOp names a store operation whose backend errors the scheduler
+// counts (and otherwise tolerates) in placed_store_errors_total.
+type storeOp int
+
+const (
+	storeOpResultGet storeOp = iota
+	storeOpResultPut
+	storeOpJobPut
+	numStoreOps
+)
+
+// storeOpNames are the op label values, indexed by storeOp.
+var storeOpNames = [numStoreOps]string{"result_get", "result_put", "job_put"}
+
 // metrics are the scheduler's counters; the scheduler mutates them
 // under its own mutex.
 type metrics struct {
@@ -43,6 +57,11 @@ type metrics struct {
 	jobsQuarantined int64 // jobs failed after repeated worker crashes
 	workerCrashes   int64 // worker panics caught by supervisors (all slots)
 	workerRestarts  int64 // worker slots restarted after backoff
+
+	// storeErrors counts result-cache and job-store backend errors per
+	// operation; the scheduler degrades past them (a miss, an unsaved
+	// record) instead of failing the job.
+	storeErrors [numStoreOps]int64
 
 	latencyCount   int64
 	latencySum     float64
@@ -260,6 +279,11 @@ func (s *Scheduler) WriteMetrics(w io.Writer) error {
 	p("# HELP placed_worker_restarts_total Worker slots restarted after crash backoff.\n")
 	p("# TYPE placed_worker_restarts_total counter\n")
 	p("placed_worker_restarts_total %d\n", m.workerRestarts)
+	p("# HELP placed_store_errors_total Result-cache and job-store backend errors, by operation; each degraded to a cache miss or an unsaved record.\n")
+	p("# TYPE placed_store_errors_total counter\n")
+	for op, n := range m.storeErrors {
+		p("placed_store_errors_total{op=%q} %d\n", storeOpNames[op], n)
+	}
 	p("# HELP placed_checkpoints_saved_total Best-so-far solver snapshots accepted into the checkpoint store.\n")
 	p("# TYPE placed_checkpoints_saved_total counter\n")
 	p("placed_checkpoints_saved_total %d\n", ckptSaved)

@@ -1000,9 +1000,9 @@ func (s *Scheduler) run(j *Job) {
 // persistJob writes a terminal job's record to the job store; on a
 // file-backed store the record outlives the in-memory retention window
 // and the process. Best-effort by design: a failed record write must
-// not fail the job, whose in-memory state already answers queries.
-// Called outside both locks — record writes marshal JSON and may touch
-// disk.
+// not fail the job, whose in-memory state already answers queries; it
+// is only counted in placed_store_errors_total. Called outside both
+// locks — record writes marshal JSON and may touch disk.
 func (s *Scheduler) persistJob(j *Job) {
 	if s.jobstore == nil {
 		return
@@ -1026,7 +1026,11 @@ func (s *Scheduler) persistJob(j *Job) {
 		FinishedMS:  j.finished.UnixMilli(),
 	}
 	j.mu.Unlock()
-	s.jobstore.Put(rec)
+	if err := s.jobstore.Put(rec); err != nil {
+		s.mu.Lock()
+		s.metrics.storeErrors[storeOpJobPut]++
+		s.mu.Unlock()
+	}
 }
 
 // Record returns the stored record of a job that is no longer (or was
@@ -1082,16 +1086,20 @@ func (s *Scheduler) retireOnLocked(class *list.List, j *Job) {
 	}
 }
 
-// cacheGet/cachePut guard the nil-cache case and swallow backend
-// errors — a failing cache degrades to re-solving, never to failing
-// the job. Callers hold s.mu; the stores have their own locking, but
-// the calls stay cheap (the default memory backend) or are accepted
-// as the cost of sharing (a file backend's read).
+// cacheGet/cachePut guard the nil-cache case and count backend errors
+// in placed_store_errors_total — a failing cache degrades to
+// re-solving, never to failing the job. Callers hold s.mu; the stores
+// have their own locking, but the calls stay cheap (the default memory
+// backend) or are accepted as the cost of sharing (a file backend's
+// read).
 func (s *Scheduler) cacheGet(hash string) (*wire.Result, bool) {
 	if s.results == nil {
 		return nil, false
 	}
 	res, ok, err := s.results.Get(hash)
+	if err != nil {
+		s.metrics.storeErrors[storeOpResultGet]++
+	}
 	if err != nil || !ok {
 		return nil, false
 	}
@@ -1099,8 +1107,11 @@ func (s *Scheduler) cacheGet(hash string) (*wire.Result, bool) {
 }
 
 func (s *Scheduler) cachePut(hash string, res *wire.Result) {
-	if s.results != nil {
-		s.results.Put(hash, res)
+	if s.results == nil {
+		return
+	}
+	if err := s.results.Put(hash, res); err != nil {
+		s.metrics.storeErrors[storeOpResultPut]++
 	}
 }
 

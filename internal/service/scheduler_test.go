@@ -3,9 +3,12 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/store"
 	"repro/internal/wire"
 	"repro/placer"
 )
@@ -387,5 +390,57 @@ func TestHBStarViaWire(t *testing.T) {
 	}
 	if !res.Legal {
 		t.Fatal("hbstar produced an overlapping placement")
+	}
+}
+
+// failingStore is a result cache whose every call fails, standing in
+// for a broken backend; failingJobStore is its job-store twin.
+type failingStore struct{}
+
+type failingJobStore struct{ failingStore }
+
+var errBackend = errors.New("backend down")
+
+func (failingStore) Put(string, *wire.Result) error                { return errBackend }
+func (failingStore) Get(string) (*wire.Result, bool, error)        { return nil, false, errBackend }
+func (failingStore) Delete(string) error                           { return errBackend }
+func (failingStore) List() ([]string, error)                       { return nil, errBackend }
+func (failingStore) Stats() (store.Stats, error)                   { return store.Stats{}, errBackend }
+func (failingJobStore) Put(*store.JobRecord) error                 { return errBackend }
+func (failingJobStore) Get(string) (*store.JobRecord, bool, error) { return nil, false, errBackend }
+
+// TestStoreErrorsCounted: a job still succeeds when every store call
+// fails, and each failed operation moves its
+// placed_store_errors_total counter.
+func TestStoreErrorsCounted(t *testing.T) {
+	s := New(Config{Workers: 1, Results: failingStore{}, Jobs: failingJobStore{}})
+	defer s.Close()
+	j, err := s.Submit(millerRequest(t, wire.MethodSeqPair))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := waitJob(t, j); j.State() != StateDone || res == nil {
+		t.Fatalf("job state %s err %q", j.State(), j.Err())
+	}
+	// The record write follows the job's done signal; poll for it.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		var buf bytes.Buffer
+		if err := s.WriteMetrics(&buf); err != nil {
+			t.Fatal(err)
+		}
+		missing := ""
+		for _, op := range []string{"result_get", "result_put", "job_put"} {
+			if !strings.Contains(buf.String(), `placed_store_errors_total{op="`+op+`"} 1`+"\n") {
+				missing = op
+			}
+		}
+		if missing == "" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("op %s not counted once:\n%s", missing, buf.String())
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

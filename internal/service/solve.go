@@ -13,9 +13,9 @@ import (
 
 // Solve runs one wire request to completion (or cancellation) and
 // builds the wire result; it is the one solve path shared by the
-// scheduler, the CLI's -json mode and client examples, and it alone
-// converts the request's timeout_ms into a context deadline (callers
-// layer their own ceilings on ctx). It is a thin adapter over
+// scheduler, every analogplace annealing run and client examples, and
+// it alone converts the request's timeout_ms into a context deadline
+// (callers layer their own ceilings on ctx). It is a thin adapter over
 // placer.Solve: the wire problem is a placer.Problem behind a
 // version field, the options map onto functional options, and the
 // placer registry does all algorithm dispatch — the service carries

@@ -16,30 +16,16 @@ import (
 // consumers build Problem values directly or decode them from the
 // wire format.
 func Benchmark(name string) (*Problem, error) {
-	b, err := benchCircuit(name)
+	b, err := circuits.ByName(name)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("placer: unknown benchmark %q (have %v)", name, BenchmarkNames())
 	}
 	return fromBench(b)
 }
 
 // BenchmarkNames lists the names Benchmark accepts, sorted.
 func BenchmarkNames() []string {
-	names := append([]string{"miller", "folded"}, circuits.TableINames()...)
+	names := circuits.Names()
 	sort.Strings(names)
 	return names
-}
-
-func benchCircuit(name string) (*circuits.Bench, error) {
-	switch name {
-	case "miller":
-		return circuits.MillerOpAmp(), nil
-	case "folded":
-		return circuits.FoldedCascode(), nil
-	}
-	b, err := circuits.TableIBench(name)
-	if err != nil {
-		return nil, fmt.Errorf("placer: unknown benchmark %q (have %v)", name, BenchmarkNames())
-	}
-	return b, nil
 }

@@ -174,7 +174,7 @@ func (e hbstarEngine) Solve(ctx context.Context, p *Problem, opt EngineOptions) 
 	obj := p.Objective
 	// ProxWeight tunes the flat engines' pull term only; the
 	// hierarchical placer always enforces proximity through its
-	// fragments penalty (same contract as core.PlaceBenchObjective).
+	// fragments penalty.
 	hp := &hbstar.Problem{
 		Bench:         bench,
 		AreaWeight:    obj.AreaWeight,

@@ -166,3 +166,91 @@ func TestSolveHierarchicalFromFlat(t *testing.T) {
 		t.Fatalf("hbstar on synthesized hierarchy violates constraints: %v", res.Violations)
 	}
 }
+
+// TestSolveEveryAlgorithm: every built-in engine places all of the
+// Miller op amp's modules, legally except for the absolute-coordinate
+// engines, whose overlap penalty may leave residual overlaps.
+func TestSolveEveryAlgorithm(t *testing.T) {
+	for _, tc := range []struct {
+		algorithm  string
+		mayOverlap bool
+	}{
+		{placer.SeqPair, false}, {placer.BStar, false}, {placer.TCG, false},
+		{placer.Slicing, false}, {placer.HBStar, false}, {placer.GeneticSeqPair, false},
+		{placer.Absolute, true}, {placer.GeneticAbsolute, true},
+	} {
+		res, err := placer.Solve(t.Context(), miller(t), quick, placer.WithSeed(1), placer.WithAlgorithm(tc.algorithm))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.algorithm, err)
+		}
+		if len(res.Placement) != 9 {
+			t.Errorf("%s: placed %d modules, want 9", tc.algorithm, len(res.Placement))
+		}
+		if !tc.mayOverlap && (!res.Legal || res.AreaUsage < 1) {
+			t.Errorf("%s: legal %v, area usage %.3f", tc.algorithm, res.Legal, res.AreaUsage)
+		}
+	}
+}
+
+// TestSolveObjective: objective weights reach the engines through
+// placer.Solve. A generous fixed outline fits at zero outline cost, a
+// 1×1 outline is reported violated with a positive outline cost, and
+// the thermal and proximity weights keep placements legal and add
+// their terms to the breakdown.
+func TestSolveObjective(t *testing.T) {
+	sched := placer.WithSchedule(placer.Schedule{MovesPerStage: 40, MaxStages: 60, StallStages: 15})
+	plain, err := placer.Solve(t.Context(), miller(t), sched, placer.WithSeed(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := termCost(plain, "outline"); ok {
+		t.Fatal("default objective carries an outline term")
+	}
+	wide := placer.Objective{OutlineW: 2 * plain.BBoxW, OutlineH: 2 * plain.BBoxH}
+	tiny := placer.Objective{OutlineW: 1, OutlineH: 1}
+	heat := placer.Objective{ThermalWeight: 2, ProxWeight: 0.5}
+	for _, tc := range []struct {
+		algorithm string
+		obj       placer.Objective
+		wantTerm  string
+	}{
+		{placer.SeqPair, wide, "outline"}, {placer.BStar, wide, "outline"}, {placer.HBStar, wide, "outline"},
+		{placer.SeqPair, tiny, "outline"}, {placer.BStar, tiny, "outline"}, {placer.HBStar, tiny, "outline"},
+		{placer.SeqPair, heat, "thermal"}, {placer.HBStar, heat, "thermal"},
+	} {
+		p := miller(t)
+		p.Objective.OutlineW, p.Objective.OutlineH = tc.obj.OutlineW, tc.obj.OutlineH
+		p.Objective.ThermalWeight, p.Objective.ProxWeight = tc.obj.ThermalWeight, tc.obj.ProxWeight
+		res, err := placer.Solve(t.Context(), p, sched, placer.WithSeed(2), placer.WithAlgorithm(tc.algorithm))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.algorithm, err)
+		}
+		if !res.Legal {
+			t.Errorf("%s %+v: illegal placement", tc.algorithm, tc.obj)
+		}
+		c, ok := termCost(res, tc.wantTerm)
+		if !ok {
+			t.Errorf("%s %+v: breakdown has no %s term", tc.algorithm, tc.obj, tc.wantTerm)
+			continue
+		}
+		if tc.obj.OutlineW == 0 {
+			continue
+		}
+		exW, exH := max(0, res.BBoxW-tc.obj.OutlineW), max(0, res.BBoxH-tc.obj.OutlineH)
+		fits := exW == 0 && exH == 0
+		if wantFit := tc.obj == wide; fits != wantFit || (c == 0) != fits {
+			t.Errorf("%s: outline %dx%d, bounding box %dx%d, outline cost %v", tc.algorithm,
+				tc.obj.OutlineW, tc.obj.OutlineH, res.BBoxW, res.BBoxH, c)
+		}
+	}
+}
+
+// termCost finds a named term's weighted cost in a result's breakdown.
+func termCost(res *placer.Result, name string) (float64, bool) {
+	for _, tc := range res.Breakdown {
+		if tc.Name == name {
+			return tc.Cost, true
+		}
+	}
+	return 0, false
+}
