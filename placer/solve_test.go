@@ -167,80 +167,101 @@ func TestSolveHierarchicalFromFlat(t *testing.T) {
 	}
 }
 
-// TestSolveEveryAlgorithm: every built-in engine places all of the
-// Miller op amp's modules, legally except for the absolute-coordinate
-// engines, whose overlap penalty may leave residual overlaps.
+// TestSolveEveryAlgorithm: every built-in engine that keeps its
+// placements overlap-free places all of the Miller op amp's modules
+// legally.
 func TestSolveEveryAlgorithm(t *testing.T) {
-	for _, tc := range []struct {
-		algorithm  string
-		mayOverlap bool
-	}{
-		{placer.SeqPair, false}, {placer.BStar, false}, {placer.TCG, false},
-		{placer.Slicing, false}, {placer.HBStar, false}, {placer.GeneticSeqPair, false},
-		{placer.Absolute, true}, {placer.GeneticAbsolute, true},
+	for _, algorithm := range []string{
+		placer.SeqPair, placer.BStar, placer.TCG, placer.Slicing, placer.HBStar, placer.GeneticSeqPair,
 	} {
-		res, err := placer.Solve(t.Context(), miller(t), quick, placer.WithSeed(1), placer.WithAlgorithm(tc.algorithm))
+		res, err := placer.Solve(t.Context(), miller(t), quick, placer.WithSeed(1), placer.WithAlgorithm(algorithm))
 		if err != nil {
-			t.Fatalf("%s: %v", tc.algorithm, err)
+			t.Fatalf("%s: %v", algorithm, err)
 		}
 		if len(res.Placement) != 9 {
-			t.Errorf("%s: placed %d modules, want 9", tc.algorithm, len(res.Placement))
+			t.Errorf("%s: placed %d modules, want 9", algorithm, len(res.Placement))
 		}
-		if !tc.mayOverlap && (!res.Legal || res.AreaUsage < 1) {
-			t.Errorf("%s: legal %v, area usage %.3f", tc.algorithm, res.Legal, res.AreaUsage)
+		if !res.Legal || res.AreaUsage < 1 {
+			t.Errorf("%s: legal %v, area usage %.3f", algorithm, res.Legal, res.AreaUsage)
 		}
 	}
 }
 
-// TestSolveObjective: objective weights reach the engines through
-// placer.Solve. A generous fixed outline fits at zero outline cost, a
-// 1×1 outline is reported violated with a positive outline cost, and
-// the thermal and proximity weights keep placements legal and add
-// their terms to the breakdown.
-func TestSolveObjective(t *testing.T) {
-	sched := placer.WithSchedule(placer.Schedule{MovesPerStage: 40, MaxStages: 60, StallStages: 15})
-	plain, err := placer.Solve(t.Context(), miller(t), sched, placer.WithSeed(2))
+// TestSolveAbsoluteMayOverlap: the absolute-coordinate engines may
+// leave residual overlaps under their overlap penalty, but they still
+// place all of the Miller op amp's modules.
+func TestSolveAbsoluteMayOverlap(t *testing.T) {
+	for _, algorithm := range []string{placer.Absolute, placer.GeneticAbsolute} {
+		res, err := placer.Solve(t.Context(), miller(t), quick, placer.WithSeed(2), placer.WithAlgorithm(algorithm))
+		if err != nil {
+			t.Fatalf("%s: %v", algorithm, err)
+		}
+		if len(res.Placement) != 9 {
+			t.Errorf("%s: placed %d modules, want 9", algorithm, len(res.Placement))
+		}
+	}
+}
+
+// objectiveSchedule is the schedule of the objective tests.
+var objectiveSchedule = placer.WithSchedule(placer.Schedule{MovesPerStage: 40, MaxStages: 60, StallStages: 15})
+
+// TestSolveObjectiveOutline: a fixed outline reaches the engines
+// through placer.Solve. A default objective carries no outline term, a
+// generous outline fits at zero outline cost, and a 1×1 outline is
+// reported violated with a positive outline cost.
+func TestSolveObjectiveOutline(t *testing.T) {
+	plain, err := placer.Solve(t.Context(), miller(t), objectiveSchedule, placer.WithSeed(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := termCost(plain, "outline"); ok {
 		t.Fatal("default objective carries an outline term")
 	}
-	wide := placer.Objective{OutlineW: 2 * plain.BBoxW, OutlineH: 2 * plain.BBoxH}
-	tiny := placer.Objective{OutlineW: 1, OutlineH: 1}
-	heat := placer.Objective{ThermalWeight: 2, ProxWeight: 0.5}
+	wide := [2]int{2 * plain.BBoxW, 2 * plain.BBoxH}
+	tiny := [2]int{1, 1}
 	for _, tc := range []struct {
 		algorithm string
-		obj       placer.Objective
-		wantTerm  string
+		outline   [2]int
 	}{
-		{placer.SeqPair, wide, "outline"}, {placer.BStar, wide, "outline"}, {placer.HBStar, wide, "outline"},
-		{placer.SeqPair, tiny, "outline"}, {placer.BStar, tiny, "outline"}, {placer.HBStar, tiny, "outline"},
-		{placer.SeqPair, heat, "thermal"}, {placer.HBStar, heat, "thermal"},
+		{placer.SeqPair, wide}, {placer.BStar, wide}, {placer.HBStar, wide},
+		{placer.SeqPair, tiny}, {placer.BStar, tiny}, {placer.HBStar, tiny},
 	} {
 		p := miller(t)
-		p.Objective.OutlineW, p.Objective.OutlineH = tc.obj.OutlineW, tc.obj.OutlineH
-		p.Objective.ThermalWeight, p.Objective.ProxWeight = tc.obj.ThermalWeight, tc.obj.ProxWeight
-		res, err := placer.Solve(t.Context(), p, sched, placer.WithSeed(2), placer.WithAlgorithm(tc.algorithm))
+		p.Objective.OutlineW, p.Objective.OutlineH = tc.outline[0], tc.outline[1]
+		res, err := placer.Solve(t.Context(), p, objectiveSchedule, placer.WithSeed(2), placer.WithAlgorithm(tc.algorithm))
 		if err != nil {
 			t.Fatalf("%s: %v", tc.algorithm, err)
 		}
-		if !res.Legal {
-			t.Errorf("%s %+v: illegal placement", tc.algorithm, tc.obj)
-		}
-		c, ok := termCost(res, tc.wantTerm)
+		c, ok := termCost(res, "outline")
 		if !ok {
-			t.Errorf("%s %+v: breakdown has no %s term", tc.algorithm, tc.obj, tc.wantTerm)
+			t.Errorf("%s %v: breakdown has no outline term", tc.algorithm, tc.outline)
 			continue
 		}
-		if tc.obj.OutlineW == 0 {
-			continue
-		}
-		exW, exH := max(0, res.BBoxW-tc.obj.OutlineW), max(0, res.BBoxH-tc.obj.OutlineH)
+		exW, exH := max(0, res.BBoxW-tc.outline[0]), max(0, res.BBoxH-tc.outline[1])
 		fits := exW == 0 && exH == 0
-		if wantFit := tc.obj == wide; fits != wantFit || (c == 0) != fits {
+		if wantFit := tc.outline == wide; fits != wantFit || (c == 0) != fits {
 			t.Errorf("%s: outline %dx%d, bounding box %dx%d, outline cost %v", tc.algorithm,
-				tc.obj.OutlineW, tc.obj.OutlineH, res.BBoxW, res.BBoxH, c)
+				tc.outline[0], tc.outline[1], res.BBoxW, res.BBoxH, c)
+		}
+	}
+}
+
+// TestSolveObjectiveThermal: the thermal and proximity weights reach
+// the engines through placer.Solve, keep placements legal and add a
+// thermal term to the breakdown.
+func TestSolveObjectiveThermal(t *testing.T) {
+	for _, algorithm := range []string{placer.SeqPair, placer.HBStar} {
+		p := miller(t)
+		p.Objective.ThermalWeight, p.Objective.ProxWeight = 2, 0.5
+		res, err := placer.Solve(t.Context(), p, objectiveSchedule, placer.WithSeed(3), placer.WithAlgorithm(algorithm))
+		if err != nil {
+			t.Fatalf("%s: %v", algorithm, err)
+		}
+		if !res.Legal {
+			t.Errorf("%s: illegal placement under thermal objective", algorithm)
+		}
+		if _, ok := termCost(res, "thermal"); !ok {
+			t.Errorf("%s: breakdown has no thermal term", algorithm)
 		}
 	}
 }
