@@ -227,14 +227,16 @@
 // truncated power-law net-degree distribution in the spirit of Rent's
 // rule, optional symmetry-pair density), and three mechanisms keep
 // them tractable. First, incremental packing: sequence-pair repacks
-// reuse the unchanged prefix and suffix of the previous longest-
-// common-subsequence evaluation (seqpair.IncPack, exact to the bit
-// against a full pack, ~14× per move at n=10⁴), and B*-tree repacks
-// replay the unchanged pre-order prefix from per-step records
-// (bstar.IncPackWorkspace). Second, range-limited moves: above
-// n≈2000 the sequence-pair placer draws TimberWolf-style local
-// window moves so a perturbation disturbs a bounded alpha range
-// instead of the whole pair. Third, parallel tempering
+// re-scan the longest-common-subsequence evaluation only from the
+// alpha positions a move disturbed until it re-converges with the
+// previous one, and replay the cached scan everywhere else
+// (seqpair.IncPack, exact to the bit against a full pack, ~14× per
+// move at n=10⁴), and B*-tree repacks replay the unchanged pre-order
+// prefix from per-step records (bstar.IncPackWorkspace). Second,
+// range-limited moves: above n≈2000 the sequence-pair placer draws
+// TimberWolf-style local window moves, so the two positions a
+// perturbation disturbs lie close together and their re-scans stay
+// short. Third, parallel tempering
 // (placer.WithTempering(chains, exchangeEvery)): chains anneal on a
 // top-anchored geometric temperature ladder and periodically exchange
 // states under the Metropolis rule, which tolerates a 3× faster

@@ -50,8 +50,8 @@ const MaxMoveKinds = 8
 
 // Event is one flight-recorder record. It is a flat value struct —
 // fixed-size arrays, no pointers except the rare Point label (a
-// pre-existing constant string, so recording still allocates nothing)
-// — so a Flight's ring is one contiguous allocation made up front.
+// pre-existing constant string, so recording copies no string) — so a
+// Flight's ring is one contiguous array.
 //
 // Events deliberately carry no wall-clock: a recording of a
 // deterministic solve is deterministic byte for byte (spans carry the
@@ -100,18 +100,25 @@ const DefaultFlightEvents = 2048
 // ~160 B is ~10 MB.
 const maxFlightEvents = 1 << 16
 
+// minFlightSlots is the ring's first allocation: a short solve's
+// handful of events never needs more.
+const minFlightSlots = 16
+
 // Flight is a fixed-capacity flight recorder: an overwrite-oldest
-// ring of Events, allocated once at construction. All methods are
-// safe for concurrent use and safe on a nil receiver (a nil *Flight
-// is the disabled recorder), so recording sites guard with one
-// pointer test.
+// ring of Events. The ring grows on demand, doubling up to its
+// capacity, so a job that records a few dozen events keeps a few dozen
+// slots rather than the full capacity for as long as its record is
+// retained. All methods are safe for concurrent use and safe on a nil
+// receiver (a nil *Flight is the disabled recorder), so recording
+// sites guard with one pointer test.
 type Flight struct {
-	mu      sync.Mutex
-	events  []Event
-	next    int
-	count   int
-	seq     uint64
-	dropped uint64
+	mu       sync.Mutex
+	capacity int
+	events   []Event // ring slots; len grows to capacity
+	next     int
+	count    int
+	seq      uint64
+	dropped  uint64
 }
 
 // NewFlight builds a recorder holding up to capacity events
@@ -123,11 +130,12 @@ func NewFlight(capacity int) *Flight {
 	if capacity > maxFlightEvents {
 		capacity = maxFlightEvents
 	}
-	return &Flight{events: make([]Event, capacity)}
+	return &Flight{capacity: capacity}
 }
 
 // Record appends one event, overwriting the oldest when full. No-op
-// on a nil recorder. It never allocates.
+// on a nil recorder. It allocates only while the ring grows, at most
+// log2(capacity/16)+1 times over the recorder's life.
 func (f *Flight) Record(e Event) {
 	if f == nil {
 		return
@@ -136,7 +144,16 @@ func (f *Flight) Record(e Event) {
 	e.Seq = f.seq
 	f.seq++
 	if f.count == len(f.events) {
-		f.dropped++
+		if len(f.events) < f.capacity {
+			// Never wrapped: events[:count] are in arrival order, so the
+			// grown ring continues at slot count.
+			grown := make([]Event, min(max(2*len(f.events), minFlightSlots), f.capacity))
+			copy(grown, f.events)
+			f.events = grown
+			f.next = f.count
+		} else {
+			f.dropped++
+		}
 	}
 	f.events[f.next] = e
 	f.next = (f.next + 1) % len(f.events)
@@ -166,12 +183,12 @@ func (f *Flight) Dropped() uint64 {
 	return f.dropped
 }
 
-// Capacity reports the ring size (0 on nil).
+// Capacity reports the most events the ring retains (0 on nil).
 func (f *Flight) Capacity() int {
 	if f == nil {
 		return 0
 	}
-	return len(f.events)
+	return f.capacity
 }
 
 // Since returns the retained events with Seq ≥ seq in arrival order

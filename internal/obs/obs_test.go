@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"sort"
 	"sync"
 	"testing"
 )
@@ -178,6 +179,75 @@ func TestFlightCanonicalOrder(t *testing.T) {
 		if ea != eb {
 			t.Fatalf("event %d differs across runs: %+v vs %+v", i, ea, eb)
 		}
+	}
+}
+
+// TestFlightGrowsOnDemand: a recorder that has seen few events keeps a
+// small ring while reporting its full capacity, and one driven past
+// its capacity retains and orders exactly what a preallocated ring
+// would — the newest capacity events, oldest first.
+func TestFlightGrowsOnDemand(t *testing.T) {
+	f := NewFlight(2048)
+	for i := 0; i < 30; i++ {
+		f.Record(Event{Kind: EventStage, Stage: int32(i)})
+	}
+	if got := f.Capacity(); got != 2048 {
+		t.Fatalf("capacity %d, want 2048", got)
+	}
+	if got := cap(f.events); got > 64 {
+		t.Fatalf("30 events hold a %d-slot ring", got)
+	}
+	if f.Len() != 30 || f.Dropped() != 0 {
+		t.Fatalf("len %d dropped %d, want 30 and 0", f.Len(), f.Dropped())
+	}
+	for i, e := range f.Since(0) {
+		if int(e.Stage) != i || e.Seq != uint64(i) {
+			t.Fatalf("event %d = stage %d seq %d before any wrap", i, e.Stage, e.Seq)
+		}
+	}
+
+	// Wrap a 100-event ring (grown 16 → 32 → 64 → 100) with 250
+	// events recorded out of stage order, so Snapshot's canonical sort
+	// and Since's arrival order differ.
+	const capacity, total = 100, 250
+	f = NewFlight(capacity)
+	for i := 0; i < total; i++ {
+		f.Record(Event{Kind: EventStage, Stage: int32((i * 7) % 13), Worker: int32(i)})
+	}
+	if f.Capacity() != capacity || len(f.events) != capacity || f.Len() != capacity || f.Dropped() != total-capacity {
+		t.Fatalf("capacity %d slots %d len %d dropped %d", f.Capacity(), len(f.events), f.Len(), f.Dropped())
+	}
+	since := f.Since(0)
+	if len(since) != capacity {
+		t.Fatalf("Since(0) returned %d events, want %d", len(since), capacity)
+	}
+	for i, e := range since {
+		if want := total - capacity + i; int(e.Seq) != want || int(e.Worker) != want {
+			t.Fatalf("Since event %d = seq %d worker %d, want %d", i, e.Seq, e.Worker, want)
+		}
+	}
+	if tail := f.Since(total - 3); len(tail) != 3 || tail[0].Seq != total-3 {
+		t.Fatalf("Since(%d) = %+v, want the last 3 events", total-3, tail)
+	}
+	snap := f.Snapshot()
+	want := append([]Event(nil), since...)
+	sort.Slice(want, func(i, j int) bool {
+		if want[i].Stage != want[j].Stage {
+			return want[i].Stage < want[j].Stage
+		}
+		return want[i].Seq < want[j].Seq
+	})
+	if len(snap) != len(want) {
+		t.Fatalf("Snapshot returned %d events, want %d", len(snap), len(want))
+	}
+	for i := range want {
+		if snap[i] != want[i] {
+			t.Fatalf("Snapshot event %d = %+v, want %+v", i, snap[i], want[i])
+		}
+	}
+	// Full ring: recording no longer allocates.
+	if allocs := testing.AllocsPerRun(100, func() { f.Record(Event{Kind: EventStage}) }); allocs != 0 {
+		t.Fatalf("Record on a full ring allocates %v per call", allocs)
 	}
 }
 

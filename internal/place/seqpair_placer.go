@@ -53,11 +53,14 @@ const (
 
 // spLocalMoveMinN is the module count above which group-free sequence
 // moves switch from global swaps to range-limited PerturbLocal windows.
-// Bounded windows keep the incremental packer's re-scan short — the
-// TimberWolf-style move discipline that makes 10⁴–10⁵-module walks
-// affordable. The threshold sits above every pinned golden instance,
-// so the RNG draw sequence (and thus the goldens) is unchanged below
-// it.
+// A move disturbs only the two alpha positions it swaps, but the
+// incremental packer re-scans from each of them until the staircase
+// re-converges, and the distance that takes grows with how far the
+// swapped modules are apart: TimberWolf-style bounded windows keep it
+// short, which is what makes 10⁴–10⁵-module walks affordable (at
+// n=10⁴ a local-move pack costs about two thirds of a global-swap
+// one). The threshold sits above every pinned golden instance, so the
+// RNG draw sequence (and thus the goldens) is unchanged below it.
 const spLocalMoveMinN = 2048
 
 // spRep is the symmetric-feasible sequence-pair Representation.
@@ -65,9 +68,10 @@ const spLocalMoveMinN = 2048
 // dimension-matched; effective dimensions are maintained incrementally
 // in w/h and packing reuses the SP's cached solver workspaces, so a
 // proposed move allocates almost nothing. On problems without symmetry
-// groups, packing is incremental: each move records its disturbed
-// alpha window and Pack re-scans only that region (bit-identical to
-// the full FAST-SP scan by the incpack property tests).
+// groups, packing is incremental: each move hands the alpha positions
+// it disturbed to the IncPack, and Pack re-scans only from those
+// points until the cached scan re-converges (bit-identical to the full
+// FAST-SP scan by the incpack property tests).
 type spRep struct {
 	prob *Problem
 	sp   *seqpair.SP
@@ -76,42 +80,31 @@ type spRep struct {
 	pws  seqpair.PackWorkspace
 	ip   seqpair.IncPack
 
-	saved          seqpair.State
-	spMoved        bool // last move touched the sequences (vs rotation only)
-	rotA, rotB     int  // modules whose rotation the last move flipped (-1 none)
-	pendLo, pendHi int  // dirty alpha window not yet handed to ip (empty when lo > hi)
-	moveLo, moveHi int  // window of the in-flight move, re-disturbed on Undo
+	saved      seqpair.State
+	spMoved    bool // last move touched the sequences (vs rotation only)
+	rotA, rotB int  // modules whose rotation the last move flipped (-1 none)
+	// marks are the alpha windows the in-flight move disturbed (a
+	// single position p is {p, p}), re-disturbed on Undo.
+	marks  [2][2]int
+	nMarks int
 }
 
 func newSPRep(p *Problem, sp *seqpair.SP) *spRep {
 	return &spRep{
-		prob:   p,
-		sp:     sp,
-		rot:    make([]bool, p.N()),
-		w:      append([]int(nil), p.W...),
-		h:      append([]int(nil), p.H...),
-		pendLo: 1, pendHi: 0,
-		moveLo: 1, moveHi: 0,
+		prob: p,
+		sp:   sp,
+		rot:  make([]bool, p.N()),
+		w:    append([]int(nil), p.W...),
+		h:    append([]int(nil), p.H...),
 	}
 }
 
-// markMove records [lo, hi] (any order) as disturbed by the in-flight
-// move: merged into the pending window for the next incremental pack
-// and remembered so Undo can re-disturb it.
-func (r *spRep) markMove(lo, hi int) {
-	if hi < lo {
-		lo, hi = hi, lo
-	}
-	if r.moveHi < r.moveLo {
-		r.moveLo, r.moveHi = lo, hi
-	} else {
-		r.moveLo, r.moveHi = min(r.moveLo, lo), max(r.moveHi, hi)
-	}
-	if r.pendHi < r.pendLo {
-		r.pendLo, r.pendHi = lo, hi
-	} else {
-		r.pendLo, r.pendHi = min(r.pendLo, lo), max(r.pendHi, hi)
-	}
+// mark disturbs alpha positions [lo, hi] for the next incremental pack
+// and remembers them so Undo can disturb them again.
+func (r *spRep) mark(lo, hi int) {
+	r.marks[r.nMarks] = [2]int{lo, hi}
+	r.nMarks++
+	r.ip.Disturb(lo, hi)
 }
 
 // flip toggles module m's rotation and its effective dimensions.
@@ -136,7 +129,7 @@ func (r *spRep) MoveKinds() int { return spMoveKinds }
 func (r *spRep) PerturbKind(kind int, rng *rand.Rand) bool {
 	r.spMoved = false
 	r.rotA, r.rotB = -1, -1
-	r.moveLo, r.moveHi = 1, 0
+	r.nMarks = 0
 	if kind == spMoveRotate {
 		m := rng.Intn(r.prob.N())
 		r.flip(m)
@@ -156,11 +149,11 @@ func (r *spRep) PerturbKind(kind int, rng *rand.Rand) bool {
 				break
 			}
 		}
-		if r.rotA >= 0 {
-			r.markMove(r.sp.PosAlpha(r.rotA), r.sp.PosAlpha(r.rotA))
-		}
-		if r.rotB >= 0 {
-			r.markMove(r.sp.PosAlpha(r.rotB), r.sp.PosAlpha(r.rotB))
+		for _, rm := range []int{r.rotA, r.rotB} {
+			if rm >= 0 {
+				p := r.sp.PosAlpha(rm)
+				r.mark(p, p)
+			}
 		}
 		return true
 	}
@@ -168,17 +161,20 @@ func (r *spRep) PerturbKind(kind int, rng *rand.Rand) bool {
 	r.spMoved = true
 	n := r.prob.N()
 	if len(r.prob.Groups) == 0 && n >= spLocalMoveMinN {
-		lo, hi := r.sp.PerturbLocal(rng, max(32, n/64))
-		r.markMove(lo, hi)
+		i, j := r.sp.PerturbLocal(rng, max(32, n/64))
+		r.mark(i, i)
+		r.mark(j, j)
 		return true
 	}
 	_, a, b := r.sp.PerturbSFTouched(rng, r.prob.Groups)
 	if a >= 0 {
-		r.markMove(r.sp.PosAlpha(a), r.sp.PosAlpha(b))
+		pa, pb := r.sp.PosAlpha(a), r.sp.PosAlpha(b)
+		r.mark(pa, pa)
+		r.mark(pb, pb)
 	} else if n > 0 {
 		// Group move (paired swap / rotation / repair): the repair can
 		// reorder members anywhere in beta, so the whole range is dirty.
-		r.markMove(0, n-1)
+		r.mark(0, n-1)
 	}
 	return true
 }
@@ -194,11 +190,10 @@ func (r *spRep) Undo() {
 	if r.rotB >= 0 {
 		r.flip(r.rotB)
 	}
-	// Reverting re-dirties the move's window: a pack may have consumed
-	// it between Perturb and Undo.
-	if r.moveHi >= r.moveLo {
-		lo, hi := r.moveLo, r.moveHi
-		r.markMove(lo, hi)
+	// Reverting disturbs the move's positions again: a pack may have
+	// consumed them between Perturb and Undo.
+	for _, mk := range r.marks[:r.nMarks] {
+		r.ip.Disturb(mk[0], mk[1])
 	}
 }
 
@@ -213,10 +208,6 @@ func (r *spRep) Pack(c *engine.Coords) bool {
 		}
 		c.X, c.Y, c.W, c.H, c.Rot = x, y, r.w, r.h, nil
 		return true
-	}
-	if r.pendHi >= r.pendLo {
-		r.ip.Disturb(r.pendLo, r.pendHi)
-		r.pendLo, r.pendHi = 1, 0
 	}
 	x, y := r.sp.PackIncrementalInto(&r.ip, r.w, r.h)
 	c.X, c.Y, c.W, c.H, c.Rot = x, y, r.w, r.h, nil
@@ -251,7 +242,6 @@ func (r *spRep) Restore(snapshot any) {
 	copy(r.w, sn.w)
 	copy(r.h, sn.h)
 	r.ip.Invalidate()
-	r.pendLo, r.pendHi = 1, 0
 }
 
 // Clone implements engine.Representation.
@@ -285,7 +275,6 @@ func (r *spRep) CrossoverFrom(a, b engine.Representation, rng *rand.Rand) {
 	if sp, err := seqpair.FromSequences(alpha, beta); err == nil {
 		r.sp = sp
 		r.ip.Invalidate()
-		r.pendLo, r.pendHi = 1, 0
 	}
 }
 
@@ -420,7 +409,7 @@ func (r *spRejectRep) PerturbKind(_ int, rng *rand.Rand) bool {
 	r.sp.SaveState(&r.saved)
 	r.spMoved = true
 	r.rotA, r.rotB = -1, -1
-	r.moveLo, r.moveHi = 1, 0
+	r.nMarks = 0
 	n := r.prob.N()
 	if n >= 2 {
 		i, j := rng.Intn(n), rng.Intn(n-1)
@@ -429,12 +418,13 @@ func (r *spRejectRep) PerturbKind(_ int, rng *rand.Rand) bool {
 		}
 		if rng.Intn(2) == 0 {
 			r.sp.SwapAlpha(i, j)
-			r.markMove(i, j)
 		} else {
 			a, b := r.sp.Beta[i], r.sp.Beta[j]
 			r.sp.SwapBeta(i, j)
-			r.markMove(r.sp.PosAlpha(a), r.sp.PosAlpha(b))
+			i, j = r.sp.PosAlpha(a), r.sp.PosAlpha(b)
 		}
+		r.mark(i, i)
+		r.mark(j, j)
 	}
 	return true
 }

@@ -1,35 +1,43 @@
 package seqpair
 
-import "sort"
-
 // Incremental packing. The FAST-SP scan (packLCSInto) is a fold over
 // the alpha sequence whose only carried state is the "staircase" — the
 // Pareto frontier of (beta position, edge value) pairs with values
-// strictly increasing in key. A local sequence move disturbs the
-// inputs of only a few scan steps, so the whole pack can be replayed
-// from a checkpointed staircase just before the disturbed window and
-// terminated as soon as the staircase provably re-converges with the
-// previous pack's:
+// strictly increasing in key. Scan step s reads three inputs: the
+// module at alpha position s, its beta position and its dimension. A
+// sequence move changes those inputs at a few points only — swapping
+// two modules in alpha, in beta or in both disturbs exactly the two
+// steps at their alpha positions, and a rotation the one step of the
+// rotated module — while every step in between reads what it read
+// before. So a repack replays the cached trajectory wherever it still
+// holds, and re-scans for real only from each disturbed point until
+// the staircase provably re-converges with the previous pack's:
 //
 //   - every pack journals, per scan step, the inserted (key, value)
 //     and the dominated keys it deleted;
 //   - staircase snapshots are checkpointed on a fixed step grid and
 //     refreshed in passing, so by induction each checkpoint always
 //     equals the state of the most recent pack just before its step;
-//   - an incremental pack loads the nearest checkpoint at or below the
-//     window, replays the journal up to the window (cheap: no
-//     predecessor queries, just recorded splices), then re-scans
-//     for real while maintaining, against a shadow copy evolved by the
-//     old journal, a count of keys on which the two staircases
-//     disagree — when the scan has passed the window and the count is
-//     zero, every remaining step would reproduce the cached
-//     coordinates exactly, so the scan stops.
+//   - the dirty set is a short sorted list of disjoint step intervals;
+//     for each interval, an incremental pack brings the working
+//     staircase to the interval's first step (from the nearest
+//     checkpoint, or from where the previous interval's scan stopped
+//     if that is closer) by journal replay — cheap: no predecessor
+//     queries, just recorded splices;
+//   - it then re-scans for real while maintaining, against a shadow
+//     copy evolved by the old journal, a count of keys on which the
+//     two staircases disagree. Once the scan has passed the interval
+//     and the count is zero, every step up to the next interval would
+//     reproduce the cached journal entry, coordinate and checkpoint
+//     exactly, so the scan jumps ahead (or, past the last interval,
+//     stops).
 //
-// The early exit is exact, not approximate: the scan step is a
-// deterministic function of (staircase, module, key, dimension), so
-// agreeing staircases and undisturbed inputs imply identical suffixes.
-// The property tests in incpack_test.go hold PackIncrementalInto
-// bit-identical to PackInto under randomized move/undo/disturb storms.
+// The skip is exact, not approximate: the scan step is a deterministic
+// function of (staircase, module, key, dimension), so agreeing
+// staircases and undisturbed inputs imply identical steps. The
+// property tests and FuzzIncPack in incpack_test.go hold
+// PackIncrementalInto bit-identical to PackInto (and PackNaive) under
+// randomized move/undo/disturb sequences.
 //
 // The staircase here is a sorted key slice with epoch-stamped
 // value/membership arrays indexed by beta position, not the vEB queue
@@ -38,8 +46,8 @@ import "sort"
 // universe every pack.
 
 // incCkStride returns the checkpoint grid stride for n modules: dense
-// enough that journal replay to the window stays cheap, sparse enough
-// that checkpoint refreshes and memory stay bounded at n = 10⁵.
+// enough that journal replay to a dirty interval stays cheap, sparse
+// enough that checkpoint refreshes and memory stay bounded at n = 10⁵.
 func incCkStride(n int) int {
 	const minStride = 64
 	if s := n / 64; s > minStride {
@@ -47,6 +55,16 @@ func incCkStride(n int) int {
 	}
 	return minStride
 }
+
+// incMaxSpans caps the dirty set. An annealing move disturbs at most
+// two points, and a rejected move's undo re-disturbs the same two
+// before the next move adds its own, so four spans cover the placer's
+// traffic; the cap only bounds what accumulates between packs that
+// never come (symmetric instances pack with PackSymmetric instead).
+const incMaxSpans = 8
+
+// span is an inclusive interval of alpha positions (or scan steps).
+type span struct{ lo, hi int }
 
 // incAxis is the per-axis incremental scan state (x: forward alpha
 // scan over widths; y: reverse alpha scan over heights).
@@ -71,7 +89,6 @@ type incAxis struct {
 	oldEpoch uint32
 	// Checkpoints: staircase state just before step g*ck.
 	ckKeys, ckVals [][]int
-	odScratch      []int
 }
 
 func (a *incAxis) ensure(n int) {
@@ -103,6 +120,21 @@ func (a *incAxis) ensure(n int) {
 	a.ckVals = a.ckVals[:nck]
 }
 
+// search returns the index of the first key ≥ p — sort.SearchInts,
+// inlined: the scan calls it once per step.
+func (a *incAxis) search(p int) int {
+	lo, hi := 0, len(a.keys)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if a.keys[m] < p {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
 // agree reports whether the working and shadow staircases agree on
 // key k (same membership and, if live, same value).
 func (a *incAxis) agree(k int) bool {
@@ -111,6 +143,18 @@ func (a *incAxis) agree(k int) bool {
 		return false
 	}
 	return !live || a.val[k] == a.oldVal[k]
+}
+
+// count adjusts the disagreement count after key k changed from
+// agreeing (was) to a.agree(k).
+func (a *incAxis) count(k int, was bool, diff *int) {
+	if now := a.agree(k); now != was {
+		if was {
+			*diff++
+		} else {
+			*diff--
+		}
+	}
 }
 
 // splice replaces keys[i:i+nd] with the single key p.
@@ -158,7 +202,7 @@ func (a *incAxis) step(sp *SP, dim []int, s int, diff *int) {
 		m = sp.Alpha[s]
 	}
 	p := sp.posB[m]
-	i := sort.SearchInts(a.keys, p)
+	i := a.search(p)
 	c := 0
 	if i > 0 {
 		c = a.val[a.keys[i-1]]
@@ -169,41 +213,28 @@ func (a *incAxis) step(sp *SP, dim []int, s int, diff *int) {
 	// the new entry's, exactly as the vEB packer deletes them.
 	dl := a.delKeys[s][:0]
 	j := i
-	for j < len(a.keys) {
+	for ; j < len(a.keys); j++ {
 		q := a.keys[j]
 		if a.val[q] > end {
 			break
 		}
 		dl = append(dl, q)
 		if diff != nil {
-			eq := a.agree(q)
+			was := a.agree(q)
 			a.stamp[q] = 0
-			if eq != a.agree(q) {
-				if eq {
-					*diff++
-				} else {
-					*diff--
-				}
-			}
+			a.count(q, was, diff)
 		} else {
 			a.stamp[q] = 0
 		}
-		j++
 	}
 	a.delKeys[s] = dl
 	a.splice(i, j-i, p)
 	a.insKey[s], a.insVal[s] = p, end
 	if diff != nil {
-		eq := a.agree(p)
+		was := a.agree(p)
 		a.val[p] = end
 		a.stamp[p] = a.epoch
-		if eq != a.agree(p) {
-			if eq {
-				*diff++
-			} else {
-				*diff--
-			}
-		}
+		a.count(p, was, diff)
 	} else {
 		a.val[p] = end
 		a.stamp[p] = a.epoch
@@ -214,40 +245,28 @@ func (a *incAxis) step(sp *SP, dim []int, s int, diff *int) {
 // without recomputation: recorded deletions, recorded insertion.
 func (a *incAxis) replay(s int) {
 	p, v := a.insKey[s], a.insVal[s]
-	i := sort.SearchInts(a.keys, p)
-	nd := len(a.delKeys[s])
+	i := a.search(p)
 	for _, q := range a.delKeys[s] {
 		a.stamp[q] = 0
 	}
-	a.splice(i, nd, p)
+	a.splice(i, len(a.delKeys[s]), p)
 	a.val[p] = v
 	a.stamp[p] = a.epoch
 }
 
-// oldStep evolves the shadow staircase by the stashed old journal
-// entry for one step, maintaining the agreement count.
-func (a *incAxis) oldStep(okey, oval int, odels []int, diff *int) {
-	for _, q := range odels {
-		eq := a.agree(q)
+// oldStep evolves the shadow staircase by the old journal entry for
+// step s, before step overwrites it, maintaining the agreement count.
+func (a *incAxis) oldStep(s int, diff *int) {
+	for _, q := range a.delKeys[s] {
+		was := a.agree(q)
 		a.oldStamp[q] = 0
-		if eq != a.agree(q) {
-			if eq {
-				*diff++
-			} else {
-				*diff--
-			}
-		}
+		a.count(q, was, diff)
 	}
-	eq := a.agree(okey)
-	a.oldVal[okey] = oval
+	okey := a.insKey[s]
+	was := a.agree(okey)
+	a.oldVal[okey] = a.insVal[s]
 	a.oldStamp[okey] = a.oldEpoch
-	if eq != a.agree(okey) {
-		if eq {
-			*diff++
-		} else {
-			*diff--
-		}
-	}
+	a.count(okey, was, diff)
 }
 
 // full runs a complete scan, establishing coord, journal and
@@ -264,85 +283,135 @@ func (a *incAxis) full(sp *SP, dim []int) {
 	}
 }
 
-// incremental re-scans with the disturbed scan-step window [lo, hi]:
-// checkpoint load, cheap journal replay to lo, then live steps with
-// the shadow staircase until past hi with zero disagreements.
-func (a *incAxis) incremental(sp *SP, dim []int, lo, hi int) {
-	n := sp.N()
-	g := lo / a.ck
-	a.loadCk(g)
-	for s := g * a.ck; s < lo; s++ {
+// seek brings the working staircase to its state just before step
+// lo by journal replay, starting from the nearest checkpoint at or
+// below lo — or from pos, where the staircase already holds the state
+// just before step pos, when that is closer (pos < 0: nothing held).
+func (a *incAxis) seek(pos, lo int) {
+	from := lo / a.ck * a.ck
+	if pos >= from {
+		from = pos
+	} else {
+		a.loadCk(from / a.ck)
+	}
+	for s := from; s < lo; s++ {
 		a.replay(s)
 	}
-	// Shadow := snapshot of the working staircase (they agree on every
-	// key here, by checkpoint validity).
-	a.oldEpoch++
-	for _, k := range a.keys {
-		a.oldVal[k] = a.val[k]
-		a.oldStamp[k] = a.oldEpoch
-	}
-	diff := 0
-	for s := lo; s < n; s++ {
-		if s > hi && diff == 0 {
-			return // exact convergence: the suffix replays the cache
+}
+
+// incremental re-scans the disturbed scan-step intervals dirty (sorted,
+// disjoint): for each, seek to its first step, then run live steps
+// against the shadow staircase until past the interval with zero
+// disagreements. An interval the live scan reaches before converging
+// joins the scan in progress.
+func (a *incAxis) incremental(sp *SP, dim []int, dirty []span) {
+	n := sp.N()
+	pos := -1
+	for k := 0; k < len(dirty); {
+		lo, hi := dirty[k].lo, dirty[k].hi
+		k++
+		a.seek(pos, lo)
+		// Shadow := snapshot of the working staircase (they agree on
+		// every key here, by checkpoint validity and the induction).
+		a.oldEpoch++
+		for _, key := range a.keys {
+			a.oldVal[key] = a.val[key]
+			a.oldStamp[key] = a.oldEpoch
 		}
-		// Stash the old journal entry before step overwrites it.
-		okey, oval := a.insKey[s], a.insVal[s]
-		odels := append(a.odScratch[:0], a.delKeys[s]...)
-		a.odScratch = odels
-		if s%a.ck == 0 {
-			a.saveCk(s / a.ck)
+		diff := 0
+		s := lo
+		for ; s < n; s++ {
+			for k < len(dirty) && dirty[k].lo <= s {
+				hi = max(hi, dirty[k].hi)
+				k++
+			}
+			if s > hi && diff == 0 {
+				break // exact convergence: steps up to the next interval replay the cache
+			}
+			if s%a.ck == 0 {
+				a.saveCk(s / a.ck)
+			}
+			// The shadow takes the old journal entry first, so step can
+			// overwrite it in place; the count is order-independent.
+			a.oldStep(s, &diff)
+			a.step(sp, dim, s, &diff)
 		}
-		a.step(sp, dim, s, &diff)
-		a.oldStep(okey, oval, odels, &diff)
+		if s == n {
+			return
+		}
+		pos = s
 	}
 }
 
 // IncPack is the reusable incremental packing state of one SP walk:
 // cached coordinates, per-axis scan journals and staircase
-// checkpoints. The zero value is ready to use (the first pack is a
-// full scan). Like PackWorkspace it must not be shared between
-// concurrent packings, and it caches the trajectory of one evolving
-// SP: callers must Disturb it with every alpha-position window whose
-// scan inputs changed since the last pack (sequence moves, undos,
-// rotations) and Invalidate it on wholesale state replacement
-// (Restore, crossover).
+// checkpoints, and the set of alpha positions disturbed since the last
+// pack. The zero value is ready to use (the first pack is a full
+// scan). Like PackWorkspace it must not be shared between concurrent
+// packings, and it caches the trajectory of one evolving SP: callers
+// must Disturb it with every alpha position whose scan inputs changed
+// since the last pack — the alpha positions of the modules a swap or
+// rotation touched, re-disturbed on undo — and Invalidate it on
+// wholesale state replacement (Restore, crossover).
 type IncPack struct {
-	n                int
-	valid            bool
-	dirtyLo, dirtyHi int
-	x, y             incAxis
+	n     int
+	valid bool
+	// dirty holds nd sorted, disjoint, non-adjacent alpha intervals;
+	// the extra slot takes an insertion before the cap merges.
+	dirty [incMaxSpans + 1]span
+	nd    int
+	x, y  incAxis
 }
 
 // Invalidate drops the cache; the next pack is a full scan.
 func (ip *IncPack) Invalidate() { ip.valid = false }
 
-// Disturb widens the pending dirty window to cover alpha positions
-// [lo, hi] (inclusive), in any order. Windows accumulate until the
-// next PackIncrementalInto consumes them.
+// Disturb marks alpha positions [lo, hi] (inclusive, in any order) as
+// disturbed; a single position p is Disturb(p, p). Disturbances
+// accumulate until the next PackIncrementalInto consumes them. They
+// are kept as a short sorted list of disjoint intervals: overlapping
+// or adjacent ones merge, and beyond incMaxSpans the two closest
+// merge, which widens the re-scan but never loses a position.
 func (ip *IncPack) Disturb(lo, hi int) {
 	if hi < lo {
 		lo, hi = hi, lo
 	}
-	if ip.dirtyHi < ip.dirtyLo { // empty
-		ip.dirtyLo, ip.dirtyHi = lo, hi
-		return
+	d := ip.dirty[:ip.nd]
+	i := 0
+	for i < len(d) && d[i].hi+1 < lo {
+		i++
 	}
-	if lo < ip.dirtyLo {
-		ip.dirtyLo = lo
+	j := i
+	for j < len(d) && d[j].lo <= hi+1 {
+		lo, hi = min(lo, d[j].lo), max(hi, d[j].hi)
+		j++
 	}
-	if hi > ip.dirtyHi {
-		ip.dirtyHi = hi
+	if i == j {
+		copy(ip.dirty[i+1:ip.nd+1], ip.dirty[i:ip.nd])
+		ip.nd++
+	} else {
+		copy(ip.dirty[i+1:], ip.dirty[j:ip.nd])
+		ip.nd -= j - i - 1
+	}
+	ip.dirty[i] = span{lo, hi}
+	if ip.nd > incMaxSpans {
+		k := 0
+		for m := 1; m+1 < ip.nd; m++ {
+			if ip.dirty[m+1].lo-ip.dirty[m].hi < ip.dirty[k+1].lo-ip.dirty[k].hi {
+				k = m
+			}
+		}
+		ip.dirty[k].hi = ip.dirty[k+1].hi
+		copy(ip.dirty[k+1:], ip.dirty[k+2:ip.nd])
+		ip.nd--
 	}
 }
 
-func (ip *IncPack) clearDirty() { ip.dirtyLo, ip.dirtyHi = 1, 0 }
-
 // PackIncrementalInto packs like PackInto but reuses the cached
-// trajectory outside the accumulated dirty window. The returned
-// slices are owned by ip and overwritten by the next pack; results
-// are bit-identical to PackInto for every correctly disturbed move
-// sequence (see the property tests).
+// trajectory outside the disturbed positions. The returned slices are
+// owned by ip and overwritten by the next pack; results are
+// bit-identical to PackInto for every correctly disturbed move
+// sequence (see the property tests and FuzzIncPack).
 func (sp *SP) PackIncrementalInto(ip *IncPack, w, h []int) (x, y []int) {
 	n := sp.N()
 	if !ip.valid || ip.n != n {
@@ -353,23 +422,26 @@ func (sp *SP) PackIncrementalInto(ip *IncPack, w, h []int) (x, y []int) {
 		ip.x.full(sp, w)
 		ip.y.full(sp, h)
 		ip.valid = true
-		ip.clearDirty()
+		ip.nd = 0
 		return ip.x.coord, ip.y.coord
 	}
-	if ip.dirtyHi < ip.dirtyLo {
-		return ip.x.coord, ip.y.coord // clean cache
+	// Clamp to [0, n-1]. Alpha interval [lo, hi] is scan steps [lo, hi]
+	// on the forward x scan and [n-1-hi, n-1-lo] on the reverse y scan,
+	// where the list's order reverses too.
+	var xs, ys [incMaxSpans]span
+	m := 0
+	for _, d := range ip.dirty[:ip.nd] {
+		if lo, hi := max(d.lo, 0), min(d.hi, n-1); lo <= hi {
+			xs[m] = span{lo, hi}
+			m++
+		}
 	}
-	lo, hi := ip.dirtyLo, ip.dirtyHi
-	if lo < 0 {
-		lo = 0
+	ip.nd = 0
+	for k := range m {
+		d := xs[m-1-k]
+		ys[k] = span{n - 1 - d.hi, n - 1 - d.lo}
 	}
-	if hi > n-1 {
-		hi = n - 1
-	}
-	// Alpha-position window [lo,hi] maps to scan steps [lo,hi] on the
-	// forward x scan and [n-1-hi, n-1-lo] on the reverse y scan.
-	ip.x.incremental(sp, w, lo, hi)
-	ip.y.incremental(sp, h, n-1-hi, n-1-lo)
-	ip.clearDirty()
+	ip.x.incremental(sp, w, xs[:m])
+	ip.y.incremental(sp, h, ys[:m])
 	return ip.x.coord, ip.y.coord
 }

@@ -105,8 +105,8 @@ func TestIncrementalPackMatchesFullRandomStorm(t *testing.T) {
 				checkIncremental(t, sp, ip, ws, w, h, fmt.Sprintf("iter %d", it))
 				if savedValid {
 					// Undo after a pack: restore and re-disturb the window
-					// covering every move made since the save, exactly the
-					// placer adapters' pending-window protocol.
+					// covering every move made since the save — a hull,
+					// wider than the points the placer adapters disturb.
 					sp.LoadState(&saved)
 					if undoHi >= undoLo {
 						ip.Disturb(undoLo, undoHi)
@@ -168,15 +168,60 @@ func TestIncrementalPackCleanCacheReturnsSame(t *testing.T) {
 	}
 }
 
-// localMove applies one window-limited sequence move (the large-n
-// move distribution of the seq-pair placer) and returns its dirty
-// window.
-func localMove(sp *SP, rng *rand.Rand, window int) (lo, hi int) {
-	return sp.PerturbLocal(rng, window)
+// TestDisturbKeepsCoveringSpans pins the dirty set's invariants under
+// random point and window disturbances: at most incMaxSpans spans,
+// sorted, disjoint and non-adjacent, covering every disturbed
+// position; while fewer distinct points than the cap arrive, it holds
+// exactly those points.
+func TestDisturbKeepsCoveringSpans(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 500; trial++ {
+		ip := &IncPack{}
+		covered := map[int]bool{}
+		for k := 0; k < 1+rng.Intn(20); k++ {
+			lo := rng.Intn(100)
+			hi := lo
+			if rng.Intn(4) == 0 {
+				hi = rng.Intn(100)
+			}
+			ip.Disturb(lo, hi)
+			for p := min(lo, hi); p <= max(lo, hi); p++ {
+				covered[p] = true
+			}
+			d := ip.dirty[:ip.nd]
+			if len(d) == 0 || len(d) > incMaxSpans {
+				t.Fatalf("trial %d: %d spans", trial, len(d))
+			}
+			for i, sp := range d {
+				if sp.lo > sp.hi || (i > 0 && d[i-1].hi+1 >= sp.lo) {
+					t.Fatalf("trial %d: spans %v not sorted, disjoint and non-adjacent", trial, d)
+				}
+			}
+			for p := range covered {
+				in := false
+				for _, sp := range d {
+					in = in || (sp.lo <= p && p <= sp.hi)
+				}
+				if !in {
+					t.Fatalf("trial %d: disturbed position %d not covered by %v", trial, p, d)
+				}
+			}
+			if len(covered) <= incMaxSpans {
+				width := 0
+				for _, sp := range d {
+					width += sp.hi - sp.lo + 1
+				}
+				if width != len(covered) {
+					t.Fatalf("trial %d: spans %v cover %d positions, %d disturbed", trial, d, width, len(covered))
+				}
+			}
+		}
+	}
 }
 
 // TestIncrementalPackLocalMoves storms with the range-limited move
-// set used at large n.
+// set used at large n, disturbing the two swapped positions as the
+// placer does.
 func TestIncrementalPackLocalMoves(t *testing.T) {
 	const n = 500
 	rng := rand.New(rand.NewSource(11))
@@ -186,8 +231,9 @@ func TestIncrementalPackLocalMoves(t *testing.T) {
 	ip := &IncPack{}
 	ws := &PackWorkspace{}
 	for it := 0; it < 200; it++ {
-		lo, hi := localMove(sp, rng, 16)
-		ip.Disturb(lo, hi)
+		lo, hi := sp.PerturbLocal(rng, 16)
+		ip.Disturb(lo, lo)
+		ip.Disturb(hi, hi)
 		checkIncremental(t, sp, ip, ws, w, h, fmt.Sprintf("local iter %d", it))
 	}
 }
@@ -204,8 +250,12 @@ func benchSP(n int, seed int64) (*SP, []int, []int, *rand.Rand) {
 
 // BenchmarkSeqPairIncrementalPack measures per-move pack cost at
 // large n under the placer's range-limited move distribution:
-// incremental (windowed re-scan) vs full (complete FAST-SP scan).
-// The ratio is the PR 7 acceptance number recorded in BENCH_PR7.json.
+// incremental (re-scan from the two swapped positions) vs full
+// (complete FAST-SP scan). The ratio is the PR 7 acceptance number
+// recorded in BENCH_PR7.json. incremental-swap/n=1000 is the
+// solve-flat move instead: a global PerturbSFTouched swap, undone
+// (and its positions disturbed again) at the ~0.89 acceptance ratio of
+// an n=1000 anneal on that schedule.
 func BenchmarkSeqPairIncrementalPack(b *testing.B) {
 	for _, n := range []int{1000, 10000, 100000} {
 		window := n / 64
@@ -220,10 +270,34 @@ func BenchmarkSeqPairIncrementalPack(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				lo, hi := sp.PerturbLocal(rng, window)
-				ip.Disturb(lo, hi)
+				ip.Disturb(lo, lo)
+				ip.Disturb(hi, hi)
 				sp.PackIncrementalInto(ip, w, h)
 			}
 		})
+		if n == 1000 {
+			b.Run(fmt.Sprintf("incremental-swap/n=%d", n), func(b *testing.B) {
+				sp, w, h, rng := benchSP(n, 42)
+				ip := &IncPack{}
+				var saved State
+				sp.PackIncrementalInto(ip, w, h)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					sp.SaveState(&saved)
+					_, a, c := sp.PerturbSFTouched(rng, nil)
+					pa, pc := sp.PosAlpha(a), sp.PosAlpha(c)
+					ip.Disturb(pa, pa)
+					ip.Disturb(pc, pc)
+					sp.PackIncrementalInto(ip, w, h)
+					if rng.Float64() >= 0.89 {
+						sp.LoadState(&saved)
+						ip.Disturb(pa, pa)
+						ip.Disturb(pc, pc)
+					}
+				}
+			})
+		}
 		b.Run(fmt.Sprintf("full/n=%d", n), func(b *testing.B) {
 			sp, w, h, rng := benchSP(n, 42)
 			ws := &PackWorkspace{}

@@ -292,10 +292,11 @@ func (sp *SP) PerturbSFTouched(rng *rand.Rand, groups []Group) (MoveKind, int, i
 
 // PerturbLocal applies one range-limited sequence move — a swap of
 // alpha positions i and j with |i−j| ≤ window, a beta swap of the
-// modules at those alpha positions, or both — and returns the
-// disturbed alpha-position window [lo, hi]. Range limiting is the
-// classic TimberWolf-style large-instance move discipline: a bounded
-// window keeps the incremental packer's re-scan short, which is what
+// modules at those alpha positions, or both — and returns the two
+// alpha positions it disturbed, lo < hi (0, 0 when n < 2); every
+// position between them keeps its scan inputs. Range limiting is the
+// classic TimberWolf-style large-instance move discipline: two close
+// points keep the incremental packer's re-scan short, which is what
 // makes n ≥ 10⁴ walks affordable. It does not preserve symmetric
 // feasibility and is only used on problems without symmetry groups.
 func (sp *SP) PerturbLocal(rng *rand.Rand, window int) (lo, hi int) {

@@ -965,6 +965,13 @@ func (s *Scheduler) run(j *Job) {
 		j.result = res
 	}
 	j.req = nil // terminal: the retention window should hold results, not request bodies
+	// A completed canonical solve retires its checkpoint — the result
+	// cache answers future resubmissions — before waiters wake, so none
+	// observes the stale entry. Interrupted (and degraded) runs keep
+	// theirs, so the next identical request warm-starts.
+	if final == StateDone && !degraded && s.checkpoints != nil {
+		s.checkpoints.Drop(j.Hash)
+	}
 	close(j.done)
 	j.mu.Unlock()
 
@@ -988,12 +995,6 @@ func (s *Scheduler) run(j *Job) {
 	s.retireLocked(j)
 	s.mu.Unlock()
 
-	// A completed canonical solve retires its checkpoint — the result
-	// cache answers future resubmissions. Interrupted (and degraded)
-	// runs keep theirs, so the next identical request warm-starts.
-	if final == StateDone && !degraded && s.checkpoints != nil {
-		s.checkpoints.Drop(j.Hash)
-	}
 	s.persistJob(j)
 }
 
