@@ -35,9 +35,9 @@ package seqpair
 // The skip is exact, not approximate: the scan step is a deterministic
 // function of (staircase, module, key, dimension), so agreeing
 // staircases and undisturbed inputs imply identical steps. The
-// property tests and FuzzIncPack in incpack_test.go hold
-// PackIncrementalInto bit-identical to PackInto (and PackNaive) under
-// randomized move/undo/disturb sequences.
+// property tests in incpack_test.go and FuzzIncPack in fuzz_test.go
+// hold PackIncrementalInto bit-identical to PackInto (and PackNaive)
+// under randomized move/undo/disturb sequences.
 //
 // The staircase here is a sorted key slice with epoch-stamped
 // value/membership arrays indexed by beta position, not the vEB queue

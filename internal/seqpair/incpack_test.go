@@ -251,11 +251,10 @@ func benchSP(n int, seed int64) (*SP, []int, []int, *rand.Rand) {
 // BenchmarkSeqPairIncrementalPack measures per-move pack cost at
 // large n under the placer's range-limited move distribution:
 // incremental (re-scan from the two swapped positions) vs full
-// (complete FAST-SP scan). The ratio is the PR 7 acceptance number
-// recorded in BENCH_PR7.json. incremental-swap/n=1000 is the
-// solve-flat move instead: a global PerturbSFTouched swap, undone
-// (and its positions disturbed again) at the ~0.89 acceptance ratio of
-// an n=1000 anneal on that schedule.
+// (complete FAST-SP scan); BENCH_PR7.json records the baselines.
+// incremental-swap/n=1000 is the solve-flat move instead: a global
+// PerturbSFTouched swap, undone (and its positions disturbed again) at
+// the ~0.89 acceptance ratio of an n=1000 anneal on that schedule.
 func BenchmarkSeqPairIncrementalPack(b *testing.B) {
 	for _, n := range []int{1000, 10000, 100000} {
 		window := n / 64
