@@ -54,3 +54,45 @@ func TestPinFlatFinalCost(t *testing.T) {
 		})
 	}
 }
+
+// enginePins pin the exact final cost of two engine paths no golden
+// fixture covers: multi-start with more than one worker (ParallelAnneal's
+// best-of reduction) and the memetic genetic:seqpair engine (Evolve
+// followed by Anneal). Both solve a small flat synthetic instance on a
+// short schedule through placer.Solve, with wire weight 1.
+var enginePins = []struct {
+	name   string
+	opts   []placer.Option
+	bits   uint64
+	stages int
+	moves  int
+}{
+	{"seqpair/workers=3", []placer.Option{placer.WithAlgorithm(placer.SeqPair), placer.WithWorkers(3)}, 0x40f1419000000000, 94, 5640},
+	{"genetic:seqpair", []placer.Option{placer.WithAlgorithm(placer.GeneticSeqPair)}, 0x40ee694000000000, 55, 2519},
+}
+
+// TestPinEngineFinalCost solves each engine pin and compares the final
+// cost bit for bit, together with the stage and move totals.
+func TestPinEngineFinalCost(t *testing.T) {
+	p, err := placer.Synthetic(placer.SyntheticSpec{N: 40, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Objective.WireWeight = 1
+	for _, pin := range enginePins {
+		t.Run(pin.name, func(t *testing.T) {
+			opts := append([]placer.Option{
+				placer.WithSeed(7),
+				placer.WithSchedule(placer.Schedule{MovesPerStage: 60, MaxStages: 40, StallStages: 15}),
+			}, pin.opts...)
+			res, err := placer.Solve(t.Context(), p, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := math.Float64bits(res.Cost); got != pin.bits || res.Stages != pin.stages || res.Moves != pin.moves {
+				t.Errorf("final cost %v (bits %#x), stages %d, moves %d; pinned bits %#x, stages %d, moves %d",
+					res.Cost, got, res.Stages, res.Moves, pin.bits, pin.stages, pin.moves)
+			}
+		})
+	}
+}
