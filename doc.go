@@ -27,19 +27,21 @@
 // Every stochastic placement runs through the placer registry behind
 // placer.Solve; internal/core hosts the paper-experiment drivers that
 // regenerate each table and figure, and the benchmarks in this package
-// (bench_test.go) exercise them. See DESIGN.md for the
-// experiment index and EXPERIMENTS.md for measured results.
+// (bench_test.go) exercise them. cmd/table1, cmd/fig8 and cmd/fig10
+// regenerate Table I, Fig. 8 and Fig. 10 and print the results.
 //
 // # The optimization hot path
 //
-// All stochastic placers run on the engines of internal/anneal, which
-// support two protocols. The legacy cloning protocol (anneal.Solution:
-// Cost/Neighbor) copies the whole representation per proposed move.
-// The in-place protocol (anneal.MutableSolution: Perturb returning an
-// exact Undo, plus Snapshot/Restore for the best-so-far) mutates one
-// solution and reverts rejected moves, the move-and-undo scheme of the
-// B*-tree annealing tradition; Anneal and Greedy select it
-// automatically when a solution implements it. All placers do.
+// All stochastic placers run on the engines of internal/anneal. The
+// annealers take one protocol, anneal.MutableSolution: Perturb
+// returning an exact Undo, plus Snapshot/Restore for the best-so-far.
+// It mutates one solution and reverts rejected moves, the
+// move-and-undo scheme of the B*-tree annealing tradition, so a move
+// copies nothing. Serial (anneal.Anneal), multi-start and tempered
+// runs advance the same chain type through the same stage body. Only
+// the evolutionary phase of the memetic engines clones, through
+// anneal.Solution's Neighbor, because a population needs independent
+// copies.
 //
 // # The engine core
 //

@@ -1,16 +1,18 @@
 // Package anneal provides the stochastic optimization engines behind
 // the paper's "statistical solution approaches": a simulated-annealing
-// driver (Kirkpatrick et al. [12]), a mutation-based evolutionary
-// baseline, the two-phase GA+SA combination of Zhang et al. [28], and
-// parallel multi-start annealing (ParallelAnneal).
+// driver (Kirkpatrick et al. [12]), parallel multi-start annealing
+// (ParallelAnneal), parallel tempering (TemperAnneal), a mutation-based
+// evolutionary baseline, and the two-phase GA+SA combination of Zhang
+// et al. [28].
 //
-// The engines are representation-agnostic and support two solution
-// protocols. The cloning protocol (Solution) produces a fresh neighbor
-// per proposed move. The in-place protocol (MutableSolution) mutates
-// one solution and reverts rejected moves through exact undo — the
-// move-and-undo scheme of the B*-tree annealing literature — which
-// eliminates per-move allocation; Anneal and Greedy select it
-// automatically when the solution implements it.
+// The annealers run one protocol, MutableSolution: a solution mutates
+// itself under a random move and reverts a rejected move through exact
+// undo — the move-and-undo scheme of the B*-tree annealing literature
+// — so a move allocates nothing. Serial, multi-start and tempered runs
+// all advance the same chain type through the same stage body; they
+// differ only in how many chains run and what happens between stages.
+// The evolutionary engine needs independent copies for its population,
+// so it alone runs the cloning protocol, Solution.
 package anneal
 
 import (
@@ -22,9 +24,9 @@ import (
 	"repro/internal/obs"
 )
 
-// Solution is one point of a search space. Neighbor must return a new
-// Solution (not mutate the receiver), so the engines can keep the
-// incumbent and the best-so-far without explicit undo bookkeeping.
+// Solution is one point of the evolutionary engine's search space.
+// Neighbor must return a new Solution (not mutate the receiver), so a
+// population can hold independent copies.
 type Solution interface {
 	// Cost is the objective to minimize.
 	Cost() float64
@@ -36,14 +38,11 @@ type Solution interface {
 // state and cost exactly.
 type Undo func()
 
-// MutableSolution is the in-place counterpart of Solution: a solution
-// that mutates itself under perturbation and can revert exactly,
-// eliminating the clone per proposed move that dominates the cost of a
-// Neighbor-based search. When a Solution passed to Anneal or Greedy
-// also implements MutableSolution, the engines run the move-and-undo
-// protocol of the B*-tree annealing tradition instead of cloning:
-// rejected moves call the returned Undo, accepted moves simply keep
-// the mutation, and the best-so-far is tracked through Snapshot.
+// MutableSolution is the solution protocol of the annealers: a
+// solution that mutates itself under perturbation and can revert
+// exactly. Rejected moves call the returned Undo, accepted moves
+// simply keep the mutation, and the best-so-far is tracked through
+// Snapshot.
 //
 // Contract: Perturb applies one random move and returns an Undo that
 // restores both the state and the value reported by Cost exactly (a
@@ -85,7 +84,7 @@ type MoveKindReporter interface {
 }
 
 // Options configure a simulated-annealing run. The zero value is
-// usable: sensible defaults are filled in by Anneal.
+// usable: sensible defaults are filled in by the engines.
 type Options struct {
 	// InitialTemp is the starting temperature. If 0 it is calibrated
 	// so the initial acceptance ratio of uphill moves is about 0.9,
@@ -136,20 +135,20 @@ type Options struct {
 	// the best improved, and once more when the run ends — including
 	// a cancelled run, where the final capture is the whole point.
 	// It runs on the annealing goroutine; ParallelAnneal calls it
-	// concurrently from every chain. Only the in-place engine
-	// checkpoints: the cloning protocol has no snapshot to hand out.
+	// concurrently from every chain, and TemperAnneal captures the
+	// ladder-wide best from its coordinator.
 	Checkpoint func(snapshot any, cost float64, stage int)
 	// CheckpointEvery is the stage period of Checkpoint captures.
 	// Zero or negative means every 5 stages.
 	CheckpointEvery int
-	// Resume, when non-nil, is consulted once at the start of an
-	// in-place run: if it returns ok, the engine restores the
+	// Resume, when non-nil, is consulted once at the start of a run:
+	// if it returns ok, the engine restores the
 	// snapshot — a value a previous run's Checkpoint captured from
 	// the same solution type on the same problem — and anneals from
 	// that state instead of the initial solution, so an interrupted
 	// run's progress is never repeated. The returned best is then
-	// never worse than the checkpoint. ParallelAnneal resumes only
-	// worker 0, keeping the other chains' multi-start diversity.
+	// never worse than the checkpoint. Multi-start and tempered runs
+	// resume only chain 0, keeping the other chains' diversity.
 	Resume func() (snapshot any, ok bool)
 	// TemperChains selects parallel tempering (replica exchange):
 	// values above 1 run that many chains at a geometric temperature
@@ -177,10 +176,6 @@ type Options struct {
 	// internal/obs. ParallelAnneal and TemperAnneal share one recorder
 	// across all chains (obs.Flight is concurrency-safe).
 	Flight *obs.Flight
-	// chain is the multi-start chain / tempering rung id stamped on
-	// flight events and stage spans. ParallelAnneal sets it per
-	// worker; direct Anneal calls record as chain 0.
-	chain int
 }
 
 func (o Options) withDefaults() Options {
@@ -287,214 +282,175 @@ func recordStage(f *obs.Flight, worker int, st *Stats, cur, best float64, kinds 
 	f.Record(e)
 }
 
-// Anneal runs simulated annealing from the initial solution and
-// returns the best solution found with run statistics. If the solution
-// also implements MutableSolution, the engine uses the allocation-free
-// move-and-undo protocol: the initial solution is mutated in place and
-// returned restored to the best state visited.
-func Anneal(initial Solution, opt Options) (Solution, Stats) {
-	if ms, ok := initial.(MutableSolution); ok {
-		best, stats := annealInPlace(ms, opt)
-		return best.(Solution), stats
-	}
-	opt = opt.withDefaults()
-	rng := rand.New(rand.NewSource(opt.Seed + 1))
-
-	cur := initial
-	curCost := cur.Cost()
-	best, bestCost := cur, curCost
-	stats := Stats{InitCost: curCost}
-
-	temp := opt.InitialTemp
-	if temp <= 0 {
-		temp = calibrate(cur, rng)
-	}
-	minTemp := opt.MinTemp
-	if minTemp <= 0 {
-		minTemp = temp * 1e-3
-	}
-
-	stall := 0
-	for stage := 0; stage < opt.MaxStages && temp > minTemp && stall < opt.StallStages; stage++ {
-		if opt.cancelled() {
-			stats.Cancelled = true
-			break
-		}
-		stats.Stages++
-		improvedThisStage := false
-		for move := 0; move < opt.MovesPerStage; move++ {
-			stats.Moves++
-			next := cur.Neighbor(rng)
-			nextCost := next.Cost()
-			delta := nextCost - curCost
-			if delta <= 0 || rng.Float64() < math.Exp(-delta/temp) {
-				stats.Accepted++
-				if delta < 0 {
-					stats.Improved++
-				}
-				cur, curCost = next, nextCost
-				if curCost < bestCost {
-					best, bestCost = cur, curCost
-					improvedThisStage = true
-				}
-			}
-		}
-		if improvedThisStage {
-			stall = 0
-		} else {
-			stall++
-		}
-		temp *= opt.Cooling
-		stats.FinalTemp = temp
-		opt.report(stats, bestCost)
-		if opt.Flight != nil {
-			recordStage(opt.Flight, opt.chain, &stats, curCost, bestCost, nil)
-		}
-	}
-	stats.BestCost = bestCost
-	return best, stats
+// checkpoint hands a best-so-far snapshot to Options.Checkpoint and
+// records the capture in the flight recorder under worker (-1 for a
+// ladder-wide capture, which is no single chain's).
+func (o *Options) checkpoint(snap any, cost float64, stage, worker int) {
+	o.Checkpoint(snap, cost, stage)
+	o.Flight.Record(obs.Event{Kind: obs.EventCheckpoint, Worker: int32(worker), Stage: int32(stage), Best: cost, Peer: -1})
 }
 
-// annealInPlace is the move-and-undo engine: one mutating solution,
-// exact undo on rejection, best-so-far tracked by snapshot. It follows
-// the same schedule, RNG discipline and statistics as the cloning
-// engine.
-func annealInPlace(cur MutableSolution, opt Options) (MutableSolution, Stats) {
-	opt = opt.withDefaults()
-	rng := rand.New(rand.NewSource(opt.Seed + 1))
-	kinds, _ := cur.(MoveKindReporter)
-	sctx, runSpan := obs.StartSpan(opt.Context, "anneal", obs.Int("chain", opt.chain))
-	defer runSpan.End()
+// chain is one annealing chain: a solution with its own RNG, current
+// cost, temperature and best-so-far snapshot. Serial runs advance one
+// chain, multi-start runs one per worker, and tempering one per rung,
+// all through runStage, so a chain walks the same trajectory whichever
+// engine drives it. stats.Worker carries the chain id onto Progress
+// snapshots and flight events; a tempering chain stays on its rung
+// (exchanges swap states, not chains), so its stream tracks one
+// temperature level.
+type chain struct {
+	sol      MutableSolution
+	kinds    MoveKindReporter // non-nil when sol reports per-kind counters
+	rng      *rand.Rand
+	cost     float64
+	temp     float64
+	bestSnap any
+	bestCost float64
+	stats    Stats
+}
 
-	// A warm start replaces the initial state before anything observes
-	// it: the run proceeds exactly as if the checkpoint were the
-	// (re-evaluated) initial solution, so the returned best can never
-	// be worse than the checkpoint it resumed from.
+// newChain prepares chain id over sol with the RNG of seed. Chain 0
+// first resumes from Options.Resume, if it yields a checkpoint: the
+// run then proceeds exactly as if the checkpoint were the
+// (re-evaluated) initial solution, so its best can never be worse
+// than the checkpoint. The initial state is then the first best, and
+// the temperature is Options.InitialTemp or, when that is unset,
+// calibrated by a short walk on the chain's own RNG.
+func newChain(sol MutableSolution, id int, seed int64, opt *Options) *chain {
+	c := &chain{sol: sol, rng: rand.New(rand.NewSource(seed + 1))}
+	c.kinds, _ = sol.(MoveKindReporter)
+	c.stats.Worker = id
 	resumed := false
-	if opt.Resume != nil {
+	if id == 0 && opt.Resume != nil {
 		if snap, ok := opt.Resume(); ok {
-			cur.Restore(snap)
+			sol.Restore(snap)
 			resumed = true
 		}
 	}
-	curCost := cur.Cost()
+	c.cost = sol.Cost()
 	if resumed && opt.Flight != nil {
-		opt.Flight.Record(obs.Event{Kind: obs.EventResume, Worker: int32(opt.chain), Cur: curCost, Best: curCost, Peer: -1})
+		opt.Flight.Record(obs.Event{Kind: obs.EventResume, Worker: int32(id), Cur: c.cost, Best: c.cost, Peer: -1})
 	}
-	bestSnap := cur.Snapshot()
-	bestCost := curCost
-	stats := Stats{InitCost: curCost}
+	c.stats.InitCost = c.cost
+	c.bestSnap = sol.Snapshot()
+	c.bestCost = c.cost
+	c.temp = opt.InitialTemp
+	if c.temp <= 0 {
+		c.temp = calibrate(sol, c.rng)
+		c.cost = sol.Cost()
+	}
+	return c
+}
+
+// runStage advances the chain by one temperature stage — MovesPerStage
+// Metropolis moves, then one cooling step — inside a "stage" span
+// parented on opt.Context, and reports the stage to Progress and the
+// flight recorder. It returns whether the chain's best improved.
+//
+// With observability off the stage boundary costs exactly one atomic
+// load (the disarmed span tracer) and one pointer test (the nil
+// flight recorder) — the contract BenchmarkAnnealObsOverhead pins.
+func (c *chain) runStage(opt *Options) (improved bool) {
+	stageSpan := obs.ChildSpan(opt.Context, "stage", obs.Int("chain", c.stats.Worker), obs.Int("stage", c.stats.Stages+1))
+	c.stats.Stages++
+	for move := 0; move < opt.MovesPerStage; move++ {
+		c.stats.Moves++
+		undo := c.sol.Perturb(c.rng)
+		nextCost := c.sol.Cost()
+		delta := nextCost - c.cost
+		if delta <= 0 || c.rng.Float64() < math.Exp(-delta/c.temp) {
+			c.stats.Accepted++
+			if delta < 0 {
+				c.stats.Improved++
+			}
+			c.cost = nextCost
+			if c.cost < c.bestCost {
+				c.bestCost = c.cost
+				c.bestSnap = c.sol.Snapshot()
+				improved = true
+			}
+		} else {
+			undo()
+		}
+	}
+	c.temp *= opt.Cooling
+	c.stats.FinalTemp = c.temp
+	opt.report(c.stats, c.bestCost)
+	if opt.Flight != nil {
+		recordStage(opt.Flight, c.stats.Worker, &c.stats, c.cost, c.bestCost, c.kinds)
+	}
+	stageSpan.End()
+	return improved
+}
+
+// noteBest records the current state as the chain's best if it
+// improves on it (used after a replica exchange delivers a state the
+// chain's own walk never visited).
+func (c *chain) noteBest() {
+	if c.cost < c.bestCost {
+		c.bestCost = c.cost
+		c.bestSnap = c.sol.Snapshot()
+	}
+}
+
+// Anneal runs simulated annealing from the initial solution and
+// returns it restored to the best state visited, with run statistics.
+func Anneal[S MutableSolution](initial S, opt Options) (S, Stats) {
+	return initial, annealChain(initial, 0, opt)
+}
+
+// annealChain runs chain id on sol to the end of the schedule, with
+// the serial stall rule and periodic checkpoints of the chain's best,
+// and leaves sol restored to that best.
+func annealChain(sol MutableSolution, id int, opt Options) Stats {
+	opt = opt.withDefaults()
+	var runSpan *obs.ActiveSpan
+	opt.Context, runSpan = obs.StartSpan(opt.Context, "anneal", obs.Int("chain", id))
+	defer runSpan.End()
+
+	c := newChain(sol, id, opt.Seed, &opt)
+	minTemp := opt.MinTemp
+	if minTemp <= 0 {
+		minTemp = c.temp * 1e-3
+	}
 	// The initial best is capture-worthy: a run cancelled before any
 	// improvement still checkpoints a resumable state.
 	newSinceCapture := true
-
-	temp := opt.InitialTemp
-	if temp <= 0 {
-		temp = calibrateInPlace(cur, rng)
-		curCost = cur.Cost()
-	}
-	minTemp := opt.MinTemp
-	if minTemp <= 0 {
-		minTemp = temp * 1e-3
-	}
-
 	stall := 0
-	for stage := 0; stage < opt.MaxStages && temp > minTemp && stall < opt.StallStages; stage++ {
+	for c.stats.Stages < opt.MaxStages && c.temp > minTemp && stall < opt.StallStages {
 		if opt.cancelled() {
-			stats.Cancelled = true
+			c.stats.Cancelled = true
 			break
 		}
-		// With observability off this stage boundary costs exactly one
-		// atomic load (the disarmed span tracer) and one pointer test
-		// (the nil flight recorder) — the contract
-		// BenchmarkAnnealObsOverhead pins.
-		stageSpan := obs.ChildSpan(sctx, "stage", obs.Int("chain", opt.chain), obs.Int("stage", stats.Stages+1))
-		stats.Stages++
-		improvedThisStage := false
-		for move := 0; move < opt.MovesPerStage; move++ {
-			stats.Moves++
-			undo := cur.Perturb(rng)
-			nextCost := cur.Cost()
-			delta := nextCost - curCost
-			if delta <= 0 || rng.Float64() < math.Exp(-delta/temp) {
-				stats.Accepted++
-				if delta < 0 {
-					stats.Improved++
-				}
-				curCost = nextCost
-				if curCost < bestCost {
-					bestCost = curCost
-					bestSnap = cur.Snapshot()
-					improvedThisStage = true
-					newSinceCapture = true
-				}
-			} else {
-				undo()
-			}
-		}
-		if improvedThisStage {
+		if c.runStage(&opt) {
 			stall = 0
+			newSinceCapture = true
 		} else {
 			stall++
 		}
-		temp *= opt.Cooling
-		stats.FinalTemp = temp
-		opt.report(stats, bestCost)
-		if opt.Flight != nil {
-			recordStage(opt.Flight, opt.chain, &stats, curCost, bestCost, kinds)
-		}
-		if opt.Checkpoint != nil && newSinceCapture && stats.Stages%opt.CheckpointEvery == 0 {
-			opt.Checkpoint(bestSnap, bestCost, stats.Stages)
-			opt.Flight.Record(obs.Event{Kind: obs.EventCheckpoint, Worker: int32(opt.chain), Stage: int32(stats.Stages), Best: bestCost, Peer: -1})
+		if opt.Checkpoint != nil && newSinceCapture && c.stats.Stages%opt.CheckpointEvery == 0 {
+			opt.checkpoint(c.bestSnap, c.bestCost, c.stats.Stages, id)
 			newSinceCapture = false
 		}
-		stageSpan.End()
 	}
-	stats.BestCost = bestCost
+	c.stats.BestCost = c.bestCost
 	// Final capture, so an interruption between periodic captures (a
 	// cancelled run in particular) never loses the latest best.
 	if opt.Checkpoint != nil && newSinceCapture {
-		opt.Checkpoint(bestSnap, bestCost, stats.Stages)
-		opt.Flight.Record(obs.Event{Kind: obs.EventCheckpoint, Worker: int32(opt.chain), Stage: int32(stats.Stages), Best: bestCost, Peer: -1})
+		opt.checkpoint(c.bestSnap, c.bestCost, c.stats.Stages, id)
 	}
-	cur.Restore(bestSnap)
-	return cur, stats
+	sol.Restore(c.bestSnap)
+	return c.stats
 }
 
 // calibrate estimates an initial temperature from a short random walk:
 // the mean uphill delta divided by ln(1/p₀) with p₀ = 0.9, so roughly
-// 90 % of uphill moves are initially accepted. Non-finite deltas
-// (moves into rejected/infeasible states, which placers encode as
-// infinite cost) are excluded from the estimate and from the walk —
-// an infinite temperature would otherwise disable the whole schedule.
-func calibrate(s Solution, rng *rand.Rand) float64 {
-	const samples = 40
-	cur := s
-	curCost := cur.Cost()
-	var sum float64
-	var ups int
-	for i := 0; i < samples; i++ {
-		next := cur.Neighbor(rng)
-		nextCost := next.Cost()
-		if math.IsInf(nextCost, 0) || math.IsNaN(nextCost) {
-			continue // stay on the feasible walk
-		}
-		if d := nextCost - curCost; d > 0 && !math.IsInf(d, 0) {
-			sum += d
-			ups++
-		}
-		cur, curCost = next, nextCost
-	}
-	if ups == 0 || sum == 0 {
-		return 1.0
-	}
-	return (sum / float64(ups)) / math.Log(1/0.9)
-}
-
-// calibrateInPlace is calibrate for the move-and-undo protocol: the
-// walk mutates the solution (undoing moves into infeasible states)
-// and the initial state is restored before the schedule starts.
-func calibrateInPlace(s MutableSolution, rng *rand.Rand) float64 {
+// 90 % of uphill moves are initially accepted. Moves into non-finite
+// cost (rejected/infeasible states, which placers encode as infinite
+// cost) are undone and excluded from the estimate — an infinite
+// temperature would otherwise disable the whole schedule. The initial
+// state is restored before the schedule starts.
+func calibrate(s MutableSolution, rng *rand.Rand) float64 {
 	const samples = 40
 	start := s.Snapshot()
 	curCost := s.Cost()
@@ -518,43 +474,4 @@ func calibrateInPlace(s MutableSolution, rng *rand.Rand) float64 {
 		return 1.0
 	}
 	return (sum / float64(ups)) / math.Log(1/0.9)
-}
-
-// Greedy runs pure hill-climbing (temperature zero): only improving
-// moves are accepted. Useful as an ablation baseline against Anneal.
-// Solutions that implement MutableSolution run without cloning: a
-// non-improving move is undone in place.
-func Greedy(initial Solution, moves int, seed int64) (Solution, Stats) {
-	rng := rand.New(rand.NewSource(seed + 1))
-	if ms, ok := initial.(MutableSolution); ok {
-		curCost := ms.Cost()
-		stats := Stats{InitCost: curCost}
-		for i := 0; i < moves; i++ {
-			stats.Moves++
-			undo := ms.Perturb(rng)
-			if c := ms.Cost(); c < curCost {
-				curCost = c
-				stats.Accepted++
-				stats.Improved++
-			} else {
-				undo()
-			}
-		}
-		stats.BestCost = curCost
-		return initial, stats
-	}
-	cur := initial
-	curCost := cur.Cost()
-	stats := Stats{InitCost: curCost}
-	for i := 0; i < moves; i++ {
-		stats.Moves++
-		next := cur.Neighbor(rng)
-		if c := next.Cost(); c < curCost {
-			cur, curCost = next, c
-			stats.Accepted++
-			stats.Improved++
-		}
-	}
-	stats.BestCost = curCost
-	return cur, stats
 }

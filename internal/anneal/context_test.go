@@ -13,8 +13,7 @@ import (
 // Cancelled flag set.
 func TestAnnealContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	var clones atomic.Int64
-	q := newQuad(500, &clones)
+	q := newQuad(500)
 	stagesBeforeCancel := 3
 	opt := Options{Seed: 1, MovesPerStage: 20, MaxStages: 1000, StallStages: 1000}
 	opt.Context = ctx
@@ -44,8 +43,7 @@ func TestAnnealContextCancel(t *testing.T) {
 func TestAnnealContextPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	var clones atomic.Int64
-	q := newQuad(42, &clones)
+	q := newQuad(42)
 	opt := Options{Seed: 1, MovesPerStage: 20, MaxStages: 100}
 	opt.Context = ctx
 	_, stats := Anneal(q, opt)
@@ -61,11 +59,10 @@ func TestAnnealContextPreCancelled(t *testing.T) {
 // default) is bit-identical to a context that is never cancelled:
 // cancellation checks must not consume randomness.
 func TestAnnealNilContextUnchanged(t *testing.T) {
-	var clones atomic.Int64
 	run := func(ctx context.Context) Stats {
 		opt := Options{Seed: 7, MovesPerStage: 30, MaxStages: 50}
 		opt.Context = ctx
-		_, stats := Anneal(newQuad(300, &clones), opt)
+		_, stats := Anneal(newQuad(300), opt)
 		return stats
 	}
 	if a, b := run(nil), run(context.Background()); a != b {
@@ -77,7 +74,6 @@ func TestAnnealNilContextUnchanged(t *testing.T) {
 // honors cancellation and the aggregate carries the flag.
 func TestParallelAnnealContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	var clones atomic.Int64
 	var stages atomic.Int64
 	opt := Options{Seed: 3, MovesPerStage: 10, MaxStages: 100000, StallStages: 100000}
 	opt.Context = ctx
@@ -86,9 +82,9 @@ func TestParallelAnnealContextCancel(t *testing.T) {
 			cancel()
 		}
 	}
-	newSol := func(seed int64) Solution {
+	newSol := func(seed int64) *quad {
 		rng := rand.New(rand.NewSource(seed))
-		return newQuad(100000+rng.Intn(1000), &clones)
+		return newQuad(100000 + rng.Intn(1000))
 	}
 	best, stats := ParallelAnneal(newSol, 4, opt)
 	if !stats.Cancelled {
@@ -109,10 +105,9 @@ func TestParallelAnnealContextCancel(t *testing.T) {
 // at every stage — so the best-of reduction can never lose to serial.
 // It also pins that two identical multi-start runs are bit-identical.
 func TestParallelWorker0ReplicatesSerial(t *testing.T) {
-	var clones atomic.Int64
-	newSol := func(seed int64) Solution {
+	newSol := func(seed int64) *quad {
 		rng := rand.New(rand.NewSource(seed))
-		return newQuad(rng.Intn(500), &clones)
+		return newQuad(rng.Intn(500))
 	}
 	base := Options{Seed: 17, MovesPerStage: 25, MaxStages: 40, StallStages: 40}
 

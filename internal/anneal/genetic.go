@@ -133,10 +133,15 @@ func sortPop(pop []scored) {
 // evolutionary exploration followed by simulated-annealing refinement
 // of the evolved best, with the SA temperature calibrated on the
 // already-improved solution so the second phase fine-tunes rather than
-// re-randomizes.
-func TwoPhase(initial Solution, ga GAOptions, sa Options) (Solution, Stats) {
+// re-randomizes. The evolutionary phase clones through Neighbor, so
+// Neighbor must return values of the initial solution's type S; the
+// annealing phase then refines the evolved best in place.
+func TwoPhase[S interface {
+	Solution
+	MutableSolution
+}](initial S, ga GAOptions, sa Options) (S, Stats) {
 	evolved, gaStats := Evolve(initial, ga)
-	refined, saStats := Anneal(evolved, sa)
+	refined, saStats := Anneal(evolved.(S), sa)
 	return refined, Stats{
 		Stages:    gaStats.Stages + saStats.Stages,
 		Moves:     gaStats.Moves + saStats.Moves,

@@ -15,6 +15,64 @@ func chainSeed(base int64, worker int) int64 {
 	return base + int64(worker)*stride
 }
 
+// fanOut runs fn(0) … fn(n-1) on n goroutines and waits for all of
+// them. A chain panic would kill the process from its goroutine, where
+// no caller can recover it; fanOut captures the first one — with the
+// originating goroutine's stack, which the rethrow would otherwise
+// lose — and rethrows it on the calling goroutine, so servers wrapping
+// the engines in a recover see it. label names the unit in the
+// message ("worker 2: …").
+func fanOut(n int, label string, fn func(i int)) {
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	var panicked any
+	wg.Add(n)
+	for i := 0; i < n; i++ {
+		go func(i int) {
+			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					mu.Lock()
+					if panicked == nil {
+						panicked = fmt.Sprintf("%s %d: %v\n%s", label, i, r, debug.Stack())
+					}
+					mu.Unlock()
+				}
+			}()
+			fn(i)
+		}(i)
+	}
+	wg.Wait()
+	if panicked != nil {
+		panic(panicked)
+	}
+}
+
+// bestOf reduces per-chain statistics to the winning chain — the
+// lowest BestCost, ties broken by the lowest chain id — and their
+// aggregate: moves and stages summed across chains, Cancelled set when
+// any chain stopped on its context, and InitCost/BestCost/FinalTemp
+// and Worker taken from the winner.
+func bestOf(chains []Stats) (win int, agg Stats) {
+	for i, st := range chains {
+		agg.Stages += st.Stages
+		agg.Moves += st.Moves
+		agg.Accepted += st.Accepted
+		agg.Improved += st.Improved
+		if st.Cancelled {
+			agg.Cancelled = true
+		}
+		if st.BestCost < chains[win].BestCost {
+			win = i
+		}
+	}
+	agg.InitCost = chains[win].InitCost
+	agg.BestCost = chains[win].BestCost
+	agg.FinalTemp = chains[win].FinalTemp
+	agg.Worker = chains[win].Worker
+	return win, agg
+}
+
 // ParallelAnneal runs parallel multi-start simulated annealing: one
 // independent chain per worker, each on its own solution built by
 // newSolution from a derived seed (so every chain owns its RNG, its
@@ -27,95 +85,27 @@ func chainSeed(base int64, worker int) int64 {
 // worker id. Worker 0 runs the exact chain a serial Anneal with the
 // same Options would run.
 //
-// Solutions that implement MutableSolution get the in-place engine,
-// making each chain allocation-free at steady state; the aggregate
-// Stats sum moves across chains while InitCost/BestCost/FinalTemp come
-// from the winning chain, Worker records the winning chain's id, and
+// Each chain is allocation-free at steady state; the aggregate Stats
+// sum moves across chains while InitCost/BestCost/FinalTemp come from
+// the winning chain, Worker records the winning chain's id, and
 // Cancelled is set when any chain stopped on Options.Context.
 //
 // Options.Progress snapshots are stamped with the reporting chain's
 // Worker id; the callback is invoked concurrently from every chain.
-func ParallelAnneal(newSolution func(seed int64) Solution, workers int, opt Options) (Solution, Stats) {
-	if workers < 1 {
-		workers = 1
-	}
-	if workers == 1 {
+func ParallelAnneal[S MutableSolution](newSolution func(seed int64) S, workers int, opt Options) (S, Stats) {
+	if workers <= 1 {
 		return Anneal(newSolution(chainSeed(opt.Seed, 0)), opt)
 	}
-	type chain struct {
-		best  Solution
-		stats Stats
-	}
-	results := make([]chain, workers)
-	var wg sync.WaitGroup
-	var panicMu sync.Mutex
-	var panicked any
-	wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go func(i int) {
-			defer wg.Done()
-			defer func() {
-				// A chain panic would kill the process from this
-				// goroutine, where no caller can recover it; capture
-				// it — with the originating chain's stack, which the
-				// rethrow would otherwise lose — and rethrow on the
-				// calling goroutine, so servers wrapping
-				// ParallelAnneal in a recover see it.
-				if r := recover(); r != nil {
-					panicMu.Lock()
-					if panicked == nil {
-						panicked = fmt.Sprintf("worker %d: %v\n%s", i, r, debug.Stack())
-					}
-					panicMu.Unlock()
-				}
-			}()
-			seed := chainSeed(opt.Seed, i)
-			wopt := opt
-			wopt.Seed = seed
-			wopt.Workers = 1
-			// Flight events and stage spans carry the chain id; the
-			// recorder itself is shared (it is concurrency-safe).
-			wopt.chain = i
-			if prog := opt.Progress; prog != nil {
-				wopt.Progress = func(st Stats) {
-					st.Worker = i
-					prog(st)
-				}
-			}
-			// Only worker 0 — the chain that replicates a serial run —
-			// resumes from a checkpoint; the other chains keep their
-			// independent multi-start starts, so a resumed run still
-			// explores while never losing the checkpointed best.
-			if i != 0 {
-				wopt.Resume = nil
-			}
-			best, stats := Anneal(newSolution(seed), wopt)
-			stats.Worker = i
-			results[i] = chain{best, stats}
-		}(i)
-	}
-	wg.Wait()
-	if panicked != nil {
-		panic(panicked)
-	}
-
-	win := 0
-	agg := Stats{}
-	for i, r := range results {
-		agg.Stages += r.stats.Stages
-		agg.Moves += r.stats.Moves
-		agg.Accepted += r.stats.Accepted
-		agg.Improved += r.stats.Improved
-		if r.stats.Cancelled {
-			agg.Cancelled = true
-		}
-		if r.stats.BestCost < results[win].stats.BestCost {
-			win = i
-		}
-	}
-	agg.InitCost = results[win].stats.InitCost
-	agg.BestCost = results[win].stats.BestCost
-	agg.FinalTemp = results[win].stats.FinalTemp
-	agg.Worker = results[win].stats.Worker
-	return results[win].best, agg
+	sols := make([]S, workers)
+	stats := make([]Stats, workers)
+	fanOut(workers, "worker", func(i int) {
+		// Flight events and stage spans carry the chain id; the
+		// recorder itself is shared (it is concurrency-safe).
+		wopt := opt
+		wopt.Seed = chainSeed(opt.Seed, i)
+		sols[i] = newSolution(wopt.Seed)
+		stats[i] = annealChain(sols[i], i, wopt)
+	})
+	win, agg := bestOf(stats)
+	return sols[win], agg
 }

@@ -2,22 +2,20 @@ package anneal
 
 import (
 	"math/rand"
-	"sync/atomic"
 	"testing"
 )
 
 // quad is a toy mutable solution: minimize (v-7)² over integer moves.
-// It counts Neighbor clones so tests can prove which engine ran.
+// It counts Perturb calls so tests can prove the engine drove it.
 type quad struct {
 	v        int
 	prev     int
 	undo     Undo
-	clones   *atomic.Int64
 	perturbs int
 }
 
-func newQuad(v int, clones *atomic.Int64) *quad {
-	q := &quad{v: v, clones: clones}
+func newQuad(v int) *quad {
+	q := &quad{v: v}
 	q.undo = func() { q.v = q.prev }
 	return q
 }
@@ -25,13 +23,6 @@ func newQuad(v int, clones *atomic.Int64) *quad {
 func (q *quad) Cost() float64 {
 	d := float64(q.v - 7)
 	return d * d
-}
-
-func (q *quad) Neighbor(rng *rand.Rand) Solution {
-	q.clones.Add(1)
-	n := newQuad(q.v, q.clones)
-	n.v += rng.Intn(3) - 1
-	return n
 }
 
 func (q *quad) Perturb(rng *rand.Rand) Undo {
@@ -44,20 +35,16 @@ func (q *quad) Perturb(rng *rand.Rand) Undo {
 func (q *quad) Snapshot() any    { return q.v }
 func (q *quad) Restore(snap any) { q.v = snap.(int) }
 
-// TestAnnealUsesInPlaceEngine proves that a MutableSolution is driven
-// through Perturb/Undo, never through Neighbor, and that the returned
-// solution is the same object restored to the best state.
+// TestAnnealUsesInPlaceEngine proves that the solution is driven
+// through Perturb/Undo and that the returned solution is the same
+// object restored to the best state.
 func TestAnnealUsesInPlaceEngine(t *testing.T) {
-	var clones atomic.Int64
-	q := newQuad(100, &clones)
+	q := newQuad(100)
 	best, stats := Anneal(q, Options{Seed: 1, MovesPerStage: 50, MaxStages: 60})
-	if clones.Load() != 0 {
-		t.Fatalf("in-place anneal cloned %d times via Neighbor", clones.Load())
-	}
 	if q.perturbs == 0 {
 		t.Fatal("Perturb was never called")
 	}
-	if best.(*quad) != q {
+	if best != q {
 		t.Fatal("in-place anneal returned a different object")
 	}
 	if best.Cost() != stats.BestCost {
@@ -68,27 +55,13 @@ func TestAnnealUsesInPlaceEngine(t *testing.T) {
 	}
 }
 
-// TestGreedyUsesInPlaceEngine does the same for the hill climber.
-func TestGreedyUsesInPlaceEngine(t *testing.T) {
-	var clones atomic.Int64
-	q := newQuad(40, &clones)
-	best, stats := Greedy(q, 2000, 3)
-	if clones.Load() != 0 {
-		t.Fatalf("in-place greedy cloned %d times via Neighbor", clones.Load())
-	}
-	if stats.BestCost != 0 || best.Cost() != 0 {
-		t.Fatalf("greedy missed the optimum: %v", stats.BestCost)
-	}
-}
-
 // TestParallelAnnealDeterministic runs the same multi-start twice and
 // demands identical outcomes, independent of goroutine scheduling.
 func TestParallelAnnealDeterministic(t *testing.T) {
 	run := func() (float64, Stats) {
-		var clones atomic.Int64
-		newSol := func(seed int64) Solution {
+		newSol := func(seed int64) *quad {
 			rng := rand.New(rand.NewSource(seed))
-			return newQuad(rng.Intn(200), &clones)
+			return newQuad(rng.Intn(200))
 		}
 		best, stats := ParallelAnneal(newSol, 4, Options{Seed: 11, MovesPerStage: 30, MaxStages: 40})
 		return best.Cost(), stats
@@ -104,10 +77,9 @@ func TestParallelAnnealDeterministic(t *testing.T) {
 // result is at least as good as every chain run individually.
 func TestParallelAnnealBestOf(t *testing.T) {
 	opt := Options{Seed: 21, MovesPerStage: 10, MaxStages: 8, StallStages: 3}
-	var clones atomic.Int64
-	newSol := func(seed int64) Solution {
+	newSol := func(seed int64) *quad {
 		rng := rand.New(rand.NewSource(seed))
-		return newQuad(rng.Intn(1000), &clones)
+		return newQuad(rng.Intn(1000))
 	}
 	const workers = 6
 	best, stats := ParallelAnneal(newSol, workers, opt)

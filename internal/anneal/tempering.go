@@ -1,11 +1,8 @@
 package anneal
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
-	"runtime/debug"
-	"sync"
 
 	"repro/internal/obs"
 )
@@ -34,67 +31,6 @@ const defaultTemperLadder = 3.5
 // move sequence.
 const temperExchangeSalt = 0x7E117E9
 
-// replica is one rung of the tempering ladder: a chain with its own
-// solution, RNG, temperature and best-so-far tracking.
-type replica struct {
-	sol      MutableSolution
-	rng      *rand.Rand
-	cost     float64
-	temp     float64
-	bestSnap any
-	bestCost float64
-	stats    Stats
-	kinds    MoveKindReporter // non-nil when sol reports per-kind counters
-}
-
-// noteBest records the current state as the replica's best if it
-// improves on it (used after a replica exchange delivers a state the
-// chain's own walk never visited).
-func (r *replica) noteBest() {
-	if r.cost < r.bestCost {
-		r.bestCost = r.cost
-		r.bestSnap = r.sol.Snapshot()
-	}
-}
-
-// runStage advances the replica by one temperature stage. The move
-// loop, acceptance rule, statistics and RNG discipline are exactly
-// annealInPlace's, so a replica with exchanges disabled walks the
-// same trajectory a serial chain with the same seed would. Progress
-// snapshots and flight events carry the replica's rung in Worker:
-// replicas are pinned to their rung (exchanges swap states, not
-// chains), so the stream tracks one temperature level.
-func (r *replica) runStage(opt *Options) {
-	stageSpan := obs.ChildSpan(opt.Context, "stage", obs.Int("chain", r.stats.Worker), obs.Int("stage", r.stats.Stages+1))
-	r.stats.Stages++
-	for move := 0; move < opt.MovesPerStage; move++ {
-		r.stats.Moves++
-		undo := r.sol.Perturb(r.rng)
-		nextCost := r.sol.Cost()
-		delta := nextCost - r.cost
-		if delta <= 0 || r.rng.Float64() < math.Exp(-delta/r.temp) {
-			r.stats.Accepted++
-			if delta < 0 {
-				r.stats.Improved++
-			}
-			r.cost = nextCost
-			if r.cost < r.bestCost {
-				r.bestCost = r.cost
-				r.bestSnap = r.sol.Snapshot()
-			}
-		} else {
-			undo()
-		}
-	}
-	r.temp *= opt.Cooling
-	r.stats.FinalTemp = r.temp
-	opt.report(r.stats, r.bestCost)
-	if opt.Flight != nil {
-		recordStage(opt.Flight, r.stats.Worker, &r.stats, r.cost, r.bestCost, r.kinds)
-	}
-	stageSpan.End()
-}
-
 // TemperAnneal runs parallel tempering (replica exchange): chains
 // replicas anneal concurrently at a geometric temperature ladder
 // anchored at the top (the hottest rung at the calibrated base
@@ -122,13 +58,8 @@ func (r *replica) runStage(opt *Options) {
 // chains (Exchanges/ExchangeAccepted count the sweep outcomes);
 // InitCost/BestCost/FinalTemp/Worker come from the winning rung, ties
 // broken by the lowest rung id.
-func TemperAnneal(newSolution func(seed int64) Solution, chains int, opt Options) (Solution, Stats) {
+func TemperAnneal[S MutableSolution](newSolution func(seed int64) S, chains int, opt Options) (S, Stats) {
 	if chains < 2 || opt.ExchangeEvery <= 0 {
-		return ParallelAnneal(newSolution, chains, opt)
-	}
-	// The exchange mechanism needs Snapshot/Restore; a cloning-protocol
-	// solution falls back to plain multi-start.
-	if _, ok := newSolution(chainSeed(opt.Seed, 0)).(MutableSolution); !ok {
 		return ParallelAnneal(newSolution, chains, opt)
 	}
 	opt = opt.withDefaults()
@@ -142,61 +73,19 @@ func TemperAnneal(newSolution func(seed int64) Solution, chains int, opt Options
 	opt.Context, ladderSpan = obs.StartSpan(opt.Context, "anneal", obs.Int("chains", chains))
 	defer ladderSpan.End()
 
-	var panicMu sync.Mutex
-	var panicked any
-	capture := func(k int) {
-		if r := recover(); r != nil {
-			panicMu.Lock()
-			if panicked == nil {
-				panicked = fmt.Sprintf("replica %d: %v\n%s", k, r, debug.Stack())
-			}
-			panicMu.Unlock()
-		}
-	}
-
 	// Build every replica concurrently: each owns its representation,
-	// workspaces and RNG, seeded exactly like ParallelAnneal's chains;
-	// only rung 0 consumes a resume checkpoint. Calibration mirrors
-	// annealInPlace, then the ladder scales rung k's base temperature.
-	reps := make([]*replica, chains)
-	var wg sync.WaitGroup
-	wg.Add(chains)
-	for k := 0; k < chains; k++ {
-		go func(k int) {
-			defer wg.Done()
-			defer capture(k)
-			seed := chainSeed(opt.Seed, k)
-			r := &replica{rng: rand.New(rand.NewSource(seed + 1))}
-			r.stats.Worker = k
-			r.sol, _ = newSolution(seed).(MutableSolution)
-			r.kinds, _ = r.sol.(MoveKindReporter)
-			resumed := false
-			if k == 0 && opt.Resume != nil {
-				if snap, ok := opt.Resume(); ok {
-					r.sol.Restore(snap)
-					resumed = true
-				}
-			}
-			r.cost = r.sol.Cost()
-			if resumed && opt.Flight != nil {
-				opt.Flight.Record(obs.Event{Kind: obs.EventResume, Worker: int32(k), Cur: r.cost, Best: r.cost, Peer: -1})
-			}
-			r.stats.InitCost = r.cost
-			r.bestSnap = r.sol.Snapshot()
-			r.bestCost = r.cost
-			base := opt.InitialTemp
-			if base <= 0 {
-				base = calibrateInPlace(r.sol, r.rng)
-				r.cost = r.sol.Cost()
-			}
-			r.temp = base * math.Pow(ladder, float64(k-(chains-1)))
-			reps[k] = r
-		}(k)
-	}
-	wg.Wait()
-	if panicked != nil {
-		panic(panicked)
-	}
+	// workspaces and RNG, seeded exactly like ParallelAnneal's chains,
+	// and calibrates like a serial chain; the ladder then scales rung
+	// k's base temperature.
+	sols := make([]S, chains)
+	reps := make([]*chain, chains)
+	fanOut(chains, "replica", func(k int) {
+		seed := chainSeed(opt.Seed, k)
+		sols[k] = newSolution(seed)
+		r := newChain(sols[k], k, seed, &opt)
+		r.temp *= math.Pow(ladder, float64(k-(chains-1)))
+		reps[k] = r
+	})
 
 	minTemp := opt.MinTemp
 	if minTemp <= 0 {
@@ -204,7 +93,6 @@ func TemperAnneal(newSolution func(seed int64) Solution, chains int, opt Options
 	}
 	xrng := rand.New(rand.NewSource(opt.Seed + temperExchangeSalt))
 
-	agg := Stats{}
 	globalBestCost := math.Inf(1)
 	var globalBestSnap any
 	for _, r := range reps {
@@ -213,32 +101,23 @@ func TemperAnneal(newSolution func(seed int64) Solution, chains int, opt Options
 			globalBestSnap = r.bestSnap
 		}
 	}
-	// The initial best is capture-worthy, exactly as in annealInPlace.
+	// The initial best is capture-worthy, exactly as in a serial run.
 	newSinceCapture := true
 
+	var exchanges, exchangeAccepted int
+	cancelled := false
 	stall := 0
 	stages := 0
 	// The schedule is rung 0's: the run ends when the coldest chain's
 	// temperature floor, stage bound or stall bound trips, with stall
 	// counted on the ladder-wide best.
-	for stage := 0; stage < opt.MaxStages && reps[0].temp > minTemp && stall < opt.StallStages; stage++ {
+	for stages < opt.MaxStages && reps[0].temp > minTemp && stall < opt.StallStages {
 		if opt.cancelled() {
-			agg.Cancelled = true
+			cancelled = true
 			break
 		}
 		stages++
-		wg.Add(chains)
-		for k := 0; k < chains; k++ {
-			go func(k int) {
-				defer wg.Done()
-				defer capture(k)
-				reps[k].runStage(&opt)
-			}(k)
-		}
-		wg.Wait()
-		if panicked != nil {
-			panic(panicked)
-		}
+		fanOut(chains, "replica", func(k int) { reps[k].runStage(&opt) })
 		improved := false
 		for _, r := range reps {
 			if r.bestCost < globalBestCost {
@@ -254,10 +133,9 @@ func TemperAnneal(newSolution func(seed int64) Solution, chains int, opt Options
 			stall++
 		}
 		if opt.Checkpoint != nil && newSinceCapture && stages%opt.CheckpointEvery == 0 {
-			opt.Checkpoint(globalBestSnap, globalBestCost, stages)
 			// Worker -1: the capture is of the ladder-wide best, not any
 			// one rung's.
-			opt.Flight.Record(obs.Event{Kind: obs.EventCheckpoint, Worker: -1, Stage: int32(stages), Best: globalBestCost, Peer: -1})
+			opt.checkpoint(globalBestSnap, globalBestCost, stages, -1)
 			newSinceCapture = false
 		}
 		// Replica-exchange sweep over neighboring rungs, on the
@@ -268,7 +146,7 @@ func TemperAnneal(newSolution func(seed int64) Solution, chains int, opt Options
 		if stages%opt.ExchangeEvery == 0 {
 			for k := 0; k < chains-1; k++ {
 				a, b := reps[k], reps[k+1]
-				agg.Exchanges++
+				exchanges++
 				// βa > βb (a is colder); swapping states changes the
 				// joint Boltzmann weight by exp((βa−βb)(Ea−Eb)).
 				delta := (1/a.temp - 1/b.temp) * (a.cost - b.cost)
@@ -284,7 +162,7 @@ func TemperAnneal(newSolution func(seed int64) Solution, chains int, opt Options
 					})
 				}
 				if accept {
-					agg.ExchangeAccepted++
+					exchangeAccepted++
 					sa := a.sol.Snapshot()
 					a.sol.Restore(b.sol.Snapshot())
 					b.sol.Restore(sa)
@@ -296,25 +174,18 @@ func TemperAnneal(newSolution func(seed int64) Solution, chains int, opt Options
 		}
 	}
 
-	win := 0
-	for i, r := range reps {
-		agg.Stages += r.stats.Stages
-		agg.Moves += r.stats.Moves
-		agg.Accepted += r.stats.Accepted
-		agg.Improved += r.stats.Improved
-		if r.bestCost < reps[win].bestCost {
-			win = i
-		}
+	stats := make([]Stats, chains)
+	for k, r := range reps {
+		stats[k] = r.stats
+		stats[k].BestCost = r.bestCost
 	}
-	agg.InitCost = reps[win].stats.InitCost
-	agg.BestCost = reps[win].bestCost
-	agg.FinalTemp = reps[win].stats.FinalTemp
-	agg.Worker = win
+	win, agg := bestOf(stats)
+	agg.Cancelled = cancelled
+	agg.Exchanges = exchanges
+	agg.ExchangeAccepted = exchangeAccepted
 	if opt.Checkpoint != nil && newSinceCapture {
-		opt.Checkpoint(globalBestSnap, globalBestCost, stages)
-		opt.Flight.Record(obs.Event{Kind: obs.EventCheckpoint, Worker: -1, Stage: int32(stages), Best: globalBestCost, Peer: -1})
+		opt.checkpoint(globalBestSnap, globalBestCost, stages, -1)
 	}
-	winner := reps[win]
-	winner.sol.Restore(winner.bestSnap)
-	return winner.sol.(Solution), agg
+	reps[win].sol.Restore(reps[win].bestSnap)
+	return sols[win], agg
 }

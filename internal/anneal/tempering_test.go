@@ -4,7 +4,6 @@ import (
 	"context"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -15,8 +14,7 @@ import (
 // replica swap.
 type frozen struct{ c float64 }
 
-func (f *frozen) Cost() float64                    { return f.c }
-func (f *frozen) Neighbor(rng *rand.Rand) Solution { return &frozen{f.c} }
+func (f *frozen) Cost() float64 { return f.c }
 func (f *frozen) Perturb(rng *rand.Rand) Undo {
 	rng.Int63()
 	return func() {}
@@ -29,10 +27,9 @@ func (f *frozen) Restore(snap any) { f.c = snap.(float64) }
 // same best cost, same statistics, for any chain count (including the
 // serial chain count 1, preserving the never-loses-to-serial chain).
 func TestTemperDisabledBitIdenticalToParallel(t *testing.T) {
-	newSol := func(seed int64) Solution {
+	newSol := func(seed int64) *quad {
 		rng := rand.New(rand.NewSource(seed))
-		var clones atomic.Int64
-		return newQuad(rng.Intn(500), &clones)
+		return newQuad(rng.Intn(500))
 	}
 	for _, chains := range []int{1, 4} {
 		opt := Options{Seed: 9, MovesPerStage: 25, MaxStages: 30, ExchangeEvery: 0, TemperChains: chains}
@@ -49,10 +46,9 @@ func TestTemperDisabledBitIdenticalToParallel(t *testing.T) {
 // identical outcomes, independent of goroutine scheduling.
 func TestTemperDeterministic(t *testing.T) {
 	run := func() (float64, Stats) {
-		var clones atomic.Int64
-		newSol := func(seed int64) Solution {
+		newSol := func(seed int64) *quad {
 			rng := rand.New(rand.NewSource(seed))
-			return newQuad(rng.Intn(200), &clones)
+			return newQuad(rng.Intn(200))
 		}
 		best, stats := TemperAnneal(newSol, 4, Options{Seed: 11, MovesPerStage: 30, MaxStages: 40, ExchangeEvery: 2})
 		return best.Cost(), stats
@@ -79,8 +75,8 @@ func TestTemperMetropolisExchange(t *testing.T) {
 		InitialTemp: 1, MinTemp: 1e-9, ExchangeEvery: 1,
 	}
 	coldSeed := chainSeed(opt.Seed, 0)
-	costBySeed := func(badCold bool) func(seed int64) Solution {
-		return func(seed int64) Solution {
+	costBySeed := func(badCold bool) func(seed int64) *frozen {
+		return func(seed int64) *frozen {
 			if (seed == coldSeed) == badCold {
 				return &frozen{c: 1000}
 			}
@@ -118,7 +114,7 @@ func TestTemperExchangeRaisesBest(t *testing.T) {
 		InitialTemp: 1, MinTemp: 1e-9, ExchangeEvery: 1,
 	}
 	hotSeed := chainSeed(opt.Seed, 3)
-	newSol := func(seed int64) Solution {
+	newSol := func(seed int64) *frozen {
 		if seed == hotSeed {
 			return &frozen{c: 1}
 		}
@@ -139,10 +135,9 @@ func TestTemperExchangeRaisesBest(t *testing.T) {
 // no wedged chain, no deadlock.
 func TestTemperCancellationNoWedge(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	var clones atomic.Int64
-	slow := func(seed int64) Solution {
+	slow := func(seed int64) *quad {
 		rng := rand.New(rand.NewSource(seed))
-		return newQuad(rng.Intn(100), &clones)
+		return newQuad(rng.Intn(100))
 	}
 	opt := Options{
 		Seed: 7, MovesPerStage: 2000, MaxStages: 100000, StallStages: 100000,
@@ -168,17 +163,13 @@ func TestTemperCancellationNoWedge(t *testing.T) {
 // TestTemperFindsOptimum is the end-to-end sanity check: tempering on
 // the toy quadratic still finds the optimum.
 func TestTemperFindsOptimum(t *testing.T) {
-	var clones atomic.Int64
-	newSol := func(seed int64) Solution {
+	newSol := func(seed int64) *quad {
 		rng := rand.New(rand.NewSource(seed))
-		return newQuad(100+rng.Intn(100), &clones)
+		return newQuad(100 + rng.Intn(100))
 	}
 	best, stats := TemperAnneal(newSol, 3, Options{Seed: 2, MovesPerStage: 60, MaxStages: 80, ExchangeEvery: 4})
 	if stats.BestCost != 0 || best.Cost() != 0 {
 		t.Fatalf("tempering missed the optimum: %+v", stats)
-	}
-	if clones.Load() != 0 {
-		t.Fatalf("tempering cloned %d times via Neighbor", clones.Load())
 	}
 }
 
@@ -190,10 +181,9 @@ func TestTemperFindsOptimum(t *testing.T) {
 // temperature ladder for the whole run, not just the first stage.
 func TestTemperProgressWorkerStamp(t *testing.T) {
 	const chains = 4
-	var clones atomic.Int64
-	newSol := func(seed int64) Solution {
+	newSol := func(seed int64) *quad {
 		rng := rand.New(rand.NewSource(seed))
-		return newQuad(rng.Intn(200), &clones)
+		return newQuad(rng.Intn(200))
 	}
 	var mu sync.Mutex
 	temps := map[int]map[int]float64{} // stage → rung → temperature

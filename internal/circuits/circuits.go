@@ -10,7 +10,8 @@
 // The originals are industrial designs we do not have; what Table I
 // measures — how enhanced shape functions behave as module count and
 // size heterogeneity grow — depends on exactly the properties the
-// generators reproduce, as recorded in DESIGN.md.
+// generators reproduce; cmd/table1 and cmd/fig8 print what the
+// reproduction measures on them.
 package circuits
 
 import (

@@ -1,6 +1,6 @@
 // Package core holds the paper-experiment drivers: the code that
-// regenerates each table and figure of the evaluation (see DESIGN.md
-// for the experiment index).
+// regenerates each table and figure of the evaluation. cmd/table1,
+// cmd/fig8 and cmd/fig10 run them and print the results.
 //
 //   - RunLemma / PaperLemmaExample — Section II's Lemma on the number
 //     of symmetric-feasible sequence-pair codes.

@@ -15,11 +15,13 @@
 // feasible-initialization retries, and final placement/breakdown
 // assembly.
 //
-// The kernel implements both anneal.Solution protocols — cloning
-// through Neighbor and in-place through Perturb/Undo/Snapshot/Restore
-// — plus anneal.MoveReporter and, for representations implementing
+// The kernel implements the annealers' in-place protocol
+// (anneal.MutableSolution: Perturb/Undo/Snapshot/Restore) and the
+// evolutionary engine's cloning one (anneal.Solution: Neighbor), plus
+// anneal.MoveReporter and, for representations implementing
 // Crossover, anneal.Crossoverer, so one adapter type drives the
-// simulated-annealing, greedy, evolutionary and memetic engines alike.
+// serial, multi-start, tempered, evolutionary and memetic engines
+// alike. Run and RunFeasible dispatch between the annealers.
 // Every cross-engine feature (the adaptive move portfolio, genetic
 // recombination, new representations) lands here once instead of once
 // per placer.
@@ -63,8 +65,9 @@ type Coords struct {
 // the encoding; Restore brings the encoding back to a snapshotted
 // state without aliasing the snapshot (the kernel may restore the same
 // snapshot again). Clone returns an independent deep copy with its own
-// workspaces (used by the cloning engines). Placement names the
-// current encoding's packed geometry for result assembly.
+// workspaces (used by the evolutionary engine's Neighbor and
+// Crossover). Placement names the current encoding's packed geometry
+// for result assembly.
 type Representation interface {
 	Perturb(rng *rand.Rand) bool
 	Undo()

@@ -334,7 +334,7 @@ func TestAdaptiveMoves(t *testing.T) {
 // exhausted attempts.
 func TestFeasibleInitRetries(t *testing.T) {
 	calls := 0
-	s, err := FeasibleInit(func() anneal.Solution {
+	s, err := FeasibleInit(func() *Solution {
 		calls++
 		rep := newGridRep(2)
 		if calls < 5 {
@@ -353,7 +353,7 @@ func TestFeasibleInitRetries(t *testing.T) {
 	}
 
 	calls = 0
-	_, err = FeasibleInit(func() anneal.Solution {
+	_, err = FeasibleInit(func() *Solution {
 		calls++
 		rep := newGridRep(2)
 		rep.x[0], rep.bound = 100, 50
@@ -371,7 +371,7 @@ func TestFeasibleInitRetries(t *testing.T) {
 // error when the initial draw is infeasible, prefixed with the
 // caller's name.
 func TestRunFeasibleSerialProbe(t *testing.T) {
-	newSol := func(seed int64) anneal.Solution {
+	newSol := func(seed int64) *Solution {
 		rep := newGridRep(2)
 		rep.x[0], rep.bound = 100, 50
 		return New(rep, gridConfig())

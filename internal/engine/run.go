@@ -17,8 +17,8 @@ const InitRetries = 64
 // last attempt together with an error, so parallel-worker factories
 // (which cannot fail) can still hand the engine a solution while
 // serial paths surface the shared error message.
-func FeasibleInit(gen func() anneal.Solution) (anneal.Solution, error) {
-	var s anneal.Solution
+func FeasibleInit(gen func() *Solution) (*Solution, error) {
+	var s *Solution
 	for try := 0; try < InitRetries; try++ {
 		s = gen()
 		if !math.IsInf(s.Cost(), 1) {
@@ -35,7 +35,7 @@ func FeasibleInit(gen func() anneal.Solution) (anneal.Solution, error) {
 // from the same derived seed as ParallelAnneal's worker 0, so
 // -workers=1 and the serial path are the same run, and TemperAnneal
 // with exchanges disabled degrades to exactly ParallelAnneal.
-func Run(newSol func(seed int64) anneal.Solution, opt anneal.Options) (anneal.Solution, anneal.Stats) {
+func Run(newSol func(seed int64) *Solution, opt anneal.Options) (*Solution, anneal.Stats) {
 	if opt.TemperChains > 1 {
 		return anneal.TemperAnneal(newSol, opt.TemperChains, opt)
 	}
@@ -47,27 +47,23 @@ func Run(newSol func(seed int64) anneal.Solution, opt anneal.Options) (anneal.So
 
 // RunFeasible is Run for representations whose random initial states
 // can be infeasible even after FeasibleInit's retries: the serial path
-// probes the initial solution before annealing, and both paths check
+// probes the initial solution before annealing, and every path checks
 // the final best, surfacing one shared error message prefixed with
 // name. Parallel factories cannot fail, so their retry exhaustion is
 // detected on the reduced best instead.
-func RunFeasible(name string, newSol func(seed int64) anneal.Solution, opt anneal.Options) (anneal.Solution, anneal.Stats, error) {
+func RunFeasible(name string, newSol func(seed int64) *Solution, opt anneal.Options) (*Solution, anneal.Stats, error) {
 	fail := func() error {
 		return fmt.Errorf("%s: no feasible initial solution after %d attempts", name, InitRetries)
 	}
-	var best anneal.Solution
-	var stats anneal.Stats
-	if opt.TemperChains > 1 {
-		best, stats = anneal.TemperAnneal(newSol, opt.TemperChains, opt)
-	} else if opt.Workers > 1 {
-		best, stats = anneal.ParallelAnneal(newSol, opt.Workers, opt)
-	} else {
+	if opt.TemperChains <= 1 && opt.Workers <= 1 {
+		// Run's serial path anneals exactly this solution.
 		probe := newSol(opt.Seed)
 		if math.IsInf(probe.Cost(), 1) {
 			return nil, anneal.Stats{}, fail()
 		}
-		best, stats = anneal.Anneal(probe, opt)
+		newSol = func(int64) *Solution { return probe }
 	}
+	best, stats := Run(newSol, opt)
 	if math.IsInf(best.Cost(), 1) {
 		return nil, stats, fail()
 	}

@@ -223,13 +223,12 @@ func Place(p *Problem, opt anneal.Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	newSol := func(seed int64) anneal.Solution {
+	newSol := func(seed int64) *engine.Solution {
 		s := newSolution(p, forest.Clone())
 		_ = seed // the canonical initial forest ignores the seed
 		return s
 	}
-	best, stats := engine.Run(newSol, opt)
-	sol := best.(*engine.Solution)
+	sol, stats := engine.Run(newSol, opt)
 	pl, err := sol.Placement()
 	if err != nil {
 		return nil, err

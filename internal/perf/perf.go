@@ -4,10 +4,10 @@
 // paper's Fig. 10 experiment) and a two-stage Miller OTA.
 //
 // It substitutes for the SPICE-level simulator of the original
-// layout-aware flow (see DESIGN.md): what Section V needs from the
-// simulator is that layout parasitics — junction capacitances set by
-// folding, wire capacitances set by the floorplan — feed back into the
-// performance numbers. Here they enter exactly where physics puts
+// layout-aware flow, which cmd/fig10 runs: what Section V needs from
+// the simulator is that layout parasitics — junction capacitances set
+// by folding, wire capacitances set by the floorplan — feed back into
+// the performance numbers. Here they enter exactly where physics puts
 // them: output-node capacitance degrades GBW and slew rate, folding-
 // node capacitance moves the non-dominant pole and erodes phase
 // margin.

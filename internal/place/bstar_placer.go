@@ -75,12 +75,12 @@ func BStar(p *Problem, opt anneal.Options) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	newSol := func(seed int64) anneal.Solution {
+	newSol := func(seed int64) *engine.Solution {
 		rng := rand.New(rand.NewSource(seed + 11))
 		return newKernel(p, newBTRep(p, bstar.NewRandom(p.W, p.H, rng)))
 	}
 	best, stats := engine.Run(newSol, opt)
-	return finishResult(best.(*engine.Solution), stats)
+	return finishResult(best, stats)
 }
 
 // Absolute-coordinate move kinds (the representation's move table).
@@ -273,13 +273,13 @@ func Absolute(p *Problem, opt anneal.Options) (*Result, error) {
 		return nil, err
 	}
 	best, stats := engine.Run(newAbsSol(p), opt)
-	return finishResult(best.(*engine.Solution), stats)
+	return finishResult(best, stats)
 }
 
 // newAbsSol is the absolute-coordinate solution factory shared by the
 // annealing and memetic engines: modules spread on a loose grid in a
 // seed-dependent random order.
-func newAbsSol(p *Problem) func(seed int64) anneal.Solution {
+func newAbsSol(p *Problem) func(seed int64) *engine.Solution {
 	n := p.N()
 	// Initial spread: place modules on a loose grid.
 	side := 1
@@ -296,7 +296,7 @@ func newAbsSol(p *Problem) func(seed int64) anneal.Solution {
 		}
 	}
 	pitch := maxDim + 1
-	return func(seed int64) anneal.Solution {
+	return func(seed int64) *engine.Solution {
 		rng := rand.New(rand.NewSource(seed + 13))
 		r := newAbsRep(p, pitch)
 		order := rng.Perm(n)

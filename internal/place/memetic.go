@@ -24,13 +24,13 @@ const DefaultCrossoverRate = 0.6
 
 // memetic drives one two-phase run from a solution factory, with the
 // sequence-pair-style feasibility contract on the initial draw.
-func memetic(name string, newSol func(seed int64) anneal.Solution, ga anneal.GAOptions, sa anneal.Options) (*Result, error) {
+func memetic(name string, newSol func(seed int64) *engine.Solution, ga anneal.GAOptions, sa anneal.Options) (*Result, error) {
 	init := newSol(sa.Seed)
 	if math.IsInf(init.Cost(), 1) {
 		return nil, fmt.Errorf("%s: no feasible initial solution after %d attempts", name, engine.InitRetries)
 	}
 	best, stats := anneal.TwoPhase(init, ga, sa)
-	return finishResult(best.(*engine.Solution), stats)
+	return finishResult(best, stats)
 }
 
 // GeneticSeqPair runs the memetic engine over symmetric-feasible

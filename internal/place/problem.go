@@ -9,7 +9,9 @@
 //
 // All placers optimize the same composite cost — bounding-box area
 // plus weighted half-perimeter wirelength — over the same Problem, so
-// the representation ablations of DESIGN.md compare like for like.
+// the representation ablations in the root package's bench_test.go
+// (BenchmarkSlicingVsNonslicing, BenchmarkAbsoluteVsTopological,
+// BenchmarkSFMovesVsRejection) compare like for like.
 package place
 
 import (

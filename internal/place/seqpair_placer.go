@@ -335,7 +335,7 @@ func SeqPair(p *Problem, opt anneal.Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := finishResult(best.(*engine.Solution), stats)
+	res, err := finishResult(best, stats)
 	if err != nil {
 		return nil, err
 	}
@@ -349,12 +349,12 @@ func SeqPair(p *Problem, opt anneal.Options) (*Result, error) {
 // annealing and memetic engines: a random S-F code per attempt, with
 // the kernel's feasible-init retries absorbing cross-group-infeasible
 // draws.
-func newSPSol(p *Problem) func(seed int64) anneal.Solution {
-	return func(seed int64) anneal.Solution {
+func newSPSol(p *Problem) func(seed int64) *engine.Solution {
+	return func(seed int64) *engine.Solution {
 		rng := rand.New(rand.NewSource(seed + 7))
 		// A random initial S-F code may still be cross-group
 		// infeasible; engine.FeasibleInit retries the shared bound.
-		s, _ := engine.FeasibleInit(func() anneal.Solution {
+		s, _ := engine.FeasibleInit(func() *engine.Solution {
 			return newKernel(p, newSPRep(p, seqpair.RandomSF(p.N(), p.Groups, rng)))
 		})
 		return s
@@ -370,15 +370,15 @@ func SeqPairUnconstrainedMoves(p *Problem, opt anneal.Options) (*Result, error) 
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	newSol := func(seed int64) anneal.Solution {
+	newSol := func(seed int64) *engine.Solution {
 		rng := rand.New(rand.NewSource(seed + 7))
-		s, _ := engine.FeasibleInit(func() anneal.Solution {
+		s, _ := engine.FeasibleInit(func() *engine.Solution {
 			return newKernel(p, newSPRejectRep(p, seqpair.RandomSF(p.N(), p.Groups, rng)))
 		})
 		return s
 	}
 	best, stats := engine.Run(newSol, opt)
-	return finishResult(best.(*engine.Solution), stats)
+	return finishResult(best, stats)
 }
 
 // spRejectRep perturbs without repairing and relies on the S-F

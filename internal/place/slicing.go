@@ -327,7 +327,7 @@ func Slicing(p *Problem, opt anneal.Options) (*Result, error) {
 	if n == 0 {
 		return &Result{Placement: geom.Placement{}}, nil
 	}
-	newSol := func(seed int64) anneal.Solution {
+	newSol := func(seed int64) *engine.Solution {
 		// Initial expression: a single row m0 m1 V m2 V ...
 		expr := polish{0}
 		for i := 1; i < n; i++ {
@@ -338,5 +338,5 @@ func Slicing(p *Problem, opt anneal.Options) (*Result, error) {
 		return s
 	}
 	best, stats := engine.Run(newSol, opt)
-	return finishResult(best.(*engine.Solution), stats)
+	return finishResult(best, stats)
 }

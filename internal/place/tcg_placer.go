@@ -74,13 +74,13 @@ func TCG(p *Problem, opt anneal.Options) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	newSol := func(seed int64) anneal.Solution {
+	newSol := func(seed int64) *engine.Solution {
 		s := newKernel(p, newTCGRep(p, tcg.New(p.W, p.H)))
 		_ = seed // the deterministic initial row ignores the seed
 		return s
 	}
 	best, stats := engine.Run(newSol, opt)
-	return finishResult(best.(*engine.Solution), stats)
+	return finishResult(best, stats)
 }
 
 // TwoPhaseBStar runs the GA+SA two-phase strategy of Zhang et al.
@@ -93,5 +93,5 @@ func TwoPhaseBStar(p *Problem, ga anneal.GAOptions, sa anneal.Options) (*Result,
 	rng := rand.New(rand.NewSource(sa.Seed + 17))
 	init := newKernel(p, newBTRep(p, bstar.NewRandom(p.W, p.H, rng)))
 	best, stats := anneal.TwoPhase(init, ga, sa)
-	return finishResult(best.(*engine.Solution), stats)
+	return finishResult(best, stats)
 }

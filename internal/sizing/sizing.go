@@ -74,12 +74,29 @@ type timers struct {
 	extract time.Duration
 }
 
-// solution is one candidate design in the annealer.
+// solution is the annealer's candidate design. It mutates in place:
+// a move edits the design and re-evaluates it, and its undo puts back
+// the design and cost the move started from.
 type solution struct {
 	prob *Problem
 	tim  *timers
+	state
+	prev state       // the state before the last Perturb
+	undo anneal.Undo // pre-bound revert to prev
+}
+
+// state is a design with its evaluated cost: the unit of snapshot and
+// undo, so neither ever re-runs the evaluation (or its extraction).
+type state struct {
 	d    perf.FoldedCascode
 	cost float64
+}
+
+func newSolution(p *Problem, tim *timers) *solution {
+	s := &solution{prob: p, tim: tim, state: state{d: p.Base}}
+	s.undo = func() { s.state = s.prev }
+	s.evaluate()
+	return s
 }
 
 // specCost turns violations into a smooth penalty: relative shortfall
@@ -153,14 +170,15 @@ func (s *solution) evaluate() {
 	}
 }
 
-// Cost implements anneal.Solution.
+// Cost implements anneal.MutableSolution.
 func (s *solution) Cost() float64 { return s.cost }
 
-// Neighbor implements anneal.Solution: scale one width or the bias
-// current, or (layout-aware) step one fold count.
-func (s *solution) Neighbor(rng *rand.Rand) anneal.Solution {
-	next := &solution{prob: s.prob, tim: s.tim, d: s.d}
-	devs := []*mos.Device{&next.d.In, &next.d.Tail, &next.d.Src, &next.d.CasP, &next.d.CasN, &next.d.Mir}
+// Perturb implements anneal.MutableSolution: scale one width or the
+// bias current, or (layout-aware) step one fold count, and evaluate
+// the new design.
+func (s *solution) Perturb(rng *rand.Rand) anneal.Undo {
+	s.prev = s.state
+	devs := []*mos.Device{&s.d.In, &s.d.Tail, &s.d.Src, &s.d.CasP, &s.d.CasN, &s.d.Mir}
 	nMoves := 7
 	if s.prob.Mode == LayoutAware {
 		nMoves = 13 // six fold moves in addition
@@ -177,7 +195,7 @@ func (s *solution) Neighbor(rng *rand.Rand) anneal.Solution {
 		d.Folds = clampFolds(d.W, d.Folds)
 	case k == 6: // scale the tail current
 		factor := 0.75 + rng.Float64()*0.6
-		next.d.ITail = clamp(next.d.ITail*factor, 10e-6, 5e-3)
+		s.d.ITail = clamp(s.d.ITail*factor, 10e-6, 5e-3)
 	default: // step a fold count (layout-aware only)
 		d := devs[k-7]
 		step := 1
@@ -186,9 +204,15 @@ func (s *solution) Neighbor(rng *rand.Rand) anneal.Solution {
 		}
 		d.Folds = clampFolds(d.W, d.Folds+step)
 	}
-	next.evaluate()
-	return next
+	s.evaluate()
+	return s.undo
 }
+
+// Snapshot implements anneal.MutableSolution.
+func (s *solution) Snapshot() any { return s.state }
+
+// Restore implements anneal.MutableSolution.
+func (s *solution) Restore(snap any) { s.state = snap.(state) }
 
 func clamp(v, lo, hi float64) float64 {
 	return math.Min(math.Max(v, lo), hi)
@@ -217,10 +241,7 @@ func Run(p Problem, opt anneal.Options) (*Result, error) {
 	}
 	start := time.Now()
 	tim := &timers{}
-	init := &solution{prob: &p, tim: tim, d: p.Base}
-	init.evaluate()
-	best, stats := anneal.Anneal(init, opt)
-	sol := best.(*solution)
+	sol, stats := anneal.Anneal(newSolution(&p, tim), opt)
 	elapsed := time.Since(start)
 
 	res := &Result{Design: sol.d, Elapsed: elapsed, Stats: stats}
