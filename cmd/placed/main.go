@@ -29,7 +29,8 @@
 //	                            With "Accept: text/event-stream": a live
 //	                            SSE feed — flight-recorder events straight
 //	                            from the solve's ring, progress snapshots,
-//	                            and a final "done" event.
+//	                            and a final "done" event (a finished job
+//	                            replays its recording).
 //	GET    /v1/jobs/{id}/trace  the solve's flight recording: per-stage
 //	                            annealing telemetry, replica exchanges,
 //	                            checkpoint and failpoint events (409 until
@@ -71,7 +72,8 @@
 // sharing the directory share solves — one daemon's result is the
 // next one's cache hit, and job records survive restarts. -instance
 // prefixes job ids so instances never collide (defaults to host-pid
-// when -store-dir is set). -tenant-rate/-tenant-burst arm per-tenant
+// when -store-dir is set) and must be a valid store key (exit status
+// 2 otherwise). -tenant-rate/-tenant-burst arm per-tenant
 // token-bucket admission: the X-API-Key header names the tenant,
 // over-quota submissions get 429 + Retry-After, and queued work is
 // dequeued weighted-fair across tenants. See internal/store and
@@ -146,6 +148,16 @@ func main() {
 		obs.Enable()
 	}
 
+	// Job records are stored under "<instance>-job-N" ids.
+	inst := *instance
+	if inst == "" && *storeDir != "" {
+		inst = defaultInstance()
+	}
+	if err := service.ValidInstance(inst); err != nil {
+		fmt.Fprintf(os.Stderr, "placed: -instance %q: %v\n", inst, err)
+		os.Exit(2)
+	}
+
 	cacheSize := *cache
 	if cacheSize <= 0 {
 		cacheSize = -1 // flag 0 means off; Config 0 would mean the default
@@ -155,7 +167,7 @@ func main() {
 		QueueDepth:  *queue,
 		CacheSize:   cacheSize,
 		TraceEvents: *traceEvents,
-		Instance:    *instance,
+		Instance:    inst,
 		TenantRate:  *tenantRate,
 		TenantBurst: *tenantBurst,
 	}
@@ -174,15 +186,6 @@ func main() {
 			cfg.Results = store.NewResultCache(rs, 0)
 		}
 		cfg.Jobs = store.NewJobStore(js, 0)
-		if cfg.Instance == "" {
-			// Shared stores need distinct job ids per instance; host-pid
-			// is unique enough without coordination.
-			host, _ := os.Hostname()
-			if host == "" {
-				host = "placed"
-			}
-			cfg.Instance = fmt.Sprintf("%s-%d", host, os.Getpid())
-		}
 		logger.Info("file-backed stores", "dir", *storeDir, "instance", cfg.Instance)
 	}
 	sched := service.New(cfg)
@@ -230,6 +233,16 @@ func main() {
 			os.Exit(1)
 		}
 	}
+}
+
+// defaultInstance names an instance on a shared -store-dir: host-pid
+// is unique enough without coordination.
+func defaultInstance() string {
+	host, _ := os.Hostname()
+	if host == "" {
+		host = "placed"
+	}
+	return fmt.Sprintf("%s-%d", host, os.Getpid())
 }
 
 // statusWriter captures the response status for the access log.

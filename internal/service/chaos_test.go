@@ -11,6 +11,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -19,6 +20,7 @@ import (
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/store"
 	"repro/internal/wire"
 )
 
@@ -145,8 +147,8 @@ func TestChaosStorm(t *testing.T) {
 	}
 
 	// No lost jobs: every accepted submission reaches a terminal state.
-	// (Retention may forget old terminal jobs; a forgotten job *was*
-	// terminal — only live jobs are never evicted.)
+	// A job missing from the live table is terminal: it left for the
+	// job store when it finished.
 	jobDeadline := time.Now().Add(2 * time.Minute)
 	for _, id := range ids {
 		for {
@@ -236,6 +238,7 @@ func TestChaosTemperingStorm(t *testing.T) {
 		}
 	}
 
+	// A job missing from the live table is terminal (see TestChaosStorm).
 	jobDeadline := time.Now().Add(2 * time.Minute)
 	for _, id := range ids {
 		for {
@@ -398,7 +401,7 @@ func TestChaosFleetStorm(t *testing.T) {
 		}
 		defer resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
-			return nil // job already evicted from memory; nothing to stream
+			return fmt.Errorf("stream of job %s: status %d", id, resp.StatusCode)
 		}
 		sc := bufio.NewScanner(resp.Body)
 		events := 0
@@ -457,7 +460,8 @@ func TestChaosFleetStorm(t *testing.T) {
 	}
 
 	// Every admitted job reaches a terminal state despite crashes,
-	// stalls, injected errors and torn-down streams.
+	// stalls, injected errors and torn-down streams. A job missing from
+	// the live table is terminal (see TestChaosStorm).
 	jobDeadline := time.Now().Add(2 * time.Minute)
 	for _, id := range ids {
 		for {
@@ -506,4 +510,301 @@ func anyRejected(v BatchView) bool {
 		}
 	}
 	return false
+}
+
+// slowJobStore delays every record write by a millisecond.
+type slowJobStore struct{ store.JobStore }
+
+func (j slowJobStore) Put(rec *store.JobRecord) error {
+	time.Sleep(time.Millisecond)
+	return j.JobStore.Put(rec)
+}
+
+// lifecycleModel is TestChaosJobLifecycle's reference model of the job
+// lifecycle, fed with every job view a client reads. Clients run
+// concurrently, so an answer is only ordered after another when its
+// request was sent after the other answer was received.
+type lifecycleModel struct {
+	mu       sync.Mutex
+	hash     map[string]string    // id → content hash of the problem that minted it
+	running  map[string]time.Time // id → when a running view was first received
+	terminal map[string][]byte    // id → first terminal view body
+	// terminalAt is when terminal[id] was received.
+	terminalAt map[string]time.Time
+	// requeues counts running → queued steps, the one step back a job
+	// may take: a worker crash requeues it for retry.
+	requeues int64
+}
+
+// observe checks one job view body, answering a request sent at sent,
+// against the model: an id belongs to one problem, state never goes
+// back from terminal, and every terminal view of an id is the same
+// bytes — one terminal state, one result, whichever submitter,
+// endpoint or job-store read produced it.
+func (m *lifecycleModel) observe(body []byte, wantHash string, sent time.Time) error {
+	var v JobView
+	if err := json.Unmarshal(body, &v); err != nil {
+		return fmt.Errorf("bad job view: %v\n%s", err, body)
+	}
+	received := time.Now()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if h, ok := m.hash[v.ID]; ok && h != v.Hash {
+		return fmt.Errorf("job %s changed hash %s → %s", v.ID, h, v.Hash)
+	}
+	if wantHash != "" && wantHash != v.Hash {
+		return fmt.Errorf("submit of problem %s answered job %s of problem %s", wantHash, v.ID, v.Hash)
+	}
+	m.hash[v.ID] = v.Hash
+	if at, ok := m.terminalAt[v.ID]; ok && !v.State.Terminal() && sent.After(at) {
+		return fmt.Errorf("job %s went from terminal back to %s", v.ID, v.State)
+	}
+	switch v.State {
+	case StateQueued:
+		if at, ok := m.running[v.ID]; ok && sent.After(at) {
+			m.requeues++
+			delete(m.running, v.ID) // count each requeue once
+		}
+	case StateRunning:
+		if _, ok := m.running[v.ID]; !ok {
+			m.running[v.ID] = received
+		}
+	default:
+		if first, ok := m.terminal[v.ID]; !ok {
+			m.terminal[v.ID], m.terminalAt[v.ID] = body, received
+		} else if !bytes.Equal(first, body) {
+			return fmt.Errorf("job %s answered two terminal views:\n%s\n%s", v.ID, first, body)
+		}
+	}
+	return nil
+}
+
+// isTerminal reports whether a terminal view of id was received.
+func (m *lifecycleModel) isTerminal(id string) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	_, ok := m.terminal[id]
+	return ok
+}
+
+// ids lists the ids seen so far.
+func (m *lifecycleModel) ids() []string {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	out := make([]string, 0, len(m.hash))
+	for id := range m.hash {
+		out = append(out, id)
+	}
+	return out
+}
+
+// TestChaosJobLifecycle drives the job lifecycle over the HTTP API
+// with a seeded random mix of operations from concurrent clients —
+// submits of a few repeated problems (so coalescing and cache hits
+// happen), ?wait=1 submits, cancels, GETs, trace GETs and DELETEs —
+// with worker panics armed at a low rate, and checks every answer
+// against lifecycleModel. Beyond the model's checks: a client woken by
+// ?wait=1 that GETs the id at once gets it; a trace GET answers 409
+// only while the job is live; every id reaches exactly one terminal
+// state (the terminal counters match the distinct ids); a GET sees
+// running → queued no more often than workers crashed; and after the
+// drain the gauges are zero, the live table is empty and every id —
+// fewer than RetainJobs — answers 200 from the job store with its
+// terminal bytes.
+func TestChaosJobLifecycle(t *testing.T) {
+	defer fault.Reset()
+	fault.SetSeed(20261017)
+	fault.Enable("scheduler/worker-panic", 0.15)
+
+	// A slow record write widens the window between a job's done signal
+	// and its move to the job store, where a lookup could fall through.
+	jobs := slowJobStore{store.NewJobStore(store.NewMemory(1024), 0)}
+	s := New(Config{Workers: 2, QueueDepth: 256, RetainJobs: 1024, Jobs: jobs})
+	srv := httptest.NewServer(NewHandler(s))
+	defer srv.Close()
+	client := srv.Client()
+
+	const nProblems = 12
+	bodies := make([][]byte, nProblems)
+	hashes := make([]string, nProblems)
+	for k := range bodies {
+		req := millerRequest(t, wire.MethodSeqPair)
+		req.Options.Seed = int64(k + 1)
+		req.Options.MovesPerStage = 150
+		bodies[k] = mustJSON(t, req)
+		h, err := req.Hash()
+		if err != nil {
+			t.Fatal(err)
+		}
+		hashes[k] = h
+	}
+	model := &lifecycleModel{hash: map[string]string{}, running: map[string]time.Time{},
+		terminal: map[string][]byte{}, terminalAt: map[string]time.Time{}}
+
+	// do sends one request and reads the answer; sent is when it left.
+	do := func(method, path string, body []byte) (code int, out []byte, sent time.Time, err error) {
+		req, err := http.NewRequest(method, srv.URL+path, bytes.NewReader(body))
+		if err != nil {
+			return 0, nil, sent, err
+		}
+		sent = time.Now()
+		resp, err := client.Do(req)
+		if err != nil {
+			return 0, nil, sent, err
+		}
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		_, err = buf.ReadFrom(resp.Body)
+		return resp.StatusCode, buf.Bytes(), sent, err
+	}
+	// step runs one random operation; ids are the ids this client knows.
+	step := func(rng *rand.Rand, ids *[]string) error {
+		pick := func() string { return (*ids)[rng.Intn(len(*ids))] }
+		op := rng.Intn(100)
+		if len(*ids) == 0 {
+			op = 0
+		}
+		switch {
+		case op < 35, op < 50: // submit, ?wait=1 for the second band
+			k := rng.Intn(nProblems)
+			path := "/v1/place"
+			if op >= 35 {
+				path += "?wait=1"
+			}
+			code, body, sent, err := do(http.MethodPost, path, bodies[k])
+			if err != nil || (code != http.StatusOK && code != http.StatusAccepted) {
+				return fmt.Errorf("POST %s: %d %v %s", path, code, err, body)
+			}
+			if err := model.observe(body, hashes[k], sent); err != nil {
+				return err
+			}
+			var v JobView
+			json.Unmarshal(body, &v)
+			*ids = append(*ids, v.ID)
+			if op >= 35 {
+				if !v.State.Terminal() {
+					return fmt.Errorf("?wait=1 answered %s", v.State)
+				}
+				code, body, sent, err := do(http.MethodGet, "/v1/jobs/"+v.ID, nil)
+				if err != nil || code != http.StatusOK {
+					return fmt.Errorf("GET right after ?wait=1 of %s: %d %v %s", v.ID, code, err, body)
+				}
+				return model.observe(body, "", sent)
+			}
+		case op < 65: // GET
+			id := pick()
+			code, body, sent, err := do(http.MethodGet, "/v1/jobs/"+id, nil)
+			if err != nil || code != http.StatusOK {
+				return fmt.Errorf("GET %s: %d %v %s", id, code, err, body)
+			}
+			return model.observe(body, "", sent)
+		case op < 75: // trace GET
+			id := pick()
+			wasTerminal := model.isTerminal(id)
+			code, body, _, err := do(http.MethodGet, "/v1/jobs/"+id+"/trace", nil)
+			switch {
+			case err != nil:
+				return err
+			case code == http.StatusConflict && wasTerminal:
+				return fmt.Errorf("trace of terminal job %s answered 409", id)
+			case code != http.StatusOK && code != http.StatusNotFound && code != http.StatusConflict:
+				return fmt.Errorf("trace of %s: %d %s", id, code, body)
+			}
+		case op < 85: // cancel through the scheduler API
+			s.Cancel(pick())
+		default: // DELETE
+			id := pick()
+			code, body, sent, err := do(http.MethodDelete, "/v1/jobs/"+id, nil)
+			if err != nil || code != http.StatusOK {
+				return fmt.Errorf("DELETE %s: %d %v %s", id, code, err, body)
+			}
+			return model.observe(body, "", sent)
+		}
+		return nil
+	}
+
+	const clients, steps = 3, 80
+	var wg sync.WaitGroup
+	errc := make(chan error, clients)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			var ids []string
+			for i := 0; i < steps; i++ {
+				if err := step(rng, &ids); err != nil {
+					errc <- err
+					return
+				}
+			}
+		}(int64(1000 + c))
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Fatal(err)
+	}
+
+	// Every id reaches a terminal state.
+	ids := model.ids()
+	deadline := time.Now().Add(time.Minute)
+	for _, id := range ids {
+		for {
+			code, body, sent, err := do(http.MethodGet, "/v1/jobs/"+id, nil)
+			if err != nil || code != http.StatusOK {
+				t.Fatalf("GET %s: %d %v %s", id, code, err, body)
+			}
+			if err := model.observe(body, "", sent); err != nil {
+				t.Fatal(err)
+			}
+			if model.isTerminal(id) {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("job %s never finished", id)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
+	s.Close()
+
+	s.mu.Lock()
+	live := len(s.jobs)
+	s.mu.Unlock()
+	if live != 0 {
+		t.Fatalf("%d jobs left in the live table after the drain", live)
+	}
+	if len(ids) >= s.cfg.RetainJobs {
+		t.Fatalf("%d ids outgrow the job store's %d records", len(ids), s.cfg.RetainJobs)
+	}
+	var hits, solved int64
+	for _, id := range ids {
+		code, body, _, err := do(http.MethodGet, "/v1/jobs/"+id, nil)
+		if err != nil || code != http.StatusOK || !bytes.Equal(body, model.terminal[id]) {
+			t.Fatalf("job %s from the store after the drain: %d %v\n%s\nwant\n%s", id, code, err, body, model.terminal[id])
+		}
+		var v JobView
+		json.Unmarshal(body, &v)
+		if v.CacheHit {
+			hits++
+		} else {
+			solved++
+		}
+	}
+	m := s.Metrics()
+	if m.JobsQueued != 0 || m.JobsRunning != 0 || m.QueueDepth != 0 {
+		t.Fatalf("gauges nonzero after drain: %+v", m)
+	}
+	if hits != m.CacheHits || solved != m.JobsDone+m.JobsFailed+m.JobsCancelled {
+		t.Fatalf("%d hit ids and %d solver ids, but counters: %+v", hits, solved, m)
+	}
+	if model.requeues > m.WorkerCrashes {
+		t.Fatalf("%d running → queued steps, only %d worker crashes to explain them", model.requeues, m.WorkerCrashes)
+	}
+	if m.CacheHits == 0 || m.Coalesced == 0 {
+		t.Fatalf("the mix never hit the cache or coalesced: %+v", m)
+	}
+	t.Logf("lifecycle: %d ids, hits=%d coalesced=%d done=%d failed=%d cancelled=%d crashes=%d requeues seen=%d",
+		len(ids), m.CacheHits, m.Coalesced, m.JobsDone, m.JobsFailed, m.JobsCancelled, m.WorkerCrashes, model.requeues)
 }

@@ -480,34 +480,64 @@ func TestFairQueueOrder(t *testing.T) {
 	}
 }
 
-// TestJobStoreOutlivesRetention: with a tiny in-memory retention but a
-// roomy job store, an evicted job stays queryable over HTTP through
-// the record fallback.
-func TestJobStoreOutlivesRetention(t *testing.T) {
-	js := store.NewJobStore(store.NewMemory(64), 0)
-	h := newHarness(t, Config{Workers: 1, RetainJobs: 1, Jobs: js})
+// TestTerminalJobAnsweredFromStore: a finished job leaves the live
+// table for the job store, and every job endpoint answers it from
+// there — GET with the very bytes the ?wait=1 POST returned, the
+// trace, DELETE as a no-op, and an event stream that replays the
+// recording, the final progress and the done view.
+func TestTerminalJobAnsweredFromStore(t *testing.T) {
+	h := newHarness(t, Config{Workers: 1})
+	code, posted := h.do(http.MethodPost, "/v1/place?wait=1", seedRequest(t, 1))
+	if code != http.StatusOK {
+		t.Fatalf("submit: %d %s", code, posted)
+	}
+	v := h.job(posted)
+	if v.State != StateDone || v.Result == nil || v.Progress == nil {
+		t.Fatalf("waited view incomplete: %+v", v)
+	}
+	waitRecorded(t, h.s, v.ID)
 
-	code, body := h.do(http.MethodPost, "/v1/place?wait=1", seedRequest(t, 1))
-	if code != http.StatusOK {
-		t.Fatalf("first submit: %d %s", code, body)
+	code, body := h.do(http.MethodGet, "/v1/jobs/"+v.ID, nil)
+	if code != http.StatusOK || !bytes.Equal(body, posted) {
+		t.Fatalf("stored view differs from the just-solved one: %d\n%s\n%s", code, body, posted)
 	}
-	first := h.job(body)
-	code, body = h.do(http.MethodPost, "/v1/place?wait=1", seedRequest(t, 2))
-	if code != http.StatusOK {
-		t.Fatalf("second submit: %d %s", code, body)
+	code, body = h.do(http.MethodDelete, "/v1/jobs/"+v.ID, nil)
+	if code != http.StatusOK || !bytes.Equal(body, posted) {
+		t.Fatalf("DELETE of a stored job: %d\n%s", code, body)
+	}
+	code, body = h.do(http.MethodGet, "/v1/jobs/"+v.ID+"/trace", nil)
+	var tr wire.Trace
+	if code != http.StatusOK || json.Unmarshal(body, &tr) != nil || tr.Validate() != nil {
+		t.Fatalf("stored trace: %d %s", code, body)
 	}
 
-	// RetainJobs 1: the first job is out of the in-memory table.
-	if _, ok := h.s.Job(first.ID); ok {
-		t.Fatal("first job still in memory; retention did not evict")
+	req, err := http.NewRequest(http.MethodGet, h.srv.URL+"/v1/jobs/"+v.ID, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	code, body = h.do(http.MethodGet, "/v1/jobs/"+first.ID, nil)
-	if code != http.StatusOK {
-		t.Fatalf("evicted job lookup: %d %s", code, body)
+	req.Header.Set("Accept", "text/event-stream")
+	resp, err := h.httpc.Do(req)
+	if err != nil {
+		t.Fatal(err)
 	}
-	v := h.job(body)
-	if v.ID != first.ID || v.State != StateDone || v.Result == nil {
-		t.Fatalf("record-backed view wrong: %+v", v)
+	defer resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusOK || ct != "text/event-stream" {
+		t.Fatalf("stored job stream: %d %q", resp.StatusCode, ct)
+	}
+	events := readSSE(t, bufio.NewScanner(resp.Body))
+	if len(events) != len(tr.Events)+2 {
+		t.Fatalf("stream carried %d events, want %d recorded + progress + done", len(events), len(tr.Events))
+	}
+	for i, e := range tr.Events {
+		if events[i].name != e.Kind || events[i].data != string(mustJSON(t, e)) {
+			t.Fatalf("stream event %d = %+v, want recorded %+v", i, events[i], e)
+		}
+	}
+	if p := events[len(tr.Events)]; p.name != "progress" || p.data != string(mustJSON(t, v.Progress)) {
+		t.Fatalf("stream progress event %+v, want %+v", p, *v.Progress)
+	}
+	if d := events[len(events)-1]; d.name != "done" || d.data != string(bytes.TrimSpace(posted)) {
+		t.Fatalf("stream done event %+v", d)
 	}
 }
 

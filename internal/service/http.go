@@ -32,35 +32,33 @@ type JobView struct {
 	Error    string       `json:"error,omitempty"`
 }
 
-// View renders the job for the HTTP API as one atomic snapshot —
-// state, result and error are read under a single lock acquisition,
-// so a client can never observe a running state with a result.
+// View renders the job for the HTTP API as one atomic snapshot, so a
+// client can never observe a running state with a result. A terminal
+// job renders from its record.
 func (j *Job) View() JobView {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	v := JobView{ID: j.ID, Hash: j.Hash, State: j.state, CacheHit: j.cacheHit, Degraded: j.degraded}
+	if j.rec != nil {
+		return recordView(j.rec)
+	}
+	v := JobView{ID: j.ID, Hash: j.Hash, State: j.state, Degraded: j.degraded}
 	if p, ok := j.progressLocked(); ok {
 		v.Progress = &p
-	}
-	if j.result != nil {
-		v.Result = j.result
-	}
-	if j.errMsg != "" {
-		v.Error = j.errMsg
 	}
 	return v
 }
 
-// viewFromRecord renders a stored job record in the same JSON shape,
-// so a job answered from the job store (evicted from memory, or solved
-// by another instance sharing a durable store) is indistinguishable
-// from a live terminal job minus the live-only progress.
-func viewFromRecord(rec *store.JobRecord) JobView {
+// recordView renders a terminal job from its record. It is the one
+// terminal rendering, so a job that just finished, one read back from
+// the job store and one solved by another instance sharing a durable
+// store answer the same bytes.
+func recordView(rec *store.JobRecord) JobView {
 	return JobView{
 		ID:       rec.ID,
 		State:    State(rec.State),
 		Hash:     rec.Hash,
 		CacheHit: rec.CacheHit,
+		Progress: rec.Progress,
 		Degraded: rec.Degraded,
 		Result:   rec.Result,
 		Error:    rec.Error,
@@ -96,7 +94,8 @@ type BatchItemView struct {
 //	GET    /v1/algorithms       the placer registry: valid algorithm strings
 //	GET    /v1/jobs/{id}        job status, live progress, result; with
 //	                            Accept: text/event-stream, a live SSE feed
-//	                            of flight-recorder and progress events
+//	                            of flight-recorder and progress events (a
+//	                            finished job's feed replays its recording)
 //	GET    /v1/jobs/{id}/trace  the solve's flight recording (wire.Trace);
 //	                            409 until the job is terminal
 //	DELETE /v1/jobs/{id}        cancel (returns promptly; best-so-far kept)
@@ -104,9 +103,12 @@ type BatchItemView struct {
 //	GET    /metrics             Prometheus text metrics
 //
 // Tenancy: the X-API-Key header names the tenant for quota admission
-// and fair queueing; absent means the shared "anonymous" tenant. Jobs
-// evicted from memory (or solved by another instance sharing a durable
-// job store) are answered from the job store.
+// and fair queueing; absent means the shared "anonymous" tenant.
+//
+// Job lookups: a queued or running job answers from the scheduler's
+// live table, a finished one from the job store — its own record, or
+// another instance's on a shared durable store. The job endpoints
+// answer 503 when the job store fails, not a misleading 404.
 func NewHandler(s *Scheduler) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/place", func(w http.ResponseWriter, r *http.Request) {
@@ -187,7 +189,7 @@ func NewHandler(s *Scheduler) http.Handler {
 			return
 		}
 		view := BatchView{Jobs: make([]BatchItemView, len(batch.Items))}
-		jobs := make([]*Job, 0, len(batch.Items))
+		jobs := make([]*Job, len(batch.Items)) // nil where the item was rejected
 		rejected := 0
 		var maxRetry int64
 		for i := range batch.Items {
@@ -208,12 +210,13 @@ func NewHandler(s *Scheduler) http.Handler {
 				}
 				continue
 			}
-			jobs = append(jobs, job)
-			view.Jobs[i].Job = &JobView{} // placeholder; snapshot below
+			jobs[i] = job
 		}
-		wait := r.URL.Query().Get("wait")
-		if wait == "1" || wait == "true" {
+		if wait := r.URL.Query().Get("wait"); wait == "1" || wait == "true" {
 			for _, job := range jobs {
+				if job == nil {
+					continue
+				}
 				select {
 				case <-job.Done():
 				case <-r.Context().Done():
@@ -224,14 +227,12 @@ func NewHandler(s *Scheduler) http.Handler {
 		}
 		// Snapshot every job after the optional wait, so a waited batch
 		// reports terminal views throughout.
-		ji := 0
 		status := http.StatusOK
-		for i := range view.Jobs {
-			if view.Jobs[i].Job == nil {
+		for i, job := range jobs {
+			if job == nil {
 				continue
 			}
-			v := jobs[ji].View()
-			ji++
+			v := job.View()
 			view.Jobs[i].Job = &v
 			if !v.State.Terminal() {
 				status = http.StatusAccepted
@@ -247,71 +248,50 @@ func NewHandler(s *Scheduler) http.Handler {
 	})
 
 	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		id := r.PathValue("id")
-		job, ok := s.Job(id)
-		if !ok {
-			// Fall back to the job store: retired past retention, or
-			// solved by another instance sharing a durable store.
-			if rec, ok := s.Record(id); ok {
-				writeJSON(w, http.StatusOK, viewFromRecord(rec))
-				return
-			}
-			httpError(w, http.StatusNotFound, "no such job")
-			return
-		}
-		if wantsEventStream(r) {
+		job, rec, ok := findJob(w, s, r.PathValue("id"))
+		switch {
+		case !ok: // findJob answered
+		case job != nil && wantsEventStream(r):
 			serveJobStream(w, r, job)
-			return
+		case job != nil:
+			writeJSON(w, http.StatusOK, job.View())
+		case wantsEventStream(r):
+			serveRecordStream(w, rec)
+		default:
+			writeJSON(w, http.StatusOK, recordView(rec))
 		}
-		writeJSON(w, http.StatusOK, job.View())
 	})
 
 	mux.HandleFunc("GET /v1/jobs/{id}/trace", func(w http.ResponseWriter, r *http.Request) {
 		id := r.PathValue("id")
-		job, ok := s.Job(id)
+		job, rec, ok := findJob(w, s, id)
 		if !ok {
-			if rec, ok := s.Record(id); ok {
-				if tr := TraceFromRecord(rec); tr != nil {
-					writeJSON(w, http.StatusOK, tr)
-					return
-				}
-				httpError(w, http.StatusNotFound, "no trace recorded for job %s", id)
-				return
-			}
-			httpError(w, http.StatusNotFound, "no such job")
 			return
 		}
-		tr, ready := job.Trace()
-		switch {
-		case !ready:
-			httpError(w, http.StatusConflict, "job %s not terminal; its trace is served once it finishes", job.ID)
-		case tr == nil:
-			httpError(w, http.StatusNotFound, "no trace recorded for job %s", job.ID)
-		default:
-			writeJSON(w, http.StatusOK, tr)
+		if job != nil {
+			if rec = job.record(); rec == nil {
+				httpError(w, http.StatusConflict, "job %s not terminal; its trace is served once it finishes", id)
+				return
+			}
 		}
+		if tr := recordTrace(rec); tr != nil {
+			writeJSON(w, http.StatusOK, tr)
+			return
+		}
+		httpError(w, http.StatusNotFound, "no trace recorded for job %s", id)
 	})
 
 	mux.HandleFunc("DELETE /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		id := r.PathValue("id")
-		if !s.Cancel(id) {
-			// Not in memory; a stored record means the job is already
-			// terminal, which is what a cancel wants anyway.
-			if rec, ok := s.Record(id); ok {
-				writeJSON(w, http.StatusOK, viewFromRecord(rec))
-				return
-			}
-			httpError(w, http.StatusNotFound, "no such job")
-			return
+		job, rec, ok := findJob(w, s, r.PathValue("id"))
+		switch {
+		case !ok: // findJob answered
+		case job != nil:
+			s.cancel(job)
+			writeJSON(w, http.StatusOK, job.View())
+		default:
+			// Already terminal, which is what a cancel wants anyway.
+			writeJSON(w, http.StatusOK, recordView(rec))
 		}
-		job, ok := s.Job(id)
-		if !ok {
-			// Retention evicted the just-cancelled job between the two
-			// calls; it is gone, which is what a cancel wants anyway.
-			httpError(w, http.StatusNotFound, "no such job")
-			return
-		}
-		writeJSON(w, http.StatusOK, job.View())
 	})
 
 	mux.HandleFunc("GET /v1/algorithms", func(w http.ResponseWriter, r *http.Request) {
@@ -331,6 +311,26 @@ func NewHandler(s *Scheduler) http.Handler {
 	return mux
 }
 
+// findJob resolves a job id for the /v1/jobs endpoints: the live job
+// while it is queued or running, else its terminal record from the job
+// store. When neither is there it answers 404, or 503 if the store
+// failed, and reports false.
+func findJob(w http.ResponseWriter, s *Scheduler, id string) (*Job, *store.JobRecord, bool) {
+	if job, ok := s.Job(id); ok {
+		return job, nil, true
+	}
+	rec, ok, err := s.Record(id)
+	switch {
+	case err != nil:
+		httpError(w, http.StatusServiceUnavailable, "job store: %v", err)
+	case !ok:
+		httpError(w, http.StatusNotFound, "no such job")
+	default:
+		return nil, rec, true
+	}
+	return nil, nil, false
+}
+
 // statusClientClosedRequest is nginx's non-standard 499, the
 // conventional "client went away while we were working" status.
 const statusClientClosedRequest = 499
@@ -343,14 +343,10 @@ const statusClientClosedRequest = 499
 func submitError(w http.ResponseWriter, s *Scheduler, err error) {
 	var qe *QuotaError
 	switch {
-	case errors.Is(err, ErrQueueFull):
-		// Load shedding: 429 plus a Retry-After computed from the
-		// backlog and the smoothed solve latency. The content hash
-		// makes the client's later resubmission idempotent.
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", int64(math.Ceil(s.RetryAfter().Seconds()))))
-		httpError(w, http.StatusTooManyRequests, "%v", err)
-	case errors.As(err, &qe):
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", int64(math.Ceil(qe.RetryAfter.Seconds()))))
+	case errors.Is(err, ErrQueueFull), errors.As(err, &qe):
+		// The content hash makes the client's later resubmission
+		// idempotent.
+		w.Header().Set("Retry-After", fmt.Sprintf("%d", retrySeconds(s, err)))
 		httpError(w, http.StatusTooManyRequests, "%v", err)
 	case errors.Is(err, ErrClosed):
 		httpError(w, http.StatusServiceUnavailable, "%v", err)

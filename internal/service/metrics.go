@@ -33,11 +33,12 @@ const (
 	storeOpResultGet storeOp = iota
 	storeOpResultPut
 	storeOpJobPut
+	storeOpJobGet
 	numStoreOps
 )
 
 // storeOpNames are the op label values, indexed by storeOp.
-var storeOpNames = [numStoreOps]string{"result_get", "result_put", "job_put"}
+var storeOpNames = [numStoreOps]string{"result_get", "result_put", "job_put", "job_get"}
 
 // metrics are the scheduler's counters; the scheduler mutates them
 // under its own mutex.
@@ -219,9 +220,7 @@ func (s *Scheduler) WriteMetrics(w io.Writer) error {
 	if s.results != nil {
 		cacheStats, _ = s.results.Stats()
 	}
-	if s.jobstore != nil {
-		jobStats, _ = s.jobstore.Stats()
-	}
+	jobStats, _ = s.jobstore.Stats()
 	var ckptSaved, ckptResumed, ckptEntries int64
 	if s.checkpoints != nil {
 		ckptSaved, ckptResumed, ckptEntries = s.checkpoints.Counters()
@@ -279,7 +278,7 @@ func (s *Scheduler) WriteMetrics(w io.Writer) error {
 	p("# HELP placed_worker_restarts_total Worker slots restarted after crash backoff.\n")
 	p("# TYPE placed_worker_restarts_total counter\n")
 	p("placed_worker_restarts_total %d\n", m.workerRestarts)
-	p("# HELP placed_store_errors_total Result-cache and job-store backend errors, by operation; each degraded to a cache miss or an unsaved record.\n")
+	p("# HELP placed_store_errors_total Result-cache and job-store backend errors, by operation; each degraded to a cache miss, an unsaved record or a 503.\n")
 	p("# TYPE placed_store_errors_total counter\n")
 	for op, n := range m.storeErrors {
 		p("placed_store_errors_total{op=%q} %d\n", storeOpNames[op], n)

@@ -11,6 +11,7 @@ import (
 	"container/list"
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime/debug"
 	"sync"
@@ -41,19 +42,9 @@ func (s State) Terminal() bool {
 }
 
 // Progress is a live view of a running job, aggregated over the
-// job's annealing chains (and, in portfolio mode, over its racers).
-type Progress struct {
-	// BestCost is the lowest cost any chain has reported so far.
-	BestCost float64 `json:"best_cost"`
-	// Stage is the highest temperature stage any chain has finished.
-	Stage int `json:"stage"`
-	// Temp is the temperature after that stage.
-	Temp float64 `json:"temp"`
-	// Moves counts proposed moves across all chains and racers.
-	Moves int `json:"moves"`
-	// MovesPerSec is Moves over the job's running wall-clock.
-	MovesPerSec float64 `json:"moves_per_sec"`
-}
+// job's annealing chains (and, in portfolio mode, over its racers). A
+// terminal job's record keeps the final one.
+type Progress = store.Progress
 
 // Job is one placement request moving through the scheduler. All
 // fields are private behind accessors; jobs are safe for concurrent
@@ -72,11 +63,7 @@ type Job struct {
 	mu        sync.Mutex
 	state     State
 	req       *wire.Request
-	result    *wire.Result
-	errMsg    string
-	cacheHit  bool
 	started   time.Time
-	finished  time.Time
 	submitted time.Time
 	// per-source progress: one source per annealing chain, keyed
 	// "method#chain" — multi-start runs one per worker, portfolio mode
@@ -117,6 +104,10 @@ type Job struct {
 	// qelem is the job's slot in its fair-queue lane, guarded by the
 	// scheduler's mutex (not j.mu); nil once popped or removed.
 	qelem *list.Element
+
+	// rec is the job's terminal form, sealed by Scheduler.finish; nil
+	// while queued or running. The terminal accessors read it.
+	rec *store.JobRecord
 }
 
 type sourceProgress struct {
@@ -134,59 +125,66 @@ func (j *Job) State() State {
 	return j.state
 }
 
-// CacheHit reports whether the job was served from the result cache.
-func (j *Job) CacheHit() bool {
+// record returns the job's terminal record, nil while it is queued or
+// running.
+func (j *Job) record() *store.JobRecord {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.cacheHit
+	return j.rec
 }
+
+// CacheHit reports whether the job was served from the result cache.
+func (j *Job) CacheHit() bool { return j.View().CacheHit }
 
 // Result returns the job's result, nil until it reaches a terminal
 // state (cancelled jobs still carry the best-so-far result).
-func (j *Job) Result() *wire.Result {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.result
-}
+func (j *Job) Result() *wire.Result { return j.View().Result }
 
-// Trace returns the job's flight recording. The boolean is false
-// while the job is queued or running — recordings are served only for
-// terminal jobs, whose traces are complete. A terminal job may still
-// return (nil, true) when nothing was recorded (tracing disabled, a
-// cache hit whose stored result predates tracing, an external
-// engine). Worker crashes the job caused are prepended as failpoint
-// events, so the trace of a retried job explains the retry.
+// Trace returns the job's flight recording (see recordTrace). The
+// boolean is false while the job is queued or running — recordings
+// are served only for terminal jobs, whose traces are complete.
 func (j *Job) Trace() (*wire.Trace, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if !j.state.Terminal() {
+	rec := j.record()
+	if rec == nil {
 		return nil, false
 	}
+	return recordTrace(rec), true
+}
+
+// recordTrace is the served flight recording of a terminal job: the
+// result's recording, led by a failpoint event per worker crash the
+// job caused, so the trace of a retried job explains the retry. It is
+// nil when nothing was recorded (tracing disabled, a cache hit whose
+// stored result predates tracing, an external engine) and no worker
+// crashed.
+func recordTrace(rec *store.JobRecord) *wire.Trace {
 	var tr *wire.Trace
-	if j.result != nil {
-		tr = j.result.Trace
+	if rec.Result != nil {
+		tr = rec.Result.Trace
 	}
-	if len(j.faults) == 0 {
-		return tr, true
+	return withFailpoints(tr, rec.Faults)
+}
+
+// withFailpoints returns tr led by one failpoint event per point,
+// marked outside any chain (worker and stage -1); tr is not modified.
+func withFailpoints(tr *wire.Trace, points []string) *wire.Trace {
+	if len(points) == 0 {
+		return tr
 	}
 	merged := &wire.Trace{Version: wire.Version}
 	if tr != nil {
 		*merged = *tr
 	}
-	events := make([]wire.TraceEvent, 0, len(j.faults)+len(merged.Events))
-	for _, point := range j.faults {
+	events := make([]wire.TraceEvent, 0, len(points)+len(merged.Events))
+	for _, point := range points {
 		events = append(events, wire.TraceEvent{Kind: wire.TraceKindFailpoint, Worker: -1, Stage: -1, Point: point})
 	}
 	merged.Events = append(events, merged.Events...)
-	return merged, true
+	return merged
 }
 
 // Err returns the failure message of a failed job.
-func (j *Job) Err() string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.errMsg
-}
+func (j *Job) Err() string { return j.View().Error }
 
 // Degraded reports whether the job was solved under deadline
 // pressure with a shortened annealing schedule.
@@ -218,18 +216,18 @@ func (j *Job) Ring() *obs.Flight {
 	return j.ring
 }
 
-// Tenant reports the tenant the job was submitted under.
-func (j *Job) Tenant() string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.tenant
-}
-
-// Progress returns a live aggregate of the job's annealing progress.
-// The boolean is false until the first stage completes.
+// Progress returns a live aggregate of the job's annealing progress,
+// and a terminal job's final one. The boolean is false until the first
+// stage completes.
 func (j *Job) Progress() (Progress, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if j.rec != nil {
+		if j.rec.Progress == nil {
+			return Progress{}, false
+		}
+		return *j.rec.Progress, true
+	}
 	return j.progressLocked()
 }
 
@@ -252,11 +250,7 @@ func (j *Job) progressLocked() (Progress, bool) {
 	}
 	p.Moves = j.moves
 	if any && !j.started.IsZero() {
-		end := j.finished
-		if end.IsZero() {
-			end = time.Now()
-		}
-		if d := end.Sub(j.started).Seconds(); d > 0 {
+		if d := time.Since(j.started).Seconds(); d > 0 {
 			p.MovesPerSec = float64(p.Moves) / d
 		}
 	}
@@ -301,13 +295,12 @@ type Config struct {
 	// CacheSize bounds the content-addressed result cache (entries).
 	// 0 means the default of 128; negative disables caching.
 	CacheSize int
-	// RetainJobs bounds how many terminal (done/failed/cancelled) jobs
-	// stay queryable through GET /v1/jobs/{id}; beyond it the oldest
-	// terminal jobs are forgotten, so a long-running daemon's job
-	// table cannot grow without bound. Solver jobs and cache-hit
-	// answers are bounded separately (up to RetainJobs each), so a hot
-	// cached problem cannot flush real job history. Queued and running
-	// jobs are never evicted. Default 1024.
+	// RetainJobs sizes the default in-memory job store: how many
+	// terminal (done/failed/cancelled) job records stay queryable
+	// through GET /v1/jobs/{id}, the least recently used forgotten
+	// first. Solved jobs and cache-hit answers share the bound. Queued
+	// and running jobs live in the scheduler's own table and are never
+	// evicted. Unused when Jobs is set. Default 1024.
 	RetainJobs int
 	// MaxSolve is the server-side ceiling on one job's solve
 	// wall-clock: it caps the request's timeout_ms (and substitutes
@@ -349,10 +342,11 @@ type Config struct {
 	// next one's cache hit — see internal/store). CacheSize only sizes
 	// the default; an explicit backend brings its own bounds.
 	Results store.ResultCache
-	// Jobs overrides the terminal-job record store. Nil means an
-	// in-memory store of RetainJobs entries. Records persist a job's
-	// HTTP-visible state past the scheduler's in-memory retention, so
-	// GET /v1/jobs/{id} outlives restarts on a durable backend.
+	// Jobs overrides the job store, the only home of terminal jobs: a
+	// job leaves the scheduler's live table once its record is written
+	// here, and GET /v1/jobs/{id} answers finished jobs from it. Nil
+	// means an in-memory store of RetainJobs entries; a durable backend
+	// keeps records across restarts and shares them between instances.
 	Jobs store.JobStore
 	// ResultTTL/JobTTL expire store entries (0 = never). They only
 	// apply to the default in-memory stores and to backends the caller
@@ -362,7 +356,8 @@ type Config struct {
 	JobTTL    time.Duration
 	// Instance prefixes job ids ("<instance>-job-N") so two daemons
 	// sharing a file-backed job store never collide. Empty keeps the
-	// bare "job-N" (single-instance and test default).
+	// bare "job-N" (single-instance and test default). Job ids are
+	// job-store keys, so the instance must pass ValidInstance.
 	Instance string
 
 	// TenantRate enables per-tenant token-bucket admission quotas:
@@ -394,10 +389,8 @@ type Scheduler struct {
 	cfg Config
 
 	mu       sync.Mutex
-	jobs     map[string]*Job
+	jobs     map[string]*Job // live jobs: queued, running, or finishing
 	inflight map[string]*Job // hash → queued/running job, for coalescing
-	retired  *list.List      // terminal solved-job ids, oldest at the back
-	hits     *list.List      // terminal cache-hit job ids, separately bounded
 	nextID   int
 	closed   bool
 
@@ -461,8 +454,6 @@ func New(cfg Config) *Scheduler {
 		cfg:           cfg,
 		jobs:          make(map[string]*Job),
 		inflight:      make(map[string]*Job),
-		retired:       list.New(),
-		hits:          list.New(),
 		queue:         newFairQueue(cfg.TenantWeights),
 		workerCrashes: make([]int64, cfg.Workers),
 	}
@@ -521,43 +512,38 @@ func (s *Scheduler) SubmitCtx(ctx context.Context, req *wire.Request) (*Job, err
 	if err != nil {
 		return nil, err
 	}
-	tenant := TenantFrom(ctx)
-	j, persist, err := s.submitLocked(ctx, req, hash, tenant)
-	if persist != nil {
-		// A cache hit mints a terminal job; record it outside the lock
-		// (record writes marshal JSON and may touch disk).
-		s.persistJob(persist)
+	// The cache is read before the lock is taken: a lookup decodes a
+	// whole result and may read disk.
+	cached, hit := s.cacheGet(hash)
+	j, err := s.admit(ctx, req, hash, hit)
+	if err != nil || !hit {
+		return j, err
 	}
-	return j, err
+	// A cache hit is terminal from birth. It never enters the live
+	// table, and finish writes its record before the id is handed out.
+	s.finish(j, "", store.JobRecord{State: string(StateDone), CacheHit: true, Result: cached})
+	return j, nil
 }
 
-// submitLocked is the locked core of SubmitCtx; a non-nil persist is
-// a job that went terminal inside and needs its record written after
-// the lock is released.
-func (s *Scheduler) submitLocked(ctx context.Context, req *wire.Request, hash, tenant string) (j *Job, persist *Job, err error) {
+// admit is the locked core of SubmitCtx: on a cache hit it only mints
+// the job, on a miss it coalesces onto a live identical job or queues
+// a new one. It checks closed and inflight under the lock, after the
+// unlocked cache lookup; a miss that raced an identical job's cache
+// write and slot release starts one redundant, deterministic solve.
+func (s *Scheduler) admit(ctx context.Context, req *wire.Request, hash string, hit bool) (*Job, error) {
+	tenant := TenantFrom(ctx)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return nil, nil, ErrClosed
+		return nil, ErrClosed
 	}
-	if cached, ok := s.cacheGet(hash); ok {
+	if hit {
 		// Cache hits count only in the cache counters — jobs_total
-		// states tally actual solver outcomes — and retire through
-		// their own bound, so a hot cached problem stays queryable by
-		// id without flushing real jobs out of retention. They are
-		// also quota-free: the bucket protects solver capacity, and a
-		// hit costs none.
+		// states tally actual solver outcomes. They are also
+		// quota-free: the bucket protects solver capacity, and a hit
+		// costs none.
 		s.metrics.cacheHits++
-		j := s.newJobLocked(hash, req)
-		j.tenant = tenant
-		j.state = StateDone
-		j.result = cached
-		j.cacheHit = true
-		j.finished = time.Now()
-		j.req = nil // terminal jobs answer from result; drop the request body
-		close(j.done)
-		s.retireOnLocked(s.hits, j)
-		return j, j, nil
+		return s.newJobLocked(hash, tenant), nil
 	}
 	s.metrics.cacheMisses++
 	// Coalesce only onto a live job with the same deadline (the ikey
@@ -568,13 +554,13 @@ func (s *Scheduler) submitLocked(ctx context.Context, req *wire.Request, hash, t
 		switch {
 		case !running.State().Terminal():
 			s.metrics.coalesced++
-			return running, nil, nil
+			return running, nil
 		case running.State() == StateDone && running.Result() != nil:
-			// Finished in the window before run() scrubs the entry and
-			// caches the result; it is content-addressed, so hand it
-			// back instead of re-solving.
+			// Finished, but finish has not yet cached the result and
+			// released the slot; the result is content-addressed, so
+			// hand it back instead of re-solving.
 			s.metrics.coalesced++
-			return running, nil, nil
+			return running, nil
 		}
 		// Cancelled or failed while still in the window: fall through
 		// to a fresh solve — nobody wants to share a cancelled run.
@@ -584,7 +570,7 @@ func (s *Scheduler) submitLocked(ctx context.Context, req *wire.Request, hash, t
 	if s.quotas != nil {
 		if ok, retry := s.quotas.take(tenant); !ok {
 			s.metrics.tenantInc(&s.metrics.tenantThrottled, tenant)
-			return nil, nil, &QuotaError{Tenant: tenant, RetryAfter: retry}
+			return nil, &QuotaError{Tenant: tenant, RetryAfter: retry}
 		}
 	}
 	if s.queue.len() >= s.cfg.QueueDepth {
@@ -592,22 +578,23 @@ func (s *Scheduler) submitLocked(ctx context.Context, req *wire.Request, hash, t
 		// 429 with a Retry-After derived from RetryAfter) and
 		// resubmits later; the content hash makes the retry idempotent.
 		s.metrics.shed++
-		return nil, nil, ErrQueueFull
+		return nil, ErrQueueFull
 	}
-	j = s.newJobLocked(hash, req)
+	j := s.newJobLocked(hash, tenant)
+	j.req = req
 	j.ikey = ikey
 	j.span = obs.SpanID(ctx)
-	j.tenant = tenant
 	j.state = StateQueued // must precede enqueue: a worker may pop it immediately
+	s.jobs[j.ID] = j
 	s.queue.push(j)
 	s.inflight[ikey] = j
 	s.metrics.jobsQueued++
 	s.metrics.tenantInc(&s.metrics.tenantAdmitted, tenant)
 	s.qcond.Signal()
-	return j, nil, nil
+	return j, nil
 }
 
-func (s *Scheduler) newJobLocked(hash string, req *wire.Request) *Job {
+func (s *Scheduler) newJobLocked(hash, tenant string) *Job {
 	s.nextID++
 	id := fmt.Sprintf("job-%d", s.nextID)
 	if s.cfg.Instance != "" {
@@ -615,19 +602,25 @@ func (s *Scheduler) newJobLocked(hash string, req *wire.Request) *Job {
 		// from overwriting each other's records.
 		id = s.cfg.Instance + "-" + id
 	}
-	j := &Job{
+	return &Job{
 		ID:        id,
 		Hash:      hash,
-		req:       req,
+		tenant:    tenant,
 		submitted: time.Now(),
 		sources:   make(map[string]sourceProgress),
 		done:      make(chan struct{}),
 	}
-	s.jobs[j.ID] = j
-	return j
 }
 
-// Job returns the job with the given id.
+// ValidInstance reports whether name can prefix job ids (see
+// Config.Instance): every id "<name>-job-N" must be a valid job-store
+// key, or every record write of the instance would fail.
+func ValidInstance(name string) error {
+	return store.ValidKey(fmt.Sprintf("%s-job-%d", name, math.MaxInt))
+}
+
+// Job returns a live job: queued, running, or finishing its record
+// write. A finished job is answered by Record instead.
 func (s *Scheduler) Job(id string) (*Job, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -635,47 +628,33 @@ func (s *Scheduler) Job(id string) (*Job, bool) {
 	return j, ok
 }
 
-// Cancel requests cancellation of a job. Queued jobs transition to
-// cancelled immediately; running jobs stop at the next annealing
+// Cancel requests cancellation of a live job. Queued jobs transition
+// to cancelled immediately; running jobs stop at the next annealing
 // stage boundary and keep their best-so-far placement. Cancelling a
-// terminal job is a no-op. The boolean reports whether the job
-// exists.
+// terminal job is a no-op. The boolean reports whether the job is
+// live.
 func (s *Scheduler) Cancel(id string) bool {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	s.mu.Unlock()
-	if !ok {
-		return false
+	j, ok := s.Job(id)
+	if ok {
+		s.cancel(j)
 	}
-	j.mu.Lock()
-	switch j.state {
-	case StateQueued:
-		// The worker will observe the state and skip it if it has
-		// already popped the job.
-		j.state = StateCancelled
-		j.finished = time.Now()
-		j.req = nil
-		close(j.done)
+	return ok
+}
+
+// cancel is Cancel for a job the caller already holds. It loops only
+// when a worker crash requeues the job between the two checks.
+func (s *Scheduler) cancel(j *Job) {
+	for !s.finish(j, StateQueued, store.JobRecord{State: string(StateCancelled)}) {
+		j.mu.Lock()
+		state, stop := j.state, j.cancel
 		j.mu.Unlock()
-		s.mu.Lock()
-		s.queue.remove(j)            // free the queue slot right away
-		if s.inflight[j.ikey] == j { // a fresh submit may own the slot by now
-			delete(s.inflight, j.ikey)
+		if state != StateQueued {
+			if stop != nil { // the running solve's context; idempotent once it returned
+				stop()
+			}
+			return
 		}
-		s.metrics.jobsQueued--
-		s.metrics.jobsCancelled++
-		s.retireLocked(j)
-		s.mu.Unlock()
-		s.persistJob(j)
-	case StateRunning:
-		if j.cancel != nil {
-			j.cancel()
-		}
-		j.mu.Unlock()
-	default:
-		j.mu.Unlock()
 	}
-	return true
 }
 
 // Close stops accepting jobs, cancels running jobs, marks still-queued
@@ -689,25 +668,12 @@ func (s *Scheduler) Close() {
 	s.closed = true
 	var drained []*Job
 	for s.queue.len() > 0 {
-		j := s.queue.pop()
-		j.mu.Lock()
-		if j.state == StateQueued {
-			j.state = StateCancelled
-			j.finished = time.Now()
-			j.req = nil
-			close(j.done)
-			s.metrics.jobsQueued--
-			s.metrics.jobsCancelled++
-			s.retireLocked(j)
-			drained = append(drained, j)
-		}
-		j.mu.Unlock()
-		delete(s.inflight, j.ikey)
+		drained = append(drained, s.queue.pop())
 	}
 	s.qcond.Broadcast()
 	s.mu.Unlock()
 	for _, j := range drained {
-		s.persistJob(j)
+		s.finish(j, StateQueued, store.JobRecord{State: string(StateCancelled)})
 	}
 	s.baseCancel()
 	s.wg.Wait()
@@ -775,11 +741,6 @@ func (s *Scheduler) workerLoop() (crashed bool) {
 		if r := recover(); r != nil {
 			crashed = true
 			s.handleCrash(cur, r, debug.Stack())
-			if cur != nil && cur.State().Terminal() {
-				// Quarantined by the crash: record it (outside the locks
-				// handleCrash held).
-				s.persistJob(cur)
-			}
 		}
 	}()
 	s.mu.Lock()
@@ -811,12 +772,12 @@ func (s *Scheduler) handleCrash(j *Job, cause any, stack []byte) {
 		return // crash outside a job (pop/bookkeeping); nothing to roll back
 	}
 	// Lock order s.mu → j.mu, same as Submit (which inspects a job's
-	// state while holding the scheduler lock) and Close.
+	// state while holding the scheduler lock) and finish.
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	j.mu.Lock()
-	defer j.mu.Unlock()
 	if j.state != StateRunning {
+		j.mu.Unlock()
+		s.mu.Unlock()
 		return // already terminal (e.g. crash after the job finished)
 	}
 	if j.cancel != nil {
@@ -825,25 +786,23 @@ func (s *Scheduler) handleCrash(j *Job, cause any, stack []byte) {
 	}
 	j.crashes++
 	j.faults = append(j.faults, "scheduler/worker-panic")
-	s.metrics.jobsRunning--
-	if j.crashes <= s.cfg.MaxJobCrashes && !s.closed {
+	crashes := j.crashes
+	retry := crashes <= s.cfg.MaxJobCrashes && !s.closed
+	if retry {
 		j.state = StateQueued
+		s.metrics.jobsRunning--
 		s.queue.pushFront(j) // head of its line: it already waited once
 		s.metrics.jobsQueued++
 		s.qcond.Signal()
-		return
+	} else {
+		s.metrics.jobsQuarantined++
 	}
-	j.state = StateFailed
-	j.finished = time.Now()
-	j.errMsg = fmt.Sprintf("service: worker panic (crash %d, quarantined): %v\n%s", j.crashes, cause, stack)
-	j.req = nil
-	close(j.done)
-	s.metrics.jobsFailed++
-	s.metrics.jobsQuarantined++
-	if s.inflight[j.ikey] == j {
-		delete(s.inflight, j.ikey)
+	j.mu.Unlock()
+	s.mu.Unlock()
+	if !retry {
+		s.finish(j, StateRunning, store.JobRecord{State: string(StateFailed),
+			Error: fmt.Sprintf("service: worker panic (crash %d, quarantined): %v\n%s", crashes, cause, stack)})
 	}
-	s.retireLocked(j)
 }
 
 // run executes one job.
@@ -941,165 +900,136 @@ func (s *Scheduler) run(j *Job) {
 		return Solve(ctx, req, j.report, extra...)
 	}()
 
-	j.mu.Lock()
-	j.finished = time.Now()
-	latency := j.finished.Sub(j.started)
-	degraded := j.degraded
-	var final State
+	out := store.JobRecord{State: string(StateDone), Result: res}
 	switch {
 	case err != nil:
 		// A cancelled run is not an error — the engines return
 		// best-so-far with Stats.Cancelled instead — so any solver
 		// error is a genuine failure and keeps its real message, even
 		// if the deadline also expired meanwhile.
-		final = StateFailed
-		j.state = final
-		j.errMsg = err.Error()
+		out = store.JobRecord{State: string(StateFailed), Error: err.Error()}
 	case res.Cancelled:
-		final = StateCancelled
-		j.state = final
-		j.result = res
-	default:
-		final = StateDone
-		j.state = final
-		j.result = res
+		out.State = string(StateCancelled)
 	}
-	j.req = nil // terminal: the retention window should hold results, not request bodies
+	s.finish(j, StateRunning, out)
+}
+
+// finish is the one terminal transition, for every way a job ends: a
+// cache hit, a cancel, Close draining the queue, a quarantining crash,
+// a solve returning. It moves j from state from to out's outcome
+// (State, Result, Error, CacheHit) and reports whether it did; a job
+// no longer in state from is left alone, so each job ends exactly
+// once. In order, it
+//
+//   - seals the job's record (out plus the finish time, final progress
+//     and fault history), counts the state in the metrics and frees
+//     the queue slot or running gauge;
+//   - drops a canonical solve's checkpoint, then closes done;
+//   - caches a canonical solve's result and writes the record, with no
+//     lock held;
+//   - releases the in-flight slot, after the cache write, so an
+//     identical submit coalesces or hits the cache, and drops the job
+//     from the live table, after the record write, so a client woken
+//     by done never reads a 404.
+//
+// The caller holds neither lock; the lock order is s.mu → j.mu.
+func (s *Scheduler) finish(j *Job, from State, out store.JobRecord) bool {
+	s.mu.Lock()
+	j.mu.Lock()
+	if j.state != from {
+		j.mu.Unlock()
+		s.mu.Unlock()
+		return false
+	}
+	state := State(out.State)
+	j.state = state
+	now := time.Now()
+	j.req = nil // terminal jobs answer from their record, not the request body
+	rec := &out
+	rec.ID, rec.Hash = j.ID, j.Hash
+	rec.Degraded, rec.Crashes, rec.Faults = j.degraded, j.crashes, j.faults
+	if p, ok := j.progressLocked(); ok {
+		rec.Progress = &p
+	}
+	rec.SubmittedMS, rec.FinishedMS = j.submitted.UnixMilli(), now.UnixMilli()
+	j.rec = rec
+	canonical := state == StateDone && !j.degraded && !rec.CacheHit
+	latency := now.Sub(j.started).Seconds()
+	j.mu.Unlock()
+	switch from {
+	case StateQueued:
+		s.queue.remove(j) // free the queue slot right away
+		s.metrics.jobsQueued--
+	case StateRunning:
+		s.metrics.jobsRunning--
+		s.metrics.observeLatency(latency)
+	}
+	switch {
+	case rec.CacheHit:
+		// counted in cacheHits at admission
+	case state == StateDone:
+		s.metrics.jobsDone++
+	case state == StateFailed:
+		s.metrics.jobsFailed++
+	case state == StateCancelled:
+		s.metrics.jobsCancelled++
+	}
+	s.mu.Unlock()
+
 	// A completed canonical solve retires its checkpoint — the result
-	// cache answers future resubmissions — before waiters wake, so none
-	// observes the stale entry. Interrupted (and degraded) runs keep
-	// theirs, so the next identical request warm-starts.
-	if final == StateDone && !degraded && s.checkpoints != nil {
+	// cache answers future resubmissions. Interrupted (and degraded)
+	// runs keep theirs, so the next identical request warm-starts.
+	if canonical && s.checkpoints != nil {
 		s.checkpoints.Drop(j.Hash)
 	}
 	close(j.done)
-	j.mu.Unlock()
+	if canonical {
+		s.cachePut(j.Hash, rec.Result)
+	}
+	s.persistJob(rec)
 
 	s.mu.Lock()
 	if s.inflight[j.ikey] == j {
 		delete(s.inflight, j.ikey)
 	}
-	s.metrics.jobsRunning--
-	switch final {
-	case StateDone:
-		s.metrics.jobsDone++
-		if !degraded {
-			s.cachePut(j.Hash, res)
-		}
-	case StateFailed:
-		s.metrics.jobsFailed++
-	case StateCancelled:
-		s.metrics.jobsCancelled++
-	}
-	s.metrics.observeLatency(latency.Seconds())
-	s.retireLocked(j)
+	delete(s.jobs, j.ID)
 	s.mu.Unlock()
-
-	s.persistJob(j)
+	return true
 }
 
-// persistJob writes a terminal job's record to the job store; on a
-// file-backed store the record outlives the in-memory retention window
-// and the process. Best-effort by design: a failed record write must
-// not fail the job, whose in-memory state already answers queries; it
-// is only counted in placed_store_errors_total. Called outside both
-// locks — record writes marshal JSON and may touch disk.
-func (s *Scheduler) persistJob(j *Job) {
-	if s.jobstore == nil {
-		return
-	}
-	j.mu.Lock()
-	if !j.state.Terminal() {
-		j.mu.Unlock()
-		return
-	}
-	rec := &store.JobRecord{
-		ID:          j.ID,
-		Hash:        j.Hash,
-		State:       string(j.state),
-		CacheHit:    j.cacheHit,
-		Degraded:    j.degraded,
-		Error:       j.errMsg,
-		Crashes:     j.crashes,
-		Faults:      append([]string(nil), j.faults...),
-		Result:      j.result,
-		SubmittedMS: j.submitted.UnixMilli(),
-		FinishedMS:  j.finished.UnixMilli(),
-	}
-	j.mu.Unlock()
+// persistJob writes a terminal job's record to the job store, its only
+// home once finish drops it from the live table. A failed write is
+// counted (job_put) and otherwise tolerated: the waiters already hold
+// the answer, but the id is forgotten. Called with no lock held.
+func (s *Scheduler) persistJob(rec *store.JobRecord) {
 	if err := s.jobstore.Put(rec); err != nil {
-		s.mu.Lock()
-		s.metrics.storeErrors[storeOpJobPut]++
-		s.mu.Unlock()
+		s.countStoreError(storeOpJobPut)
 	}
 }
 
-// Record returns the stored record of a job that is no longer (or was
-// never) in the in-memory table — retired past retention, or solved by
-// another instance sharing a durable job store.
-func (s *Scheduler) Record(id string) (*store.JobRecord, bool) {
-	if s.jobstore == nil {
-		return nil, false
-	}
+// Record returns the stored record of a finished job — this instance's
+// or, on a shared durable store, another's. A backend failure is
+// counted (job_get) and returned, so callers can tell "no such job"
+// from "cannot tell".
+func (s *Scheduler) Record(id string) (*store.JobRecord, bool, error) {
 	rec, ok, err := s.jobstore.Get(id)
-	if err != nil || !ok {
-		return nil, false
+	if err != nil {
+		s.countStoreError(storeOpJobGet)
 	}
-	return rec, true
-}
-
-// TraceFromRecord reconstructs the served trace of a recorded job the
-// way Job.Trace would: worker-crash faults the job survived are
-// prepended as failpoint events.
-func TraceFromRecord(rec *store.JobRecord) *wire.Trace {
-	var tr *wire.Trace
-	if rec.Result != nil {
-		tr = rec.Result.Trace
-	}
-	if len(rec.Faults) == 0 {
-		return tr
-	}
-	merged := &wire.Trace{Version: wire.Version}
-	if tr != nil {
-		*merged = *tr
-	}
-	events := make([]wire.TraceEvent, 0, len(rec.Faults)+len(merged.Events))
-	for _, point := range rec.Faults {
-		events = append(events, wire.TraceEvent{Kind: wire.TraceKindFailpoint, Worker: -1, Stage: -1, Point: point})
-	}
-	merged.Events = append(events, merged.Events...)
-	return merged
-}
-
-// retireLocked records a solved job that just reached a terminal
-// state; retireOnLocked is the shared FIFO eviction over a given
-// retention list. Caller holds s.mu.
-func (s *Scheduler) retireLocked(j *Job) {
-	s.retireOnLocked(s.retired, j)
-}
-
-func (s *Scheduler) retireOnLocked(class *list.List, j *Job) {
-	class.PushFront(j.ID)
-	for class.Len() > s.cfg.RetainJobs {
-		oldest := class.Back()
-		class.Remove(oldest)
-		delete(s.jobs, oldest.Value.(string))
-	}
+	return rec, ok, err
 }
 
 // cacheGet/cachePut guard the nil-cache case and count backend errors
 // in placed_store_errors_total — a failing cache degrades to
-// re-solving, never to failing the job. Callers hold s.mu; the stores
-// have their own locking, but the calls stay cheap (the default memory
-// backend) or are accepted as the cost of sharing (a file backend's
-// read).
+// re-solving, never to failing the job. Callers hold no lock: a lookup
+// decodes a whole result and a file backend touches disk.
 func (s *Scheduler) cacheGet(hash string) (*wire.Result, bool) {
 	if s.results == nil {
 		return nil, false
 	}
 	res, ok, err := s.results.Get(hash)
 	if err != nil {
-		s.metrics.storeErrors[storeOpResultGet]++
+		s.countStoreError(storeOpResultGet)
 	}
 	if err != nil || !ok {
 		return nil, false
@@ -1112,8 +1042,15 @@ func (s *Scheduler) cachePut(hash string, res *wire.Result) {
 		return
 	}
 	if err := s.results.Put(hash, res); err != nil {
-		s.metrics.storeErrors[storeOpResultPut]++
+		s.countStoreError(storeOpResultPut)
 	}
+}
+
+// countStoreError counts one failed store operation.
+func (s *Scheduler) countStoreError(op storeOp) {
+	s.mu.Lock()
+	s.metrics.storeErrors[op]++
+	s.mu.Unlock()
 }
 
 // RetryAfter estimates how long a shed client should wait before

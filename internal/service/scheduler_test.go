@@ -4,7 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"strings"
+	"net/http"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -31,6 +32,22 @@ func waitJob(t *testing.T, j *Job) *wire.Result {
 		t.Fatalf("job %s stuck in state %s", j.ID, j.State())
 	}
 	return j.Result()
+}
+
+// waitRecorded waits until job id has left the live table, which
+// finish does right after the job's record write returns.
+func waitRecorded(t *testing.T, s *Scheduler, id string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if _, ok := s.Job(id); !ok {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s never left the live table", id)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 func TestSchedulerSolvesAndCaches(t *testing.T) {
@@ -98,9 +115,14 @@ func TestSchedulerSolvesAndCaches(t *testing.T) {
 		t.Fatalf("done/solve counters: %+v", m)
 	}
 
-	// The cache-hit job id stays queryable like any other.
-	if got, ok := s.Job(j2.ID); !ok || got != j2 {
-		t.Fatalf("cache-hit job %s not in the job table", j2.ID)
+	// The cache-hit job never enters the live table; its id is answered
+	// from the job store like any finished job's, and its record was
+	// written before Submit returned.
+	if _, ok := s.Job(j2.ID); ok {
+		t.Fatalf("cache-hit job %s in the live table", j2.ID)
+	}
+	if rec, ok, err := s.Record(j2.ID); err != nil || !ok || !rec.CacheHit {
+		t.Fatalf("cache-hit job %s not answered from the job store: %+v %v %v", j2.ID, rec, ok, err)
 	}
 }
 
@@ -315,8 +337,9 @@ func TestProgressMultiStartMoves(t *testing.T) {
 	}
 }
 
-// TestJobRetention: terminal jobs beyond RetainJobs are forgotten,
-// queued/running jobs never are.
+// TestJobRetention: the default job store keeps the RetainJobs most
+// recent terminal records and forgets older ones. (Queued and running
+// jobs live in the scheduler's own table and are never evicted.)
 func TestJobRetention(t *testing.T) {
 	s := New(Config{Workers: 2, RetainJobs: 2})
 	defer s.Close()
@@ -329,14 +352,15 @@ func TestJobRetention(t *testing.T) {
 			t.Fatal(err)
 		}
 		waitJob(t, j)
+		waitRecorded(t, s, j.ID)
 		ids = append(ids, j.ID)
 	}
-	if _, ok := s.Job(ids[0]); ok {
-		t.Fatal("oldest terminal job still retained beyond the bound")
+	if _, ok, err := s.Record(ids[0]); ok || err != nil {
+		t.Fatalf("oldest terminal record retained beyond the bound (err %v)", err)
 	}
 	for _, id := range ids[1:] {
-		if _, ok := s.Job(id); !ok {
-			t.Fatalf("job %s evicted while within the bound", id)
+		if _, ok, err := s.Record(id); !ok || err != nil {
+			t.Fatalf("record %s evicted while within the bound (err %v)", id, err)
 		}
 	}
 	// Eviction forgets the job record, not the solved result: the
@@ -409,38 +433,93 @@ func (failingStore) Stats() (store.Stats, error)                   { return stor
 func (failingJobStore) Put(*store.JobRecord) error                 { return errBackend }
 func (failingJobStore) Get(string) (*store.JobRecord, bool, error) { return nil, false, errBackend }
 
-// TestStoreErrorsCounted: a job still succeeds when every store call
-// fails, and each failed operation moves its
-// placed_store_errors_total counter.
+// TestStoreErrorsCounted: a job still answers its waiter when every
+// store call fails, and each failed operation moves its
+// placed_store_errors_total counter. With its record unwritten the
+// job is forgotten, and the job endpoints answer its id 503 — the
+// store failed — rather than a misleading 404.
 func TestStoreErrorsCounted(t *testing.T) {
-	s := New(Config{Workers: 1, Results: failingStore{}, Jobs: failingJobStore{}})
-	defer s.Close()
-	j, err := s.Submit(millerRequest(t, wire.MethodSeqPair))
+	h := newHarness(t, Config{Workers: 1, Results: failingStore{}, Jobs: failingJobStore{}})
+	j, err := h.s.Submit(millerRequest(t, wire.MethodSeqPair))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res := waitJob(t, j); j.State() != StateDone || res == nil {
 		t.Fatalf("job state %s err %q", j.State(), j.Err())
 	}
-	// The record write follows the job's done signal; poll for it.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		var buf bytes.Buffer
-		if err := s.WriteMetrics(&buf); err != nil {
+	waitRecorded(t, h.s, j.ID)
+	for _, probe := range []struct{ method, path string }{
+		{http.MethodGet, "/v1/jobs/" + j.ID},
+		{http.MethodGet, "/v1/jobs/" + j.ID + "/trace"},
+		{http.MethodDelete, "/v1/jobs/" + j.ID},
+	} {
+		if code, body := h.do(probe.method, probe.path, nil); code != http.StatusServiceUnavailable {
+			t.Errorf("%s %s with the job store down: %d %s, want 503", probe.method, probe.path, code, body)
+		}
+	}
+	for op, want := range map[string]float64{"result_get": 1, "result_put": 1, "job_put": 1, "job_get": 3} {
+		if got := h.metric(`placed_store_errors_total{op="` + op + `"}`); got != want {
+			t.Errorf("op %s counted %g times, want %g", op, got, want)
+		}
+	}
+}
+
+// blockingCache is a memory result cache whose first Get blocks until
+// release is closed, standing in for a slow backend (a cold disk).
+type blockingCache struct {
+	store.ResultCache
+	gets             atomic.Int64
+	entered, release chan struct{}
+}
+
+func (c *blockingCache) Get(hash string) (*wire.Result, bool, error) {
+	if c.gets.Add(1) == 1 {
+		close(c.entered)
+		<-c.release
+	}
+	return c.ResultCache.Get(hash)
+}
+
+// TestCacheLookupOutsideLock: a submit stuck in a slow result-cache
+// lookup holds no scheduler lock, so metrics, job lookups and a submit
+// of another problem all complete meanwhile.
+func TestCacheLookupOutsideLock(t *testing.T) {
+	c := &blockingCache{
+		ResultCache: store.NewResultCache(store.NewMemory(8), 0),
+		entered:     make(chan struct{}),
+		release:     make(chan struct{}),
+	}
+	s := New(Config{Workers: 1, Results: c})
+	defer s.Close()
+	first, second := millerRequest(t, wire.MethodSeqPair), millerRequest(t, wire.MethodSeqPair)
+	second.Options.Seed = 2
+
+	blocked := make(chan *Job, 1)
+	go func() {
+		j, _ := s.Submit(first)
+		blocked <- j
+	}()
+	<-c.entered
+	others := make(chan error, 1)
+	go func() {
+		s.Metrics()
+		s.Job("job-1")
+		_, err := s.Submit(second)
+		others <- err
+	}()
+	select {
+	case err := <-others:
+		close(c.release)
+		if err != nil {
 			t.Fatal(err)
 		}
-		missing := ""
-		for _, op := range []string{"result_get", "result_put", "job_put"} {
-			if !strings.Contains(buf.String(), `placed_store_errors_total{op="`+op+`"} 1`+"\n") {
-				missing = op
-			}
-		}
-		if missing == "" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("op %s not counted once:\n%s", missing, buf.String())
-		}
-		time.Sleep(5 * time.Millisecond)
+	case <-time.After(10 * time.Second):
+		close(c.release)
+		t.Fatal("Metrics, Job or Submit waited on another submit's cache lookup")
+	}
+	if j := <-blocked; j == nil {
+		t.Fatal("blocked submit failed")
+	} else {
+		waitJob(t, j)
 	}
 }

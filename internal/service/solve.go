@@ -79,14 +79,9 @@ func Solve(ctx context.Context, req *wire.Request, progress func(placer.Progress
 	out.RuntimeMS = time.Since(start).Milliseconds()
 	if tr := wire.TraceFromPlacer(res.Trace); tr != nil {
 		// Solve-path failpoints fire before any chain exists; they lead
-		// the recording with worker/stage -1 so chaos runs are visible
-		// in the same trace that explains the solve.
-		for i, point := range fired {
-			tr.Events = append(tr.Events, wire.TraceEvent{})
-			copy(tr.Events[i+1:], tr.Events[i:])
-			tr.Events[i] = wire.TraceEvent{Kind: wire.TraceKindFailpoint, Worker: -1, Stage: -1, Point: point}
-		}
-		out.Trace = tr
+		// the recording so chaos runs are visible in the same trace
+		// that explains the solve.
+		out.Trace = withFailpoints(tr, fired)
 	}
 	// Portfolio races carry every racer's (capped) recording alongside
 	// the winner's full trace.

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/store"
 	"repro/internal/wire"
 )
 
@@ -109,6 +110,31 @@ func serveJobStream(w http.ResponseWriter, r *http.Request, job *Job) {
 			}
 		}
 	}
+}
+
+// serveRecordStream answers a finished job read from the job store in
+// the live stream's shape, all at once: the recording's events (their
+// ids continue the ring's sequence past the dropped ones), one
+// "progress" event with the final Progress, and the "done" event with
+// the terminal view.
+func serveRecordStream(w http.ResponseWriter, rec *store.JobRecord) {
+	w.Header().Set("Content-Type", "text/event-stream")
+	w.Header().Set("Cache-Control", "no-cache")
+	// A stored record went through JSON on its way into the job store,
+	// so re-encoding its parts cannot fail.
+	if rec.Result != nil && rec.Result.Trace != nil {
+		tr := rec.Result.Trace
+		for i, e := range tr.Events {
+			b, _ := json.Marshal(e)
+			fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", tr.Dropped+uint64(i), e.Kind, b)
+		}
+	}
+	if rec.Progress != nil {
+		b, _ := json.Marshal(rec.Progress)
+		fmt.Fprintf(w, "event: progress\ndata: %s\n\n", b)
+	}
+	b, _ := json.Marshal(recordView(rec))
+	fmt.Fprintf(w, "event: done\ndata: %s\n\n", b)
 }
 
 // wireEventFromObs converts one live ring event to the wire trace

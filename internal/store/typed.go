@@ -20,10 +20,20 @@ type ResultCache interface {
 	Stats() (Stats, error)
 }
 
-// JobRecord is the durable form of a terminal job: everything the
-// HTTP surface serves about a finished job — state, result (with its
-// flight recording), error, fault history — without the live-only
-// machinery (contexts, progress sources, channels).
+// Progress is a job's annealing progress aggregated over its chains
+// (service.Progress is this type); a JobRecord keeps the final one.
+type Progress struct {
+	BestCost    float64 `json:"best_cost"`     // lowest cost any chain has reported
+	Stage       int     `json:"stage"`         // highest temperature stage any chain finished
+	Temp        float64 `json:"temp"`          // temperature after that stage
+	Moves       int     `json:"moves"`         // proposed moves across all chains and racers
+	MovesPerSec float64 `json:"moves_per_sec"` // Moves over the job's running wall-clock
+}
+
+// JobRecord is the only form of a terminal job: everything the HTTP
+// surface serves about a finished job — state, final progress, result
+// (with its flight recording), error, fault history — without the
+// live-only machinery (contexts, progress sources, channels).
 type JobRecord struct {
 	ID       string       `json:"id"`
 	Hash     string       `json:"hash"`
@@ -33,6 +43,7 @@ type JobRecord struct {
 	Error    string       `json:"error,omitempty"`
 	Crashes  int          `json:"crashes,omitempty"`
 	Faults   []string     `json:"faults,omitempty"`
+	Progress *Progress    `json:"progress,omitempty"`
 	Result   *wire.Result `json:"result,omitempty"`
 	// SubmittedMS/FinishedMS are Unix milliseconds; wall-clock is fine
 	// here — records are operational history, not solver output.
@@ -40,9 +51,9 @@ type JobRecord struct {
 	FinishedMS  int64 `json:"finished_ms,omitempty"`
 }
 
-// JobStore persists terminal JobRecords by job id, so a retired job
-// stays queryable past the scheduler's in-memory retention window —
-// and, on a shared file store, queryable from another instance.
+// JobStore holds terminal JobRecords by job id. It is the scheduler's
+// only home of finished jobs, and on a shared file store it answers
+// for other instances' jobs too.
 type JobStore interface {
 	Put(rec *JobRecord) error
 	Get(id string) (*JobRecord, bool, error)
