@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync/atomic"
+	"time"
 
 	"repro/internal/store"
 )
@@ -39,6 +41,19 @@ const (
 
 // storeOpNames are the op label values, indexed by storeOp.
 var storeOpNames = [numStoreOps]string{"result_get", "result_put", "job_put", "job_get"}
+
+// storeTimers accumulate each store operation's wall time and call
+// count for placed_store_seconds. They are atomics, not metrics
+// fields, so the store wrappers time themselves without s.mu.
+type storeTimers struct {
+	nanos, calls [numStoreOps]atomic.Int64
+}
+
+// observe records one op call that began at start.
+func (t *storeTimers) observe(op storeOp, start time.Time) {
+	t.nanos[op].Add(int64(time.Since(start)))
+	t.calls[op].Add(1)
+}
 
 // metrics are the scheduler's counters; the scheduler mutates them
 // under its own mutex.
@@ -282,6 +297,12 @@ func (s *Scheduler) WriteMetrics(w io.Writer) error {
 	p("# TYPE placed_store_errors_total counter\n")
 	for op, n := range m.storeErrors {
 		p("placed_store_errors_total{op=%q} %d\n", storeOpNames[op], n)
+	}
+	p("# HELP placed_store_seconds Wall time spent in result-cache and job-store calls, by operation.\n")
+	p("# TYPE placed_store_seconds summary\n")
+	for op, name := range storeOpNames {
+		p("placed_store_seconds_sum{op=%q} %g\n", name, time.Duration(s.storeTime.nanos[op].Load()).Seconds())
+		p("placed_store_seconds_count{op=%q} %d\n", name, s.storeTime.calls[op].Load())
 	}
 	p("# HELP placed_checkpoints_saved_total Best-so-far solver snapshots accepted into the checkpoint store.\n")
 	p("# TYPE placed_checkpoints_saved_total counter\n")

@@ -409,6 +409,7 @@ type Scheduler struct {
 	checkpoints *store.Checkpoints
 	quotas      *quotas
 	metrics     metrics
+	storeTime   storeTimers
 	// workerCrashes counts panics per worker slot (the supervisor
 	// restarts the slot; the counter survives restarts), guarded by mu.
 	workerCrashes []int64
@@ -512,7 +513,7 @@ func (s *Scheduler) SubmitCtx(ctx context.Context, req *wire.Request) (*Job, err
 	if err != nil {
 		return nil, err
 	}
-	// The cache is read before the lock is taken: a lookup decodes a
+	// The cache is read before the lock is taken: a lookup copies a
 	// whole result and may read disk.
 	cached, hit := s.cacheGet(hash)
 	j, err := s.admit(ctx, req, hash, hit)
@@ -555,10 +556,11 @@ func (s *Scheduler) admit(ctx context.Context, req *wire.Request, hash string, h
 		case !running.State().Terminal():
 			s.metrics.coalesced++
 			return running, nil
-		case running.State() == StateDone && running.Result() != nil:
+		case running.State() == StateDone && running.Result() != nil && !running.Degraded():
 			// Finished, but finish has not yet cached the result and
 			// released the slot; the result is content-addressed, so
-			// hand it back instead of re-solving.
+			// hand it back instead of re-solving. A degraded result is
+			// never cached, so it is not handed back either.
 			s.metrics.coalesced++
 			return running, nil
 		}
@@ -1002,6 +1004,7 @@ func (s *Scheduler) finish(j *Job, from State, out store.JobRecord) bool {
 // counted (job_put) and otherwise tolerated: the waiters already hold
 // the answer, but the id is forgotten. Called with no lock held.
 func (s *Scheduler) persistJob(rec *store.JobRecord) {
+	defer s.storeTime.observe(storeOpJobPut, time.Now())
 	if err := s.jobstore.Put(rec); err != nil {
 		s.countStoreError(storeOpJobPut)
 	}
@@ -1012,6 +1015,7 @@ func (s *Scheduler) persistJob(rec *store.JobRecord) {
 // counted (job_get) and returned, so callers can tell "no such job"
 // from "cannot tell".
 func (s *Scheduler) Record(id string) (*store.JobRecord, bool, error) {
+	defer s.storeTime.observe(storeOpJobGet, time.Now())
 	rec, ok, err := s.jobstore.Get(id)
 	if err != nil {
 		s.countStoreError(storeOpJobGet)
@@ -1020,13 +1024,16 @@ func (s *Scheduler) Record(id string) (*store.JobRecord, bool, error) {
 }
 
 // cacheGet/cachePut guard the nil-cache case and count backend errors
-// in placed_store_errors_total — a failing cache degrades to
-// re-solving, never to failing the job. Callers hold no lock: a lookup
-// decodes a whole result and a file backend touches disk.
+// (a corrupt entry included) in placed_store_errors_total — a failing
+// cache degrades to re-solving, never to failing the job. Callers hold
+// no lock: a lookup copies a whole result and a file backend touches
+// disk. Like persistJob and Record, they add their wall time to
+// placed_store_seconds.
 func (s *Scheduler) cacheGet(hash string) (*wire.Result, bool) {
 	if s.results == nil {
 		return nil, false
 	}
+	defer s.storeTime.observe(storeOpResultGet, time.Now())
 	res, ok, err := s.results.Get(hash)
 	if err != nil {
 		s.countStoreError(storeOpResultGet)
@@ -1041,6 +1048,7 @@ func (s *Scheduler) cachePut(hash string, res *wire.Result) {
 	if s.results == nil {
 		return
 	}
+	defer s.storeTime.observe(storeOpResultPut, time.Now())
 	if err := s.results.Put(hash, res); err != nil {
 		s.countStoreError(storeOpResultPut)
 	}

@@ -74,8 +74,11 @@ func TestSchedulerSolvesAndCaches(t *testing.T) {
 	}
 
 	// Identical request → served from cache with an equal result. The
-	// cache round-trips entries through its store (possibly through
-	// disk), so equality is by serialized value, not pointer identity.
+	// cache copies entries in and out (possibly through disk), so
+	// equality is by serialized value, not pointer identity. Until j1
+	// leaves the live table an identical submit coalesces onto it
+	// instead, so wait for that first.
+	waitRecorded(t, s, j1.ID)
 	j2, err := s.Submit(millerRequest(t, wire.MethodSeqPair))
 	if err != nil {
 		t.Fatal(err)
@@ -460,6 +463,59 @@ func TestStoreErrorsCounted(t *testing.T) {
 	for op, want := range map[string]float64{"result_get": 1, "result_put": 1, "job_put": 1, "job_get": 3} {
 		if got := h.metric(`placed_store_errors_total{op="` + op + `"}`); got != want {
 			t.Errorf("op %s counted %g times, want %g", op, got, want)
+		}
+	}
+}
+
+// TestCorruptCachedResultResolves: a result the file store holds
+// but cannot decode is counted (result_get), dropped and re-solved —
+// an identical POST answers 200 from a fresh solve, not a cache hit.
+func TestCorruptCachedResultResolves(t *testing.T) {
+	fs, err := store.NewFile(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := newHarness(t, Config{Workers: 1, Results: store.NewResultCache(fs, 0)})
+	body := millerWireRequest(t)
+	code, out := h.do(http.MethodPost, "/v1/place?wait=1", body)
+	if code != http.StatusOK {
+		t.Fatalf("first POST: %d %s", code, out)
+	}
+	first := h.job(out)
+	if err := fs.Put(first.Hash, []byte("{garbage"), 0); err != nil {
+		t.Fatal(err)
+	}
+	code, out = h.do(http.MethodPost, "/v1/place?wait=1", body)
+	if code != http.StatusOK {
+		t.Fatalf("POST over a corrupt entry: %d %s", code, out)
+	}
+	if v := h.job(out); v.State != StateDone || v.CacheHit || v.Result == nil {
+		t.Fatalf("POST over a corrupt entry: state %s cache_hit %v, want a fresh solve", v.State, v.CacheHit)
+	}
+	if got := h.metric(`placed_store_errors_total{op="result_get"}`); got != 1 {
+		t.Fatalf("result_get errors = %g, want 1", got)
+	}
+}
+
+// TestStoreOpsTimed: every store call is timed into
+// placed_store_seconds. One solve reads the cache, writes the result
+// and the record; one hit reads the cache and writes a record.
+func TestStoreOpsTimed(t *testing.T) {
+	h := newHarness(t, Config{Workers: 1})
+	for i := 0; i < 2; i++ {
+		j, err := h.s.Submit(millerRequest(t, wire.MethodSeqPair))
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitJob(t, j)
+		waitRecorded(t, h.s, j.ID)
+	}
+	for op, want := range map[string]float64{"result_get": 2, "result_put": 1, "job_put": 2, "job_get": 0} {
+		if got := h.metric(`placed_store_seconds_count{op="` + op + `"}`); got != want {
+			t.Errorf("op %s timed %g times, want %g", op, got, want)
+		}
+		if sum := h.metric(`placed_store_seconds_sum{op="` + op + `"}`); (sum > 0) != (want > 0) {
+			t.Errorf("op %s timed %gs over %g calls", op, sum, want)
 		}
 	}
 }

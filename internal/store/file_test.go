@@ -5,8 +5,11 @@
 package store
 
 import (
+	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -131,35 +134,89 @@ func TestMemoryLRUEviction(t *testing.T) {
 	}
 }
 
+// fullResult is a result with every nested slice and pointer set, so
+// an adapter that aliases any of them shows it.
+func fullResult() *wire.Result {
+	tr := func(best float64) *wire.Trace {
+		return &wire.Trace{Version: wire.Version, Method: wire.MethodSeqPair, Capacity: 8, Events: []wire.TraceEvent{
+			{Kind: wire.TraceKindStage, Best: best, Moves: 10, Accepted: 4,
+				KindProposed: []int64{6, 4}, KindAccepted: []int64{3, 1}},
+		}}
+	}
+	return &wire.Result{
+		Version:      wire.Version,
+		Method:       wire.MethodSeqPair,
+		Cost:         42.5,
+		Breakdown:    &wire.Breakdown{Area: 40, HPWL: 2.5},
+		Violations:   []string{"overlap m1/m2"},
+		Placement:    []wire.Placed{{Name: "m1", X: 1, Y: 2, W: 3, H: 4}},
+		Trace:        tr(42.5),
+		EngineTraces: []*wire.Trace{tr(42.5), tr(50)},
+	}
+}
+
+// scribble writes through every slice and pointer of res.
+func scribble(res *wire.Result) {
+	res.Cost = -1
+	res.Breakdown.Area = -1
+	res.Violations[0] = "scribbled"
+	res.Placement[0].X = -1
+	res.Trace.Events[0].KindProposed[0] = -1
+	res.EngineTraces[1].Events[0].KindAccepted[1] = -1
+	res.EngineTraces[0] = nil
+}
+
+func mustJSON(t *testing.T, v any) string {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
 // TestTypedAdapters round-trips a wire.Result and a JobRecord through
-// the JSON adapters over both backends.
+// the adapters over both backends: a Get encodes to the bytes of the
+// Put, and neither the value handed to Put nor one returned by Get
+// shares memory with the stored entry.
 func TestTypedAdapters(t *testing.T) {
 	for name, mk := range backends(t) {
 		t.Run(name, func(t *testing.T) {
-			res := &wire.Result{
-				Version:   wire.Version,
-				Method:    wire.MethodSeqPair,
-				Cost:      42.5,
-				Placement: []wire.Placed{{Name: "m1", X: 1, Y: 2, W: 3, H: 4}},
-			}
+			res := fullResult()
+			want := mustJSON(t, res)
 			rc := NewResultCache(mk(), 0)
 			if err := rc.Put("hash1", res); err != nil {
 				t.Fatal(err)
 			}
+			scribble(res)
 			got, ok, err := rc.Get("hash1")
 			if err != nil || !ok {
 				t.Fatalf("ResultCache.Get: ok=%v err=%v", ok, err)
 			}
-			if got.Cost != res.Cost || len(got.Placement) != 1 || got.Placement[0] != res.Placement[0] {
-				t.Fatalf("round-trip mangled the result: %+v", got)
+			if g := mustJSON(t, got); g != want {
+				t.Fatalf("Get after mutating the Put argument:\n got %s\nwant %s", g, want)
+			}
+			scribble(got)
+			again, ok, err := rc.Get("hash1")
+			if err != nil || !ok {
+				t.Fatalf("second ResultCache.Get: ok=%v err=%v", ok, err)
+			}
+			if g := mustJSON(t, again); g != want {
+				t.Fatalf("Get after mutating an earlier Get:\n got %s\nwant %s", g, want)
+			}
+			if st, err := rc.Stats(); err != nil || st.Entries != 1 || st.Bytes != int64(len(want)) {
+				t.Fatalf("ResultCache.Stats = %+v (err %v), want 1 entry / %d bytes", st, err, len(want))
 			}
 			if _, ok, _ := rc.Get("absent"); ok {
 				t.Fatal("ResultCache hit on absent hash")
 			}
+			if err := rc.Put("hash2", &wire.Result{Cost: math.NaN()}); err == nil {
+				t.Fatal("ResultCache accepted a result JSON cannot encode")
+			}
 
 			js := NewJobStore(mk(), 0)
 			rec := &JobRecord{ID: "job-7", Hash: "hash1", State: "done",
-				Faults: []string{"scheduler/worker-panic"}, Result: res, FinishedMS: 1234}
+				Faults: []string{"scheduler/worker-panic"}, Result: fullResult(), FinishedMS: 1234}
 			if err := js.Put(rec); err != nil {
 				t.Fatal(err)
 			}
@@ -167,9 +224,8 @@ func TestTypedAdapters(t *testing.T) {
 			if err != nil || !ok {
 				t.Fatalf("JobStore.Get: ok=%v err=%v", ok, err)
 			}
-			if back.State != "done" || back.Hash != "hash1" || len(back.Faults) != 1 ||
-				back.Result == nil || back.Result.Cost != 42.5 {
-				t.Fatalf("JobRecord round-trip mangled: %+v", back)
+			if g, w := mustJSON(t, back), mustJSON(t, rec); g != w {
+				t.Fatalf("JobRecord round-trip:\n got %s\nwant %s", g, w)
 			}
 			if err := js.Put(&JobRecord{}); err == nil {
 				t.Fatal("JobStore accepted a record without an id")
@@ -179,22 +235,89 @@ func TestTypedAdapters(t *testing.T) {
 }
 
 // TestResultCacheCorruptEntryIsMiss: a torn or corrupt cached result
-// must read as a miss (and be dropped) so the hash re-solves instead
-// of erroring forever.
+// is dropped and reported as an error, so the caller counts it and
+// re-solves; the next Get is a clean miss, not an error forever. A
+// memory entry written through the Store interface has no decoded
+// form and takes the same path.
 func TestResultCacheCorruptEntryIsMiss(t *testing.T) {
-	dir := t.TempDir()
-	f, err := NewFile(dir)
-	if err != nil {
+	for name, mk := range backends(t) {
+		t.Run(name, func(t *testing.T) {
+			s := mk()
+			if err := s.Put("badhash", []byte("{not json"), 0); err != nil {
+				t.Fatal(err)
+			}
+			rc := NewResultCache(s, 0)
+			if _, ok, err := rc.Get("badhash"); ok || err == nil {
+				t.Fatalf("corrupt entry: ok=%v err=%v, want an error", ok, err)
+			}
+			if _, ok, _ := s.Get("badhash"); ok {
+				t.Fatal("corrupt entry not dropped")
+			}
+			if _, ok, err := rc.Get("badhash"); ok || err != nil {
+				t.Fatalf("Get after the drop: ok=%v err=%v, want a clean miss", ok, err)
+			}
+			// A valid entry written around the adapter still decodes.
+			if err := s.Put("raw", []byte(`{"version":1,"method":"seqpair","cost":3}`), 0); err != nil {
+				t.Fatal(err)
+			}
+			if res, ok, err := rc.Get("raw"); !ok || err != nil || res.Cost != 3 {
+				t.Fatalf("raw entry: res=%+v ok=%v err=%v", res, ok, err)
+			}
+		})
+	}
+}
+
+// TestJobStoreCorruptEntryIsError is the job-store twin: the record is
+// dropped, the error returned, and the id is then a clean miss.
+func TestJobStoreCorruptEntryIsError(t *testing.T) {
+	s := NewMemory(8)
+	if err := s.Put("job-1", []byte("[]"), 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Put("badhash", []byte("{not json"), 0); err != nil {
+	js := NewJobStore(s, 0)
+	if _, ok, err := js.Get("job-1"); ok || err == nil {
+		t.Fatalf("corrupt record: ok=%v err=%v, want an error", ok, err)
+	}
+	if _, ok, err := js.Get("job-1"); ok || err != nil {
+		t.Fatalf("Get after the drop: ok=%v err=%v, want a clean miss", ok, err)
+	}
+}
+
+// TestResultCacheConcurrent: goroutines putting, getting and mutating
+// results under one hash never see a torn or mutated entry. Run under
+// -race, it checks that the memory cache's shared decoded copy is only
+// ever read.
+func TestResultCacheConcurrent(t *testing.T) {
+	rc := NewResultCache(NewMemory(8), 0)
+	want := mustJSON(t, fullResult())
+	if err := rc.Put("h", fullResult()); err != nil {
 		t.Fatal(err)
 	}
-	rc := NewResultCache(f, 0)
-	if _, ok, err := rc.Get("badhash"); ok || err != nil {
-		t.Fatalf("corrupt entry: ok=%v err=%v, want clean miss", ok, err)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				if i%10 == 0 {
+					if err := rc.Put("h", fullResult()); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				res, ok, err := rc.Get("h")
+				if !ok || err != nil {
+					t.Errorf("Get: ok=%v err=%v", ok, err)
+					return
+				}
+				b, _ := json.Marshal(res)
+				if string(b) != want {
+					t.Errorf("Get returned %s, want %s", b, want)
+					return
+				}
+				scribble(res)
+			}
+		}()
 	}
-	if _, ok, _ := f.Get("badhash"); ok {
-		t.Fatal("corrupt entry not dropped after the miss")
-	}
+	wg.Wait()
 }

@@ -16,8 +16,8 @@ import (
 // reads it back through File.Get and the typed adapters. Nothing may
 // panic. File.Get hits only when the first line is a valid, unexpired
 // version-1 envelope, and then returns exactly the bytes after that
-// line. A payload an adapter cannot decode reads as a miss and is
-// deleted.
+// line. A payload an adapter cannot decode is deleted and reported
+// as an error.
 func FuzzFileGet(f *testing.F) {
 	f.Add([]byte("{\"v\":1,\"exp\":0}\n{\"version\":1,\"method\":\"seqpair\"}"))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -82,8 +82,8 @@ func FuzzFileGet(f *testing.F) {
 			if decodes && statErr != nil {
 				t.Fatalf("%s: hit entry gone: %v", adapter.name, statErr)
 			}
-			if valid && !decodes && (err != nil || !os.IsNotExist(statErr)) {
-				t.Fatalf("%s: undecodable payload: err %v, file stat %v; want a miss and the entry deleted", adapter.name, err, statErr)
+			if valid && !decodes && (err == nil || !os.IsNotExist(statErr)) {
+				t.Fatalf("%s: undecodable payload: err %v, file stat %v; want an error and the entry deleted", adapter.name, err, statErr)
 			}
 		}
 	})

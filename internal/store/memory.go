@@ -22,6 +22,9 @@ type Memory struct {
 type memEntry struct {
 	key string
 	val []byte
+	// dec is the decoded form of val when a typed adapter stored one
+	// (see putDecoded); nil otherwise. Like val, it is never mutated.
+	dec any
 	exp time.Time // zero means no expiry
 }
 
@@ -36,6 +39,16 @@ func NewMemory(capacity int) *Memory {
 
 // Put stores a copy of value (entries are immutable once in).
 func (m *Memory) Put(key string, value []byte, ttl time.Duration) error {
+	val := make([]byte, len(value))
+	copy(val, value)
+	return m.putDecoded(key, val, nil, ttl)
+}
+
+// putDecoded stores val, which the Memory takes over, together with
+// dec, its decoded form (nil for none). A typed adapter passes a value
+// nothing else references, so getDecoded can hand it back without a
+// decode.
+func (m *Memory) putDecoded(key string, val []byte, dec any, ttl time.Duration) error {
 	if err := ValidKey(key); err != nil {
 		return err
 	}
@@ -43,18 +56,16 @@ func (m *Memory) Put(key string, value []byte, ttl time.Duration) error {
 	if ttl > 0 {
 		exp = time.Now().Add(ttl)
 	}
-	val := make([]byte, len(value))
-	copy(val, value)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if el, ok := m.byKey[key]; ok {
 		e := el.Value.(*memEntry)
 		m.bytes += int64(len(val)) - int64(len(e.val))
-		e.val, e.exp = val, exp
+		e.val, e.dec, e.exp = val, dec, exp
 		m.order.MoveToFront(el)
 		return nil
 	}
-	m.byKey[key] = m.order.PushFront(&memEntry{key: key, val: val, exp: exp})
+	m.byKey[key] = m.order.PushFront(&memEntry{key: key, val: val, dec: dec, exp: exp})
 	m.bytes += int64(len(val))
 	for m.order.Len() > m.cap {
 		m.removeLocked(m.order.Back())
@@ -67,19 +78,43 @@ func (m *Memory) Put(key string, value []byte, ttl time.Duration) error {
 func (m *Memory) Get(key string) ([]byte, bool, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	e := m.liveLocked(key)
+	if e == nil {
+		return nil, false, nil
+	}
+	return e.copyVal(), true, nil
+}
+
+// getDecoded is Get for a typed adapter: it returns the entry's
+// decoded form when it has one, and otherwise a copy of its bytes.
+// The decoded form is shared, so the caller must not mutate it.
+func (m *Memory) getDecoded(key string) (dec any, val []byte, ok bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	e := m.liveLocked(key)
+	switch {
+	case e == nil:
+		return nil, nil, false
+	case e.dec != nil:
+		return e.dec, nil, true
+	}
+	return nil, e.copyVal(), true
+}
+
+// liveLocked returns the live entry under key, marked most recently
+// used, or nil; an expired entry is reaped on the way.
+func (m *Memory) liveLocked(key string) *memEntry {
 	el, ok := m.byKey[key]
 	if !ok {
-		return nil, false, nil
+		return nil
 	}
 	e := el.Value.(*memEntry)
 	if e.expired(time.Now()) {
 		m.removeLocked(el)
-		return nil, false, nil
+		return nil
 	}
 	m.order.MoveToFront(el)
-	out := make([]byte, len(e.val))
-	copy(out, e.val)
-	return out, true, nil
+	return e
 }
 
 // Delete removes the entry if present.
@@ -120,6 +155,12 @@ func (m *Memory) Close() error {
 	m.byKey = make(map[string]*list.Element)
 	m.bytes = 0
 	return nil
+}
+
+func (e *memEntry) copyVal() []byte {
+	out := make([]byte, len(e.val))
+	copy(out, e.val)
+	return out
 }
 
 func (e *memEntry) expired(now time.Time) bool {

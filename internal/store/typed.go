@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"time"
 
@@ -9,9 +10,11 @@ import (
 )
 
 // ResultCache is the scheduler's content-addressed result cache:
-// canonical wire hash → solved result. Entries round-trip through
-// JSON, so a Get never aliases a Put — callers may treat results as
-// immutable or not, the cache does not care.
+// canonical wire hash → solved result. A Get never aliases a Put, so
+// callers may mutate what they put or got: entries on a byte backend
+// round-trip through JSON, and a memory-backed entry's decoded copy is
+// cloned on the way in and on every hit. Get reports a corrupt entry
+// as an error, after dropping it.
 type ResultCache interface {
 	Put(hash string, res *wire.Result) error
 	Get(hash string) (*wire.Result, bool, error)
@@ -63,13 +66,17 @@ type JobStore interface {
 }
 
 // NewResultCache adapts a blob Store into a ResultCache; every entry
-// is written with ttl (0 = no expiry).
+// is written with ttl (0 = no expiry). Over a *Memory the cache keeps
+// each result decoded next to its bytes, so a hit costs a Clone, not
+// a JSON decode; any other backend decodes on every Get.
 func NewResultCache(s Store, ttl time.Duration) ResultCache {
-	return &resultCache{s: s, ttl: ttl}
+	mem, _ := s.(*Memory)
+	return &resultCache{s: s, mem: mem, ttl: ttl}
 }
 
 type resultCache struct {
 	s   Store
+	mem *Memory // s itself when it is a *Memory, else nil
 	ttl time.Duration
 }
 
@@ -77,24 +84,39 @@ func (c *resultCache) Put(hash string, res *wire.Result) error {
 	if res == nil {
 		return fmt.Errorf("store: nil result for %q", hash)
 	}
+	// Marshal even when the decoded form is kept: it rejects an
+	// unencodable result, and the bytes keep Stats.Bytes exact.
 	b, err := json.Marshal(res)
 	if err != nil {
 		return err
+	}
+	if c.mem != nil {
+		return c.mem.putDecoded(hash, b, res.Clone(), c.ttl)
 	}
 	return c.s.Put(hash, b, c.ttl)
 }
 
 func (c *resultCache) Get(hash string) (*wire.Result, bool, error) {
-	b, ok, err := c.s.Get(hash)
+	var b []byte
+	var ok bool
+	var err error
+	if c.mem != nil {
+		var dec any
+		dec, b, ok = c.mem.getDecoded(hash)
+		if res, isResult := dec.(*wire.Result); isResult {
+			return res.Clone(), true, nil
+		}
+		// Otherwise the entry was written through the Store
+		// interface: decode its bytes like any backend's.
+	} else {
+		b, ok, err = c.s.Get(hash)
+	}
 	if err != nil || !ok {
 		return nil, false, err
 	}
 	var res wire.Result
 	if err := json.Unmarshal(b, &res); err != nil {
-		// A corrupt entry must read as a miss, not poison the hash
-		// forever: drop it and re-solve.
-		c.s.Delete(hash)
-		return nil, false, nil
+		return nil, false, dropCorrupt(c.s, hash, err)
 	}
 	return &res, true, nil
 }
@@ -132,8 +154,7 @@ func (j *jobStore) Get(id string) (*JobRecord, bool, error) {
 	}
 	var rec JobRecord
 	if err := json.Unmarshal(b, &rec); err != nil {
-		j.s.Delete(id)
-		return nil, false, nil
+		return nil, false, dropCorrupt(j.s, id, err)
 	}
 	return &rec, true, nil
 }
@@ -141,3 +162,11 @@ func (j *jobStore) Get(id string) (*JobRecord, bool, error) {
 func (j *jobStore) Delete(id string) error  { return j.s.Delete(id) }
 func (j *jobStore) List() ([]string, error) { return j.s.Keys() }
 func (j *jobStore) Stats() (Stats, error)   { return j.s.Stats() }
+
+// dropCorrupt deletes an entry whose payload does not decode, so the
+// key reads as a clean miss from then on instead of failing forever,
+// and returns the decode error joined with any Delete error: the
+// caller counts the corruption rather than mistaking it for a miss.
+func dropCorrupt(s Store, key string, err error) error {
+	return errors.Join(fmt.Errorf("store: corrupt entry %q dropped: %w", key, err), s.Delete(key))
+}

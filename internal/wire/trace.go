@@ -3,6 +3,7 @@ package wire
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/placer"
 )
@@ -69,6 +70,22 @@ type Trace struct {
 	Capacity int          `json:"capacity"`
 	Dropped  uint64       `json:"dropped,omitempty"`
 	Events   []TraceEvent `json:"events"`
+}
+
+// Clone returns a deep copy of the trace, events and per-kind
+// counters included; nil slices stay nil.
+func (t *Trace) Clone() *Trace {
+	if t == nil {
+		return nil
+	}
+	c := *t
+	c.Events = slices.Clone(t.Events)
+	for i := range c.Events {
+		e := &c.Events[i]
+		e.KindProposed = slices.Clone(e.KindProposed)
+		e.KindAccepted = slices.Clone(e.KindAccepted)
+	}
+	return &c
 }
 
 // traceFloat makes a recorded float JSON-encodable: JSON has no

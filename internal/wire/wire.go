@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"repro/placer"
 )
@@ -154,6 +155,32 @@ type Result struct {
 	// placer.MaxEngineTraceEvents) — so losing representations stay
 	// inspectable. Absent outside portfolio mode.
 	EngineTraces []*Trace `json:"engine_traces,omitempty"`
+}
+
+// Clone returns a deep copy of the result: no slice or pointer of the
+// copy aliases the receiver, and nil slices stay nil, so the copy
+// encodes to the receiver's bytes. A field added to Result (or to the
+// types it points into) must be copied here too; TestResultCloneIsDeep
+// fails until it is.
+func (r *Result) Clone() *Result {
+	if r == nil {
+		return nil
+	}
+	c := *r
+	if r.Breakdown != nil {
+		b := *r.Breakdown
+		c.Breakdown = &b
+	}
+	c.Violations = slices.Clone(r.Violations)
+	c.Placement = slices.Clone(r.Placement)
+	c.Trace = r.Trace.Clone()
+	if r.EngineTraces != nil {
+		c.EngineTraces = make([]*Trace, len(r.EngineTraces))
+		for i, t := range r.EngineTraces {
+			c.EngineTraces[i] = t.Clone()
+		}
+	}
+	return &c
 }
 
 // Geometry ceilings, shared with the placer package: module

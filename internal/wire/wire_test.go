@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -198,6 +199,7 @@ func TestValidateRejects(t *testing.T) {
 		"net dup member":     func(p *Problem) { p.Nets[0] = []int{2, 2} },
 		"one-module net":     func(p *Problem) { p.Nets[0] = []int{2} },
 		"prox out of range":  func(p *Problem) { p.Proximity[0][0] = 77 },
+		"prox dup member":    func(p *Problem) { p.Proximity = append(p.Proximity, []int{0, 1, 0}) },
 		"power length":       func(p *Problem) { p.Power = []float64{1} },
 		"negative power":     func(p *Problem) { p.Power = []float64{1, 1, -2, 1} },
 		"negative weight":    func(p *Problem) { p.Objective.WireWeight = -1 },
@@ -386,5 +388,104 @@ func TestNormalizeIdempotent(t *testing.T) {
 		if !bytes.Equal(c1, c2) {
 			t.Fatalf("normalize not idempotent:\n%s\n%s", c1, c2)
 		}
+	}
+}
+
+// TestResultCloneIsDeep fills every field of a Result by reflection —
+// every pointer set, every slice two elements long, all the way down
+// through traces and engine traces — and checks that Clone is equal,
+// encodes to the same bytes, and shares nothing: writing through every
+// slice and pointer of the clone leaves the original's encoding
+// unchanged. A field added without Clone support fails here.
+func TestResultCloneIsDeep(t *testing.T) {
+	orig := new(Result)
+	n := 0
+	fillValue(t, reflect.ValueOf(orig).Elem(), &n)
+	want, err := json.Marshal(orig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := orig.Clone()
+	if !reflect.DeepEqual(c, orig) {
+		t.Fatalf("Clone differs from the original:\n got %+v\nwant %+v", c, orig)
+	}
+	if got, err := json.Marshal(c); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("Clone encodes differently (err %v):\n got %s\nwant %s", err, got, want)
+	}
+	scribbleValue(t, reflect.ValueOf(c).Elem())
+	if got, _ := json.Marshal(orig); !bytes.Equal(got, want) {
+		t.Fatalf("writing through the clone changed the original:\n got %s\nwant %s", got, want)
+	}
+	if (*Result)(nil).Clone() != nil || (*Trace)(nil).Clone() != nil {
+		t.Fatal("Clone of nil is not nil")
+	}
+}
+
+// fillValue sets every field reachable from v to a distinct non-zero
+// value, allocating pointers and two-element slices on the way.
+func fillValue(t *testing.T, v reflect.Value, n *int) {
+	t.Helper()
+	*n++
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(int64(*n))
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(uint64(*n))
+	case reflect.Float32, reflect.Float64:
+		v.SetFloat(float64(*n) + 0.5)
+	case reflect.String:
+		v.SetString(fmt.Sprintf("s%d", *n))
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+		fillValue(t, v.Elem(), n)
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 2, 2))
+		for i := 0; i < v.Len(); i++ {
+			fillValue(t, v.Index(i), n)
+		}
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			fillValue(t, v.Index(i), n)
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			fillValue(t, v.Field(i), n)
+		}
+	default:
+		t.Fatalf("fillValue: %s fields are not covered; teach Clone and this test about them", v.Type())
+	}
+}
+
+// scribbleValue overwrites every scalar reachable from v in place,
+// following pointers and slices without reallocating them.
+func scribbleValue(t *testing.T, v reflect.Value) {
+	t.Helper()
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(!v.Bool())
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(-v.Int())
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(v.Uint() + 1000)
+	case reflect.Float32, reflect.Float64:
+		v.SetFloat(-v.Float())
+	case reflect.String:
+		v.SetString(v.String() + "!")
+	case reflect.Pointer:
+		if !v.IsNil() {
+			scribbleValue(t, v.Elem())
+		}
+	case reflect.Slice, reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			scribbleValue(t, v.Index(i))
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			scribbleValue(t, v.Field(i))
+		}
+	default:
+		t.Fatalf("scribbleValue: %s fields are not covered", v.Type())
 	}
 }

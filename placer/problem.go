@@ -163,20 +163,28 @@ func (p *Problem) Validate() error {
 			}
 		}
 	}
+	// stamp[m] is the number of the last list (counting nets, then
+	// proximity groups, from 1) seen to contain m, so one slice finds
+	// the duplicates of every list without being cleared.
+	var stamp []int
+	mark := 0
 	idLists := func(what string, lists [][]int, minLen int) error {
+		if len(lists) > 0 && stamp == nil {
+			stamp = make([]int, n)
+		}
 		for li, list := range lists {
 			if len(list) < minLen {
 				return fmt.Errorf("placer: %s %d has fewer than %d members", what, li, minLen)
 			}
-			seen := make(map[int]bool, len(list))
+			mark++
 			for _, m := range list {
 				if m < 0 || m >= n {
 					return fmt.Errorf("placer: %s %d references module %d out of range [0,%d)", what, li, m, n)
 				}
-				if seen[m] {
+				if stamp[m] == mark {
 					return fmt.Errorf("placer: %s %d lists module %d twice", what, li, m)
 				}
-				seen[m] = true
+				stamp[m] = mark
 			}
 		}
 		return nil
