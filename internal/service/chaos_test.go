@@ -87,7 +87,11 @@ func TestChaosStorm(t *testing.T) {
 	fault.Enable("solve/error", 0.2)
 	fault.Enable("wire/decode-err", 0.25)
 
-	s := New(Config{Workers: 4, QueueDepth: 128, PressureDepth: 8})
+	// Millisecond restart backoffs: at the defaults the storm's worker
+	// panics spend half a minute in supervision sleeps, which prove
+	// nothing TestRestartBackoff does not pin.
+	s := New(Config{Workers: 4, QueueDepth: 128, PressureDepth: 8,
+		restartBase: time.Millisecond, restartMax: 20 * time.Millisecond})
 	srv := httptest.NewServer(NewHandler(s))
 	defer srv.Close()
 

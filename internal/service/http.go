@@ -1,12 +1,15 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
+	"strconv"
+	"sync"
 
 	"repro/internal/fault"
 	"repro/internal/obs"
@@ -105,6 +108,15 @@ type BatchItemView struct {
 // Tenancy: the X-API-Key header names the tenant for quota admission
 // and fair queueing; absent means the shared "anonymous" tenant.
 //
+// Repeated requests: the scheduler remembers the content hash of every
+// POST /v1/place body it accepted (a bounded memo, sized like the
+// result cache). A byte-identical repeat goes straight to the result
+// cache without being decoded, validated or hashed again; if the
+// cache no longer holds the result, the body is decoded and solved
+// like a new one. Every response is encoded before its header is
+// written, so one that cannot be encoded answers 500, counted in
+// placed_http_write_errors_total.
+//
 // Job lookups: a queued or running job answers from the scheduler's
 // live table, a finished one from the job store — its own record, or
 // another instance's on a shared durable store. The job endpoints
@@ -113,32 +125,40 @@ func NewHandler(s *Scheduler) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/place", func(w http.ResponseWriter, r *http.Request) {
 		// The request span roots the trace tree; the job span parents
-		// under it across the queue via SubmitCtx.
+		// under it across the queue (see admit).
 		ctx, span := obs.StartSpan(r.Context(), "request", obs.KV("path", "/v1/place"))
 		defer span.End()
 		ctx = WithTenant(ctx, r.Header.Get(TenantHeader))
-		body, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBytes+1))
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "reading body: %v", err)
+		body, ok := s.readBody(w, r)
+		if !ok {
 			return
 		}
-		if len(body) > maxRequestBytes {
-			httpError(w, http.StatusRequestEntityTooLarge, "request over %d bytes", maxRequestBytes)
-			return
+		// A byte-identical repeat of an accepted body skips decoding,
+		// validation and hashing: the memo remembers its hash.
+		hash, known := s.memo.lookup(body)
+		var req *wire.Request
+		var err error
+		if !known {
+			req, hash, err = wire.DecodeRequestHash(body)
+			if err != nil {
+				s.httpError(w, http.StatusBadRequest, "%v", err)
+				return
+			}
+			s.memo.remember(body, hash)
 		}
-		req, err := wire.DecodeRequest(body)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		// Failpoint: a decode that succeeded is reported as failed, so
-		// chaos tests can exercise client-side retry on 400s without
-		// crafting actually-corrupt bodies.
+		// Failpoint: a decode that succeeded (or a memo match) is
+		// reported as failed, so chaos tests can exercise client-side
+		// retry on 400s without crafting actually-corrupt bodies.
 		if fault.Point("wire/decode-err") {
-			httpError(w, http.StatusBadRequest, "injected decode error (failpoint wire/decode-err)")
+			s.httpError(w, http.StatusBadRequest, "injected decode error (failpoint wire/decode-err)")
 			return
 		}
-		job, err := s.SubmitCtx(ctx, req)
+		var job *Job
+		if known {
+			job, err = s.submitMemoized(ctx, body, hash)
+		} else {
+			job, err = s.submitHashed(ctx, req, hash)
+		}
 		if err != nil {
 			submitError(w, s, err)
 			return
@@ -150,7 +170,7 @@ func NewHandler(s *Scheduler) http.Handler {
 			case <-r.Context().Done():
 				// The client went away; the job keeps running for the
 				// next requester (it is content-addressed).
-				httpError(w, statusClientClosedRequest, "client closed request")
+				s.httpError(w, statusClientClosedRequest, "client closed request")
 				return
 			}
 		}
@@ -161,31 +181,26 @@ func NewHandler(s *Scheduler) http.Handler {
 		if v.State.Terminal() {
 			status = http.StatusOK
 		}
-		writeJSON(w, status, v)
+		s.writeJSON(w, status, v)
 	})
 
 	mux.HandleFunc("POST /v1/place:batch", func(w http.ResponseWriter, r *http.Request) {
 		ctx, span := obs.StartSpan(r.Context(), "request", obs.KV("path", "/v1/place:batch"))
 		defer span.End()
 		ctx = WithTenant(ctx, r.Header.Get(TenantHeader))
-		body, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBytes+1))
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "reading body: %v", err)
-			return
-		}
-		if len(body) > maxRequestBytes {
-			httpError(w, http.StatusRequestEntityTooLarge, "request over %d bytes", maxRequestBytes)
+		body, ok := s.readBody(w, r)
+		if !ok {
 			return
 		}
 		// One decode validates every item up front: a batch with any
 		// invalid item is rejected whole, before any job is enqueued.
 		batch, err := wire.DecodeBatchRequest(body)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
+			s.httpError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		if fault.Point("wire/decode-err") {
-			httpError(w, http.StatusBadRequest, "injected decode error (failpoint wire/decode-err)")
+			s.httpError(w, http.StatusBadRequest, "injected decode error (failpoint wire/decode-err)")
 			return
 		}
 		view := BatchView{Jobs: make([]BatchItemView, len(batch.Items))}
@@ -198,7 +213,7 @@ func NewHandler(s *Scheduler) http.Handler {
 			job, err := s.SubmitCtx(ctx, &batch.Items[i])
 			if err != nil {
 				if errors.Is(err, ErrClosed) {
-					httpError(w, http.StatusServiceUnavailable, "%v", err)
+					s.httpError(w, http.StatusServiceUnavailable, "%v", err)
 					return
 				}
 				rejected++
@@ -220,7 +235,7 @@ func NewHandler(s *Scheduler) http.Handler {
 				select {
 				case <-job.Done():
 				case <-r.Context().Done():
-					httpError(w, statusClientClosedRequest, "client closed request")
+					s.httpError(w, statusClientClosedRequest, "client closed request")
 					return
 				}
 			}
@@ -244,7 +259,7 @@ func NewHandler(s *Scheduler) http.Handler {
 			w.Header().Set("Retry-After", fmt.Sprintf("%d", maxRetry))
 			status = http.StatusTooManyRequests
 		}
-		writeJSON(w, status, view)
+		s.writeJSON(w, status, view)
 	})
 
 	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
@@ -252,13 +267,13 @@ func NewHandler(s *Scheduler) http.Handler {
 		switch {
 		case !ok: // findJob answered
 		case job != nil && wantsEventStream(r):
-			serveJobStream(w, r, job)
+			s.serveJobStream(w, r, job)
 		case job != nil:
-			writeJSON(w, http.StatusOK, job.View())
+			s.writeJSON(w, http.StatusOK, job.View())
 		case wantsEventStream(r):
-			serveRecordStream(w, rec)
+			s.serveRecordStream(w, rec)
 		default:
-			writeJSON(w, http.StatusOK, recordView(rec))
+			s.writeJSON(w, http.StatusOK, recordView(rec))
 		}
 	})
 
@@ -270,15 +285,15 @@ func NewHandler(s *Scheduler) http.Handler {
 		}
 		if job != nil {
 			if rec = job.record(); rec == nil {
-				httpError(w, http.StatusConflict, "job %s not terminal; its trace is served once it finishes", id)
+				s.httpError(w, http.StatusConflict, "job %s not terminal; its trace is served once it finishes", id)
 				return
 			}
 		}
 		if tr := recordTrace(rec); tr != nil {
-			writeJSON(w, http.StatusOK, tr)
+			s.writeJSON(w, http.StatusOK, tr)
 			return
 		}
-		httpError(w, http.StatusNotFound, "no trace recorded for job %s", id)
+		s.httpError(w, http.StatusNotFound, "no trace recorded for job %s", id)
 	})
 
 	mux.HandleFunc("DELETE /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
@@ -287,15 +302,15 @@ func NewHandler(s *Scheduler) http.Handler {
 		case !ok: // findJob answered
 		case job != nil:
 			s.cancel(job)
-			writeJSON(w, http.StatusOK, job.View())
+			s.writeJSON(w, http.StatusOK, job.View())
 		default:
 			// Already terminal, which is what a cancel wants anyway.
-			writeJSON(w, http.StatusOK, recordView(rec))
+			s.writeJSON(w, http.StatusOK, recordView(rec))
 		}
 	})
 
 	mux.HandleFunc("GET /v1/algorithms", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, AlgorithmViews())
+		s.writeJSON(w, http.StatusOK, AlgorithmViews())
 	})
 
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -322,9 +337,9 @@ func findJob(w http.ResponseWriter, s *Scheduler, id string) (*Job, *store.JobRe
 	rec, ok, err := s.Record(id)
 	switch {
 	case err != nil:
-		httpError(w, http.StatusServiceUnavailable, "job store: %v", err)
+		s.httpError(w, http.StatusServiceUnavailable, "job store: %v", err)
 	case !ok:
-		httpError(w, http.StatusNotFound, "no such job")
+		s.httpError(w, http.StatusNotFound, "no such job")
 	default:
 		return nil, rec, true
 	}
@@ -347,11 +362,11 @@ func submitError(w http.ResponseWriter, s *Scheduler, err error) {
 		// The content hash makes the client's later resubmission
 		// idempotent.
 		w.Header().Set("Retry-After", fmt.Sprintf("%d", retrySeconds(s, err)))
-		httpError(w, http.StatusTooManyRequests, "%v", err)
+		s.httpError(w, http.StatusTooManyRequests, "%v", err)
 	case errors.Is(err, ErrClosed):
-		httpError(w, http.StatusServiceUnavailable, "%v", err)
+		s.httpError(w, http.StatusServiceUnavailable, "%v", err)
 	default:
-		httpError(w, http.StatusBadRequest, "%v", err)
+		s.httpError(w, http.StatusBadRequest, "%v", err)
 	}
 }
 
@@ -368,13 +383,60 @@ func retrySeconds(s *Scheduler, err error) int64 {
 	return 0
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
+// writeErrorKind labels placed_http_write_errors_total: a response
+// that could not be encoded, or not written to the client.
+type writeErrorKind int
+
+const (
+	writeErrEncode writeErrorKind = iota
+	writeErrWrite
+	numWriteErrorKinds
+)
+
+var writeErrorKindNames = [numWriteErrorKinds]string{"encode", "write"}
+
+// readBody reads a POST body. When the body cannot be read or is over
+// maxRequestBytes, it answers 400 or 413 and reports false.
+func (s *Scheduler) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBytes+1))
+	switch {
+	case err != nil:
+		s.httpError(w, http.StatusBadRequest, "reading body: %v", err)
+	case len(body) > maxRequestBytes:
+		s.httpError(w, http.StatusRequestEntityTooLarge, "request over %d bytes", maxRequestBytes)
+	default:
+		return body, true
+	}
+	return nil, false
 }
 
-func httpError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
+// bufs recycles the buffers responses are encoded into.
+var bufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// writeJSON answers v as JSON with status. v is encoded before the
+// header goes out, so a view that cannot be encoded (a NaN cost)
+// answers 500 with an error, not an empty 200. Both failures are
+// counted.
+func (s *Scheduler) writeJSON(w http.ResponseWriter, status int, v any) {
+	buf := bufs.Get().(*bytes.Buffer)
+	defer func() {
+		buf.Reset()
+		bufs.Put(buf)
+	}()
+	// An Encoder writes nothing to buf when encoding fails.
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		s.httpWriteErrors[writeErrEncode].Add(1)
+		status = http.StatusInternalServerError
+		_ = json.NewEncoder(buf).Encode(map[string]string{"error": fmt.Sprintf("encoding the response: %v", err)})
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
+	w.WriteHeader(status)
+	if _, err := w.Write(buf.Bytes()); err != nil {
+		s.httpWriteErrors[writeErrWrite].Add(1)
+	}
+}
+
+func (s *Scheduler) httpError(w http.ResponseWriter, status int, format string, args ...any) {
+	s.writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }

@@ -304,6 +304,11 @@ func (s *Scheduler) WriteMetrics(w io.Writer) error {
 		p("placed_store_seconds_sum{op=%q} %g\n", name, time.Duration(s.storeTime.nanos[op].Load()).Seconds())
 		p("placed_store_seconds_count{op=%q} %d\n", name, s.storeTime.calls[op].Load())
 	}
+	p("# HELP placed_http_write_errors_total HTTP responses and SSE events that failed to encode (answered 500 or skipped) or to reach the client, by kind.\n")
+	p("# TYPE placed_http_write_errors_total counter\n")
+	for kind, name := range writeErrorKindNames {
+		p("placed_http_write_errors_total{kind=%q} %d\n", name, s.httpWriteErrors[kind].Load())
+	}
 	p("# HELP placed_checkpoints_saved_total Best-so-far solver snapshots accepted into the checkpoint store.\n")
 	p("# TYPE placed_checkpoints_saved_total counter\n")
 	p("placed_checkpoints_saved_total %d\n", ckptSaved)

@@ -15,6 +15,7 @@ import (
 	"math/rand"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/fault"
@@ -374,6 +375,14 @@ type Config struct {
 	// proportionally to its weight. Fair queueing is always on — with
 	// a single tenant it degenerates to the plain FIFO it replaced.
 	TenantWeights map[string]float64
+
+	// Worker supervision backoff: a crashed worker slot restarts after
+	// an exponentially growing, jittered delay that starts at
+	// restartBase and doubles up to restartMax, so a hot crash loop (a
+	// poisoned queue, a scheduler bug) cannot spin the pool at 100%
+	// CPU. New sets the defaults; only this package's tests shorten
+	// them.
+	restartBase, restartMax time.Duration
 }
 
 // ErrQueueFull is returned by Submit when the job queue is at
@@ -413,6 +422,13 @@ type Scheduler struct {
 	// workerCrashes counts panics per worker slot (the supervisor
 	// restarts the slot; the counter survives restarts), guarded by mu.
 	workerCrashes []int64
+	// memo maps accepted POST bodies to their content hashes; nil
+	// without a result cache, which is all a memo match can answer
+	// from.
+	memo *bodyMemo
+	// httpWriteErrors counts responses that failed to encode or to
+	// write, indexed by writeErrorKind.
+	httpWriteErrors [numWriteErrorKinds]atomic.Int64
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -447,9 +463,15 @@ func New(cfg Config) *Scheduler {
 	case cfg.PressureDepth < 0:
 		cfg.PressureDepth = 0 // disabled
 	}
+	if cfg.restartBase <= 0 {
+		cfg.restartBase = 25 * time.Millisecond
+	}
+	if cfg.restartMax <= 0 {
+		cfg.restartMax = 5 * time.Second
+	}
 	size := cfg.CacheSize
 	if size == 0 {
-		size = 128
+		size = defaultCacheSize
 	}
 	s := &Scheduler{
 		cfg:           cfg,
@@ -467,6 +489,15 @@ func New(cfg Config) *Scheduler {
 		s.results = cfg.Results
 	case size > 0:
 		s.results = store.NewResultCache(store.NewMemory(size), cfg.ResultTTL)
+	}
+	if s.results != nil {
+		// The memo is bounded like the cache it answers from: a
+		// remembered body whose result was evicted only costs a decode.
+		entries := size
+		if entries <= 0 {
+			entries = defaultCacheSize // an explicit backend with CacheSize < 0
+		}
+		s.memo = newBodyMemo(entries, maxRequestBytes)
 	}
 	if cfg.Jobs != nil {
 		s.jobstore = cfg.Jobs
@@ -513,12 +544,41 @@ func (s *Scheduler) SubmitCtx(ctx context.Context, req *wire.Request) (*Job, err
 	if err != nil {
 		return nil, err
 	}
+	return s.submitHashed(ctx, req, hash)
+}
+
+// submitHashed is SubmitCtx for a request that is already validated
+// and normalized, with hash its content hash (wire.DecodeRequestHash
+// output).
+func (s *Scheduler) submitHashed(ctx context.Context, req *wire.Request, hash string) (*Job, error) {
 	// The cache is read before the lock is taken: a lookup copies a
 	// whole result and may read disk.
-	cached, hit := s.cacheGet(hash)
-	j, err := s.admit(ctx, req, hash, hit)
-	if err != nil || !hit {
-		return j, err
+	if cached, hit := s.cacheGet(hash); hit {
+		return s.serveHit(ctx, hash, cached)
+	}
+	return s.admit(ctx, req, hash, false)
+}
+
+// submitMemoized submits a POST body the memo matched, with hash its
+// remembered content hash. A cache hit needs no request at all; when
+// the cache has evicted the result, the body is decoded again and
+// submitted like a new one.
+func (s *Scheduler) submitMemoized(ctx context.Context, body []byte, hash string) (*Job, error) {
+	if cached, hit := s.cacheGet(hash); hit {
+		return s.serveHit(ctx, hash, cached)
+	}
+	req, hash, err := wire.DecodeRequestHash(body)
+	if err != nil {
+		return nil, err
+	}
+	return s.submitHashed(ctx, req, hash)
+}
+
+// serveHit answers a submission from its cached result.
+func (s *Scheduler) serveHit(ctx context.Context, hash string, cached *wire.Result) (*Job, error) {
+	j, err := s.admit(ctx, nil, hash, true)
+	if err != nil {
+		return nil, err
 	}
 	// A cache hit is terminal from birth. It never enters the live
 	// table, and finish writes its record before the id is handed out.
@@ -526,7 +586,7 @@ func (s *Scheduler) SubmitCtx(ctx context.Context, req *wire.Request) (*Job, err
 	return j, nil
 }
 
-// admit is the locked core of SubmitCtx: on a cache hit it only mints
+// admit is the locked core of a submission: on a cache hit it only mints
 // the job, on a miss it coalesces onto a live identical job or queues
 // a new one. It checks closed and inflight under the lock, after the
 // unlocked cache lookup; a miss that raced an identical job's cache
@@ -681,13 +741,29 @@ func (s *Scheduler) Close() {
 	s.wg.Wait()
 }
 
-// Worker supervision backoff: a crashed worker slot restarts after an
-// exponentially growing, jittered delay, so a hot crash loop (a
-// poisoned queue, a scheduler bug) cannot spin the pool at 100% CPU.
-const (
-	workerRestartBase = 25 * time.Millisecond
-	workerRestartMax  = 5 * time.Second
-)
+// defaultCacheSize is the result cache's default entry bound.
+const defaultCacheSize = 128
+
+// restartBackoff is one worker slot's restart delay (see
+// Config.restartBase): it doubles after every crash up to max, and
+// starts over after a crash that ended a long healthy run.
+type restartBackoff struct {
+	base, max, cur time.Duration
+}
+
+// next returns the delay before restarting a worker that crashed after
+// running for ran: a uniform draw from [cur/2, cur], with cur reset to
+// base first when the worker ran longer than four times max.
+func (b *restartBackoff) next(ran time.Duration, rng *rand.Rand) time.Duration {
+	if b.cur == 0 || ran > 4*b.max {
+		// The first crash, or one after the worker ran healthily for a
+		// while: treat it as fresh rather than part of a crash loop.
+		b.cur = b.base
+	}
+	delay := b.cur/2 + time.Duration(rng.Int63n(int64(b.cur/2)+1))
+	b.cur = min(2*b.cur, b.max)
+	return delay
+}
 
 // supervise owns one worker slot: it runs the worker loop and, when
 // the worker dies from a panic (real or injected), restarts it after
@@ -698,7 +774,7 @@ const (
 func (s *Scheduler) supervise(slot int) {
 	defer s.wg.Done()
 	rng := rand.New(rand.NewSource(int64(slot)*7919 + 1)) // jitter only; not part of any reproducible run
-	backoff := workerRestartBase
+	backoff := restartBackoff{base: s.cfg.restartBase, max: s.cfg.restartMax}
 	for {
 		started := time.Now()
 		crashed := s.workerLoop()
@@ -713,20 +789,13 @@ func (s *Scheduler) supervise(slot int) {
 		if closed {
 			return // Close already cancels and drains; no restart needed
 		}
-		if time.Since(started) > 4*workerRestartMax {
-			// The worker ran healthily for a while before this crash;
-			// treat it as fresh rather than part of a crash loop.
-			backoff = workerRestartBase
-		}
-		delay := backoff/2 + time.Duration(rng.Int63n(int64(backoff/2)+1))
-		t := time.NewTimer(delay)
+		t := time.NewTimer(backoff.next(time.Since(started), rng))
 		select {
 		case <-s.baseCtx.Done():
 			t.Stop()
 			return
 		case <-t.C:
 		}
-		backoff = min(2*backoff, workerRestartMax)
 		s.mu.Lock()
 		s.metrics.workerRestarts++
 		s.mu.Unlock()

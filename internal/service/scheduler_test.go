@@ -36,7 +36,7 @@ func waitJob(t *testing.T, j *Job) *wire.Result {
 
 // waitRecorded waits until job id has left the live table, which
 // finish does right after the job's record write returns.
-func waitRecorded(t *testing.T, s *Scheduler, id string) {
+func waitRecorded(t testing.TB, s *Scheduler, id string) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {

@@ -1,9 +1,9 @@
 package service
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strings"
@@ -40,10 +40,10 @@ func wantsEventStream(r *http.Request) bool {
 // crash retry replaces the job's ring; the stream detects the identity
 // change and restarts its cursor, so the events always describe the
 // attempt that will produce the result.
-func serveJobStream(w http.ResponseWriter, r *http.Request, job *Job) {
+func (s *Scheduler) serveJobStream(w http.ResponseWriter, r *http.Request, job *Job) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		httpError(w, http.StatusNotAcceptable, "connection does not support streaming")
+		s.httpError(w, http.StatusNotAcceptable, "connection does not support streaming")
 		return
 	}
 	w.Header().Set("Content-Type", "text/event-stream")
@@ -55,7 +55,7 @@ func serveJobStream(w http.ResponseWriter, r *http.Request, job *Job) {
 	var (
 		ring         *obs.Flight
 		cursor       uint64
-		lastProgress []byte
+		lastProgress *Progress
 	)
 	// emit drains new ring events and any progress change; it reports
 	// whether every write succeeded (a false means the client is gone).
@@ -66,24 +66,17 @@ func serveJobStream(w http.ResponseWriter, r *http.Request, job *Job) {
 		}
 		for _, e := range ring.Since(cursor) {
 			cursor = e.Seq + 1
-			b, err := json.Marshal(wireEventFromObs(e))
-			if err != nil {
-				continue
-			}
-			if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", e.Seq, e.Kind.String(), b); err != nil {
+			if !s.writeEvent(w, fmt.Sprintf("id: %d\nevent: %s\n", e.Seq, e.Kind), wireEventFromObs(e)) {
 				return false
 			}
 			wrote = true
 		}
-		if p, ok := job.Progress(); ok {
-			b, err := json.Marshal(p)
-			if err == nil && !bytes.Equal(b, lastProgress) {
-				lastProgress = b
-				if _, err := fmt.Fprintf(w, "event: progress\ndata: %s\n\n", b); err != nil {
-					return false
-				}
-				wrote = true
+		if p, ok := job.Progress(); ok && (lastProgress == nil || p != *lastProgress) {
+			lastProgress = &p
+			if !s.writeEvent(w, "event: progress\n", p) {
+				return false
 			}
+			wrote = true
 		}
 		if wrote {
 			fl.Flush()
@@ -99,9 +92,7 @@ func serveJobStream(w http.ResponseWriter, r *http.Request, job *Job) {
 			return
 		case <-job.Done():
 			emit() // the ring's tail, recorded between the last tick and the finish
-			if b, err := json.Marshal(job.View()); err == nil {
-				fmt.Fprintf(w, "event: done\ndata: %s\n\n", b)
-			}
+			s.writeEvent(w, "event: done\n", job.View())
 			fl.Flush()
 			return
 		case <-ticker.C:
@@ -117,24 +108,39 @@ func serveJobStream(w http.ResponseWriter, r *http.Request, job *Job) {
 // ids continue the ring's sequence past the dropped ones), one
 // "progress" event with the final Progress, and the "done" event with
 // the terminal view.
-func serveRecordStream(w http.ResponseWriter, rec *store.JobRecord) {
+func (s *Scheduler) serveRecordStream(w http.ResponseWriter, rec *store.JobRecord) {
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
-	// A stored record went through JSON on its way into the job store,
-	// so re-encoding its parts cannot fail.
 	if rec.Result != nil && rec.Result.Trace != nil {
 		tr := rec.Result.Trace
 		for i, e := range tr.Events {
-			b, _ := json.Marshal(e)
-			fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", tr.Dropped+uint64(i), e.Kind, b)
+			if !s.writeEvent(w, fmt.Sprintf("id: %d\nevent: %s\n", tr.Dropped+uint64(i), e.Kind), e) {
+				return
+			}
 		}
 	}
-	if rec.Progress != nil {
-		b, _ := json.Marshal(rec.Progress)
-		fmt.Fprintf(w, "event: progress\ndata: %s\n\n", b)
+	if rec.Progress != nil && !s.writeEvent(w, "event: progress\n", rec.Progress) {
+		return
 	}
-	b, _ := json.Marshal(recordView(rec))
-	fmt.Fprintf(w, "event: done\ndata: %s\n\n", b)
+	s.writeEvent(w, "event: done\n", recordView(rec))
+}
+
+// writeEvent writes one SSE event: head (its id and event lines) and v
+// encoded as its data. An event that cannot be encoded is skipped; an
+// event that cannot be written means the client is gone. Both are
+// counted in placed_http_write_errors_total, and the result reports
+// whether the stream can go on.
+func (s *Scheduler) writeEvent(w io.Writer, head string, v any) bool {
+	b, err := json.Marshal(v)
+	if err != nil {
+		s.httpWriteErrors[writeErrEncode].Add(1)
+		return true
+	}
+	if _, err := fmt.Fprintf(w, "%sdata: %s\n\n", head, b); err != nil {
+		s.httpWriteErrors[writeErrWrite].Add(1)
+		return false
+	}
+	return true
 }
 
 // wireEventFromObs converts one live ring event to the wire trace

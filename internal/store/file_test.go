@@ -6,6 +6,7 @@ package store
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -320,4 +321,100 @@ func TestResultCacheConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestJobStoreSharesResults: cache-hit records of a few content hashes
+// in a memory job store hold each distinct result once. Every Get (and
+// the raw Memory value) equals json.Marshal of its Put, the byte
+// accounting counts each record whole, a record whose result differs
+// from its hash's shared one keeps its own, and eviction, expiry and
+// deletion free a shared result with its last record.
+func TestJobStoreSharesResults(t *testing.T) {
+	const hashes = 3
+	results := make([]*wire.Result, hashes)
+	for h := range results {
+		results[h] = fullResult()
+		results[h].Cost = float64(h)
+	}
+	mem := NewMemory(1024)
+	js := NewJobStore(mem, 0)
+	want := make(map[string]string)
+	for i := 0; i < 2000; i++ {
+		h := i % hashes
+		rec := &JobRecord{ID: fmt.Sprintf("job-%d", i), Hash: fmt.Sprintf("hash%d", h), State: "done",
+			CacheHit: true, Result: results[h].Clone(), SubmittedMS: int64(i), FinishedMS: int64(i + 1)}
+		if err := js.Put(rec); err != nil {
+			t.Fatal(err)
+		}
+		want[rec.ID] = mustJSON(t, rec)
+		scribble(rec.Result)
+	}
+	// A cancelled run's best-so-far under a shared hash: equal hash,
+	// different result bytes, so it must not take the shared copy.
+	odd := &JobRecord{ID: "job-odd", Hash: "hash0", State: "cancelled", Result: fullResult()}
+	odd.Result.Cancelled = true
+	if err := js.Put(odd); err != nil {
+		t.Fatal(err)
+	}
+	want[odd.ID] = mustJSON(t, odd)
+
+	ids, err := js.List()
+	if err != nil || len(ids) != 1024 {
+		t.Fatalf("List: %d ids (err %v), want 1024", len(ids), err)
+	}
+	var bytes int64
+	for _, id := range ids {
+		rec, ok, err := js.Get(id)
+		if err != nil || !ok {
+			t.Fatalf("Get(%s): ok=%v err=%v", id, ok, err)
+		}
+		if g := mustJSON(t, rec); g != want[id] {
+			t.Fatalf("Get(%s):\n got %s\nwant %s", id, g, want[id])
+		}
+		scribble(rec.Result) // a Get never aliases the shared copy
+		raw, _, _ := mem.Get(id)
+		if string(raw) != want[id] {
+			t.Fatalf("Memory.Get(%s):\n got %s\nwant %s", id, raw, want[id])
+		}
+		bytes += int64(len(raw))
+	}
+	if st, _ := js.Stats(); st.Entries != 1024 || st.Bytes != bytes {
+		t.Fatalf("Stats = %+v, want 1024 entries / %d bytes", st, bytes)
+	}
+	// One shared copy per hash, plus the odd record's own.
+	if n := liveRuns(mem); n != hashes+1 || len(mem.runs) != hashes {
+		t.Fatalf("%d result copies live (%d shared), want %d (%d)", n, len(mem.runs), hashes+1, hashes)
+	}
+	for _, id := range ids {
+		if err := js.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st, _ := js.Stats(); st.Entries != 0 || st.Bytes != 0 || len(mem.runs) != 0 {
+		t.Fatalf("after deleting every record: Stats %+v, %d shared results held", st, len(mem.runs))
+	}
+
+	// Expiry frees them too.
+	mem = NewMemory(8)
+	js = NewJobStore(mem, time.Millisecond)
+	if err := js.Put(&JobRecord{ID: "job-1", Hash: "hash0", State: "done", Result: fullResult()}); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(5 * time.Millisecond)
+	if keys, _ := mem.Keys(); len(keys) != 0 || len(mem.runs) != 0 {
+		t.Fatalf("after expiry: %d keys, %d shared results held", len(keys), len(mem.runs))
+	}
+}
+
+// liveRuns counts the distinct shared runs m's entries reference.
+func liveRuns(m *Memory) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	runs := make(map[*sharedRun]bool)
+	for el := m.order.Front(); el != nil; el = el.Next() {
+		if r := el.Value.(*memEntry).run; r != nil {
+			runs[r] = true
+		}
+	}
+	return len(runs)
 }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"container/list"
 	"sync"
 	"time"
@@ -17,6 +18,10 @@ type Memory struct {
 	order *list.List // front = most recent; values are *memEntry
 	byKey map[string]*list.Element
 	bytes int64
+	// runs holds the shared runs of entries stored by putShared, one
+	// per share key. A run leaves it with the last entry referencing
+	// it, so it never holds more runs than there are entries.
+	runs map[string]*sharedRun
 }
 
 type memEntry struct {
@@ -25,7 +30,19 @@ type memEntry struct {
 	// dec is the decoded form of val when a typed adapter stored one
 	// (see putDecoded); nil otherwise. Like val, it is never mutated.
 	dec any
+	// run, when set, is a shared run of bytes cut out of the value at
+	// offset at: the entry's value is val[:at] + run.b + val[at:].
+	run *sharedRun
+	at  int
 	exp time.Time // zero means no expiry
+}
+
+// sharedRun is a run of bytes held once for every entry that contains
+// it (see putShared).
+type sharedRun struct {
+	key  string
+	b    []byte
+	refs int
 }
 
 // NewMemory returns an in-memory Store holding at most capacity
@@ -34,14 +51,14 @@ func NewMemory(capacity int) *Memory {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Memory{cap: capacity, order: list.New(), byKey: make(map[string]*list.Element)}
+	return &Memory{cap: capacity, order: list.New(), byKey: make(map[string]*list.Element), runs: make(map[string]*sharedRun)}
 }
 
 // Put stores a copy of value (entries are immutable once in).
 func (m *Memory) Put(key string, value []byte, ttl time.Duration) error {
 	val := make([]byte, len(value))
 	copy(val, value)
-	return m.putDecoded(key, val, nil, ttl)
+	return m.put(&memEntry{key: key, val: val}, ttl)
 }
 
 // putDecoded stores val, which the Memory takes over, together with
@@ -49,28 +66,63 @@ func (m *Memory) Put(key string, value []byte, ttl time.Duration) error {
 // nothing else references, so getDecoded can hand it back without a
 // decode.
 func (m *Memory) putDecoded(key string, val []byte, dec any, ttl time.Duration) error {
-	if err := ValidKey(key); err != nil {
+	return m.put(&memEntry{key: key, val: val, dec: dec}, ttl)
+}
+
+// putShared stores value, which is base with one contiguous run of
+// bytes inserted, and takes over base. The run is held once for every
+// entry whose run under the same share key has equal bytes; Get and
+// Stats see value as if it were stored whole.
+func (m *Memory) putShared(key string, value, base []byte, share string, ttl time.Duration) error {
+	at := 0
+	for at < len(base) && value[at] == base[at] {
+		at++
+	}
+	run := &sharedRun{key: share, b: value[at : at+len(value)-len(base)]}
+	return m.put(&memEntry{key: key, val: base, run: run, at: at}, ttl)
+}
+
+// put stores e, replacing any entry under its key, and evicts the
+// least recently used entries beyond the capacity.
+func (m *Memory) put(e *memEntry, ttl time.Duration) error {
+	if err := ValidKey(e.key); err != nil {
 		return err
 	}
-	var exp time.Time
 	if ttl > 0 {
-		exp = time.Now().Add(ttl)
+		e.exp = time.Now().Add(ttl)
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if el, ok := m.byKey[key]; ok {
-		e := el.Value.(*memEntry)
-		m.bytes += int64(len(val)) - int64(len(e.val))
-		e.val, e.dec, e.exp = val, dec, exp
-		m.order.MoveToFront(el)
-		return nil
+	if e.run != nil {
+		e.run = m.shareLocked(e.run)
 	}
-	m.byKey[key] = m.order.PushFront(&memEntry{key: key, val: val, dec: dec, exp: exp})
-	m.bytes += int64(len(val))
+	if el, ok := m.byKey[e.key]; ok {
+		m.removeLocked(el)
+	}
+	m.byKey[e.key] = m.order.PushFront(e)
+	m.bytes += e.size()
 	for m.order.Len() > m.cap {
 		m.removeLocked(m.order.Back())
 	}
 	return nil
+}
+
+// shareLocked returns the held run equal to run, with one more
+// reference. A run the Memory does not hold yet is copied (so the
+// caller's larger buffer is not kept alive) and held under its key,
+// unless an unequal run holds that key; then it stays private to its
+// entry.
+func (m *Memory) shareLocked(run *sharedRun) *sharedRun {
+	held, ok := m.runs[run.key]
+	if ok && bytes.Equal(held.b, run.b) {
+		held.refs++
+		return held
+	}
+	run = &sharedRun{key: run.key, b: bytes.Clone(run.b), refs: 1}
+	if !ok {
+		m.runs[run.key] = run
+	}
+	return run
 }
 
 // Get returns a copy of the stored value; an expired entry is reaped
@@ -153,14 +205,32 @@ func (m *Memory) Close() error {
 	defer m.mu.Unlock()
 	m.order.Init()
 	m.byKey = make(map[string]*list.Element)
+	m.runs = make(map[string]*sharedRun)
 	m.bytes = 0
 	return nil
 }
 
+// copyVal returns a copy of the entry's value, its shared run
+// included.
 func (e *memEntry) copyVal() []byte {
-	out := make([]byte, len(e.val))
-	copy(out, e.val)
-	return out
+	if e.run == nil {
+		out := make([]byte, len(e.val))
+		copy(out, e.val)
+		return out
+	}
+	out := make([]byte, 0, e.size())
+	out = append(out, e.val[:e.at]...)
+	out = append(out, e.run.b...)
+	return append(out, e.val[e.at:]...)
+}
+
+// size is the length of the entry's value.
+func (e *memEntry) size() int64 {
+	n := len(e.val)
+	if e.run != nil {
+		n += len(e.run.b)
+	}
+	return int64(n)
 }
 
 func (e *memEntry) expired(now time.Time) bool {
@@ -171,7 +241,13 @@ func (m *Memory) removeLocked(el *list.Element) {
 	e := el.Value.(*memEntry)
 	m.order.Remove(el)
 	delete(m.byKey, e.key)
-	m.bytes -= int64(len(e.val))
+	m.bytes -= e.size()
+	if r := e.run; r != nil {
+		// The last entry referencing a held run frees it.
+		if r.refs--; r.refs == 0 && m.runs[r.key] == r {
+			delete(m.runs, r.key)
+		}
+	}
 }
 
 func (m *Memory) reapLocked(now time.Time) {

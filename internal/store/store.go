@@ -9,11 +9,20 @@
 //
 // The division of labor: Store moves bytes and owns expiry/eviction;
 // the typed adapters own encoding (canonical JSON), and report an
-// entry they cannot decode as an error after dropping it. One shortcut
-// crosses that line: a ResultCache over the in-process Memory backend
-// keeps a private decoded copy of each result in the entry beside its
-// bytes, so a cache hit is a deep copy instead of a JSON decode. The
-// bytes stay the entry's size and its sharable form. Each adapter
+// entry they cannot decode as an error after dropping it. Two shortcuts
+// cross that line, both over the in-process Memory backend only:
+//
+//   - a ResultCache keeps a private decoded copy of each result in the
+//     entry beside its bytes, so a cache hit is a deep copy instead of
+//     a JSON decode. The bytes stay the entry's size and its sharable
+//     form;
+//   - a JobStore stores each record as its JSON without the result
+//     plus the result's bytes, and records of one content hash whose
+//     result bytes are equal share one copy of them, freed with the
+//     last such record. Get and Stats still see each record's whole
+//     JSON.
+//
+// Each adapter
 // wraps its own backing Store (on disk: sibling subdirectories), so
 // results and job records never contend for one namespace. All
 // implementations are safe for concurrent use.

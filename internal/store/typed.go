@@ -126,13 +126,17 @@ func (c *resultCache) List() ([]string, error)  { return c.s.Keys() }
 func (c *resultCache) Stats() (Stats, error)    { return c.s.Stats() }
 
 // NewJobStore adapts a blob Store into a JobStore with one ttl for
-// every record.
+// every record. Over a *Memory, records of one content hash whose
+// results encode to equal bytes hold those bytes once, so the records
+// of repeated cache hits cost only their metadata.
 func NewJobStore(s Store, ttl time.Duration) JobStore {
-	return &jobStore{s: s, ttl: ttl}
+	mem, _ := s.(*Memory)
+	return &jobStore{s: s, mem: mem, ttl: ttl}
 }
 
 type jobStore struct {
 	s   Store
+	mem *Memory // s itself when it is a *Memory, else nil
 	ttl time.Duration
 }
 
@@ -144,7 +148,18 @@ func (j *jobStore) Put(rec *JobRecord) error {
 	if err != nil {
 		return err
 	}
-	return j.s.Put(rec.ID, b, j.ttl)
+	if j.mem == nil || rec.Result == nil {
+		return j.s.Put(rec.ID, b, j.ttl)
+	}
+	// The record without its result is the record's JSON with the
+	// result's run cut out; the Memory shares that run by hash.
+	meta := *rec
+	meta.Result = nil
+	base, err := json.Marshal(&meta)
+	if err != nil {
+		return err
+	}
+	return j.mem.putShared(rec.ID, b, base, rec.Hash, j.ttl)
 }
 
 func (j *jobStore) Get(id string) (*JobRecord, bool, error) {

@@ -416,6 +416,11 @@ func (r *Request) HashNormalized() (string, error) {
 	if err := r.Validate(); err != nil {
 		return "", err
 	}
+	return r.hashNormalized()
+}
+
+// hashNormalized is HashNormalized for a request already validated.
+func (r *Request) hashNormalized() (string, error) {
 	c := Request{Problem: r.Problem, Options: r.Options}
 	c.Options.TimeoutMS = 0 // deadlines are excluded from the content address
 	b, err := json.Marshal(c)
@@ -467,4 +472,19 @@ func DecodeRequest(data []byte) (*Request, error) {
 	r.Problem.Normalize()
 	r.Options.Normalize()
 	return &r, nil
+}
+
+// DecodeRequestHash is DecodeRequest followed by HashNormalized, with
+// the request validated once instead of twice: it returns the decoded
+// request and the content hash HashNormalized would.
+func DecodeRequestHash(data []byte) (*Request, string, error) {
+	r, err := DecodeRequest(data)
+	if err != nil {
+		return nil, "", err
+	}
+	hash, err := r.hashNormalized()
+	if err != nil {
+		return nil, "", err
+	}
+	return r, hash, nil
 }

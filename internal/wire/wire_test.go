@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -487,5 +489,41 @@ func scribbleValue(t *testing.T, v reflect.Value) {
 		}
 	default:
 		t.Fatalf("scribbleValue: %s fields are not covered", v.Type())
+	}
+}
+
+// TestDecodeRequestHash: the one-validation decode agrees with
+// DecodeRequest followed by HashNormalized on every pin request, and
+// rejects what DecodeRequest rejects.
+func TestDecodeRequestHash(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("..", "..", "placer", "testdata", "pin_*_request.json"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no pin requests (err %v)", err)
+	}
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req, hash, err := DecodeRequestHash(data)
+		if err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		want, err := DecodeRequest(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantHash, err := want.HashNormalized()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hash != wantHash || !reflect.DeepEqual(req, want) {
+			t.Fatalf("%s: DecodeRequestHash = %s, DecodeRequest + HashNormalized = %s", f, hash, wantHash)
+		}
+	}
+	for _, bad := range []string{``, `{}`, `{"problem":{"modules":[{"name":"A","w":1,"h":1}],"objective":{}},"options":{"method":"sorcery"}}`} {
+		if _, hash, err := DecodeRequestHash([]byte(bad)); err == nil || hash != "" {
+			t.Fatalf("DecodeRequestHash(%q) = %q, %v; want a rejection", bad, hash, err)
+		}
 	}
 }
