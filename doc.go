@@ -48,7 +48,7 @@
 // Every placer reaches those protocols through one shared kernel,
 // internal/engine — the paper's "one problem, interchangeable
 // representations" structure made literal. A representation (the
-// topology encoding plus its move table) implements
+// topology encoding plus its move set) implements
 // engine.Representation: Perturb with exact Undo, Pack into
 // coordinates, Snapshot/Restore, Clone and Placement; the kernel's
 // engine.Solution supplies everything the six hand-rolled *Solution
@@ -66,12 +66,8 @@
 // implementing engine.Crossover gain the memetic genetic:<repr>
 // registry engines (order crossover over sequence-pairs, uniform
 // crossover over absolute coordinates, through anneal.Evolve's
-// CrossoverRate), and representations exposing an engine.MoveTable
-// gain the opt-in adaptive move portfolio
-// (placer.WithAdaptiveMoves()): move kinds proposed proportionally to
-// their observed acceptance rate, Laplace-smoothed so no kind
-// starves. Both are off the default path, which stays bit-identical
-// to the pinned pre-kernel goldens.
+// CrossoverRate). They are off the default path, which stays
+// bit-identical to the pinned pre-kernel goldens.
 //
 // # The composable objective
 //

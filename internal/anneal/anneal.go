@@ -71,18 +71,6 @@ type MoveReporter interface {
 	Moved() []int
 }
 
-// MoveKindReporter is an optional extension of MutableSolution for
-// solutions that track per-move-kind proposal/acceptance counters (the
-// engine kernel's adaptive move portfolio). The flight recorder reads
-// the counters at stage boundaries; the engines never require the
-// interface, and implementations may return nil slices when the
-// counters are off. The returned slices are read without copying, so
-// they must only be mutated from the solution's own annealing
-// goroutine (which is where the engines call this).
-type MoveKindReporter interface {
-	MoveKindCounts() (proposed, accepted []int)
-}
-
 // Options configure a simulated-annealing run. The zero value is
 // usable: sensible defaults are filled in by the engines.
 type Options struct {
@@ -168,8 +156,7 @@ type Options struct {
 	TemperLadder float64
 	// Flight, when non-nil, receives per-stage flight-recorder events
 	// (temperature, best/current cost, cumulative move counters,
-	// per-move-kind acceptance for MoveKindReporter solutions, replica
-	// exchanges, checkpoint captures and resumes). Recording never
+	// replica exchanges, checkpoint captures and resumes). Recording never
 	// consumes randomness and never perturbs the search — a solve with
 	// a recorder attached is bit-identical to one without. A nil
 	// Flight costs one pointer test per temperature stage; see
@@ -253,12 +240,11 @@ func (o *Options) report(stats Stats, bestCost float64) {
 }
 
 // recordStage writes one completed temperature stage into the flight
-// recorder: the post-cooling temperature, current and best cost,
-// cumulative counters, and — when the solution reports them — the
-// per-move-kind proposal/acceptance table. Callers guard with a nil
-// test on the recorder so the disabled path builds no event.
-func recordStage(f *obs.Flight, worker int, st *Stats, cur, best float64, kinds MoveKindReporter) {
-	e := obs.Event{
+// recorder: the post-cooling temperature, current and best cost and
+// cumulative counters. Callers guard with a nil test on the recorder
+// so the disabled path builds no event.
+func recordStage(f *obs.Flight, worker int, st *Stats, cur, best float64) {
+	f.Record(obs.Event{
 		Kind:     obs.EventStage,
 		Worker:   int32(worker),
 		Stage:    int32(st.Stages),
@@ -269,17 +255,7 @@ func recordStage(f *obs.Flight, worker int, st *Stats, cur, best float64, kinds 
 		Accepted: int64(st.Accepted),
 		Improved: int64(st.Improved),
 		Peer:     -1,
-	}
-	if kinds != nil {
-		prop, acc := kinds.MoveKindCounts()
-		n := min(len(prop), obs.MaxMoveKinds)
-		e.NKinds = uint8(n)
-		for i := 0; i < n; i++ {
-			e.KindProposed[i] = uint32(prop[i])
-			e.KindAccepted[i] = uint32(acc[i])
-		}
-	}
-	f.Record(e)
+	})
 }
 
 // checkpoint hands a best-so-far snapshot to Options.Checkpoint and
@@ -300,7 +276,6 @@ func (o *Options) checkpoint(snap any, cost float64, stage, worker int) {
 // temperature level.
 type chain struct {
 	sol      MutableSolution
-	kinds    MoveKindReporter // non-nil when sol reports per-kind counters
 	rng      *rand.Rand
 	cost     float64
 	temp     float64
@@ -318,7 +293,6 @@ type chain struct {
 // calibrated by a short walk on the chain's own RNG.
 func newChain(sol MutableSolution, id int, seed int64, opt *Options) *chain {
 	c := &chain{sol: sol, rng: rand.New(rand.NewSource(seed + 1))}
-	c.kinds, _ = sol.(MoveKindReporter)
 	c.stats.Worker = id
 	resumed := false
 	if id == 0 && opt.Resume != nil {
@@ -377,7 +351,7 @@ func (c *chain) runStage(opt *Options) (improved bool) {
 	c.stats.FinalTemp = c.temp
 	opt.report(c.stats, c.bestCost)
 	if opt.Flight != nil {
-		recordStage(opt.Flight, c.stats.Worker, &c.stats, c.cost, c.bestCost, c.kinds)
+		recordStage(opt.Flight, c.stats.Worker, &c.stats, c.cost, c.bestCost)
 	}
 	stageSpan.End()
 	return improved

@@ -4,7 +4,7 @@
 // interchangeable topological representations — sequence-pairs,
 // B*-trees, transitive closure graphs, slicing trees, HB*-tree
 // forests; this package is that idea in code. A representation
-// contributes only its topology encoding and move table through the
+// contributes only its topology encoding and move set through the
 // Representation interface, and one Solution kernel supplies
 // everything the representations used to duplicate: ownership of the
 // composite cost.Model, the incremental dirty-set evaluation wiring
@@ -22,9 +22,8 @@
 // Crossover, anneal.Crossoverer, so one adapter type drives the
 // serial, multi-start, tempered, evolutionary and memetic engines
 // alike. Run and RunFeasible dispatch between the annealers.
-// Every cross-engine feature (the adaptive move portfolio, genetic
-// recombination, new representations) lands here once instead of once
-// per placer.
+// Every cross-engine feature (genetic recombination, new
+// representations) lands here once instead of once per placer.
 package engine
 
 import (
@@ -90,17 +89,6 @@ type MovedModules interface {
 	MovedModules() []int
 }
 
-// MoveTable is an optional Representation extension exposing the move
-// set as enumerable kinds, so the kernel's adaptive move portfolio can
-// drive selection externally. PerturbKind follows the full Perturb
-// contract (undo recording included) restricted to one kind; kinds are
-// 0..MoveKinds()-1.
-type MoveTable interface {
-	Representation
-	MoveKinds() int
-	PerturbKind(kind int, rng *rand.Rand) bool
-}
-
 // Crossover is an optional Representation extension for recombination:
 // CrossoverFrom replaces the receiver's encoding — a fresh clone of
 // parent a — with a recombination of parents a and b (both the
@@ -125,11 +113,6 @@ type Config struct {
 	// from scratch instead of incrementally — the benchmarking and
 	// verification switch.
 	FullEval bool
-	// AdaptiveMoves enables the acceptance-rate-weighted move portfolio
-	// for representations implementing MoveTable (no-op otherwise).
-	// Default off: the representation's own move distribution is the
-	// bit-reproducible historical behavior.
-	AdaptiveMoves bool
 }
 
 // Solution is the shared annealable state over one Representation: it
@@ -146,7 +129,6 @@ type Solution struct {
 	cost       float64
 	prevCost   float64
 	modelMoved bool // last evaluation journaled into the model
-	adaptive   *adaptiveState
 	undo       anneal.Undo
 }
 
@@ -165,11 +147,6 @@ func New(rep Representation, cfg Config) *Solution {
 func newSolution(rep Representation, cfg Config) *Solution {
 	s := &Solution{rep: rep, cfg: cfg}
 	s.mm, _ = rep.(MovedModules)
-	if cfg.AdaptiveMoves {
-		if mt, ok := rep.(MoveTable); ok {
-			s.adaptive = newAdaptiveState(mt.MoveKinds())
-		}
-	}
 	// One pre-bound undo closure per solution: the in-place protocol
 	// allocates nothing per move.
 	s.undo = func() {
@@ -177,9 +154,6 @@ func newSolution(rep Representation, cfg Config) *Solution {
 		if s.modelMoved {
 			s.model.Undo()
 			s.modelMoved = false
-		}
-		if s.adaptive != nil {
-			s.adaptive.rejectLast()
 		}
 		s.cost = s.prevCost
 	}
@@ -239,45 +213,17 @@ func (s *Solution) Moved() []int {
 	return s.model.Moved()
 }
 
-// MoveKindCounts implements anneal.MoveKindReporter: the adaptive move
-// portfolio's cumulative per-kind proposal and acceptance counters,
-// nil when adaptive moves are off. The slices alias the live counters
-// — callers read them on the annealing goroutine at stage boundaries
-// (the flight recorder copies; see internal/obs). The portfolio
-// settles a move's outcome lazily at the next proposal, so a stage-
-// boundary read can be one acceptance behind the aggregate Stats; the
-// recorded trajectory is still exact per proposal.
-func (s *Solution) MoveKindCounts() (proposed, accepted []int) {
-	if s.adaptive == nil {
-		return nil, nil
-	}
-	return s.adaptive.proposed, s.adaptive.accepted
-}
-
 // Perturb implements anneal.MutableSolution: one random move through
-// the representation (or the adaptive portfolio), evaluated
-// incrementally, with the shared exact-undo closure.
+// the representation, evaluated incrementally, with the shared
+// exact-undo closure.
 func (s *Solution) Perturb(rng *rand.Rand) anneal.Undo {
 	s.prevCost = s.cost
-	var changed bool
-	if s.adaptive != nil {
-		changed = s.adaptive.perturb(s.rep.(MoveTable), rng)
-	} else {
-		changed = s.rep.Perturb(rng)
-	}
-	if changed {
+	if s.rep.Perturb(rng) {
 		s.evaluate(true)
 	} else {
 		// The encoding is untouched; make sure a later undo cannot
 		// replay the previous move's model journal.
 		s.modelMoved = false
-		// A move that was never found is not an acceptance, even
-		// though the annealer will "accept" its zero delta — crediting
-		// it would drive the adaptive weights toward unproductive
-		// kinds.
-		if s.adaptive != nil {
-			s.adaptive.rejectLast()
-		}
 	}
 	return s.undo
 }

@@ -11,13 +11,14 @@ import (
 )
 
 // gridRep is a minimal direct-coordinate Representation for kernel
-// tests: n unit modules on integer positions, one move kind
-// translating a single module, plus a "jam" kind that always fails
-// (exercising the changed=false path). Positions above the feasibility
-// bound make Pack fail.
+// tests: n unit modules on integer positions, one move translating a
+// single module. Setting jam makes every move fail (exercising the
+// changed=false path). Positions above the feasibility bound make Pack
+// fail.
 type gridRep struct {
 	x, y  []int
-	bound int // x >= bound is infeasible (0 = unbounded)
+	bound int  // x >= bound is infeasible (0 = unbounded)
+	jam   bool // Perturb finds no move
 
 	m, ox, oy int
 	moved     []int
@@ -28,15 +29,11 @@ func newGridRep(n int) *gridRep {
 	return &gridRep{x: make([]int, n), y: make([]int, n), m: -1, moved: make([]int, 0, 1)}
 }
 
-func (r *gridRep) Perturb(rng *rand.Rand) bool { return r.PerturbKind(0, rng) }
-
-func (r *gridRep) MoveKinds() int { return 2 }
-
-func (r *gridRep) PerturbKind(kind int, rng *rand.Rand) bool {
+func (r *gridRep) Perturb(rng *rand.Rand) bool {
 	r.m = -1
 	r.moved = r.moved[:0]
-	if kind == 1 {
-		return false // the jam kind: no move found
+	if r.jam {
+		return false
 	}
 	m := rng.Intn(len(r.x))
 	r.m, r.ox, r.oy = m, r.x[m], r.y[m]
@@ -227,7 +224,8 @@ func TestKernelFailedMoveKeepsState(t *testing.T) {
 	s := newGridSolution(rep, rng)
 	s.Perturb(rng) // a real move journals into the model
 	before := s.Cost()
-	undo := s.adaptivePerturbKind(t, rng)
+	rep.jam = true
+	undo := s.Perturb(rng)
 	if got := s.Cost(); got != before {
 		t.Fatalf("failed move changed cost %v -> %v", before, got)
 	}
@@ -238,19 +236,6 @@ func TestKernelFailedMoveKeepsState(t *testing.T) {
 	if got, want := s.Cost(), s.RefCost(); got != want {
 		t.Fatalf("incremental cost %v, reference %v", got, want)
 	}
-}
-
-// adaptivePerturbKind drives the jam kind directly through the move
-// table (bypassing the random kind choice).
-func (s *Solution) adaptivePerturbKind(t *testing.T, rng *rand.Rand) anneal.Undo {
-	t.Helper()
-	mt := s.rep.(MoveTable)
-	s.prevCost = s.cost
-	if mt.PerturbKind(1, rng) {
-		t.Fatal("jam kind reported a move")
-	}
-	s.modelMoved = false
-	return s.undo
 }
 
 // TestKernelCrossover: crossover-capable representations recombine
@@ -280,52 +265,6 @@ func TestKernelCrossover(t *testing.T) {
 	plain := newGridSolution(newGridRep(6), rng)
 	if got := plain.Crossover(newGridSolution(newGridRep(6), rng), rng); got != nil {
 		t.Fatal("crossover-incapable representation must return nil")
-	}
-}
-
-// TestAdaptiveMoves: with AdaptiveMoves on, the kernel shifts
-// proposals toward accepted kinds — the jam kind (never accepted,
-// never even a move) must be proposed less often than the useful kind
-// — while cost bookkeeping stays exact.
-func TestAdaptiveMoves(t *testing.T) {
-	rep := newGridRep(6)
-	cfg := gridConfig()
-	cfg.AdaptiveMoves = true
-	rng := rand.New(rand.NewSource(6))
-	for i := range rep.x {
-		rep.x[i], rep.y[i] = rng.Intn(20), rng.Intn(20)
-	}
-	s := New(rep, cfg)
-	if s.adaptive == nil {
-		t.Fatal("adaptive state not armed for a MoveTable representation")
-	}
-	for step := 0; step < 600; step++ {
-		before := s.Cost()
-		undo := s.Perturb(rng)
-		// Annealer-style acceptance at zero temperature: delta <= 0 is
-		// kept without undo — in particular a jam move's zero delta.
-		// The jam kind must still read as rejected to the adaptive
-		// bookkeeping, or its weight would converge to 1.
-		if s.Cost() > before {
-			undo()
-			if got := s.Cost(); got != before {
-				t.Fatalf("step %d: cost %v after undo, want %v", step, got, before)
-			}
-		}
-		if got, want := s.Cost(), s.RefCost(); got != want {
-			t.Fatalf("step %d: incremental cost %v, reference %v", step, got, want)
-		}
-	}
-	if s.adaptive.accepted[1] != 0 {
-		t.Fatalf("jam kind credited as accepted %d times", s.adaptive.accepted[1])
-	}
-	if s.adaptive.proposed[0] <= s.adaptive.proposed[1] {
-		t.Fatalf("adaptive selection did not favor the productive kind: proposed %v", s.adaptive.proposed)
-	}
-	// Adaptive selection is off by default.
-	plain := New(newGridRep(4), gridConfig())
-	if plain.adaptive != nil {
-		t.Fatal("adaptive state armed without opt-in")
 	}
 }
 

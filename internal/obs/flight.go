@@ -10,9 +10,8 @@ type EventKind uint8
 
 const (
 	// EventStage is one completed temperature stage of one annealing
-	// chain: temperature after cooling, best/current cost, cumulative
-	// move counters, and (when the adaptive move portfolio is active)
-	// the per-move-kind proposal/acceptance table.
+	// chain: temperature after cooling, best/current cost and
+	// cumulative move counters.
 	EventStage EventKind = iota + 1
 	// EventExchange is one replica-exchange attempt between
 	// neighboring tempering rungs Worker and Peer.
@@ -43,13 +42,8 @@ func (k EventKind) String() string {
 	return "unknown"
 }
 
-// MaxMoveKinds bounds the per-move-kind counter arrays inlined in
-// Event. Every representation's move table is well under it; a larger
-// table records its first MaxMoveKinds kinds.
-const MaxMoveKinds = 8
-
 // Event is one flight-recorder record. It is a flat value struct —
-// fixed-size arrays, no pointers except the rare Point label (a
+// no pointers except the rare Point label (a
 // pre-existing constant string, so recording copies no string) — so a
 // Flight's ring is one contiguous array.
 //
@@ -77,13 +71,6 @@ type Event struct {
 	PeerCost float64
 	Accept   bool
 
-	// Adaptive move table as of this stage: KindProposed/KindAccepted
-	// hold cumulative per-kind counters for the first NKinds kinds.
-	// NKinds is 0 when the adaptive portfolio is off.
-	NKinds       uint8
-	KindProposed [MaxMoveKinds]uint32
-	KindAccepted [MaxMoveKinds]uint32
-
 	// Point names the failpoint on EventFailpoint records.
 	Point string
 
@@ -97,7 +84,7 @@ const DefaultFlightEvents = 2048
 
 // maxFlightEvents caps the capacity a caller (ultimately an untrusted
 // request, via the service's knob) can pin in memory: 1<<16 events of
-// ~160 B is ~10 MB.
+// 120 B is ~8 MB.
 const maxFlightEvents = 1 << 16
 
 // minFlightSlots is the ring's first allocation: a short solve's

@@ -140,7 +140,7 @@ func TestFlightRingOverwrite(t *testing.T) {
 
 func TestFlightRecordNoAlloc(t *testing.T) {
 	f := NewFlight(64)
-	e := Event{Kind: EventStage, Temp: 1.5, NKinds: 3}
+	e := Event{Kind: EventStage, Temp: 1.5}
 	allocs := testing.AllocsPerRun(100, func() {
 		f.Record(e)
 	})

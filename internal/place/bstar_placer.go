@@ -83,12 +83,11 @@ func BStar(p *Problem, opt anneal.Options) (*Result, error) {
 	return finishResult(best, stats)
 }
 
-// Absolute-coordinate move kinds (the representation's move table).
+// Absolute-coordinate move kinds.
 const (
 	absMoveTranslate = iota
 	absMoveSwap
 	absMoveRotate
-	absMoveKinds
 )
 
 // absRep is the absolute-coordinate baseline Representation: explicit
@@ -130,20 +129,17 @@ func (r *absRep) MovedModules() []int { return r.moved }
 func (r *absRep) Perturb(rng *rand.Rand) bool {
 	switch rng.Intn(4) {
 	case 0, 1:
-		return r.PerturbKind(absMoveTranslate, rng)
+		return r.move(absMoveTranslate, rng)
 	case 2:
-		return r.PerturbKind(absMoveSwap, rng)
+		return r.move(absMoveSwap, rng)
 	default:
-		return r.PerturbKind(absMoveRotate, rng)
+		return r.move(absMoveRotate, rng)
 	}
 }
 
-// MoveKinds implements engine.MoveTable.
-func (r *absRep) MoveKinds() int { return absMoveKinds }
-
-// PerturbKind implements engine.MoveTable, recording the undo
+// move applies one move of the given kind, recording the undo
 // information in op/ma/mb/oldX/oldY and the moved set in moved.
-func (r *absRep) PerturbKind(kind int, rng *rand.Rand) bool {
+func (r *absRep) move(kind int, rng *rand.Rand) bool {
 	n := r.prob.N()
 	r.op = -1
 	r.moved = r.moved[:0]
@@ -258,8 +254,7 @@ func absConfig(p *Problem, penalty float64) engine.Config {
 		NewModel: func(engine.Representation) *cost.Model {
 			return p.NewModel().Add(penalty, newOverlapTerm(p.N()))
 		},
-		FullEval:      p.FullEval,
-		AdaptiveMoves: p.AdaptiveMoves,
+		FullEval: p.FullEval,
 	}
 }
 

@@ -255,22 +255,3 @@ func TestTCGPlacer(t *testing.T) {
 		t.Fatalf("area usage %.2f unexpectedly bad", ratio)
 	}
 }
-
-func TestTwoPhaseBStarPlacer(t *testing.T) {
-	p := smallProblem()
-	p.Groups = nil
-	res, err := TwoPhaseBStar(p,
-		anneal.GAOptions{Seed: 12, Generations: 30},
-		fastOpts(12))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Placement.Legal() {
-		t.Fatal("two-phase placement overlaps")
-	}
-	// The two-phase result should not be worse than a raw random tree:
-	// its cost must be at most the initial cost seen by the engines.
-	if res.Stats.BestCost > res.Stats.InitCost {
-		t.Fatal("two-phase must not worsen the initial cost")
-	}
-}

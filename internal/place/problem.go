@@ -73,11 +73,6 @@ type Problem struct {
 	// behavior, kept for benchmarking the incremental engine and for
 	// verification.
 	FullEval bool
-	// AdaptiveMoves enables the kernel's acceptance-rate-weighted move
-	// portfolio for representations that expose a move table (seqpair,
-	// slicing, absolute). Default off: the historical per-representation
-	// move distributions stay bit-reproducible.
-	AdaptiveMoves bool
 }
 
 // N returns the module count.

@@ -26,9 +26,8 @@ type Result struct {
 // the problem's composite model.
 func newKernel(p *Problem, rep engine.Representation) *engine.Solution {
 	return engine.New(rep, engine.Config{
-		NewModel:      func(engine.Representation) *cost.Model { return p.NewModel() },
-		FullEval:      p.FullEval,
-		AdaptiveMoves: p.AdaptiveMoves,
+		NewModel: func(engine.Representation) *cost.Model { return p.NewModel() },
+		FullEval: p.FullEval,
 	})
 }
 
@@ -44,11 +43,10 @@ func finishResult(sol *engine.Solution, stats anneal.Stats) (*Result, error) {
 	return &Result{Placement: pl, Cost: sol.Cost(), Stats: stats, Breakdown: sol.Breakdown()}, nil
 }
 
-// Sequence-pair move kinds (the representation's move table).
+// Sequence-pair move kinds.
 const (
 	spMoveSequence = iota // S-F-preserving sequence move
 	spMoveRotate          // pairwise rotation
-	spMoveKinds
 )
 
 // spLocalMoveMinN is the module count above which group-free sequence
@@ -117,16 +115,13 @@ func (r *spRep) flip(m int) {
 // move four times out of five, a pairwise rotation otherwise.
 func (r *spRep) Perturb(rng *rand.Rand) bool {
 	if rng.Intn(5) == 0 {
-		return r.PerturbKind(spMoveRotate, rng)
+		return r.move(spMoveRotate, rng)
 	}
-	return r.PerturbKind(spMoveSequence, rng)
+	return r.move(spMoveSequence, rng)
 }
 
-// MoveKinds implements engine.MoveTable.
-func (r *spRep) MoveKinds() int { return spMoveKinds }
-
-// PerturbKind implements engine.MoveTable.
-func (r *spRep) PerturbKind(kind int, rng *rand.Rand) bool {
+// move applies one move of the given kind, recording its undo.
+func (r *spRep) move(kind int, rng *rand.Rand) bool {
 	r.spMoved = false
 	r.rotA, r.rotB = -1, -1
 	r.nMarks = 0
@@ -395,17 +390,8 @@ func newSPRejectRep(p *Problem, sp *seqpair.SP) *spRejectRep {
 }
 
 // Perturb implements engine.Representation with the rejection move
-// set.
+// set: an arbitrary sequence swap.
 func (r *spRejectRep) Perturb(rng *rand.Rand) bool {
-	return r.PerturbKind(0, rng)
-}
-
-// MoveKinds implements engine.MoveTable: the rejection variant has one
-// move kind (an arbitrary sequence swap).
-func (r *spRejectRep) MoveKinds() int { return 1 }
-
-// PerturbKind implements engine.MoveTable.
-func (r *spRejectRep) PerturbKind(_ int, rng *rand.Rand) bool {
 	r.sp.SaveState(&r.saved)
 	r.spMoved = true
 	r.rotA, r.rotB = -1, -1

@@ -72,8 +72,7 @@ type slDecoder struct {
 
 type slFrame struct{ node, x, y int }
 
-// Slicing move kinds (the representation's move table): the classic
-// Wong-Liu set plus module rotation.
+// Slicing move kinds: the classic Wong-Liu set plus module rotation.
 const (
 	slMoveM1 = iota // swap two adjacent operands
 	slMoveM2        // complement one operator
@@ -261,27 +260,6 @@ func (r *slRep) save() {
 func (r *slRep) Perturb(rng *rand.Rand) bool {
 	r.save()
 	return r.mutate(rng)
-}
-
-// MoveKinds implements engine.MoveTable.
-func (r *slRep) MoveKinds() int { return slMoveKinds }
-
-// PerturbKind implements engine.MoveTable: the bounded retry loop
-// restricted to one move kind.
-func (r *slRep) PerturbKind(kind int, rng *rand.Rand) bool {
-	r.save()
-	n := r.prob.N()
-	for attempt := 0; attempt < 16; attempt++ {
-		copy(r.expr, r.savedExpr)
-		copy(r.rot, r.savedRot)
-		r.applyMove(kind, rng)
-		if validPolish(r.expr, n) {
-			return true
-		}
-	}
-	copy(r.expr, r.savedExpr)
-	copy(r.rot, r.savedRot)
-	return false
 }
 
 // Undo implements engine.Representation.

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 
 	"repro/internal/anneal"
-	"repro/internal/bstar"
 	"repro/internal/engine"
 	"repro/internal/geom"
 	"repro/internal/tcg"
@@ -80,18 +79,5 @@ func TCG(p *Problem, opt anneal.Options) (*Result, error) {
 		return s
 	}
 	best, stats := engine.Run(newSol, opt)
-	return finishResult(best, stats)
-}
-
-// TwoPhaseBStar runs the GA+SA two-phase strategy of Zhang et al.
-// ([28]) over B*-trees: an evolutionary exploration followed by
-// annealing refinement.
-func TwoPhaseBStar(p *Problem, ga anneal.GAOptions, sa anneal.Options) (*Result, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	rng := rand.New(rand.NewSource(sa.Seed + 17))
-	init := newKernel(p, newBTRep(p, bstar.NewRandom(p.W, p.H, rng)))
-	best, stats := anneal.TwoPhase(init, ga, sa)
 	return finishResult(best, stats)
 }

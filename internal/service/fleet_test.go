@@ -593,3 +593,49 @@ func TestBatchWaitIsTerminal(t *testing.T) {
 		}
 	}
 }
+
+// TestBatchItemHashMatchesSingle: a batch item is submitted under the
+// content hash its body would get POSTed alone. Every
+// FuzzDecodeBatchRequest corpus entry that decodes goes through the
+// batch endpoint, and then each of its items, byte for byte as it
+// appears in the batch, through POST /v1/place.
+func TestBatchItemHashMatchesSingle(t *testing.T) {
+	h := newHarness(t, Config{Workers: 1})
+	decoded := 0
+	for n, data := range fuzzCorpus(t, "FuzzDecodeBatchRequest") {
+		if _, err := wire.DecodeBatchRequest(data); err != nil {
+			continue
+		}
+		decoded++
+		code, body := h.do(http.MethodPost, "/v1/place:batch?wait=1", data)
+		if code != http.StatusOK {
+			t.Fatalf("corpus entry %d: batch answered %d %s", n, code, body)
+		}
+		var v BatchView
+		if err := json.Unmarshal(body, &v); err != nil {
+			t.Fatalf("bad batch JSON: %v\n%s", err, body)
+		}
+		var raw struct{ Items []json.RawMessage }
+		if err := json.Unmarshal(data, &raw); err != nil {
+			t.Fatal(err)
+		}
+		if len(raw.Items) != len(v.Jobs) {
+			t.Fatalf("corpus entry %d: %d items, %d views", n, len(raw.Items), len(v.Jobs))
+		}
+		for i, item := range raw.Items {
+			if v.Jobs[i].Job == nil {
+				t.Fatalf("corpus entry %d item %d rejected: %s", n, i, v.Jobs[i].Error)
+			}
+			code, body := h.do(http.MethodPost, "/v1/place?wait=1", item)
+			if code != http.StatusOK {
+				t.Fatalf("corpus entry %d item %d alone: %d %s", n, i, code, body)
+			}
+			if got, want := view(t, body).Hash, v.Jobs[i].Job.Hash; got != want {
+				t.Fatalf("corpus entry %d item %d: hash %s alone, %s in the batch", n, i, got, want)
+			}
+		}
+	}
+	if decoded == 0 {
+		t.Fatal("no corpus entry decodes; the test is vacuous")
+	}
+}

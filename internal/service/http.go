@@ -194,7 +194,7 @@ func NewHandler(s *Scheduler) http.Handler {
 		}
 		// One decode validates every item up front: a batch with any
 		// invalid item is rejected whole, before any job is enqueued.
-		batch, err := wire.DecodeBatchRequest(body)
+		batch, hashes, err := wire.DecodeBatchRequestHash(body)
 		if err != nil {
 			s.httpError(w, http.StatusBadRequest, "%v", err)
 			return
@@ -208,9 +208,10 @@ func NewHandler(s *Scheduler) http.Handler {
 		rejected := 0
 		var maxRetry int64
 		for i := range batch.Items {
-			// Items are already normalized; SubmitCtx coalesces identical
-			// items (and identical in-flight singles) onto one solve.
-			job, err := s.SubmitCtx(ctx, &batch.Items[i])
+			// Items are already validated, normalized and hashed;
+			// identical items (and identical in-flight singles)
+			// coalesce onto one solve.
+			job, err := s.submitHashed(ctx, &batch.Items[i], hashes[i])
 			if err != nil {
 				if errors.Is(err, ErrClosed) {
 					s.httpError(w, http.StatusServiceUnavailable, "%v", err)

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"strings"
 	"time"
@@ -66,7 +65,7 @@ func (s *Scheduler) serveJobStream(w http.ResponseWriter, r *http.Request, job *
 		}
 		for _, e := range ring.Since(cursor) {
 			cursor = e.Seq + 1
-			if !s.writeEvent(w, fmt.Sprintf("id: %d\nevent: %s\n", e.Seq, e.Kind), wireEventFromObs(e)) {
+			if !s.writeEvent(w, fmt.Sprintf("id: %d\nevent: %s\n", e.Seq, e.Kind), wire.TraceEventFromObs(e)) {
 				return false
 			}
 			wrote = true
@@ -141,52 +140,4 @@ func (s *Scheduler) writeEvent(w io.Writer, head string, v any) bool {
 		return false
 	}
 	return true
-}
-
-// wireEventFromObs converts one live ring event to the wire trace
-// event shape — the same mapping the completed trace goes through
-// (placer trace → wire.TraceFromPlacer), so a client can decode both
-// with one type.
-func wireEventFromObs(e obs.Event) wire.TraceEvent {
-	we := wire.TraceEvent{
-		Kind:     e.Kind.String(),
-		Worker:   int(e.Worker),
-		Stage:    int(e.Stage),
-		Temp:     finiteFloat(e.Temp),
-		Best:     finiteFloat(e.Best),
-		Cur:      finiteFloat(e.Cur),
-		Moves:    e.Moves,
-		Accepted: e.Accepted,
-		Improved: e.Improved,
-		PeerTemp: finiteFloat(e.PeerTemp),
-		PeerCost: finiteFloat(e.PeerCost),
-		Accept:   e.Accept,
-		Point:    e.Point,
-	}
-	if e.Kind == obs.EventExchange {
-		we.Peer = int(e.Peer)
-	}
-	if n := int(e.NKinds); n > 0 {
-		we.KindProposed = make([]int64, n)
-		we.KindAccepted = make([]int64, n)
-		for i := 0; i < n; i++ {
-			we.KindProposed[i] = int64(e.KindProposed[i])
-			we.KindAccepted[i] = int64(e.KindAccepted[i])
-		}
-	}
-	return we
-}
-
-// finiteFloat clamps IEEE specials for JSON, mirroring the wire
-// package's trace encoding (+Inf costs price infeasible early states).
-func finiteFloat(v float64) float64 {
-	switch {
-	case math.IsNaN(v):
-		return 0
-	case math.IsInf(v, 1):
-		return math.MaxFloat64
-	case math.IsInf(v, -1):
-		return -math.MaxFloat64
-	}
-	return v
 }

@@ -24,8 +24,6 @@ type Placer struct {
 	// Enhanced selects enhanced shape functions (ESF) instead of
 	// regular ones (RSF).
 	Enhanced bool
-	// AllowRotate enumerates module rotations inside basic sets.
-	AllowRotate bool
 
 	dims     func(string) (int, int, error)
 	checkers []setChecker
@@ -44,7 +42,7 @@ func NewPlacer(tree *constraint.Node, dims func(string) (int, int, error), enhan
 	if tree == nil {
 		return nil, fmt.Errorf("shapefn: nil hierarchy tree")
 	}
-	p := &Placer{Enhanced: enhanced, AllowRotate: true, dims: dims}
+	p := &Placer{Enhanced: enhanced, dims: dims}
 	// Collect symmetry validators from the tree. Proximity is implied
 	// by construction (shape addition keeps operands adjacent), and
 	// module-level common centroid reduces to symmetry (see package
@@ -118,11 +116,8 @@ func (p *Placer) EnumerateSet(names []string) (Function, error) {
 	}
 	check := p.checkerFor()
 	var shapes []Shape
-	masks := 1
-	if p.AllowRotate {
-		masks = 1 << n
-	}
-	for mask := 0; mask < masks; mask++ {
+	// Every rotation mask: basic sets enumerate module rotations.
+	for mask := 0; mask < 1<<n; mask++ {
 		ew := make([]int, n)
 		eh := make([]int, n)
 		for i := 0; i < n; i++ {
@@ -138,17 +133,10 @@ func (p *Placer) EnumerateSet(names []string) (Function, error) {
 			if check != nil && check(pl) != nil {
 				return true
 			}
-			s := Shape{W: tw, H: th}
-			if p.Enhanced {
-				s.tree = root
-			} else {
-				// Regular shapes keep a reconstruction record: the
-				// placement is frozen as a single record tree (RSF
-				// still needs to rebuild geometry for the result; the
-				// tree is not used for additions).
-				s.tree = root
-			}
-			shapes = append(shapes, s)
+			// Both function kinds keep the packed tree: it rebuilds
+			// the set's placement, and enhanced additions graft onto
+			// it.
+			shapes = append(shapes, Shape{W: tw, H: th, tree: root})
 			return true
 		})
 	}
@@ -161,9 +149,9 @@ func (p *Placer) EnumerateSet(names []string) (Function, error) {
 
 // incrementalSet combines an oversized set one module at a time.
 func (p *Placer) incrementalSet(names []string, w, h []int) (Function, error) {
-	f := Leaf(names[0], w[0], h[0], p.AllowRotate, p.Enhanced)
+	f := Leaf(names[0], w[0], h[0], true, p.Enhanced)
 	for i := 1; i < len(names); i++ {
-		g := Leaf(names[i], w[i], h[i], p.AllowRotate, p.Enhanced)
+		g := Leaf(names[i], w[i], h[i], true, p.Enhanced)
 		f = p.add(f, g)
 	}
 	if len(f.Shapes) == 0 {
@@ -250,7 +238,7 @@ func (p *Placer) functionFor(n *constraint.Node) (Function, error) {
 		if err != nil {
 			return Function{}, err
 		}
-		lf := Leaf(d, w, h, p.AllowRotate, p.Enhanced)
+		lf := Leaf(d, w, h, true, p.Enhanced)
 		if first {
 			f, first = lf, false
 		} else {

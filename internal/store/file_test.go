@@ -140,8 +140,7 @@ func TestMemoryLRUEviction(t *testing.T) {
 func fullResult() *wire.Result {
 	tr := func(best float64) *wire.Trace {
 		return &wire.Trace{Version: wire.Version, Method: wire.MethodSeqPair, Capacity: 8, Events: []wire.TraceEvent{
-			{Kind: wire.TraceKindStage, Best: best, Moves: 10, Accepted: 4,
-				KindProposed: []int64{6, 4}, KindAccepted: []int64{3, 1}},
+			{Kind: wire.TraceKindStage, Best: best, Moves: 10, Accepted: 4},
 		}}
 	}
 	return &wire.Result{
@@ -162,8 +161,8 @@ func scribble(res *wire.Result) {
 	res.Breakdown.Area = -1
 	res.Violations[0] = "scribbled"
 	res.Placement[0].X = -1
-	res.Trace.Events[0].KindProposed[0] = -1
-	res.EngineTraces[1].Events[0].KindAccepted[1] = -1
+	res.Trace.Events[0].Moves = -1
+	res.EngineTraces[1].Events[0].Accepted = -1
 	res.EngineTraces[0] = nil
 }
 

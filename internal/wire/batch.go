@@ -17,7 +17,7 @@ type BatchRequest struct {
 }
 
 // Validate checks batch-level invariants; per-item validation happens
-// in DecodeBatchRequest (and again at submission).
+// in DecodeBatchRequest.
 func (b *BatchRequest) Validate() error {
 	if len(b.Items) == 0 {
 		return fmt.Errorf("wire: batch with no items")
@@ -48,4 +48,22 @@ func DecodeBatchRequest(data []byte) (*BatchRequest, error) {
 		b.Items[i].Options.Normalize()
 	}
 	return &b, nil
+}
+
+// DecodeBatchRequestHash is DecodeBatchRequest plus every item's
+// content hash, with each item validated once: hashes[i] is what
+// HashNormalized returns for Items[i], and what DecodeRequestHash
+// returns for the item POSTed alone.
+func DecodeBatchRequestHash(data []byte) (b *BatchRequest, hashes []string, err error) {
+	b, err = DecodeBatchRequest(data)
+	if err != nil {
+		return nil, nil, err
+	}
+	hashes = make([]string, len(b.Items))
+	for i := range b.Items {
+		if hashes[i], err = b.Items[i].hashNormalized(); err != nil {
+			return nil, nil, fmt.Errorf("wire: batch item %d: %w", i, err)
+		}
+	}
+	return b, hashes, nil
 }

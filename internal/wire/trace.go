@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 
+	"repro/internal/obs"
 	"repro/placer"
 )
 
@@ -21,9 +22,8 @@ const (
 // TraceEvent is one flight-recorder record on the wire.
 //
 //   - "stage": one completed temperature stage of chain `worker`:
-//     temperature after cooling, best/current cost, cumulative move
-//     counters, and (when the adaptive move portfolio ran) cumulative
-//     per-move-kind proposal/acceptance counters.
+//     temperature after cooling, best/current cost and cumulative
+//     move counters.
 //   - "exchange": one replica-exchange attempt between tempering rungs
 //     `worker` and `peer` with the pre-swap decision inputs and the
 //     Metropolis outcome in `accept`.
@@ -50,9 +50,6 @@ type TraceEvent struct {
 	PeerCost float64 `json:"peer_cost,omitempty"`
 	Accept   bool    `json:"accept,omitempty"`
 
-	KindProposed []int64 `json:"kind_proposed,omitempty"`
-	KindAccepted []int64 `json:"kind_accepted,omitempty"`
-
 	Point string `json:"point,omitempty"`
 }
 
@@ -72,19 +69,13 @@ type Trace struct {
 	Events   []TraceEvent `json:"events"`
 }
 
-// Clone returns a deep copy of the trace, events and per-kind
-// counters included; nil slices stay nil.
+// Clone returns a deep copy of the trace; a nil Events stays nil.
 func (t *Trace) Clone() *Trace {
 	if t == nil {
 		return nil
 	}
 	c := *t
 	c.Events = slices.Clone(t.Events)
-	for i := range c.Events {
-		e := &c.Events[i]
-		e.KindProposed = slices.Clone(e.KindProposed)
-		e.KindAccepted = slices.Clone(e.KindAccepted)
-	}
 	return &c
 }
 
@@ -135,13 +126,34 @@ func TraceFromPlacer(tr *placer.Trace) *Trace {
 		if e.Kind == "exchange" {
 			we.Peer = e.Peer
 		}
-		if len(e.KindProposed) > 0 {
-			we.KindProposed = append([]int64(nil), e.KindProposed...)
-			we.KindAccepted = append([]int64(nil), e.KindAccepted...)
-		}
 		out.Events = append(out.Events, we)
 	}
 	return out
+}
+
+// TraceEventFromObs converts one live flight-recorder event into its
+// wire form: the mapping TraceFromPlacer applies to a finished trace,
+// so a client decodes streamed and completed events with one type.
+func TraceEventFromObs(e obs.Event) TraceEvent {
+	we := TraceEvent{
+		Kind:     e.Kind.String(),
+		Worker:   int(e.Worker),
+		Stage:    int(e.Stage),
+		Temp:     traceFloat(e.Temp),
+		Best:     traceFloat(e.Best),
+		Cur:      traceFloat(e.Cur),
+		Moves:    e.Moves,
+		Accepted: e.Accepted,
+		Improved: e.Improved,
+		PeerTemp: traceFloat(e.PeerTemp),
+		PeerCost: traceFloat(e.PeerCost),
+		Accept:   e.Accept,
+		Point:    e.Point,
+	}
+	if e.Kind == obs.EventExchange {
+		we.Peer = int(e.Peer)
+	}
+	return we
 }
 
 // traceKinds is the closed set of event kinds this wire version
@@ -185,9 +197,6 @@ func (t *Trace) Validate() error {
 		}
 		if e.Accepted > e.Moves {
 			return fmt.Errorf("wire: trace event %d accepted %d moves of %d proposed", i, e.Accepted, e.Moves)
-		}
-		if len(e.KindProposed) != len(e.KindAccepted) {
-			return fmt.Errorf("wire: trace event %d kind counter lengths differ", i)
 		}
 		switch e.Kind {
 		case TraceKindExchange:

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/placer"
 )
 
@@ -42,7 +43,6 @@ func TestTraceValidateRejects(t *testing.T) {
 		{"Inf temp", func(tr *Trace) { tr.Events[1].Temp = math.Inf(1) }, "non-finite"},
 		{"negative moves", func(tr *Trace) { tr.Events[1].Moves = -1 }, "negative counter"},
 		{"accepted over proposed", func(tr *Trace) { tr.Events[1].Accepted = tr.Events[1].Moves + 1 }, "accepted"},
-		{"kind length mismatch", func(tr *Trace) { tr.Events[1].KindProposed = []int64{1} }, "lengths differ"},
 		{"exchange peer below rung", func(tr *Trace) { tr.Events[2].Peer = 0 }, "not above"},
 		{"failpoint unnamed", func(tr *Trace) { tr.Events[4].Point = "" }, "without a point"},
 	}
@@ -63,7 +63,9 @@ func TestTraceValidateRejects(t *testing.T) {
 
 // TestTraceFromPlacerSanitizes: +Inf costs (infeasible early states)
 // must clamp to JSON-encodable values the validator then accepts, and
-// non-exchange events must not leak their Peer -1 sentinel.
+// non-exchange events must not leak their Peer -1 sentinel. The live
+// mapping (TraceEventFromObs, what SSE streams) must agree with the
+// finished-trace one event for event.
 func TestTraceFromPlacerSanitizes(t *testing.T) {
 	tr := TraceFromPlacer(&placer.Trace{
 		Algorithm: "seqpair",
@@ -84,5 +86,22 @@ func TestTraceFromPlacerSanitizes(t *testing.T) {
 	}
 	if TraceFromPlacer(nil) != nil {
 		t.Fatal("nil placer trace must convert to nil")
+	}
+
+	live := []obs.Event{
+		{Kind: obs.EventStage, Worker: 0, Stage: 1, Temp: 2, Best: math.Inf(1), Cur: math.Inf(1), Moves: 3, Peer: -1},
+		{Kind: obs.EventExchange, Worker: 0, Stage: 2, Temp: 5, Cur: 9, Peer: 1, PeerTemp: math.Inf(1), PeerCost: 11, Accept: true},
+	}
+	want := TraceFromPlacer(&placer.Trace{Events: []placer.TraceEvent{
+		{Kind: "stage", Worker: 0, Stage: 1, Temp: 2, Best: math.Inf(1), Cur: math.Inf(1), Moves: 3, Peer: -1},
+		{Kind: "exchange", Worker: 0, Stage: 2, Temp: 5, Cur: 9, Peer: 1, PeerTemp: math.Inf(1), PeerCost: 11, Accept: true},
+	}}).Events
+	for i, e := range live {
+		if got := TraceEventFromObs(e); got != want[i] {
+			t.Fatalf("live event %d streams as %+v, finished trace holds %+v", i, got, want[i])
+		}
+	}
+	if got := TraceEventFromObs(live[0]); got.Best != math.MaxFloat64 {
+		t.Fatalf("+Inf best streams as %v, want MaxFloat64", got.Best)
 	}
 }

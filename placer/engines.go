@@ -93,7 +93,6 @@ func (e flatEngine) Solve(ctx context.Context, p *Problem, opt EngineOptions) (*
 	if err != nil {
 		return nil, err
 	}
-	prob.AdaptiveMoves = opt.AdaptiveMoves
 	res, err := e.run(prob, opt.annealOptions(ctx, e.info.Name))
 	if err != nil {
 		return nil, err
@@ -130,7 +129,6 @@ func (e geneticEngine) Solve(ctx context.Context, p *Problem, opt EngineOptions)
 	if err != nil {
 		return nil, err
 	}
-	prob.AdaptiveMoves = opt.AdaptiveMoves
 	sa := opt.annealOptions(ctx, e.info.Name)
 	ga := anneal.GAOptions{
 		Seed:             opt.Seed,

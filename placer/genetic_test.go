@@ -74,42 +74,3 @@ func TestGeneticEnginesListed(t *testing.T) {
 		t.Fatalf("genetic engines missing from registry listing: %v", found)
 	}
 }
-
-// TestAdaptiveMovesSolve: the opt-in adaptive move portfolio solves
-// the same problems to valid placements, stays deterministic for a
-// seed, and leaves the default path untouched (the pin tests assert
-// the latter bit for bit; here we only check the option plumbs
-// through).
-func TestAdaptiveMovesSolve(t *testing.T) {
-	p, err := placer.Benchmark("miller")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, algo := range []string{placer.SeqPair, placer.Slicing, placer.Absolute} {
-		t.Run(algo, func(t *testing.T) {
-			res, err := placer.Solve(t.Context(), p,
-				placer.WithAlgorithm(algo), placer.WithSeed(7),
-				placer.WithAdaptiveMoves(),
-				placer.WithSchedule(fastSchedule))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(res.Placement) != len(p.Modules) {
-				t.Fatalf("placed %d modules, want %d", len(res.Placement), len(p.Modules))
-			}
-			if algo == placer.SeqPair && len(res.Violations) != 0 {
-				t.Fatalf("adaptive seqpair violates constraints: %v", res.Violations)
-			}
-			again, err := placer.Solve(t.Context(), p,
-				placer.WithAlgorithm(algo), placer.WithSeed(7),
-				placer.WithAdaptiveMoves(),
-				placer.WithSchedule(fastSchedule))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if again.Cost != res.Cost {
-				t.Fatalf("adaptive runs with one seed differ: %v vs %v", again.Cost, res.Cost)
-			}
-		})
-	}
-}

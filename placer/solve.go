@@ -129,9 +129,6 @@ type EngineOptions struct {
 	ExchangeEvery int
 	// Progress, when non-nil, streams per-stage snapshots.
 	Progress func(Progress)
-	// AdaptiveMoves enables the engine kernel's acceptance-rate-
-	// weighted move portfolio (see WithAdaptiveMoves).
-	AdaptiveMoves bool
 	// Checkpoint, when non-nil, saves and resumes best-so-far solver
 	// state (see WithCheckpoint).
 	Checkpoint Checkpointer
@@ -264,7 +261,6 @@ type config struct {
 	schedule      Schedule
 	progress      func(Progress)
 	deadline      time.Time
-	adaptive      bool
 	checkpoint    Checkpointer
 	temperChains  int
 	exchangeEvery int
@@ -350,20 +346,6 @@ func WithProgress(fn func(Progress)) Option {
 // extends) a deadline already on ctx.
 func WithDeadline(t time.Time) Option {
 	return func(c *config) { c.deadline = t }
-}
-
-// WithAdaptiveMoves enables the engine kernel's adaptive move
-// portfolio: move kinds are proposed with probability proportional to
-// their observed acceptance rate instead of the representation's fixed
-// distribution, so the search shifts effort toward moves the current
-// temperature regime still accepts. It applies to flat engines whose
-// representation exposes a move table (seqpair, slicing, absolute and
-// the genetic variants); other engines ignore it. Default off — the
-// fixed distributions are the bit-reproducible historical behavior, so
-// runs with adaptive moves are deterministic for a seed but not
-// comparable to runs without.
-func WithAdaptiveMoves() Option {
-	return func(c *config) { c.adaptive = true }
 }
 
 // WithCheckpoint persists best-so-far solver state through cp: the
@@ -458,7 +440,6 @@ func (c config) engineOptions() EngineOptions {
 		TemperChains:  c.temperChains,
 		ExchangeEvery: c.exchangeEvery,
 		Progress:      c.progress,
-		AdaptiveMoves: c.adaptive,
 		Checkpoint:    c.checkpoint,
 	}
 	switch {

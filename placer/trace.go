@@ -25,9 +25,8 @@ type Trace struct {
 // are meaningful:
 //
 //   - "stage": one completed temperature stage of chain Worker — Temp
-//     after cooling, Best/Cur cost, cumulative Moves/Accepted/Improved,
-//     and, when the adaptive move portfolio was active, cumulative
-//     per-move-kind counters in KindProposed/KindAccepted.
+//     after cooling, Best/Cur cost and cumulative
+//     Moves/Accepted/Improved.
 //   - "exchange": one replica-exchange attempt between tempering rungs
 //     Worker (temperature Temp, cost Cur) and Peer (PeerTemp,
 //     PeerCost), with Accept reporting the Metropolis outcome. Costs
@@ -53,9 +52,6 @@ type TraceEvent struct {
 	PeerCost float64
 	Accept   bool
 
-	KindProposed []int64
-	KindAccepted []int64
-
 	Point string
 }
 
@@ -73,7 +69,7 @@ func traceFromFlight(algorithm string, f *obs.Flight) *Trace {
 		Events:    make([]TraceEvent, 0, len(events)),
 	}
 	for _, e := range events {
-		te := TraceEvent{
+		tr.Events = append(tr.Events, TraceEvent{
 			Kind:     e.Kind.String(),
 			Worker:   int(e.Worker),
 			Stage:    int(e.Stage),
@@ -88,16 +84,7 @@ func traceFromFlight(algorithm string, f *obs.Flight) *Trace {
 			PeerCost: e.PeerCost,
 			Accept:   e.Accept,
 			Point:    e.Point,
-		}
-		if n := int(e.NKinds); n > 0 {
-			te.KindProposed = make([]int64, n)
-			te.KindAccepted = make([]int64, n)
-			for i := 0; i < n; i++ {
-				te.KindProposed[i] = int64(e.KindProposed[i])
-				te.KindAccepted[i] = int64(e.KindAccepted[i])
-			}
-		}
-		tr.Events = append(tr.Events, te)
+		})
 	}
 	return tr
 }
@@ -143,10 +130,9 @@ func WithRecorder(f *obs.Flight) Option {
 
 // WithTrace attaches a flight recorder to the solve: the engines
 // record per-stage annealing telemetry (temperature, costs, move
-// counters, adaptive move-kind acceptance, replica exchanges,
-// checkpoint activity) into a fixed-capacity ring of at most events
-// records (events ≤ 0 means the default of 2048; the ring is
-// allocated once up front). The recording is returned on
+// counters, replica exchanges, checkpoint activity) into a
+// fixed-capacity ring of at most events records (events ≤ 0 means
+// the default of 2048; the ring is allocated once up front). The recording is returned on
 // Result.Trace. Under WithPortfolio every racer records into its own
 // ring and the winner's recording is returned. Tracing never changes
 // the search: placements are bit-identical with and without it, and

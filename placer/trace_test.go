@@ -150,42 +150,6 @@ func TestTraceTemperedContent(t *testing.T) {
 	}
 }
 
-// TestTraceAdaptiveKinds: with the adaptive move portfolio on, stage
-// events carry the per-move-kind proposal/acceptance counters that
-// explain what the adaptive weights learned.
-func TestTraceAdaptiveKinds(t *testing.T) {
-	res, err := placer.Solve(context.Background(), traceProblem(t),
-		placer.WithAlgorithm("seqpair"),
-		placer.WithSeed(9),
-		placer.WithSchedule(traceSchedule()),
-		placer.WithAdaptiveMoves(),
-		placer.WithTrace(0),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	withKinds := 0
-	for _, e := range res.Trace.Events {
-		if e.Kind != "stage" {
-			continue
-		}
-		if len(e.KindProposed) != len(e.KindAccepted) {
-			t.Fatalf("kind counter lengths differ: %+v", e)
-		}
-		if len(e.KindProposed) > 0 {
-			withKinds++
-			for i := range e.KindProposed {
-				if e.KindAccepted[i] > e.KindProposed[i] {
-					t.Fatalf("kind %d accepted %d of %d proposed", i, e.KindAccepted[i], e.KindProposed[i])
-				}
-			}
-		}
-	}
-	if withKinds == 0 {
-		t.Fatal("adaptive solve recorded no per-kind counters")
-	}
-}
-
 // TestTraceRingDrops: a tiny ring must report drops and keep the
 // newest events rather than failing or growing.
 func TestTraceRingDrops(t *testing.T) {
