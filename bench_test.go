@@ -11,6 +11,7 @@ import (
 	"repro/internal/hbstar"
 	"repro/internal/place"
 	"repro/internal/seqpair"
+	"repro/internal/shapefn"
 	"repro/internal/sizing"
 )
 
@@ -202,7 +203,7 @@ func BenchmarkTable1(b *testing.B) {
 			b.Run(name+"/"+m.label, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					res, err := core.PlaceDeterministic(bench, m.enhanced)
+					res, err := shapefn.Place(b.Context(), bench, m.enhanced)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -226,7 +227,7 @@ func BenchmarkTable1Large(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.PlaceDeterministic(bench, true); err != nil {
+				if _, err := shapefn.Place(b.Context(), bench, true); err != nil {
 					b.Fatal(err)
 				}
 			}

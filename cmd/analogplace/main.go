@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	analogplace [-method seqpair|bstar|hbstar|tcg|slicing|absolute|portfolio|esf|rsf]
+//	analogplace [-method seqpair|bstar|hbstar|tcg|slicing|absolute|esf|rsf|portfolio|...]
 //	            [-bench miller|folded|<table1-name>] [-seed N]
 //	            [-workers N] [-outline WxH] [-outline-weight W]
 //	            [-thermal W] [-prox W] [-wire W] [-area W] [-v]
@@ -15,10 +15,10 @@
 // with its kind (flat/hierarchical) and portfolio eligibility — and
 // exits; the daemon serves the same listing on GET /v1/algorithms.
 //
-// Every annealing method, registry algorithm or portfolio, takes one
-// path: the CLI assembles a wire Request (internal/wire) from -bench
-// and the flags, or reads it from -json, and solves it with
-// service.Solve, the function the placed daemon runs. The CLI does no
+// Every method, registry algorithm or portfolio, takes one path: the
+// CLI assembles a wire Request (internal/wire) from -bench and the
+// flags, or reads it from -json, and solves it with service.Solve,
+// the function the placed daemon runs. The CLI does no
 // algorithm dispatch of its own, so a backend registered with
 // placer.Register is placeable here at once, and a CLI run and a
 // daemon run of the same request give the same placement. Method
@@ -26,6 +26,13 @@
 //
 // -workers above 1 runs parallel multi-start annealing: that many
 // independent chains on separate cores, keeping the best placement.
+//
+// esf and rsf run Section IV's deterministic hierarchically bounded
+// enumeration with enhanced or regular shape functions on the
+// benchmark's canonical hierarchy (children sorted by name, the form
+// the daemon solves too). They ignore -seed, -workers and the
+// schedule, and minimize area only, so they reject -outline, -prox
+// and -thermal.
 //
 // The objective flags tune the composable cost model: -outline adds a
 // fixed-outline penalty (the output reports whether the bounding box
@@ -46,15 +53,6 @@
 //
 // and the local `analogplace -bench miller -method seqpair -json-out -`
 // produce the same placement.
-//
-// # Deterministic methods
-//
-// esf and rsf run Section IV's hierarchically bounded enumeration
-// with enhanced or regular shape functions (core.PlaceDeterministic).
-// They are not registry algorithms: the enumeration cannot be
-// cancelled, so it never runs inside the daemon. They optimize no
-// tunable objective and have no wire form, so they reject the
-// objective flags and -json/-json-out/-json-req/-trace-out.
 package main
 
 import (
@@ -67,10 +65,7 @@ import (
 	"os"
 	"sort"
 	"strings"
-	"time"
 
-	"repro/internal/circuits"
-	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/render"
 	"repro/internal/service"
@@ -92,7 +87,7 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("analogplace", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	method := fs.String("method", "hbstar", "placement method: a placer-registry algorithm (see -algorithms), portfolio, esf or rsf")
+	method := fs.String("method", "hbstar", "placement method: a placer-registry algorithm (see -algorithms) or portfolio")
 	bench := fs.String("bench", "miller", "benchmark: miller, folded, or a Table I name (miller_v2, comparator_v2, folded_casc, buffer, biasynth, lnamixbias)")
 	seed := fs.Int64("seed", 1, "random seed for stochastic methods")
 	workers := fs.Int("workers", 1, "parallel multi-start annealing chains (1 = serial)")
@@ -158,13 +153,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	objectiveSet := set["outline"] || set["outline-weight"] || set["thermal"] ||
 		set["thermal-sigma"] || set["prox"] || set["wire"] || set["area"]
-	wireMode := set["json"] || set["json-out"] || set["json-req"] || set["trace-out"]
-	if *method == "esf" || *method == "rsf" {
-		if wireMode || objectiveSet {
-			return fmt.Errorf("method %q is deterministic: it takes no objective flags and has no wire representation (drop -json/-json-out/-json-req/-trace-out)", *method)
-		}
-		return runDeterministic(*bench, *method, *verbose, *svgPath, stdout)
-	}
 	if set["json-req"] && (set["json-out"] || set["svg"] || set["trace-out"]) {
 		return fmt.Errorf("-json-req emits the request without solving; it conflicts with -json-out/-svg/-trace-out")
 	}
@@ -200,37 +188,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}, stdout, stderr)
 }
 
-// runDeterministic places a benchmark with Section IV's enumeration
-// (esf: enhanced shape functions, rsf: regular ones) and reports.
-func runDeterministic(bench, method string, verbose bool, svgPath string, stdout io.Writer) error {
-	b, err := circuits.ByName(bench)
-	if err != nil {
-		return err
-	}
-	start := time.Now()
-	res, err := core.PlaceDeterministic(b, method == "esf")
-	if err != nil {
-		return err
-	}
-	pl := res.Placement
-	bb := pl.BBox()
-	fmt.Fprintf(stdout, "bench=%s method=%s modules=%d\n", b.Name, method, len(pl))
-	fmt.Fprintf(stdout, "bounding box: %dx%d  area usage: %.2f%%  legal: %v  runtime: %s\n",
-		bb.W, bb.H, 100*pl.AreaUsage(), pl.Legal(), time.Since(start).Round(time.Millisecond))
-	if verbose {
-		printCoords(stdout, pl)
-	}
-	if svgPath != "" {
-		if err := writeSVG(svgPath, pl); err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout, "wrote", svgPath)
-	}
-	return nil
-}
-
 // printAlgorithms lists the registry: one row per engine plus the
-// portfolio meta-method and the CLI-only deterministic methods.
+// portfolio meta-method.
 func printAlgorithms(w io.Writer) {
 	fmt.Fprintf(w, "%-16s %-13s %-10s %s\n", "ALGORITHM", "KIND", "PORTFOLIO", "DESCRIPTION")
 	for _, v := range service.AlgorithmViews() {
@@ -243,8 +202,6 @@ func printAlgorithms(w io.Writer) {
 		}
 		fmt.Fprintf(w, "%-16s %-13s %-10s %s\n", v.Name, v.Kind, eligible, v.Description)
 	}
-	fmt.Fprintf(w, "%-16s %-13s %-10s %s\n", "esf", "deterministic", "-", "Section IV enumeration with enhanced shape functions (CLI only, not in the registry)")
-	fmt.Fprintf(w, "%-16s %-13s %-10s %s\n", "rsf", "deterministic", "-", "Section IV enumeration with regular shape functions (CLI only, not in the registry)")
 }
 
 // solveArgs carries the flag state into runSolve.

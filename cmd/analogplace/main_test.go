@@ -25,7 +25,7 @@ func cli(t *testing.T, args ...string) (string, error) {
 }
 
 // TestAlgorithmsFlag: -algorithms lists every registry engine, the
-// portfolio meta-method and the CLI-only deterministic methods.
+// deterministic esf/rsf among them, and the portfolio meta-method.
 func TestAlgorithmsFlag(t *testing.T) {
 	out, err := cli(t, "-algorithms")
 	if err != nil {
@@ -145,7 +145,7 @@ func TestPortfolioSolves(t *testing.T) {
 }
 
 // TestDeterministicMethods: esf and rsf place a benchmark legally
-// through core.PlaceDeterministic.
+// through the CLI's one solve path.
 func TestDeterministicMethods(t *testing.T) {
 	for _, m := range []string{"esf", "rsf"} {
 		out, err := cli(t, "-bench", "comparator_v2", "-method", m)
@@ -170,7 +170,7 @@ func TestPinCLIVsDaemonVsGolden(t *testing.T) {
 	defer srv.Close()
 	pins := filepath.Join("..", "..", "placer", "testdata")
 
-	for _, method := range []string{"seqpair", "hbstar", "portfolio"} {
+	for _, method := range []string{"seqpair", "hbstar", "esf", "rsf", "portfolio"} {
 		t.Run(method, func(t *testing.T) {
 			dir := t.TempDir()
 			args := []string{"-bench", "miller", "-method", method}
@@ -273,7 +273,7 @@ func TestFlagValidation(t *testing.T) {
 		{"-wire", "-1"},
 		{"-outline", "400x300junk"},
 		{"-json", ""},
-		{"-method", "esf", "-json-out", "-"},
+		{"-method", "esf", "-prox", "1"},
 		{"-method", "esf", "-thermal", "1"},
 		{"-json-req", "-", "-json-out", "-"},
 	}

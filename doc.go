@@ -17,14 +17,17 @@
 //     internal/hier.
 //   - Section IV — deterministic placement: internal/shapefn (shape
 //     functions, enhanced shape additions, hierarchically bounded
-//     enumeration) over internal/bstar enumeration; Table I runs on
-//     the benchmark generators of internal/circuits.
+//     enumeration) over internal/bstar enumeration, registered as the
+//     esf and rsf engines. Table I and Fig. 8 call shapefn.Place on
+//     the authored trees of internal/circuits' benchmark generators,
+//     because placer.Solve sorts hierarchy children by name and
+//     shape-function results depend on that order.
 //   - Section V — layout-aware sizing: internal/sizing over the
 //     device model (internal/mos), analytic performance evaluation
 //     (internal/perf), layout templates (internal/template) and
 //     parasitic extraction (internal/extract).
 //
-// Every stochastic placement runs through the placer registry behind
+// Every placement method runs through the placer registry behind
 // placer.Solve; internal/core hosts the paper-experiment drivers that
 // regenerate each table and figure, and the benchmarks in this package
 // (bench_test.go) exercise them. cmd/table1, cmd/fig8 and cmd/fig10
@@ -170,8 +173,8 @@
 // hierarchy, whose JSON tags are the wire spelling — wire.Problem is
 // placer.Problem behind a format version, plus strict decoding and
 // content hashing), an Engine interface with
-// a self-registration registry (placer.Register) behind which all six
-// built-in engines live, and a context-first
+// a self-registration registry (placer.Register) behind which every
+// built-in engine lives, and a context-first
 // placer.Solve(ctx, problem, opts...) with functional options —
 // WithAlgorithm, WithPortfolio, WithWorkers, WithSeed, WithSchedule,
 // WithProgress (streaming per-stage snapshots), WithDeadline — that

@@ -1,20 +1,19 @@
 // Deterministic: Section IV's hierarchically bounded enumeration with
 // enhanced shape functions. The example shows (1) why enumeration must
 // be bounded by hierarchy — the number of B*-tree placements explodes
-// to the paper's 57,657,600 at just 8 modules — and (2) the full
-// deterministic placer on Table I benchmarks, ESF versus RSF.
+// to the paper's 57,657,600 at just 8 modules — and (2) the esf and
+// rsf registry engines on Table I benchmarks, ESF versus RSF.
 //
 //	go run ./examples/deterministic
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
-	"time"
 
 	"repro/internal/bstar"
-	"repro/internal/circuits"
-	"repro/internal/core"
+	"repro/placer"
 )
 
 func main() {
@@ -24,24 +23,21 @@ func main() {
 		fmt.Printf("  n=%d: %v\n", n, bstar.CountPlacements(n))
 	}
 
-	// Part 2: Table I on the smaller circuits: ESF vs RSF.
+	// Part 2: the smaller Table I circuits through placer.Solve: ESF vs
+	// RSF on each benchmark's canonical hierarchy.
 	fmt.Println("\ndeterministic placement, ESF vs RSF:")
 	for _, name := range []string{"comparator_v2", "miller_v2", "folded_casc"} {
-		bench, err := circuits.TableIBench(name)
+		p, err := placer.Benchmark(name)
 		if err != nil {
 			log.Fatal(err)
 		}
-		for _, r := range []struct {
-			enhanced bool
-			label    string
-		}{{false, "RSF"}, {true, "ESF"}} {
-			start := time.Now()
-			res, err := core.PlaceDeterministic(bench, r.enhanced)
+		for _, algorithm := range []string{placer.RSF, placer.ESF} {
+			res, err := placer.Solve(context.Background(), p, placer.WithAlgorithm(algorithm))
 			if err != nil {
 				log.Fatal(err)
 			}
 			fmt.Printf("  %-14s %s: usage %.2f%%  (%s, legal=%v)\n",
-				name, r.label, 100*res.Placement.AreaUsage(), time.Since(start).Round(time.Millisecond), res.Placement.Legal())
+				name, algorithm, 100*res.AreaUsage, res.Runtime.Round(1e6), res.Legal)
 		}
 	}
 	fmt.Println("\nESF interleaves sub-placements (Fig. 7's w_imp), so its area")

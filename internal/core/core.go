@@ -6,44 +6,22 @@
 //     of symmetric-feasible sequence-pair codes.
 //   - RunTableI / RunFig8 — Section IV's deterministic hierarchically
 //     bounded enumeration with enhanced versus regular shape
-//     functions, through PlaceDeterministic.
+//     functions, through shapefn.Place on the authored benchmark
+//     trees.
 //   - RunFig10 — Section V's layout-aware sizing flow.
 //
-// The stochastic placers (Sections II and III and the baselines) are
-// not driven from here: every annealing solve goes through the
-// registry behind placer.Solve.
+// Every placement method, esf and rsf included, is a registry engine
+// behind placer.Solve. Table I and Fig. 8 still call shapefn.Place
+// directly, on the authored trees: placer.Solve normalizes the
+// hierarchy (children sorted by name), and shape-function results
+// depend on the order shapes are combined in, so through the registry
+// the figures would change.
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/anneal"
-	"repro/internal/circuits"
-	"repro/internal/shapefn"
 	"repro/internal/sizing"
 )
-
-// PlaceDeterministic runs the Section IV placer on a benchmark, with
-// enhanced shape functions (ESF) when enhanced is set and regular ones
-// (RSF) otherwise. The enumeration checks no context: it runs to
-// completion, which is why it is not a placer registry engine.
-func PlaceDeterministic(b *circuits.Bench, enhanced bool) (*shapefn.Result, error) {
-	dims := func(name string) (int, int, error) {
-		d := b.Circuit.Device(name)
-		if d == nil {
-			return 0, 0, fmt.Errorf("core: unknown device %q", name)
-		}
-		if d.FW <= 0 || d.FH <= 0 {
-			return 0, 0, fmt.Errorf("core: device %q has no footprint", name)
-		}
-		return d.FW, d.FH, nil
-	}
-	p, err := shapefn.NewPlacer(b.Tree, dims, enhanced)
-	if err != nil {
-		return nil, err
-	}
-	return p.Place(b.Tree)
-}
 
 // Fig10Result bundles the two sizing runs of the Fig. 10 experiment.
 type Fig10Result struct {

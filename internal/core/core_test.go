@@ -5,11 +5,12 @@ import (
 
 	"repro/internal/anneal"
 	"repro/internal/circuits"
+	"repro/internal/shapefn"
 )
 
 // TestPlaceDeterministic: ESF and RSF each place every device of a
-// benchmark legally, and ESF's root shape function is never worse
-// than RSF's minimum-area shape.
+// benchmark legally on its authored tree, and ESF's root shape
+// function is never worse than RSF's minimum-area shape.
 func TestPlaceDeterministic(t *testing.T) {
 	for _, name := range []string{"miller", "comparator_v2"} {
 		b, err := circuits.ByName(name)
@@ -18,7 +19,7 @@ func TestPlaceDeterministic(t *testing.T) {
 		}
 		usage := map[bool]float64{}
 		for _, enhanced := range []bool{true, false} {
-			res, err := PlaceDeterministic(b, enhanced)
+			res, err := shapefn.Place(t.Context(), b, enhanced)
 			if err != nil {
 				t.Fatalf("%s enhanced=%v: %v", name, enhanced, err)
 			}

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/big"
 	"time"
 
 	"repro/internal/circuits"
 	"repro/internal/seqpair"
+	"repro/internal/shapefn"
 )
 
 // TableIRow is one line of the paper's Table I: ESF versus RSF on one
@@ -52,7 +54,7 @@ func RunTableI(names []string) ([]TableIRow, error) {
 // area usage and wall-clock; an illegal placement is an error.
 func tableICell(b *circuits.Bench, enhanced bool) (float64, time.Duration, error) {
 	start := time.Now()
-	res, err := PlaceDeterministic(b, enhanced)
+	res, err := shapefn.Place(context.TODO(), b, enhanced)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -75,7 +77,7 @@ func RunFig8(name string) (esf, rsf ShapeCurve, err error) {
 		return nil, nil, err
 	}
 	curve := func(enhanced bool) (ShapeCurve, error) {
-		res, err := PlaceDeterministic(bench, enhanced)
+		res, err := shapefn.Place(context.TODO(), bench, enhanced)
 		if err != nil {
 			return nil, err
 		}

@@ -212,7 +212,7 @@ func TestCostPenalizesMissingModules(t *testing.T) {
 	p := smallProblem()
 	pl := p.BuildPlacement(make([]int, p.N()), make([]int, p.N()), nil)
 	delete(pl, "a")
-	if c := p.Cost(pl); c != c || c < 1e18 { // +Inf or NaN check
+	if c, _ := p.Cost(pl); c != c || c < 1e18 { // +Inf or NaN check
 		if c < 1e18 {
 			t.Fatal("missing module not penalized")
 		}

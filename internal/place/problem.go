@@ -166,13 +166,14 @@ func (p *Problem) powers() []float64 {
 }
 
 // Cost evaluates a named placement against the full composite
-// objective through a fresh model. Placements missing modules are
-// heavily penalized. It is the reference entry point for final results
-// and validation, not the hot path: searching placers evaluate
+// objective through a fresh model, and breaks the value down per term.
+// Placements missing modules are heavily penalized (+Inf, no
+// breakdown). It is the reference entry point for final results and
+// validation, not the hot path: searching placers evaluate
 // incrementally through their own model.
-func (p *Problem) Cost(pl geom.Placement) float64 {
+func (p *Problem) Cost(pl geom.Placement) (float64, []cost.TermValue) {
 	if len(pl) < p.N() {
-		return math.Inf(1)
+		return math.Inf(1), nil
 	}
 	n := p.N()
 	x := make([]int, n)
@@ -182,11 +183,13 @@ func (p *Problem) Cost(pl geom.Placement) float64 {
 	for i, name := range p.Names {
 		r, ok := pl[name]
 		if !ok {
-			return math.Inf(1)
+			return math.Inf(1), nil
 		}
 		x[i], y[i], w[i], h[i] = r.X, r.Y, r.W, r.H
 	}
-	return p.NewModel().Eval(x, y, w, h, nil)
+	m := p.NewModel()
+	c := m.Eval(x, y, w, h, nil)
+	return c, m.Breakdown()
 }
 
 // CostCoords evaluates the composite objective directly from

@@ -164,7 +164,7 @@ func TestCostCoordsMatchesCost(t *testing.T) {
 			x[i], y[i] = rng.Intn(200), rng.Intn(200)
 			rot[i] = rng.Intn(2) == 0
 		}
-		want := prob.Cost(prob.BuildPlacement(x, y, rot))
+		want, _ := prob.Cost(prob.BuildPlacement(x, y, rot))
 		got := prob.CostCoords(x, y, prob.W, prob.H, rot)
 		if got != want {
 			t.Fatalf("trial %d: CostCoords=%v Cost=%v", trial, got, want)

@@ -49,8 +49,8 @@ func TestGenerateGoldens(t *testing.T) {
 }
 
 // PinRequests builds the pinned benchmark requests: the Miller op amp
-// on seqpair, hbstar and the portfolio race, plus a synthetic n=1000
-// sequence-pair instance on a short schedule.
+// on seqpair, hbstar, esf, rsf and the portfolio race, plus a
+// synthetic n=1000 sequence-pair instance on a short schedule.
 func PinRequests(t *testing.T) map[string]*wire.Request {
 	t.Helper()
 	miller := benchProblem(t, "miller")
@@ -58,6 +58,8 @@ func PinRequests(t *testing.T) map[string]*wire.Request {
 		"miller_seqpair":   {Problem: *miller, Options: wire.Options{Method: wire.MethodSeqPair, Seed: 1}},
 		"miller_hbstar":    {Problem: *miller, Options: wire.Options{Method: wire.MethodHBStar, Seed: 1}},
 		"miller_portfolio": {Problem: *miller, Options: wire.Options{Method: wire.MethodPortfolio, Seed: 1}},
+		"miller_esf":       {Problem: *miller, Options: wire.Options{Method: placer.ESF, Seed: 1}},
+		"miller_rsf":       {Problem: *miller, Options: wire.Options{Method: placer.RSF, Seed: 1}},
 		"n1000_seqpair": {Problem: *pinN1000(), Options: wire.Options{
 			Method: wire.MethodSeqPair, Seed: 7, MovesPerStage: 150, MaxStages: 8, StallStages: 8,
 		}},

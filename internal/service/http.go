@@ -321,7 +321,9 @@ func NewHandler(s *Scheduler) http.Handler {
 
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = s.WriteMetrics(w)
+		if err := s.WriteMetrics(w); err != nil {
+			s.httpWriteErrors[writeErrWrite].Add(1)
+		}
 	})
 
 	return mux

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -304,5 +305,23 @@ func TestHTTPPortfolio(t *testing.T) {
 	}
 	if fmt.Sprint(v.Result.Method) == "" {
 		t.Fatal("no winner method recorded")
+	}
+}
+
+// failingResponse is a ResponseWriter whose every body write fails, as
+// a write to a client that hung up does.
+type failingResponse struct{ header http.Header }
+
+func (f *failingResponse) Header() http.Header        { return f.header }
+func (f *failingResponse) Write([]byte) (int, error)  { return 0, errors.New("client gone") }
+func (f *failingResponse) WriteHeader(statusCode int) {}
+
+// TestMetricsWriteErrorCounted: a /metrics scrape that cannot reach
+// its client is counted like every other failed response write.
+func TestMetricsWriteErrorCounted(t *testing.T) {
+	h := newHarness(t, Config{Workers: 1})
+	NewHandler(h.s).ServeHTTP(&failingResponse{header: http.Header{}}, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if got := h.metric(`placed_http_write_errors_total{kind="write"}`); got != 1 {
+		t.Fatalf("write errors = %g after a failed scrape, want 1", got)
 	}
 }

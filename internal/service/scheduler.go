@@ -1,6 +1,6 @@
 // Package service is the placement-as-a-service layer over the
 // paper's placers: a job scheduler with a bounded worker pool running
-// the annealing engines, per-job context cancellation and deadlines,
+// the registry's engines, per-job context cancellation and deadlines,
 // a content-addressed LRU cache of solved results keyed by the wire
 // format's canonical hash, live progress readable while a job runs,
 // and a portfolio mode that races representations on one problem.
@@ -10,6 +10,7 @@ package service
 import (
 	"container/list"
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -692,7 +693,8 @@ func (s *Scheduler) Job(id string) (*Job, bool) {
 
 // Cancel requests cancellation of a live job. Queued jobs transition
 // to cancelled immediately; running jobs stop at the next annealing
-// stage boundary and keep their best-so-far placement. Cancelling a
+// stage boundary and keep their best-so-far placement (an esf/rsf job
+// has none and ends cancelled without a result). Cancelling a
 // terminal job is a no-op. The boolean reports whether the job is
 // live.
 func (s *Scheduler) Cancel(id string) bool {
@@ -973,11 +975,16 @@ func (s *Scheduler) run(j *Job) {
 
 	out := store.JobRecord{State: string(StateDone), Result: res}
 	switch {
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		// An engine with no best-so-far (the esf/rsf enumeration)
+		// answers cancellation with its context's error: the job was
+		// cancelled, with no placement to keep.
+		out = store.JobRecord{State: string(StateCancelled), Error: err.Error()}
 	case err != nil:
-		// A cancelled run is not an error — the engines return
-		// best-so-far with Stats.Cancelled instead — so any solver
-		// error is a genuine failure and keeps its real message, even
-		// if the deadline also expired meanwhile.
+		// The annealing engines return best-so-far with Cancelled set
+		// instead, so any other solver error is a genuine failure and
+		// keeps its real message, even if the deadline also expired
+		// meanwhile.
 		out = store.JobRecord{State: string(StateFailed), Error: err.Error()}
 	case res.Cancelled:
 		out.State = string(StateCancelled)

@@ -178,6 +178,36 @@ func TestSchedulerCancelQueued(t *testing.T) {
 	waitJob(t, slow)
 }
 
+// TestCancelRunningDeterministicJob: cancelling a running esf job, an
+// engine with no best-so-far that answers with its context's error,
+// ends it cancelled rather than failed, and promptly: uncancelled,
+// biasynth esf runs for seconds.
+func TestCancelRunningDeterministicJob(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	j, err := s.Submit(&wire.Request{Problem: *benchProblem(t, "biasynth"), Options: wire.Options{Method: placer.ESF}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); j.State() != StateRunning; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("job never started: %s", j.State())
+		}
+	}
+	s.Cancel(j.ID)
+	select {
+	case <-j.Done():
+	case <-time.After(500 * time.Millisecond):
+		t.Fatalf("cancelled esf job still %s after 500ms", j.State())
+	}
+	if j.State() != StateCancelled || j.Result() != nil {
+		t.Fatalf("cancelled esf job ended %s with result %v (err %q)", j.State(), j.Result(), j.Err())
+	}
+	if m := s.Metrics(); m.JobsCancelled != 1 || m.JobsFailed != 0 {
+		t.Fatalf("counters after the cancel: %+v", m)
+	}
+}
+
 func TestSchedulerCoalescesInflight(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Close()

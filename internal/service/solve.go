@@ -13,7 +13,7 @@ import (
 
 // Solve runs one wire request to completion (or cancellation) and
 // builds the wire result; it is the one solve path shared by the
-// scheduler, every analogplace annealing run and client examples, and
+// scheduler, every analogplace run and client examples, and
 // it alone converts the request's timeout_ms into a context deadline
 // (callers layer their own ceilings on ctx). It is a thin adapter over
 // placer.Solve: the wire problem is a placer.Problem behind a

@@ -1,9 +1,11 @@
 package shapefn
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/bstar"
+	"repro/internal/circuits"
 	"repro/internal/constraint"
 	"repro/internal/geom"
 )
@@ -16,91 +18,116 @@ import (
 // mirror", so real sets stay below this bound.
 const maxEnumSet = 6
 
-// Placer runs the deterministic, hierarchically bounded enumeration of
+// ctxCheckEvery is how many enumerated trees pass between two context
+// checks: about a millisecond of packing, short next to any caller's
+// cancellation latency.
+const ctxCheckEvery = 1024
+
+// placer runs the deterministic, hierarchically bounded enumeration of
 // Section IV: enumerate all placements of each basic module set (the
 // leaves of the hierarchy tree), store them as (enhanced) shape
 // functions, and combine the functions bottom-up along the tree.
-type Placer struct {
-	// Enhanced selects enhanced shape functions (ESF) instead of
-	// regular ones (RSF).
-	Enhanced bool
-
-	dims     func(string) (int, int, error)
-	checkers []setChecker
+type placer struct {
+	ctx      context.Context
+	enhanced bool // enhanced shape functions (ESF) instead of regular ones (RSF)
+	bench    *circuits.Bench
+	// groups are the tree's symmetry constraints and members their
+	// modules. Proximity is implied by construction (shape addition
+	// keeps operands adjacent), and module-level common centroid
+	// reduces to symmetry (see package circuits).
+	groups  []constraint.SymmetryGroup
+	members [][]string
 }
 
-// setChecker is one constraint validator with the module set it
-// watches.
-type setChecker struct {
-	members map[string]bool
-	check   func(geom.Placement) error
+// Result of a deterministic placement.
+type Result struct {
+	Placement geom.Placement
+	Function  Function // root shape function
+	Shape     Shape    // chosen (minimum-area) shape
 }
 
-// NewPlacer builds a deterministic placer for a hierarchy tree whose
-// device footprints come from dims.
-func NewPlacer(tree *constraint.Node, dims func(string) (int, int, error), enhanced bool) (*Placer, error) {
-	if tree == nil {
+// Place runs the Section IV placer on a benchmark, with enhanced shape
+// functions (ESF) when enhanced is set and regular ones (RSF)
+// otherwise: the bottom-up combination over the hierarchy tree, whose
+// minimum-area root shape is the placement. The order of the tree's
+// children and devices fixes the order shapes are combined in, so the
+// result depends on it. ctx is checked every ctxCheckEvery enumerated
+// trees and before every shape addition, which changes no output; an
+// enumeration has no best-so-far, so a cancelled run returns ctx's
+// error.
+func Place(ctx context.Context, b *circuits.Bench, enhanced bool) (*Result, error) {
+	if b.Tree == nil {
 		return nil, fmt.Errorf("shapefn: nil hierarchy tree")
 	}
-	p := &Placer{Enhanced: enhanced, dims: dims}
-	// Collect symmetry validators from the tree. Proximity is implied
-	// by construction (shape addition keeps operands adjacent), and
-	// module-level common centroid reduces to symmetry (see package
-	// circuits).
+	f, err := newPlacer(ctx, b, enhanced).functionFor(b.Tree)
+	if err != nil {
+		return nil, err
+	}
+	s, ok := f.MinArea()
+	if !ok {
+		return nil, fmt.Errorf("shapefn: empty root shape function")
+	}
+	pl := s.Placement()
+	pl.Normalize()
+	return &Result{Placement: pl, Function: f, Shape: s}, nil
+}
+
+// newPlacer builds the placer for a benchmark with a hierarchy tree.
+func newPlacer(ctx context.Context, b *circuits.Bench, enhanced bool) *placer {
+	p := &placer{ctx: ctx, enhanced: enhanced, bench: b}
 	var walk func(n *constraint.Node)
 	walk = func(n *constraint.Node) {
 		if n.Kind == constraint.KindSymmetry && len(n.SymPairs)+len(n.SymSelfs) > 0 {
-			g := constraint.SymmetryGroup{Name: n.Name, Vertical: true}
-			g.Pairs = append(g.Pairs, n.SymPairs...)
-			g.Selfs = append(g.Selfs, n.SymSelfs...)
-			members := map[string]bool{}
-			for _, m := range g.Members() {
-				members[m] = true
-			}
-			p.checkers = append(p.checkers, setChecker{
-				members: members,
-				check:   g.Check,
-			})
+			g := constraint.SymmetryGroup{Name: n.Name, Vertical: true, Pairs: n.SymPairs, Selfs: n.SymSelfs}
+			p.groups = append(p.groups, g)
+			p.members = append(p.members, g.Members())
 		}
 		for _, c := range n.Children {
 			walk(c)
 		}
 	}
-	walk(tree)
-	return p, nil
+	walk(b.Tree)
+	return p
 }
 
-// checkerFor returns a Checker validating every constraint fully
-// contained in placements that include the given modules (others are
-// skipped: a fragment cannot violate a constraint it does not cover).
-func (p *Placer) checkerFor() Checker {
-	if len(p.checkers) == 0 {
-		return nil
+// dims returns a device's footprint.
+func (p *placer) dims(name string) (int, int, error) {
+	d := p.bench.Circuit.Device(name)
+	if d == nil {
+		return 0, 0, fmt.Errorf("shapefn: unknown device %q", name)
 	}
-	return func(pl geom.Placement) error {
-		for _, sc := range p.checkers {
-			covered := true
-			for m := range sc.members {
-				if _, ok := pl[m]; !ok {
-					covered = false
-					break
-				}
-			}
-			if !covered {
-				continue
-			}
-			if err := sc.check(pl); err != nil {
-				return err
+	if d.FW <= 0 || d.FH <= 0 {
+		return 0, 0, fmt.Errorf("shapefn: device %q has no footprint", name)
+	}
+	return d.FW, d.FH, nil
+}
+
+// check is the Checker of every shape: it validates each symmetry
+// group a placement fragment fully contains, and skips the others (a
+// fragment cannot violate a constraint it does not cover).
+func (p *placer) check(pl geom.Placement) error {
+	for i, g := range p.groups {
+		covered := true
+		for _, m := range p.members[i] {
+			if _, ok := pl[m]; !ok {
+				covered = false
+				break
 			}
 		}
-		return nil
+		if !covered {
+			continue
+		}
+		if err := g.Check(pl); err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
-// EnumerateSet computes the shape function of one basic module set by
+// enumerateSet computes the shape function of one basic module set by
 // exhaustive B*-tree (and rotation) enumeration, keeping only
 // placements that satisfy the applicable constraints.
-func (p *Placer) EnumerateSet(names []string) (Function, error) {
+func (p *placer) enumerateSet(names []string) (Function, error) {
 	n := len(names)
 	w := make([]int, n)
 	h := make([]int, n)
@@ -112,10 +139,15 @@ func (p *Placer) EnumerateSet(names []string) (Function, error) {
 		}
 	}
 	if n > maxEnumSet {
-		return p.incrementalSet(names, w, h)
+		// Oversized sets are combined one module at a time.
+		leaves := make([]Function, n)
+		for i, name := range names {
+			leaves[i] = Leaf(name, w[i], h[i], true, p.enhanced)
+		}
+		return p.combine(leaves)
 	}
-	check := p.checkerFor()
 	var shapes []Shape
+	trees := 0
 	// Every rotation mask: basic sets enumerate module rotations.
 	for mask := 0; mask < 1<<n; mask++ {
 		ew := make([]int, n)
@@ -128,9 +160,12 @@ func (p *Placer) EnumerateSet(names []string) (Function, error) {
 			}
 		}
 		bstar.EnumerateTrees(ew, eh, func(t *bstar.Tree) bool {
+			if trees++; trees%ctxCheckEvery == 0 && p.ctx.Err() != nil {
+				return false
+			}
 			root := toPointerTree(t, names, ew, eh)
 			pl, tw, th := packTree(root)
-			if check != nil && check(pl) != nil {
+			if p.check(pl) != nil {
 				return true
 			}
 			// Both function kinds keep the packed tree: it rebuilds
@@ -139,23 +174,13 @@ func (p *Placer) EnumerateSet(names []string) (Function, error) {
 			shapes = append(shapes, Shape{W: tw, H: th, tree: root})
 			return true
 		})
+		if err := p.ctx.Err(); err != nil {
+			return Function{}, err
+		}
 	}
 	f := prune(shapes)
 	if len(f.Shapes) == 0 {
 		return Function{}, fmt.Errorf("shapefn: no constraint-satisfying placement for set %v", names)
-	}
-	return f, nil
-}
-
-// incrementalSet combines an oversized set one module at a time.
-func (p *Placer) incrementalSet(names []string, w, h []int) (Function, error) {
-	f := Leaf(names[0], w[0], h[0], true, p.Enhanced)
-	for i := 1; i < len(names); i++ {
-		g := Leaf(names[i], w[i], h[i], true, p.Enhanced)
-		f = p.add(f, g)
-	}
-	if len(f.Shapes) == 0 {
-		return Function{}, fmt.Errorf("shapefn: empty function for set %v", names)
 	}
 	return f, nil
 }
@@ -179,74 +204,48 @@ func toPointerTree(t *bstar.Tree, names []string, w, h []int) *tnode {
 	return conv(t.Root)
 }
 
-// add combines two functions according to the placer mode.
-func (p *Placer) add(f, g Function) Function {
-	if p.Enhanced {
-		return AddESF(f, g, p.checkerFor())
+// combine adds the functions left to right according to the placer
+// mode, checking ctx before every addition. Non-empty operands give a
+// non-empty sum; Place rejects an empty root.
+func (p *placer) combine(fs []Function) (Function, error) {
+	f := fs[0]
+	for _, g := range fs[1:] {
+		if err := p.ctx.Err(); err != nil {
+			return Function{}, err
+		}
+		if p.enhanced {
+			f = AddESF(f, g, p.check)
+		} else {
+			f = AddRSF(f, g)
+		}
 	}
-	return AddRSF(f, g)
-}
-
-// Result of a deterministic placement.
-type Result struct {
-	Placement geom.Placement
-	Function  Function // root shape function
-	Shape     Shape    // chosen (minimum-area) shape
-}
-
-// Place runs the bottom-up combination over the hierarchy tree and
-// returns the minimum-area placement.
-func (p *Placer) Place(tree *constraint.Node) (*Result, error) {
-	f, err := p.functionFor(tree)
-	if err != nil {
-		return nil, err
-	}
-	s, ok := f.MinArea()
-	if !ok {
-		return nil, fmt.Errorf("shapefn: empty root shape function")
-	}
-	pl := s.Placement()
-	pl.Normalize()
-	return &Result{Placement: pl, Function: f, Shape: s}, nil
+	return f, nil
 }
 
 // functionFor computes the shape function of a hierarchy subtree.
-func (p *Placer) functionFor(n *constraint.Node) (Function, error) {
+func (p *placer) functionFor(n *constraint.Node) (Function, error) {
 	// Leaf sub-circuit: one basic module set, enumerated exhaustively.
 	if len(n.Children) == 0 {
 		if len(n.Devices) == 0 {
 			return Function{}, fmt.Errorf("shapefn: empty sub-circuit %q", n.Name)
 		}
-		return p.EnumerateSet(n.Devices)
+		return p.enumerateSet(n.Devices)
 	}
 	// Inner node: combine child functions, then direct devices.
-	var f Function
-	first := true
+	var fs []Function
 	for _, c := range n.Children {
-		cf, err := p.functionFor(c)
+		f, err := p.functionFor(c)
 		if err != nil {
 			return Function{}, err
 		}
-		if first {
-			f, first = cf, false
-		} else {
-			f = p.add(f, cf)
-		}
+		fs = append(fs, f)
 	}
 	for _, d := range n.Devices {
 		w, h, err := p.dims(d)
 		if err != nil {
 			return Function{}, err
 		}
-		lf := Leaf(d, w, h, true, p.Enhanced)
-		if first {
-			f, first = lf, false
-		} else {
-			f = p.add(f, lf)
-		}
+		fs = append(fs, Leaf(d, w, h, true, p.enhanced))
 	}
-	if len(f.Shapes) == 0 {
-		return Function{}, fmt.Errorf("shapefn: empty function at node %q", n.Name)
-	}
-	return f, nil
+	return p.combine(fs)
 }

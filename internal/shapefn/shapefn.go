@@ -131,9 +131,6 @@ type Shape struct {
 
 	// Leaf record.
 	leafName string
-	leafRot  bool
-	leafW    int // original (unrotated) dims
-	leafH    int
 }
 
 // Place writes the shape's placement, translated by (x, y), into out.
@@ -250,16 +247,16 @@ func (f Function) MinArea() (Shape, bool) {
 // orientation plus, when allowRot is set, its rotation. Enhanced
 // leaves carry single-node trees.
 func Leaf(name string, w, h int, allowRot, enhanced bool) Function {
-	mk := func(w, h int, rot bool) Shape {
-		s := Shape{W: w, H: h, leafName: name, leafRot: rot, leafW: w, leafH: h}
+	mk := func(w, h int) Shape {
+		s := Shape{W: w, H: h, leafName: name}
 		if enhanced {
 			s.tree = &tnode{name: name, w: w, h: h}
 		}
 		return s
 	}
-	shapes := []Shape{mk(w, h, false)}
+	shapes := []Shape{mk(w, h)}
 	if allowRot && w != h {
-		shapes = append(shapes, mk(h, w, true))
+		shapes = append(shapes, mk(h, w))
 	}
 	return prune(shapes)
 }

@@ -154,27 +154,9 @@ func TestEnhancedAdditionRespectsConstraints(t *testing.T) {
 	}
 }
 
-func benchDims(b *circuits.Bench) func(string) (int, int, error) {
-	return func(name string) (int, int, error) {
-		d := b.Circuit.Device(name)
-		if d == nil {
-			return 0, 0, errUnknownDevice(name)
-		}
-		return d.FW, d.FH, nil
-	}
-}
-
-type errUnknownDevice string
-
-func (e errUnknownDevice) Error() string { return "unknown device " + string(e) }
-
 func TestEnumerateSetRespectsSymmetry(t *testing.T) {
-	bench := circuits.MillerOpAmp()
-	p, err := NewPlacer(bench.Tree, benchDims(bench), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := p.EnumerateSet([]string{"P1", "P2"})
+	p := newPlacer(t.Context(), circuits.MillerOpAmp(), true)
+	f, err := p.enumerateSet([]string{"P1", "P2"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,11 +175,7 @@ func TestEnumerateSetRespectsSymmetry(t *testing.T) {
 func TestDeterministicPlaceMiller(t *testing.T) {
 	bench := circuits.MillerOpAmp()
 	for _, enhanced := range []bool{false, true} {
-		p, err := NewPlacer(bench.Tree, benchDims(bench), enhanced)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := p.Place(bench.Tree)
+		res, err := Place(t.Context(), bench, enhanced)
 		if err != nil {
 			t.Fatalf("enhanced=%v: %v", enhanced, err)
 		}
@@ -230,11 +208,7 @@ func TestESFNotWorseThanRSF(t *testing.T) {
 		}
 		areas := map[bool]int64{}
 		for _, enhanced := range []bool{false, true} {
-			p, err := NewPlacer(bench.Tree, benchDims(bench), enhanced)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := p.Place(bench.Tree)
+			res, err := Place(t.Context(), bench, enhanced)
 			if err != nil {
 				t.Fatalf("%s enhanced=%v: %v", name, enhanced, err)
 			}
@@ -250,12 +224,7 @@ func TestESFNotWorseThanRSF(t *testing.T) {
 }
 
 func TestShapeBBoxMatchesReconstruction(t *testing.T) {
-	bench := circuits.MillerOpAmp()
-	p, err := NewPlacer(bench.Tree, benchDims(bench), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := p.Place(bench.Tree)
+	res, err := Place(t.Context(), circuits.MillerOpAmp(), true)
 	if err != nil {
 		t.Fatal(err)
 	}

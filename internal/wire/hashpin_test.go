@@ -16,8 +16,10 @@ import (
 // canonical bytes changed, not that the table needs refreshing.
 func TestHashPinned(t *testing.T) {
 	requests := map[string]string{
+		"pin_miller_esf_request.json":       "b99dc11419859e6cad7c1526c969a98260fc5f89c05ddefb897b4cf59f117ab7",
 		"pin_miller_hbstar_request.json":    "97d972b7a4a758a6a61700eae9978d7e554ce1025903bdafc516947cdbc3865e",
 		"pin_miller_portfolio_request.json": "1e230b046ff1c60c3af15410af7bc6c4be176e4828df16b658c958b9a30fcc65",
+		"pin_miller_rsf_request.json":       "ba54dfd32b13992d2225d0735afc1632920cbff6b84efc30a3dbc4ebc2bef78e",
 		"pin_miller_seqpair_request.json":   "8e3f1145d460b10f8304e582d057dafa2355059aaccc654426a1bc451871b9b6",
 		"pin_n1000_seqpair_request.json":    "70f17805688e7384028e401b2fd1baae5f0b661d11dcfab23494e279038fc7c2",
 		"pin_n120_temper_request.json":      "1124ff19eb3649404a0a225ad8dde7eab33e724a9041dfff4a95516371319ff5",

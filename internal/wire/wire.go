@@ -104,7 +104,8 @@ type Options struct {
 	ExchangeEvery int `json:"exchange_every,omitempty"`
 	// TimeoutMS bounds the solve wall-clock; an expired deadline
 	// cancels the run at the next stage boundary and returns the
-	// best-so-far placement flagged as cancelled.
+	// best-so-far placement flagged as cancelled (esf/rsf have none
+	// and return the deadline error).
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
@@ -361,6 +362,9 @@ func (r *Request) Validate() error {
 		return err
 	}
 	if err := r.Options.Validate(); err != nil {
+		return err
+	}
+	if err := placer.CheckObjective(r.Options.Method, r.Problem.Objective); err != nil {
 		return err
 	}
 	moves := r.Options.MovesPerStage

@@ -22,33 +22,39 @@
 //
 // # Algorithms and the registry
 //
-// Six engines self-register at init — the five flat placers (seqpair,
-// bstar, tcg, slicing, absolute) and the hierarchical hbstar — and
-// external backends join with [Register]. [Algorithms] enumerates the
-// registry; it is the single source of truth behind WithAlgorithm,
-// the portfolio set, `analogplace -algorithms` and the daemon's
-// GET /v1/algorithms, so adding an engine needs no dispatch-switch
-// edits anywhere.
+// The built-in engines self-register at init — the flat annealing
+// placers (seqpair, bstar, tcg, slicing, absolute and the memetic
+// genetic:seqpair and genetic:absolute), the hierarchical hbstar, and
+// Section IV's deterministic esf and rsf — and external backends join
+// with [Register]. [Algorithms] enumerates the registry; it is the
+// single source of truth behind WithAlgorithm, the portfolio set,
+// `analogplace -algorithms` and the daemon's GET /v1/algorithms, so
+// adding an engine needs no dispatch-switch edits anywhere.
 //
 // [WithPortfolio] races the portfolio-eligible flat engines
 // concurrently and keeps the winner (feasibility first, then cost,
 // then racing order — deterministic).
 //
+// esf and rsf enumerate over the problem's hierarchy, whose children
+// Solve sorts by name. They ignore seed, workers and schedule, and
+// reject an objective with a term they cannot honour ([CheckObjective]).
+//
 // # Cancellation and streaming
 //
 // Solve is context-first: ctx cancellation (or [WithDeadline]) stops
 // the run at the next annealing stage boundary and returns the best
-// placement found so far with Result.Cancelled set. [WithProgress]
-// streams per-stage snapshots from every annealing chain while the
-// solve runs.
+// placement found so far with Result.Cancelled set. An enumeration
+// has no best-so-far: esf and rsf stop within milliseconds and return
+// ctx's error. [WithProgress] streams per-stage snapshots from every
+// annealing chain while the solve runs.
 //
 // # Relation to the internal packages
 //
-// The package is a facade: engines run on internal/place and
-// internal/hbstar, objectives on internal/cost, schedules on
-// internal/anneal. The JSON tags on [Problem] and its parts are the
-// wire spelling: internal/wire embeds Problem behind a format
-// version and adds strict decoding and content hashing, with no
+// The package is a facade: engines run on internal/place,
+// internal/hbstar and internal/shapefn, objectives on internal/cost,
+// schedules on internal/anneal. The JSON tags on [Problem] and its
+// parts are the wire spelling: internal/wire embeds Problem behind a
+// format version and adds strict decoding and content hashing, with no
 // conversion layer between the two. internal/service schedules Solve
 // calls behind the HTTP daemon. See PERFORMANCE.md's "Public API"
 // section for migration notes from the internal packages.

@@ -2,10 +2,14 @@ package placer
 
 import (
 	"context"
+	"fmt"
 
 	"repro/internal/anneal"
+	"repro/internal/cost"
+	"repro/internal/geom"
 	"repro/internal/hbstar"
 	"repro/internal/place"
+	"repro/internal/shapefn"
 )
 
 // Built-in algorithm names. The strings double as the wire format's
@@ -24,6 +28,10 @@ const (
 	// engine.Crossover can register one.
 	GeneticSeqPair  = "genetic:seqpair"
 	GeneticAbsolute = "genetic:absolute"
+	// Section IV's deterministic placers: the hierarchically bounded
+	// enumeration with enhanced or regular shape functions.
+	ESF = "esf"
+	RSF = "rsf"
 )
 
 // init self-registers the built-in engines. Registration order is
@@ -62,6 +70,8 @@ func init() {
 		Name:        GeneticAbsolute,
 		Description: "memetic search (uniform-crossover GA + annealing refinement) over absolute coordinates",
 	}, place.GeneticAbsolute))
+	Register(ESF, func() Engine { return shapeEngine{enhanced: true} })
+	Register(RSF, func() Engine { return shapeEngine{enhanced: false} })
 }
 
 // flatEngine adapts one of the flat placers to the Engine interface:
@@ -97,55 +107,25 @@ func (e flatEngine) Solve(ctx context.Context, p *Problem, opt EngineOptions) (*
 	if err != nil {
 		return nil, err
 	}
-	out := newResult(p, e.info.Name, res.Placement, res.Cost, res.Stats, res.Breakdown)
-	for _, v := range prob.ConstraintSet().Violations(res.Placement) {
-		out.Violations = append(out.Violations, v.Error())
-	}
-	return out, nil
+	return annealedResult(p, e.info.Name, res.Placement, res.Cost, res.Stats, res.Breakdown,
+		prob.ConstraintSet().Violations(res.Placement))
 }
 
-// geneticEngine adapts a memetic placer entry point: the same flat
-// problem view as flatEngine, driven through the two-phase GA+SA
+// geneticFactory wraps a memetic placer entry point as a flat engine:
+// the same flat problem view, driven through the two-phase GA+SA
 // search. The GA phase derives its budget from the annealing schedule
 // (one generation per stage bound, offspring per the move bound's
 // scale) so wire-level schedule ceilings bound the genetic work too.
-type geneticEngine struct {
-	info Info
-	run  func(*place.Problem, anneal.GAOptions, anneal.Options) (*place.Result, error)
-}
-
-// geneticFactory wraps a memetic placer entry point as a registry
-// factory.
 func geneticFactory(info Info, run func(*place.Problem, anneal.GAOptions, anneal.Options) (*place.Result, error)) Factory {
-	return func() Engine { return geneticEngine{info: info, run: run} }
-}
-
-// Info implements Engine.
-func (e geneticEngine) Info() Info { return e.info }
-
-// Solve implements Engine.
-func (e geneticEngine) Solve(ctx context.Context, p *Problem, opt EngineOptions) (*Result, error) {
-	prob, err := p.flat()
-	if err != nil {
-		return nil, err
-	}
-	sa := opt.annealOptions(ctx, e.info.Name)
-	ga := anneal.GAOptions{
-		Seed:             opt.Seed,
-		Generations:      sa.MaxStages,
-		StallGenerations: sa.StallStages,
-		CrossoverRate:    place.DefaultCrossoverRate,
-		Context:          ctx,
-	}
-	res, err := e.run(prob, ga, sa)
-	if err != nil {
-		return nil, err
-	}
-	out := newResult(p, e.info.Name, res.Placement, res.Cost, res.Stats, res.Breakdown)
-	for _, v := range prob.ConstraintSet().Violations(res.Placement) {
-		out.Violations = append(out.Violations, v.Error())
-	}
-	return out, nil
+	return flatFactory(info, func(prob *place.Problem, sa anneal.Options) (*place.Result, error) {
+		return run(prob, anneal.GAOptions{
+			Seed:             sa.Seed,
+			Generations:      sa.MaxStages,
+			StallGenerations: sa.StallStages,
+			CrossoverRate:    place.DefaultCrossoverRate,
+			Context:          sa.Context,
+		}, sa)
+	})
 }
 
 // hbstarEngine adapts the hierarchical HB*-tree placer: the problem
@@ -193,9 +173,84 @@ func (e hbstarEngine) Solve(ctx context.Context, p *Problem, opt EngineOptions) 
 	if err != nil {
 		return nil, err
 	}
-	out := newResult(p, HBStar, res.Placement, res.Cost, res.Stats, res.Breakdown)
-	for _, v := range res.Violations {
-		out.Violations = append(out.Violations, v.Error())
+	return annealedResult(p, HBStar, res.Placement, res.Cost, res.Stats, res.Breakdown, res.Violations)
+}
+
+// annealedResult assembles an annealing engine's result, and is the
+// one zero-stage guard: a run that completed no stage without being
+// cancelled is its random initial placement, not a solved one. A
+// MinTemp above the calibrated initial temperature does that, and
+// static validation cannot see it. Under WithPortfolio each racer is
+// judged on its own counters, before the race aggregates them.
+func annealedResult(p *Problem, algorithm string, pl geom.Placement, costVal float64, stats anneal.Stats, breakdown []cost.TermValue, violations []error) (*Result, error) {
+	if stats.Stages == 0 && !stats.Cancelled {
+		return nil, fmt.Errorf("placer: %s ran zero annealing stages; check MinTemp against the (calibrated) initial temperature", algorithm)
 	}
-	return out, nil
+	return newResult(p, algorithm, pl, costVal, stats, breakdown, violations), nil
+}
+
+// shapeEngine adapts Section IV's deterministic placer: the
+// hierarchically bounded enumeration over the problem's hierarchy
+// (or one synthesized from the flat groups), with enhanced (esf) or
+// regular (rsf) shape functions. Symmetry holds by construction. It
+// ignores seed, workers and schedule, and refuses the objective terms
+// it cannot honour (see CheckObjective). Cost and breakdown come from
+// the problem's own flat model, like flatEngine's.
+type shapeEngine struct {
+	enhanced bool
+}
+
+// Info implements Engine.
+func (e shapeEngine) Info() Info {
+	if e.enhanced {
+		return Info{Name: ESF, Hierarchical: true,
+			Description: "deterministic hierarchically bounded enumeration with enhanced shape functions (Section IV)"}
+	}
+	return Info{Name: RSF, Hierarchical: true,
+		Description: "deterministic hierarchically bounded enumeration with regular shape functions (Section IV)"}
+}
+
+// Solve implements Engine.
+func (e shapeEngine) Solve(ctx context.Context, p *Problem, _ EngineOptions) (*Result, error) {
+	if err := CheckObjective(e.Info().Name, p.Objective); err != nil {
+		return nil, err
+	}
+	bench, err := p.bench()
+	if err != nil {
+		return nil, err
+	}
+	prob, err := p.flat()
+	if err != nil {
+		return nil, err
+	}
+	res, err := shapefn.Place(ctx, bench, e.enhanced)
+	if err != nil {
+		return nil, err
+	}
+	costVal, breakdown := prob.Cost(res.Placement)
+	return newResult(p, e.Info().Name, res.Placement, costVal, anneal.Stats{}, breakdown,
+		prob.ConstraintSet().Violations(res.Placement)), nil
+}
+
+// CheckObjective reports the first objective term the named algorithm
+// cannot honour. Only esf and rsf refuse any: the enumeration
+// minimizes bounding-box area, so an outline, a proximity weight or a
+// thermal weight would be silently ignored. Their Solve calls it, and
+// so does the wire format's request validation, so the daemon answers
+// such a request 400 before queuing it.
+func CheckObjective(algorithm string, o Objective) error {
+	var term string
+	switch {
+	case algorithm != ESF && algorithm != RSF:
+		return nil
+	case o.OutlineW > 0 || o.OutlineH > 0 || o.OutlineWeight > 0:
+		term = "outline"
+	case o.ProxWeight > 0:
+		term = "proximity"
+	case o.ThermalWeight > 0:
+		term = "thermal"
+	default:
+		return nil
+	}
+	return fmt.Errorf("placer: %s minimizes bounding-box area over the hierarchy and cannot honour the %s term; drop it from the objective", algorithm, term)
 }

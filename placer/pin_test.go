@@ -12,17 +12,20 @@ import (
 )
 
 // pinNames are the pinned benchmarks: the Miller op amp on seqpair,
-// hbstar and the portfolio race, and a synthetic n=1000 sequence-pair
-// instance on a short schedule. The request and result fixtures under
-// testdata were produced by the pre-refactor service.Solve path (the
-// dispatch-switch implementation this API replaced), so agreement
-// here proves the registry refactor changed no placement. The
+// hbstar, esf, rsf and the portfolio race, and a synthetic n=1000
+// sequence-pair instance on a short schedule. The request and result
+// fixtures under testdata were produced by the pre-refactor
+// service.Solve path (the dispatch-switch implementation this API
+// replaced), so agreement here proves the registry refactor changed no
+// placement. The
 // n120_temper fixture was generated immediately before the
 // observability instrumentation landed in the annealing loops, so it
 // additionally pins that recording hooks perturb nothing — the
 // tempered path exercises the exchange sweep, whose instrumented
-// Metropolis test must consume randomness exactly as before.
-var pinNames = []string{"miller_seqpair", "miller_hbstar", "miller_portfolio", "n1000_seqpair", "n120_temper"}
+// Metropolis test must consume randomness exactly as before. The esf
+// and rsf placements equal what the shape-function enumeration gave
+// on the canonical Miller tree before it became a registry engine.
+var pinNames = []string{"miller_seqpair", "miller_hbstar", "miller_esf", "miller_rsf", "miller_portfolio", "n1000_seqpair", "n120_temper"}
 
 func readPin(t *testing.T, name string) (req *wire.Request, want *wire.Result) {
 	t.Helper()

@@ -40,9 +40,10 @@ func (i Info) PortfolioEligible() bool {
 
 // Engine is one placement algorithm behind the registry. Implementors
 // receive a validated, normalized problem and the resolved solver
-// options, and must honor ctx at least at annealing stage boundaries
-// (a cancelled run returns its best-so-far result with
-// Result.Cancelled set, not an error).
+// options, and must honor ctx at least at annealing stage boundaries.
+// A cancelled run returns its best-so-far result with
+// Result.Cancelled set, not an error; an engine that has no
+// best-so-far, such as the esf/rsf enumeration, returns ctx's error.
 type Engine interface {
 	Info() Info
 	Solve(ctx context.Context, p *Problem, opt EngineOptions) (*Result, error)
@@ -58,7 +59,7 @@ var (
 	regOrder []string
 )
 
-// Register adds an algorithm under its name; the six built-in engines
+// Register adds an algorithm under its name; the built-in engines
 // self-register at init, and external backends register their own the
 // same way. The name becomes valid everywhere at once: WithAlgorithm,
 // the portfolio set (per Info), analogplace -algorithms/-method and

@@ -50,11 +50,11 @@ func TestRegisterDuplicatePanics(t *testing.T) {
 	mustPanic("nil factory", func() { placer.Register("x-test-nil", nil) })
 }
 
-// TestRegistryListsBuiltins: the six engines self-register in
+// TestRegistryListsBuiltins: the built-in engines self-register in
 // portfolio tie-break order, and KnownMethod follows the registry.
 func TestRegistryListsBuiltins(t *testing.T) {
 	want := []string{placer.SeqPair, placer.BStar, placer.TCG, placer.Slicing, placer.Absolute, placer.HBStar,
-		placer.GeneticSeqPair, placer.GeneticAbsolute}
+		placer.GeneticSeqPair, placer.GeneticAbsolute, placer.ESF, placer.RSF}
 	var got []string
 	for _, info := range placer.Algorithms() {
 		got = append(got, info.Name)
@@ -181,8 +181,10 @@ func TestAlgorithmsEndpoint(t *testing.T) {
 	if !byName[placer.SeqPair].Portfolio || byName[placer.SeqPair].Kind != "flat" {
 		t.Errorf("seqpair misdescribed: %+v", byName[placer.SeqPair])
 	}
-	if k := byName[placer.HBStar].Kind; k != "hierarchical" {
-		t.Errorf("hbstar kind %q, want hierarchical", k)
+	for _, name := range []string{placer.HBStar, placer.ESF, placer.RSF} {
+		if v := byName[name]; v.Kind != "hierarchical" || v.Portfolio {
+			t.Errorf("%s listed as %+v, want hierarchical and not portfolio-eligible", name, v)
+		}
 	}
 	if strings.Contains(strings.ToLower(byName[wire.MethodPortfolio].Kind), "flat") {
 		t.Errorf("portfolio entry should be the meta-method: %+v", byName[wire.MethodPortfolio])

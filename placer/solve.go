@@ -342,8 +342,8 @@ func WithProgress(fn func(Progress)) Option {
 
 // WithDeadline bounds the solve wall-clock: past t the run cancels at
 // the next annealing stage boundary and returns the best-so-far
-// placement with Result.Cancelled set. It composes with (and never
-// extends) a deadline already on ctx.
+// placement with Result.Cancelled set (esf/rsf: ctx's error). It
+// composes with (and never extends) a deadline already on ctx.
 func WithDeadline(t time.Time) Option {
 	return func(c *config) { c.deadline = t }
 }
@@ -364,7 +364,8 @@ func WithCheckpoint(cp Checkpointer) Option {
 // copy is solved (the caller's struct is never modified), so any two
 // spellings of one semantic problem solve identically. Cancellation —
 // ctx or WithDeadline — lands at annealing stage boundaries and
-// returns the best placement found so far with Result.Cancelled set.
+// returns the best placement found so far with Result.Cancelled set;
+// the esf/rsf enumeration has no best-so-far and returns ctx's error.
 func Solve(ctx context.Context, p *Problem, opts ...Option) (*Result, error) {
 	cfg := config{algorithm: DefaultAlgorithm, workers: 1}
 	for _, o := range opts {
@@ -401,13 +402,6 @@ func Solve(ctx context.Context, p *Problem, opts ...Option) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if res.Stages == 0 && !res.Cancelled {
-		// A degenerate schedule (e.g. MinTemp above the calibrated
-		// initial temperature, which static validation cannot see)
-		// would hand back the random initial placement as if it were
-		// solved.
-		return nil, fmt.Errorf("placer: schedule ran zero annealing stages; check MinTemp against the (calibrated) initial temperature")
-	}
 	res.Runtime = time.Since(start)
 	return res, nil
 }
@@ -418,16 +412,22 @@ func solveConfigured(ctx context.Context, p *Problem, cfg config) (*Result, erro
 	if cfg.portfolio {
 		return solvePortfolio(ctx, p, cfg)
 	}
-	factory, ok := Lookup(cfg.algorithm)
+	return solveEngine(ctx, p, cfg, cfg.algorithm)
+}
+
+// solveEngine runs one registry engine under its own span; with
+// tracing on, the result carries the engine's recording.
+func solveEngine(ctx context.Context, p *Problem, cfg config, name string) (*Result, error) {
+	factory, ok := Lookup(name)
 	if !ok {
-		return nil, ErrUnknownAlgorithm(cfg.algorithm)
+		return nil, ErrUnknownAlgorithm(name)
 	}
 	eo := cfg.engineOptions()
-	ctx, span := obs.StartSpan(ctx, "engine", obs.KV("algorithm", cfg.algorithm))
+	ctx, span := obs.StartSpan(ctx, "engine", obs.KV("algorithm", name))
 	res, err := factory().Solve(ctx, p, eo)
 	span.End()
 	if err == nil && eo.flight != nil {
-		res.Trace = traceFromFlight(cfg.algorithm, eo.flight)
+		res.Trace = traceFromFlight(name, eo.flight)
 	}
 	return res, err
 }
@@ -487,20 +487,9 @@ func solvePortfolio(ctx context.Context, p *Problem, cfg config) (*Result, error
 					results[i] = entry{nil, fmt.Errorf("placer: %s racer panic: %v\n%s", name, r, debug.Stack())}
 				}
 			}()
-			factory, ok := Lookup(name)
-			if !ok {
-				results[i] = entry{nil, ErrUnknownAlgorithm(name)}
-				return
-			}
 			// Every racer records into its own ring; the winner's
 			// recording survives on the returned result.
-			eo := racerCfg.engineOptions()
-			rctx, span := obs.StartSpan(ctx, "engine", obs.KV("algorithm", name))
-			res, err := factory().Solve(rctx, p, eo)
-			span.End()
-			if err == nil && eo.flight != nil {
-				res.Trace = traceFromFlight(name, eo.flight)
-			}
+			res, err := solveEngine(ctx, p, racerCfg, name)
 			results[i] = entry{res, err}
 		}(i, name)
 	}
@@ -531,12 +520,6 @@ func solvePortfolio(ctx context.Context, p *Problem, cfg config) (*Result, error
 		return order[a] < order[b]
 	})
 	win := results[order[0]].res
-	if win.Stages == 0 && !win.Cancelled {
-		// Checked on the winner's own counters, before loser
-		// aggregation can mask it: a zero-stage winner is its random
-		// initial placement, not a solved one (see Solve's guard).
-		return nil, fmt.Errorf("placer: portfolio winner %s ran zero annealing stages; check MinTemp against the (calibrated) initial temperature", win.Algorithm)
-	}
 	// Aggregate race-wide counters so progress and result agree on the
 	// total work done — and the race-wide cancellation: if any racer
 	// was truncated, the race is not the full deterministic race, so
@@ -562,9 +545,9 @@ func solvePortfolio(ctx context.Context, p *Problem, cfg config) (*Result, error
 	return win, nil
 }
 
-// newResult assembles the common result fields from a named
-// placement; violations are the caller's to append.
-func newResult(p *Problem, algorithm string, pl geom.Placement, costVal float64, stats anneal.Stats, breakdown []cost.TermValue) *Result {
+// newResult assembles a result from a named placement and its
+// remaining constraint violations.
+func newResult(p *Problem, algorithm string, pl geom.Placement, costVal float64, stats anneal.Stats, breakdown []cost.TermValue, violations []error) *Result {
 	bb := pl.BBox()
 	out := &Result{
 		Algorithm: algorithm,
@@ -589,6 +572,9 @@ func newResult(p *Problem, algorithm string, pl geom.Placement, costVal float64,
 		if r, ok := pl[m.Name]; ok {
 			out.Placement = append(out.Placement, Placed{Name: m.Name, X: r.X, Y: r.Y, W: r.W, H: r.H})
 		}
+	}
+	for _, v := range violations {
+		out.Violations = append(out.Violations, v.Error())
 	}
 	return out
 }
