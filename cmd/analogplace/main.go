@@ -32,7 +32,7 @@
 // benchmark's canonical hierarchy (children sorted by name, the form
 // the daemon solves too). They ignore -seed, -workers and the
 // schedule, and minimize area only, so they reject -outline, -prox
-// and -thermal.
+// and -thermal, and problems over placer.MaxShapeModules modules.
 //
 // The objective flags tune the composable cost model: -outline adds a
 // fixed-outline penalty (the output reports whether the bounding box

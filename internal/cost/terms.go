@@ -1,10 +1,6 @@
 package cost
 
-import (
-	"math"
-
-	"repro/internal/thermal"
-)
+import "repro/internal/thermal"
 
 // ---------------------------------------------------------------------------
 // Area
@@ -327,15 +323,6 @@ func (t *ThermalTerm) Value() float64 {
 		v += pv
 	}
 	return v
-}
-
-// MaxMismatch returns the worst pair mismatch under the current state.
-func (t *ThermalTerm) MaxMismatch() float64 {
-	worst := 0.0
-	for _, pv := range t.pairVals {
-		worst = math.Max(worst, pv)
-	}
-	return worst
 }
 
 func (t *ThermalTerm) moduleSource(c *Coords, m int) thermal.Source {

@@ -19,7 +19,6 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -143,18 +142,6 @@ func Evals(name string) int64 {
 	p.Lock()
 	defer p.Unlock()
 	return p.evals
-}
-
-// Armed lists the currently enabled point names, sorted.
-func Armed() []string {
-	mu.Lock()
-	defer mu.Unlock()
-	names := make([]string, 0, len(points))
-	for n := range points {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // EnvVar and EnvSeedVar are the environment knobs EnableFromEnv

@@ -67,11 +67,6 @@ func (r Rect) Translate(dx, dy int) Rect {
 	return Rect{r.X + dx, r.Y + dy, r.W, r.H}
 }
 
-// Rotate90 returns r with width and height exchanged, keeping the
-// lower-left corner fixed. Topological packers use it for the "rotate
-// module" perturbation.
-func (r Rect) Rotate90() Rect { return Rect{r.X, r.Y, r.H, r.W} }
-
 // Intersects reports whether r and s overlap in a region of positive
 // area. Rectangles that merely share an edge or corner do not intersect.
 func (r Rect) Intersects(s Rect) bool {
@@ -111,12 +106,6 @@ func (r Rect) Union(s Rect) Rect {
 // Contains reports whether r fully contains s.
 func (r Rect) Contains(s Rect) bool {
 	return r.X <= s.X && r.Y <= s.Y && r.X2() >= s.X2() && r.Y2() >= s.Y2()
-}
-
-// ContainsPoint reports whether p lies inside r (boundary inclusive on
-// the low edges, exclusive on the high edges, the half-open convention).
-func (r Rect) ContainsPoint(p Point) bool {
-	return p.X >= r.X && p.X < r.X2() && p.Y >= r.Y && p.Y < r.Y2()
 }
 
 // MirrorX returns r mirrored about the vertical line x = axis2/2, where

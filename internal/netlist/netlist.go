@@ -131,15 +131,6 @@ func (c *Circuit) MustAdd(d *Device) {
 // Device returns the named device, or nil.
 func (c *Circuit) Device(name string) *Device { return c.byName[name] }
 
-// DeviceNames returns all device names in declaration order.
-func (c *Circuit) DeviceNames() []string {
-	names := make([]string, len(c.Devices))
-	for i, d := range c.Devices {
-		names[i] = d.Name
-	}
-	return names
-}
-
 // Nets returns a map from net name to the pins on that net, built from
 // the current device port assignments.
 func (c *Circuit) Nets() map[string][]Pin {

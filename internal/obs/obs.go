@@ -38,9 +38,6 @@ func Enable() { armed.Store(true) }
 // readable.
 func Disable() { armed.Store(false) }
 
-// Enabled reports whether the span tracer is armed.
-func Enabled() bool { return armed.Load() }
-
 // Attr is one key/value annotation on a span.
 type Attr struct {
 	Key   string `json:"key"`

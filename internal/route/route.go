@@ -66,13 +66,6 @@ func (g *Grid) Blocked(x, y int) bool {
 	return g.blocked[g.idx(x, y)]
 }
 
-// Unblock clears a cell (used to open pin cells on module borders).
-func (g *Grid) Unblock(x, y int) {
-	if g.In(x, y) {
-		g.blocked[g.idx(x, y)] = false
-	}
-}
-
 // Path is one routed net: the cells it occupies.
 type Path struct {
 	Net   string

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/wire"
+	"repro/placer"
 )
 
 // slowRequest is a solve that cannot finish on its own inside a test's
@@ -221,6 +222,42 @@ func TestPressureModeDegrades(t *testing.T) {
 	}
 	if m := s.Metrics(); m.JobsDegraded < 1 {
 		t.Fatalf("degraded counter: %+v", m)
+	}
+}
+
+// TestPressureModeSkipsShapeEngines: esf and rsf ignore the schedule,
+// so queue pressure leaves their result whole, unflagged and cached.
+func TestPressureModeSkipsShapeEngines(t *testing.T) {
+	s := New(Config{Workers: 1, QueueDepth: 8, PressureDepth: 1})
+	defer s.Close()
+
+	blocker, err := s.Submit(slowRequest(t, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	jb, err := s.Submit(millerRequest(t, placer.ESF))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Submit(millerRequest(t, wire.MethodSeqPair)); err != nil {
+		t.Fatal(err)
+	}
+	s.Cancel(blocker.ID)
+	waitJob(t, blocker)
+
+	// jb starts with the seqpair job still queued behind it.
+	waitJob(t, jb)
+	if jb.State() != StateDone || jb.Degraded() {
+		t.Fatalf("esf job under queue pressure ended %s, degraded %v: %s", jb.State(), jb.Degraded(), jb.Err())
+	}
+	waitRecorded(t, s, jb.ID)
+	j2, err := s.Submit(millerRequest(t, placer.ESF))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitJob(t, j2)
+	if !j2.CacheHit() {
+		t.Fatal("esf result solved under queue pressure was not cached")
 	}
 }
 

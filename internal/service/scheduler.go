@@ -916,9 +916,12 @@ func (s *Scheduler) run(j *Job) {
 	// annealing schedule instead of shedding — every waiting client
 	// gets a (degraded, uncached) placement sooner and the queue
 	// drains. The content hash was computed from the original options,
-	// and degraded results never enter the cache under it.
+	// and degraded results never enter the cache under it. esf and rsf
+	// ignore the schedule: their result is the full one and stays
+	// cacheable.
 	var extra []placer.Option
-	if s.cfg.PressureDepth > 0 && depth >= s.cfg.PressureDepth {
+	shapeFn := req.Options.Method == placer.ESF || req.Options.Method == placer.RSF
+	if s.cfg.PressureDepth > 0 && depth >= s.cfg.PressureDepth && !shapeFn {
 		sched := req.Options.Schedule()
 		sched.MaxStages = max(1, sched.MaxStages/4)
 		sched.StallStages = max(1, sched.StallStages/4)
@@ -975,7 +978,7 @@ func (s *Scheduler) run(j *Job) {
 
 	out := store.JobRecord{State: string(StateDone), Result: res}
 	switch {
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+	case errors.Is(err, errCancelled):
 		// An engine with no best-so-far (the esf/rsf enumeration)
 		// answers cancellation with its context's error: the job was
 		// cancelled, with no placement to keep.

@@ -2,8 +2,10 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"sync/atomic"
 	"testing"
@@ -205,6 +207,49 @@ func TestCancelRunningDeterministicJob(t *testing.T) {
 	}
 	if m := s.Metrics(); m.JobsCancelled != 1 || m.JobsFailed != 0 {
 		t.Fatalf("counters after the cancel: %+v", m)
+	}
+}
+
+// TestDeterministicJobTimeout: the request's own timeout_ms ends a
+// running esf job cancelled, like a DELETE.
+func TestDeterministicJobTimeout(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	j, err := s.Submit(&wire.Request{Problem: *benchProblem(t, "biasynth"),
+		Options: wire.Options{Method: placer.ESF, TimeoutMS: 100}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitJob(t, j)
+	if j.State() != StateCancelled || j.Result() != nil {
+		t.Fatalf("timed-out esf job ended %s with result %v (err %q)", j.State(), j.Result(), j.Err())
+	}
+}
+
+// ctxErrEngine fails with a context error of its own making while
+// the solve's context is still live, as a timed-out store call would.
+type ctxErrEngine struct{}
+
+func (ctxErrEngine) Info() placer.Info { return placer.Info{Name: "x-test-ctxerr"} }
+
+func (ctxErrEngine) Solve(context.Context, *placer.Problem, placer.EngineOptions) (*placer.Result, error) {
+	return nil, fmt.Errorf("store: %w", context.DeadlineExceeded)
+}
+
+// TestInnerContextErrorFails: only the solve's own context ending
+// makes a job cancelled; a context error from anywhere else is a
+// failure.
+func TestInnerContextErrorFails(t *testing.T) {
+	placer.Register("x-test-ctxerr", func() placer.Engine { return ctxErrEngine{} })
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	j, err := s.Submit(millerRequest(t, "x-test-ctxerr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitJob(t, j)
+	if j.State() != StateFailed {
+		t.Fatalf("inner context error ended the job %s, want failed (err %q)", j.State(), j.Err())
 	}
 }
 

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -70,6 +71,12 @@ func Solve(ctx context.Context, req *wire.Request, progress func(placer.Progress
 	start := time.Now()
 	res, err := placer.Solve(ctx, &req.Problem.Problem, opts...)
 	if err != nil {
+		if ctx.Err() != nil && errors.Is(err, ctx.Err()) {
+			// The solve's own context ended (a cancel, a server
+			// ceiling or timeout_ms) under an engine with no
+			// best-so-far to return, such as the esf/rsf enumeration.
+			err = fmt.Errorf("%w: %w", errCancelled, err)
+		}
 		return nil, err
 	}
 	// The wire result names the algorithm that produced the placement;
@@ -90,6 +97,10 @@ func Solve(ctx context.Context, req *wire.Request, progress func(placer.Progress
 	}
 	return out, nil
 }
+
+// errCancelled marks a solve that returned its own context's error:
+// the scheduler records it as cancelled, not failed.
+var errCancelled = errors.New("service: solve cancelled")
 
 // maxInjectedStall bounds the "solve/slow" failpoint's stall on a
 // context with no deadline, so an injected hang can prove the

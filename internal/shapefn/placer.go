@@ -52,9 +52,9 @@ type Result struct {
 // minimum-area root shape is the placement. The order of the tree's
 // children and devices fixes the order shapes are combined in, so the
 // result depends on it. ctx is checked every ctxCheckEvery enumerated
-// trees and before every shape addition, which changes no output; an
-// enumeration has no best-so-far, so a cancelled run returns ctx's
-// error.
+// trees and before every shape addition and ESF shape pair, which
+// changes no output; an enumeration has no best-so-far, so a cancelled
+// run returns ctx's error.
 func Place(ctx context.Context, b *circuits.Bench, enhanced bool) (*Result, error) {
 	if b.Tree == nil {
 		return nil, fmt.Errorf("shapefn: nil hierarchy tree")
@@ -124,9 +124,10 @@ func (p *placer) check(pl geom.Placement) error {
 	return nil
 }
 
-// enumerateSet computes the shape function of one basic module set by
-// exhaustive B*-tree (and rotation) enumeration, keeping only
-// placements that satisfy the applicable constraints.
+// enumerateSet computes the shape function of one basic module set of
+// at most maxEnumSet modules by exhaustive B*-tree (and rotation)
+// enumeration, keeping only placements that satisfy the applicable
+// constraints.
 func (p *placer) enumerateSet(names []string) (Function, error) {
 	n := len(names)
 	w := make([]int, n)
@@ -137,14 +138,6 @@ func (p *placer) enumerateSet(names []string) (Function, error) {
 		if err != nil {
 			return Function{}, err
 		}
-	}
-	if n > maxEnumSet {
-		// Oversized sets are combined one module at a time.
-		leaves := make([]Function, n)
-		for i, name := range names {
-			leaves[i] = Leaf(name, w[i], h[i], true, p.enhanced)
-		}
-		return p.combine(leaves)
 	}
 	var shapes []Shape
 	trees := 0
@@ -213,10 +206,13 @@ func (p *placer) combine(fs []Function) (Function, error) {
 		if err := p.ctx.Err(); err != nil {
 			return Function{}, err
 		}
-		if p.enhanced {
-			f = AddESF(f, g, p.check)
-		} else {
+		if !p.enhanced {
 			f = AddRSF(f, g)
+			continue
+		}
+		var err error
+		if f, err = AddESF(p.ctx, f, g, p.check); err != nil {
+			return Function{}, err
 		}
 	}
 	return f, nil
@@ -224,8 +220,9 @@ func (p *placer) combine(fs []Function) (Function, error) {
 
 // functionFor computes the shape function of a hierarchy subtree.
 func (p *placer) functionFor(n *constraint.Node) (Function, error) {
-	// Leaf sub-circuit: one basic module set, enumerated exhaustively.
-	if len(n.Children) == 0 {
+	// Leaf sub-circuit: one basic module set, enumerated exhaustively
+	// unless oversized, then combined one module at a time below.
+	if len(n.Children) == 0 && len(n.Devices) <= maxEnumSet {
 		if len(n.Devices) == 0 {
 			return Function{}, fmt.Errorf("shapefn: empty sub-circuit %q", n.Name)
 		}

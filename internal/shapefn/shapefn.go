@@ -18,6 +18,7 @@
 package shapefn
 
 import (
+	"context"
 	"sort"
 
 	"repro/internal/geom"
@@ -125,6 +126,9 @@ type Shape struct {
 
 	tree *tnode // enhanced: packs to exactly W × H
 
+	// Enhanced sum not yet materialized (inside AddESF only).
+	graft *graft
+
 	// Bounding-box record (regular shapes): a below/left-of b.
 	horiz bool // true: a left of b; false: a below b
 	a, b  *Shape
@@ -132,6 +136,9 @@ type Shape struct {
 	// Leaf record.
 	leafName string
 }
+
+// hasTree reports whether the shape carries (or will carry) a B*-tree.
+func (s *Shape) hasTree() bool { return s.tree != nil || s.graft != nil }
 
 // Place writes the shape's placement, translated by (x, y), into out.
 func (s *Shape) Place(x, y int, out geom.Placement) {
@@ -186,7 +193,7 @@ func prune(shapes []Shape) Function {
 		}
 		// Tie-break: prefer tree-carrying shapes, which keep the
 		// enhanced-addition machinery available downstream.
-		return shapes[i].tree != nil && shapes[j].tree == nil
+		return shapes[i].hasTree() && !shapes[j].hasTree()
 	})
 	var out []Shape
 	for _, s := range shapes {
@@ -301,7 +308,11 @@ func AddRSF(f, g Function) Function {
 // records are kept as safety candidates, so the result is never worse
 // than AddRSF; the prune tie-break prefers tree-carrying shapes of
 // equal size, keeping enhancement available at the next level.
-func AddESF(f, g Function, check Checker) Function {
+//
+// Candidates pack with b's tree hung on a's in place; only the shapes
+// that survive pruning get merged trees of their own. ctx is checked
+// before every shape pair; a cancelled sum returns ctx's error.
+func AddESF(ctx context.Context, f, g Function, check Checker) (Function, error) {
 	var out []Shape
 	addBBox := func(a, b *Shape) {
 		out = append(out,
@@ -310,41 +321,59 @@ func AddESF(f, g Function, check Checker) Function {
 		)
 	}
 	for i := range f.Shapes {
+		a := &f.Shapes[i]
+		var pts []attachSpec
+		if a.tree != nil {
+			pts = attachPoints(a.tree)
+		}
 		for j := range g.Shapes {
-			a, b := &f.Shapes[i], &g.Shapes[j]
+			if err := ctx.Err(); err != nil {
+				return Function{}, err
+			}
+			b := &g.Shapes[j]
 			addBBox(a, b)
 			if a.tree == nil || b.tree == nil {
 				continue
 			}
-			for _, attach := range attachPoints(a.tree) {
-				merged := cloneTree(a.tree)
-				node, side := locate(merged, attach)
-				if node == nil {
+			for _, at := range pts {
+				slot := at.slot(a.tree)
+				if *slot != nil {
 					continue
 				}
-				graft := cloneTree(b.tree)
-				if side == 0 {
-					if node.left != nil {
-						continue
-					}
-					node.left = graft
-				} else {
-					if node.right != nil {
-						continue
-					}
-					node.right = graft
-				}
-				pl, w, h := packTree(merged)
+				*slot = b.tree
+				pl, w, h := packTree(a.tree)
+				*slot = nil
 				if check != nil {
 					if err := check(pl); err != nil {
 						continue
 					}
 				}
-				out = append(out, Shape{W: w, H: h, tree: merged})
+				out = append(out, Shape{W: w, H: h, graft: &graft{a: a.tree, b: b.tree, at: at}})
 			}
 		}
 	}
-	return prune(out)
+	sum := prune(out)
+	for i := range sum.Shapes {
+		if s := &sum.Shapes[i]; s.graft != nil {
+			s.tree = s.graft.merge()
+			s.graft = nil
+		}
+	}
+	return sum, nil
+}
+
+// graft records an enhanced sum: tree b hung on tree a at an
+// attachment point.
+type graft struct {
+	a, b *tnode
+	at   attachSpec
+}
+
+// merge builds the grafted tree from clones of both operands.
+func (g *graft) merge() *tnode {
+	merged := cloneTree(g.a)
+	*g.at.slot(merged) = cloneTree(g.b)
+	return merged
 }
 
 // attachSpec names an attachment point by the module name and child
@@ -400,16 +429,20 @@ func attachPoints(a *tnode) []attachSpec {
 	return pts
 }
 
-// locate finds the named node in a tree.
-func locate(n *tnode, spec attachSpec) (*tnode, int) {
-	if n == nil {
-		return nil, 0
+// slot returns the child slot the attachment point names in tree n,
+// or nil when n lacks its module.
+func (at attachSpec) slot(n *tnode) **tnode {
+	switch {
+	case n == nil:
+		return nil
+	case n.name != at.name:
+		if s := at.slot(n.left); s != nil {
+			return s
+		}
+		return at.slot(n.right)
+	case at.side == 0:
+		return &n.left
+	default:
+		return &n.right
 	}
-	if n.name == spec.name {
-		return n, spec.side
-	}
-	if m, s := locate(n.left, spec); m != nil {
-		return m, s
-	}
-	return locate(n.right, spec)
 }

@@ -1,6 +1,8 @@
 package shapefn
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/circuits"
@@ -95,7 +97,10 @@ func TestEnhancedAdditionInterleaves(t *testing.T) {
 	}}}
 	// Operand b: C (6x7) fits into the notch above A.
 	b := Leaf("C", 6, 7, false, true)
-	sum := AddESF(a, b, nil)
+	sum, err := AddESF(t.Context(), a, b, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	best, ok := sum.MinArea()
 	if !ok {
 		t.Fatal("empty sum")
@@ -114,6 +119,17 @@ func TestEnhancedAdditionInterleaves(t *testing.T) {
 	rsf, _ := AddRSF(a, b).MinArea()
 	if int64(rsf.W)*int64(rsf.H) <= int64(best.W)*int64(best.H) {
 		t.Fatalf("RSF area %d should exceed ESF area %d", rsf.W*rsf.H, best.W*best.H)
+	}
+}
+
+// AddESF checks ctx before every shape pair: a cancelled sum returns
+// the context's error, however few additions the caller makes.
+func TestEnhancedAdditionCancels(t *testing.T) {
+	ctx, cancel := context.WithCancel(t.Context())
+	cancel()
+	a := Leaf("A", 8, 2, true, true)
+	if _, err := AddESF(ctx, a, Leaf("B", 6, 7, true, true), nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled addition returned %v, want context.Canceled", err)
 	}
 }
 
@@ -139,7 +155,10 @@ func TestEnhancedAdditionRespectsConstraints(t *testing.T) {
 		},
 	}}}
 	c := Leaf("C", 3, 3, false, true)
-	sum := AddESF(pair, c, check)
+	sum, err := AddESF(t.Context(), pair, c, check)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(sum.Shapes) == 0 {
 		t.Fatal("sum is empty")
 	}

@@ -40,9 +40,6 @@ func NewFile(dir string) (*File, error) {
 	return &File{dir: dir}, nil
 }
 
-// Dir returns the backing directory.
-func (f *File) Dir() string { return f.dir }
-
 // Put writes the entry atomically: the envelope and payload go to a
 // dot-prefixed temp file (invisible to Keys, impossible as a key)
 // which is then renamed over the final name, so a concurrent Get on

@@ -364,7 +364,7 @@ func (r *Request) Validate() error {
 	if err := r.Options.Validate(); err != nil {
 		return err
 	}
-	if err := placer.CheckObjective(r.Options.Method, r.Problem.Objective); err != nil {
+	if err := placer.CheckProblem(r.Options.Method, &r.Problem.Problem); err != nil {
 		return err
 	}
 	moves := r.Options.MovesPerStage

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -96,5 +97,81 @@ func TestDeterministicRejectsObjective(t *testing.T) {
 	}
 	if res.StatusCode != http.StatusBadRequest || !strings.Contains(msg.Error, "outline") {
 		t.Errorf("daemon answered %d %q, want 400 naming the outline term", res.StatusCode, msg.Error)
+	}
+}
+
+// balanced returns n synthetic modules of random sizes under a
+// balanced binary hierarchy with leaves of four modules: the shape
+// the enhanced additions are slowest on, since both operands of every
+// inner addition carry full shape functions.
+func balanced(t *testing.T, n int) *placer.Problem {
+	t.Helper()
+	p, err := placer.Synthetic(placer.SyntheticSpec{N: n, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var level []*placer.Node
+	for i := 0; i < n; i += 4 {
+		leaf := &placer.Node{Name: fmt.Sprintf("leaf%d", i)}
+		for _, m := range p.Modules[i:min(n, i+4)] {
+			leaf.Devices = append(leaf.Devices, m.Name)
+		}
+		level = append(level, leaf)
+	}
+	for depth := 0; len(level) > 1; depth++ {
+		var next []*placer.Node
+		for i := 0; i < len(level); i += 2 {
+			if i+1 == len(level) {
+				next = append(next, level[i])
+				continue
+			}
+			next = append(next, &placer.Node{Name: fmt.Sprintf("n%d_%d", depth, i), Children: level[i : i+2]})
+		}
+		level = next
+	}
+	p.Hierarchy = level[0]
+	return p
+}
+
+// TestDeterministicSizeCeiling: esf refuses a problem over
+// MaxShapeModules modules at every front door (the daemon with a 400
+// naming the limit), and a balanced hierarchy at the ceiling, which
+// runs for most of a minute, stops within milliseconds of a deadline.
+func TestDeterministicSizeCeiling(t *testing.T) {
+	over := balanced(t, placer.MaxShapeModules+1)
+	if _, err := placer.Solve(t.Context(), over, placer.WithAlgorithm(placer.ESF)); err == nil || !strings.Contains(err.Error(), "at most") {
+		t.Errorf("placer.Solve over the ceiling: %v", err)
+	}
+	sched := service.New(service.Config{Workers: 1})
+	defer sched.Close()
+	srv := httptest.NewServer(service.NewHandler(sched))
+	defer srv.Close()
+	body, err := json.Marshal(wire.Request{Problem: *wire.FromCanon(over), Options: wire.Options{Method: placer.ESF}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := http.Post(srv.URL+"/v1/place?wait=1", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Body.Close()
+	var msg struct {
+		Error string `json:"error"`
+	}
+	if err := json.NewDecoder(res.Body).Decode(&msg); err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprint(placer.MaxShapeModules); res.StatusCode != http.StatusBadRequest || !strings.Contains(msg.Error, want) {
+		t.Errorf("daemon answered %d %q, want 400 naming the limit of %s modules", res.StatusCode, msg.Error, want)
+	}
+
+	start := time.Now()
+	_, err = placer.Solve(t.Context(), balanced(t, placer.MaxShapeModules), placer.WithAlgorithm(placer.ESF),
+		placer.WithDeadline(start.Add(300*time.Millisecond)))
+	if elapsed := time.Since(start); elapsed > 800*time.Millisecond {
+		t.Errorf("deadline of 300ms honoured after %v", elapsed)
+	}
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("got %v, want the context's error", err)
 	}
 }

@@ -37,7 +37,8 @@
 //
 // esf and rsf enumerate over the problem's hierarchy, whose children
 // Solve sorts by name. They ignore seed, workers and schedule, and
-// reject an objective with a term they cannot honour ([CheckObjective]).
+// reject a problem over [MaxShapeModules] modules or with an objective
+// term they cannot honour ([CheckProblem]).
 //
 // # Cancellation and streaming
 //

@@ -193,8 +193,8 @@ func annealedResult(p *Problem, algorithm string, pl geom.Placement, costVal flo
 // hierarchically bounded enumeration over the problem's hierarchy
 // (or one synthesized from the flat groups), with enhanced (esf) or
 // regular (rsf) shape functions. Symmetry holds by construction. It
-// ignores seed, workers and schedule, and refuses the objective terms
-// it cannot honour (see CheckObjective). Cost and breakdown come from
+// ignores seed, workers and schedule, and refuses the problems and
+// objective terms it cannot take (see CheckProblem). Cost and breakdown come from
 // the problem's own flat model, like flatEngine's.
 type shapeEngine struct {
 	enhanced bool
@@ -212,7 +212,7 @@ func (e shapeEngine) Info() Info {
 
 // Solve implements Engine.
 func (e shapeEngine) Solve(ctx context.Context, p *Problem, _ EngineOptions) (*Result, error) {
-	if err := CheckObjective(e.Info().Name, p.Objective); err != nil {
+	if err := CheckProblem(e.Info().Name, p); err != nil {
 		return nil, err
 	}
 	bench, err := p.bench()
@@ -232,17 +232,29 @@ func (e shapeEngine) Solve(ctx context.Context, p *Problem, _ EngineOptions) (*R
 		prob.ConstraintSet().Violations(res.Placement)), nil
 }
 
-// CheckObjective reports the first objective term the named algorithm
-// cannot honour. Only esf and rsf refuse any: the enumeration
-// minimizes bounding-box area, so an outline, a proximity weight or a
-// thermal weight would be silently ignored. Their Solve calls it, and
-// so does the wire format's request validation, so the daemon answers
-// such a request 400 before queuing it.
-func CheckObjective(algorithm string, o Objective) error {
-	var term string
-	switch {
-	case algorithm != ESF && algorithm != RSF:
+// MaxShapeModules bounds the problem size esf and rsf accept: esf work
+// grows about 3.5-fold per doubling of the module count, and a balanced
+// binary hierarchy of random modules took 45 s at 256 modules and
+// 2.6 min at 512 (2-core x86-64 VM, under 60 MB of heap). The paper's
+// largest circuit has 110 modules.
+const MaxShapeModules = 256
+
+// CheckProblem reports why the named algorithm cannot solve p. Only
+// esf and rsf refuse any problem: one over MaxShapeModules modules, or
+// one whose objective has an outline, a proximity weight or a thermal
+// weight, which the enumeration (it minimizes bounding-box area) would
+// silently ignore. Their Solve calls it, and so does the wire format's
+// request validation, so the daemon answers such a request 400 before
+// queuing it.
+func CheckProblem(algorithm string, p *Problem) error {
+	if algorithm != ESF && algorithm != RSF {
 		return nil
+	}
+	if p.N() > MaxShapeModules {
+		return fmt.Errorf("placer: %s takes at most %d modules, the problem has %d", algorithm, MaxShapeModules, p.N())
+	}
+	var term string
+	switch o := p.Objective; {
 	case o.OutlineW > 0 || o.OutlineH > 0 || o.OutlineWeight > 0:
 		term = "outline"
 	case o.ProxWeight > 0:

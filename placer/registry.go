@@ -44,6 +44,10 @@ func (i Info) PortfolioEligible() bool {
 // A cancelled run returns its best-so-far result with
 // Result.Cancelled set, not an error; an engine that has no
 // best-so-far, such as the esf/rsf enumeration, returns ctx's error.
+// The built-in annealing adapters return through annealedResult, which
+// fails a run that completed no stage; an engine registered from
+// outside the package gets no such guard and must refuse a zero-stage
+// run itself.
 type Engine interface {
 	Info() Info
 	Solve(ctx context.Context, p *Problem, opt EngineOptions) (*Result, error)

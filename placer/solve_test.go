@@ -135,6 +135,37 @@ func TestSolveZeroStageGuard(t *testing.T) {
 	}
 }
 
+// TestPortfolioDropsZeroStageRacer: at a MinTemp between the racers'
+// calibrated initial temperatures (bstar calibrates lowest on this
+// problem and seed) only bstar runs zero stages. The race drops it and
+// returns another racer, whose counters add up those of the racers
+// that ran and leave the dropped one out.
+func TestPortfolioDropsZeroStageRacer(t *testing.T) {
+	sched := placer.WithSchedule(placer.Schedule{MovesPerStage: 40, MaxStages: 20, StallStages: 20, MinTemp: 14000})
+	if _, err := placer.Solve(t.Context(), miller(t), sched, placer.WithSeed(1), placer.WithAlgorithm(placer.BStar)); err == nil {
+		t.Fatal("bstar ran stages at this MinTemp; the test needs it to run none")
+	}
+	var stages, moves int
+	for _, name := range []string{placer.SeqPair, placer.TCG} {
+		res, err := placer.Solve(t.Context(), miller(t), sched, placer.WithSeed(1), placer.WithAlgorithm(name))
+		if err != nil {
+			t.Fatalf("%s alone: %v", name, err)
+		}
+		stages += res.Stages
+		moves += res.Moves
+	}
+	win, err := placer.Solve(t.Context(), miller(t), sched, placer.WithSeed(1), placer.WithPortfolio())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if win.Algorithm == placer.BStar || win.Stages == 0 {
+		t.Fatalf("race returned %s with %d stages", win.Algorithm, win.Stages)
+	}
+	if win.Stages != stages || win.Moves != moves {
+		t.Fatalf("race counters %d stages / %d moves, want seqpair+tcg's %d / %d", win.Stages, win.Moves, stages, moves)
+	}
+}
+
 // TestSolveWorkersNeverLose: the multi-start reduction keeps worker
 // 0's serial chain, so more workers never yield a worse cost on the
 // same seed.
