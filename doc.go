@@ -12,9 +12,10 @@
 //     placement constructor), driven by internal/place.
 //   - Section III — hierarchical placement: internal/hbstar
 //     (HB*-trees with contour nodes) over internal/asf (ASF-B*-tree
-//     symmetry islands) and internal/bstar, with the constraint model
-//     of internal/constraint and automatic hierarchy detection in
-//     internal/hier.
+//     symmetry islands) and internal/bstar, whose contour packs every
+//     sub-circuit and hands its profile to the parent as contour
+//     nodes, with the constraint model of internal/constraint and
+//     automatic hierarchy detection in internal/hier.
 //   - Section IV — deterministic placement: internal/shapefn (shape
 //     functions, enhanced shape additions, hierarchically bounded
 //     enumeration) over internal/bstar enumeration, registered as the
@@ -101,7 +102,12 @@
 // Packing — the annealer's dominant inner operation — is
 // allocation-free at steady state through reusable workspaces:
 // bstar.Tree.PackInto(*bstar.PackWorkspace) packs with a pooled
-// contour spliced in place, seqpair.SP.PackInto(*seqpair.PackWorkspace)
+// contour spliced in place. That bstar.Contour is the repo's one
+// contour: hbstar lays every sub-circuit out on its own (a hierarchy
+// node splices its child's profile in, and an ASF island's profile is
+// its representative tree's contour, mirrored), and shapefn packs its
+// pointer trees and enumerated dense trees on it.
+// seqpair.SP.PackInto(*seqpair.PackWorkspace)
 // reuses the vEB queue and LCS buffers, and tcg.TCG.PackInto does the
 // same for longest-path evaluation. The compatibility wrappers
 // (Pack()) remain and allocate only the returned slices;

@@ -19,7 +19,6 @@ import (
 	"math/rand"
 
 	"repro/internal/bstar"
-	"repro/internal/geom"
 )
 
 // Pair is one symmetric pair: left and right member names share
@@ -147,35 +146,67 @@ func (isl *Island) validChain() bool {
 	return true
 }
 
-// Pack returns the symmetric placement of the island, mirrored about
-// the vertical axis at x = 0 (axis2 = 0 in doubled coordinates).
-// Right members and right halves pack at x ≥ 0; left members are
-// exact mirror images.
-func (isl *Island) Pack() (geom.Placement, error) {
+// PackInto packs the island into the dense slices x, y, w, h, indexed
+// like Names(), with the lower-left corner of its bounding box at the
+// origin, and returns the island's width: twice the right half's, with
+// the axis in the middle. Right members and right halves pack on ws
+// with the ordinary B*-tree contour; left members are their exact
+// mirror images. Once ws has grown, packing allocates nothing.
+func (isl *Island) PackInto(ws *bstar.PackWorkspace, x, y, w, h []int) (int, error) {
 	if !isl.validChain() {
-		return nil, fmt.Errorf("asf: self-symmetric representatives left the axis chain")
+		return 0, fmt.Errorf("asf: self-symmetric representatives left the axis chain")
 	}
-	x, y := isl.reps.Pack()
-	ns := len(isl.selfs)
-	pl := geom.Placement{}
+	rx, ry := isl.reps.PackInto(ws)
+	half := 0
+	for m := range rx {
+		rw := isl.reps.W[m]
+		if isl.reps.Rot[m] {
+			rw = isl.reps.H[m]
+		}
+		half = max(half, rx[m]+rw)
+	}
+	ns, np := len(isl.selfs), len(isl.pairs)
 	for i, s := range isl.selfs {
-		if x[i] != 0 {
-			return nil, fmt.Errorf("asf: self representative %q packed at x=%d, want 0", s.Name, x[i])
+		if rx[i] != 0 {
+			return 0, fmt.Errorf("asf: self representative %q packed at x=%d, want 0", s.Name, rx[i])
 		}
 		// Full module centered on the axis.
-		pl[s.Name] = geom.NewRect(-s.W/2, y[i], s.W, s.H)
+		k := 2*np + i
+		x[k], y[k], w[k], h[k] = half-s.W/2, ry[i], s.W, s.H
 	}
 	for i, p := range isl.pairs {
 		m := ns + i
-		w, h := p.W, p.H
+		pw, ph := p.W, p.H
 		if isl.reps.Rot[m] {
-			w, h = h, w
+			pw, ph = ph, pw
 		}
-		right := geom.NewRect(x[m], y[m], w, h)
-		pl[p.Right] = right
-		pl[p.Left] = right.MirrorX(0)
+		x[2*i], y[2*i], w[2*i], h[2*i] = half-rx[m]-pw, ry[m], pw, ph
+		x[2*i+1], y[2*i+1], w[2*i+1], h[2*i+1] = half+rx[m], ry[m], pw, ph
 	}
-	return pl, nil
+	return 2 * half, nil
+}
+
+// Profile appends the top profile of the island last packed on ws,
+// over [0, width), to dst and returns the extended slice: the
+// representative tree's contour and its mirror image. B*-tree
+// x-intervals leave no gaps, so the right half's profile starts at the
+// axis, and its first segment and that segment's mirror image merge
+// into one across it.
+func Profile(ws *bstar.PackWorkspace, width int, dst []bstar.Seg) []bstar.Seg {
+	half, start := width/2, len(dst)
+	dst = ws.Contour().Profile(dst, half)
+	r, first := len(dst)-start, dst[start]
+	// [R0 … Rr-1] becomes [mirror(Rr-1) … mirror(R1), R0 across the
+	// axis, R1 … Rr-1], each right segment shifted by the axis.
+	dst = append(dst, dst[start+1:]...)
+	p := dst[start:]
+	for k := 1; k < r; k++ {
+		s := p[r-1+k]
+		p[r-1+k] = bstar.Seg{X1: half + s.X1, X2: half + s.X2, H: s.H}
+		p[r-1-k] = bstar.Seg{X1: half - s.X2, X2: half - s.X1, H: s.H}
+	}
+	p[r-1] = bstar.Seg{X1: half - first.X2, X2: half + first.X2, H: first.H}
+	return dst
 }
 
 // Perturb applies one random island-preserving move: rotate a pair
@@ -243,13 +274,8 @@ func reattach(t *bstar.Tree, m int, rng *rand.Rand) {
 		}
 	}
 	if len(slots) == 0 {
-		// Tree was a single node: attach under it.
-		for p := 0; p < n; p++ {
-			if p != m {
-				t.InsertChild(p, m, 0)
-				return
-			}
-		}
+		// m was the tree's only node: it is the root again.
+		t.Root = m
 		return
 	}
 	s := slots[rng.Intn(len(slots))]

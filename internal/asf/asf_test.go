@@ -4,8 +4,34 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/bstar"
 	"repro/internal/constraint"
+	"repro/internal/geom"
 )
+
+// pack packs the island with PackInto and names the result, with the
+// axis at x = 0.
+func pack(isl *Island) (geom.Placement, error) {
+	pl, _, _, err := packProfile(isl)
+	return pl, err
+}
+
+// packProfile is pack that also returns the island's width and its
+// profile as Profile reads it, in PackInto's frame.
+func packProfile(isl *Island) (geom.Placement, int, []bstar.Seg, error) {
+	n := isl.Size()
+	x, y, w, h := make([]int, n), make([]int, n), make([]int, n), make([]int, n)
+	var ws bstar.PackWorkspace
+	width, err := isl.PackInto(&ws, x, y, w, h)
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	pl := geom.Placement{}
+	for k, name := range isl.Names() {
+		pl[name] = geom.NewRect(x[k]-width/2, y[k], w[k], h[k])
+	}
+	return pl, width, Profile(&ws, width, nil), nil
+}
 
 func testIsland(t *testing.T) *Island {
 	t.Helper()
@@ -50,7 +76,7 @@ func TestNewValidation(t *testing.T) {
 
 func TestPackIsSymmetricByConstruction(t *testing.T) {
 	isl := testIsland(t)
-	pl, err := isl.Pack()
+	pl, err := pack(isl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +106,7 @@ func TestPerturbPreservesSymmetry(t *testing.T) {
 	g := groupOf(isl)
 	for step := 0; step < 500; step++ {
 		isl.Perturb(rng)
-		pl, err := isl.Pack()
+		pl, err := pack(isl)
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
@@ -106,7 +132,7 @@ func TestPairsOnlyIsland(t *testing.T) {
 	g := groupOf(isl)
 	for step := 0; step < 300; step++ {
 		isl.Perturb(rng)
-		pl, err := isl.Pack()
+		pl, err := pack(isl)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +153,7 @@ func TestSelfsOnlyIsland(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := groupOf(isl)
-	pl, err := isl.Pack()
+	pl, err := pack(isl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +163,7 @@ func TestSelfsOnlyIsland(t *testing.T) {
 	}
 	for step := 0; step < 200; step++ {
 		isl.Perturb(rng)
-		pl, err := isl.Pack()
+		pl, err := pack(isl)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +176,7 @@ func TestSelfsOnlyIsland(t *testing.T) {
 func TestCloneIndependence(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	isl := testIsland(t)
-	before, err := isl.Pack()
+	before, err := pack(isl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +184,7 @@ func TestCloneIndependence(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		cl.Perturb(rng)
 	}
-	after, err := isl.Pack()
+	after, err := pack(isl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,12 +216,12 @@ func TestIslandReachesCompactPlacements(t *testing.T) {
 		t.Fatal(err)
 	}
 	var modArea int64
-	pl, _ := isl.Pack()
+	pl, _ := pack(isl)
 	modArea = pl.ModuleArea()
 	best := int64(1 << 62)
 	for step := 0; step < 2000; step++ {
 		isl.Perturb(rng)
-		p, err := isl.Pack()
+		p, err := pack(isl)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,5 +231,41 @@ func TestIslandReachesCompactPlacements(t *testing.T) {
 	}
 	if float64(best) > 1.5*float64(modArea) {
 		t.Fatalf("best island area %d too far above module area %d", best, modArea)
+	}
+}
+
+// TestProfileIsSkyline: across perturbations, the mirrored contour
+// Profile returns is the island's skyline column for column, covers
+// [0, width) without gaps, and has no two neighbours of equal height.
+func TestProfileIsSkyline(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	isl := testIsland(t)
+	for step := 0; step < 500; step++ {
+		isl.Perturb(rng)
+		pl, width, prof, err := packProfile(isl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cols := make([]int, width)
+		for _, r := range pl {
+			for c := r.X + width/2; c < r.X2()+width/2; c++ {
+				cols[c] = max(cols[c], r.Y2())
+			}
+		}
+		at := 0
+		for i, s := range prof {
+			if s.X1 != at || s.X2 <= s.X1 || (i > 0 && prof[i-1].H == s.H) {
+				t.Fatalf("step %d: profile malformed at %d: %v", step, i, prof)
+			}
+			for c := s.X1; c < s.X2; c++ {
+				if cols[c] != s.H {
+					t.Fatalf("step %d: profile height %d at x=%d, skyline %d", step, s.H, c, cols[c])
+				}
+			}
+			at = s.X2
+		}
+		if at != width {
+			t.Fatalf("step %d: profile covers [0,%d), width %d", step, at, width)
+		}
 	}
 }

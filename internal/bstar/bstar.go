@@ -173,12 +173,6 @@ func (t *Tree) dims(m int) (int, int) {
 	return t.W[m], t.H[m]
 }
 
-// contourSeg is one segment of the packing contour: the skyline has
-// height h over [x1, x2).
-type contourSeg struct {
-	x1, x2, h int
-}
-
 // packFrame is one pending pre-order traversal step.
 type packFrame struct{ m, x int }
 
@@ -190,9 +184,14 @@ type packFrame struct{ m, x int }
 // use. A workspace must not be shared between concurrent packings.
 type PackWorkspace struct {
 	x, y    []int
-	contour []contourSeg
+	contour Contour
 	stack   []packFrame
 }
+
+// Contour returns the contour of the workspace's last packing: the
+// packed tree's top profile, read with Profile. It is overwritten by
+// the next packing on the workspace.
+func (ws *PackWorkspace) Contour() *Contour { return &ws.contour }
 
 // ensure sizes the coordinate buffers for n modules.
 func (ws *PackWorkspace) ensure(n int) {
@@ -202,73 +201,6 @@ func (ws *PackWorkspace) ensure(n int) {
 	}
 	ws.x = ws.x[:n]
 	ws.y = ws.y[:n]
-}
-
-// place consults the contour over [x1, x2), returns the resulting base
-// height, and splices the interval to height base+h in place (tail
-// segments are shifted with copy rather than rebuilt into a fresh
-// slice).
-func (ws *PackWorkspace) place(x1, x2, h int) int {
-	c := ws.contour
-	// First segment overlapping [x1, x2). The contour always spans
-	// [0, +inf), so both bounds below are found.
-	i := 0
-	for c[i].x2 <= x1 {
-		i++
-	}
-	top := 0
-	j := i
-	for ; j < len(c) && c[j].x1 < x2; j++ {
-		if c[j].h > top {
-			top = c[j].h
-		}
-	}
-	j-- // last overlapping segment
-	// Replacement segments: left remainder, the new plateau, right
-	// remainder.
-	var repl [3]contourSeg
-	k := 0
-	if c[i].x1 < x1 {
-		repl[k] = contourSeg{c[i].x1, x1, c[i].h}
-		k++
-	}
-	newSeg := contourSeg{x1, x2, top + h}
-	// Merge the plateau into the preceding segment when heights match
-	// (either the left remainder or the untouched neighbor i-1).
-	switch {
-	case k > 0 && repl[k-1].h == newSeg.h:
-		repl[k-1].x2 = newSeg.x2
-	case k == 0 && i > 0 && c[i-1].h == newSeg.h && c[i-1].x2 == newSeg.x1:
-		c[i-1].x2 = newSeg.x2
-		// Extend the neighbor instead of inserting; splice window
-		// starts at i with no plateau segment of its own.
-	default:
-		repl[k] = newSeg
-		k++
-	}
-	if c[j].x2 > x2 {
-		if k > 0 && repl[k-1].h == c[j].h {
-			repl[k-1].x2 = c[j].x2
-		} else if k == 0 && i > 0 && c[i-1].h == c[j].h {
-			c[i-1].x2 = c[j].x2
-		} else {
-			repl[k] = contourSeg{x2, c[j].x2, c[j].h}
-			k++
-		}
-	}
-	// Splice c[i:j+1] -> repl[:k] in place.
-	old := j + 1 - i
-	n := len(c)
-	if d := k - old; d > 0 {
-		c = append(c, repl[:d]...) // grow length; values fixed below
-		copy(c[j+1+d:], c[j+1:n])
-	} else if d < 0 {
-		copy(c[j+1+d:], c[j+1:])
-		c = c[:n+d]
-	}
-	copy(c[i:i+k], repl[:k])
-	ws.contour = c
-	return top
 }
 
 // PackInto computes lower-left coordinates for all modules by
@@ -286,14 +218,14 @@ func (t *Tree) PackInto(ws *PackWorkspace) (x, y []int) {
 		}
 		return x, y
 	}
-	ws.contour = append(ws.contour[:0], contourSeg{0, int(^uint(0) >> 1), 0})
+	ws.contour.Reset()
 	stack := append(ws.stack[:0], packFrame{t.Root, 0})
 	for len(stack) > 0 {
 		f := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		w, h := t.dims(f.m)
 		x[f.m] = f.x
-		y[f.m] = ws.place(f.x, f.x+w, h)
+		y[f.m] = ws.contour.Place(f.x, f.x+w, h)
 		// Push right first so left is processed first (pre-order):
 		// left child at the parent's right edge, right child at the
 		// parent's x.

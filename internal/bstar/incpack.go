@@ -36,7 +36,7 @@ type IncPackWorkspace struct {
 	// effective dimensions, indexed by pre-order step.
 	pm, px, pw, ph []int
 	// cks[g] is the contour before step g·ck.
-	cks [][]contourSeg
+	cks [][]Seg
 	ck  int
 }
 
@@ -57,7 +57,7 @@ func (ws *IncPackWorkspace) Invalidate() { ws.valid = false }
 // saveCk copies the current contour into checkpoint slot g, reusing
 // the slot's capacity.
 func (ws *IncPackWorkspace) saveCk(g int) {
-	ws.cks[g] = append(ws.cks[g][:0], ws.contour...)
+	ws.cks[g] = append(ws.cks[g][:0], ws.contour.segs...)
 }
 
 // record stores step s's traversal record.
@@ -114,9 +114,9 @@ func (t *Tree) PackIncInto(ws *IncPackWorkspace) (x, y []int) {
 	// Rebuild the contour as of step s: nearest checkpoint at or
 	// before it, then replay the cached records in between.
 	g := s / ck
-	ws.contour = append(ws.contour[:0], ws.cks[g]...)
+	ws.contour.segs = append(ws.contour.segs[:0], ws.cks[g]...)
 	for r := g * ck; r < s; r++ {
-		ws.place(ws.px[r], ws.px[r]+ws.pw[r], ws.ph[r])
+		ws.contour.Place(ws.px[r], ws.px[r]+ws.pw[r], ws.ph[r])
 	}
 	x, y, stack = ws.packFrom(t, stack, s)
 	ws.stack = stack[:0]
@@ -137,9 +137,9 @@ func (ws *IncPackWorkspace) fullPack(t *Tree, ck int) (x, y []int) {
 	}
 	ws.pm, ws.px, ws.pw, ws.ph = ws.pm[:n], ws.px[:n], ws.pw[:n], ws.ph[:n]
 	if slots := (n + ck - 1) / ck; len(ws.cks) < slots {
-		ws.cks = append(ws.cks, make([][]contourSeg, slots-len(ws.cks))...)
+		ws.cks = append(ws.cks, make([][]Seg, slots-len(ws.cks))...)
 	}
-	ws.contour = append(ws.contour[:0], contourSeg{0, int(^uint(0) >> 1), 0})
+	ws.contour.Reset()
 	stack := append(ws.stack[:0], packFrame{t.Root, 0})
 	x, y, stack = ws.packFrom(t, stack, 0)
 	ws.stack = stack[:0]
@@ -159,7 +159,7 @@ func (ws *IncPackWorkspace) packFrom(t *Tree, stack []packFrame, s int) ([]int, 
 		w, h := t.dims(f.m)
 		ws.record(s, f.m, f.x, w, h)
 		x[f.m] = f.x
-		y[f.m] = ws.place(f.x, f.x+w, h)
+		y[f.m] = ws.contour.Place(f.x, f.x+w, h)
 		stack = pushChildren(t, stack, f.m, f.x, w)
 		s++
 	}

@@ -5,6 +5,10 @@ import (
 	"testing"
 )
 
+// contourSeg is the reference packer's own contour segment: height h
+// over [x1, x2).
+type contourSeg struct{ x1, x2, h int }
+
 // packReference is an independent implementation of B*-tree contour
 // packing (the pre-workspace algorithm, kept verbatim): the oracle the
 // allocation-free packer is differential-tested against.

@@ -4,10 +4,15 @@
 // own tree: symmetry sub-circuits are ASF-B*-tree symmetry islands
 // (package asf), other sub-circuits are B*-trees whose nodes are
 // devices and hierarchy nodes. A hierarchy node stands for a whole
-// child sub-circuit; its top outline is carried as a list of skyline
+// child sub-circuit; its top outline is carried as a list of profile
 // segments — the paper's "contour nodes" — so that modules packed
 // later can nest into the notches of a non-rectangular sub-placement
-// instead of being pushed above its bounding box.
+// instead of being pushed above its bounding box. Every sub-circuit
+// packs on a bstar.Contour, and its profile is read back from the
+// contour it was packed on, not recomputed from the placement; an
+// island's profile is its representative tree's contour, mirrored.
+// Modules pack straight into dense coordinate slices over the module
+// universe fixed at Build; a geom.Placement is built only for results.
 //
 // Packing is recursive pre-order, exactly as the paper describes:
 // "once a hierarchy node is traversed, the nodes in the HB*-tree
@@ -18,7 +23,6 @@ package hbstar
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/asf"
 	"repro/internal/bstar"
@@ -26,18 +30,11 @@ import (
 	"repro/internal/geom"
 )
 
-// seg is one skyline segment: height h over [x1, x2) relative to the
-// sub-placement origin. A hierarchy node's segments are its contour
-// nodes.
-type seg struct {
-	x1, x2, h int
-}
-
 // item is one entry of a sub-circuit's B*-tree: a device or a
 // hierarchy node referencing a child sub-circuit.
 type item struct {
-	dev   string // device name; "" for hierarchy nodes
-	w, h  int    // device dimensions (unused for hierarchy nodes)
+	id    int // device module id; -1 for hierarchy nodes
+	w, h  int // device dimensions (unused for hierarchy nodes)
 	child *Node
 }
 
@@ -46,25 +43,48 @@ type Node struct {
 	name string
 	kind constraint.Kind
 
-	// Symmetry sub-circuits pack as an island.
+	// Symmetry sub-circuits pack as an island; ids are the module ids
+	// of its members, in the island's Names() order.
 	island *asf.Island
+	ids    []int
 
 	// Other sub-circuits pack a B*-tree over items. The tree's W/H
 	// arrays are placeholders; item dimensions are resolved at pack
 	// time (children change shape every pack).
 	tree  *bstar.Tree
 	items []item
+
+	// Packing state, overwritten by every pack and never cloned: the
+	// lower-left corner (and, for island members, the dimensions) of
+	// each item or member relative to the node's origin, the node's
+	// width, and its top profile over [0, width) — the contour nodes
+	// its parent packs on. A tree node's profile is read from the
+	// contour it packed on; an island's from its representative tree's.
+	x, y, w, h []int
+	width      int
+	profile    []bstar.Seg
+	contour    bstar.Contour
+	stack      []frame
+	ws         bstar.PackWorkspace
 }
+
+// frame is one pending pre-order step of a node's packing.
+type frame struct{ m, x int }
 
 // Forest is the complete HB*-tree set of one design: the top tree plus
 // one tree per sub-circuit ("the number of the HB*-trees will be equal
 // to that of the sub-circuits plus the one modelling the top design").
+// Packing writes each node's layout buffers, so one forest must not be
+// packed concurrently; concurrent searches pack their own clones.
 type Forest struct {
 	root *Node
 	all  []*Node // every Node, for uniform perturbation
+	// obj is the module universe, fixed at Build and shared by clones:
+	// every device name, sorted; a module id indexes it.
+	obj *objective
 
 	// BBoxOutline disables the contour nodes: hierarchy nodes expose
-	// a flat bounding-box top instead of their skyline. Ablation knob
+	// a flat bounding-box top instead of their profile. Ablation knob
 	// for measuring what the paper's contour nodes buy.
 	BBoxOutline bool
 }
@@ -75,7 +95,13 @@ type Forest struct {
 // packed by mirroring and currently requires the pair members to be
 // leaf devices).
 func Build(root *constraint.Node, dims func(name string) (w, h int, err error)) (*Forest, error) {
-	f := &Forest{}
+	names := root.Leaves()
+	for i := 1; i < len(names); i++ {
+		if names[i] == names[i-1] {
+			return nil, fmt.Errorf("hbstar: device %q appears twice in the hierarchy", names[i])
+		}
+	}
+	f := &Forest{obj: newUniverse(names)}
 	rn, err := f.build(root, dims)
 	if err != nil {
 		return nil, err
@@ -121,11 +147,17 @@ func (f *Forest) build(cn *constraint.Node, dims func(string) (int, int, error))
 				return nil, fmt.Errorf("hbstar: device %q in symmetry node %q is not in any pair", d, cn.Name)
 			}
 		}
+		if len(inGroup) != len(cn.Devices) {
+			return nil, fmt.Errorf("hbstar: symmetry node %q pairs a device it does not list", cn.Name)
+		}
 		isl, err := asf.New(pairs, selfs)
 		if err != nil {
 			return nil, err
 		}
 		n.island = isl
+		for _, name := range isl.Names() {
+			n.ids = append(n.ids, f.obj.id[name])
+		}
 		f.all = append(f.all, n)
 		return n, nil
 	}
@@ -135,14 +167,14 @@ func (f *Forest) build(cn *constraint.Node, dims func(string) (int, int, error))
 		if err != nil {
 			return nil, err
 		}
-		n.items = append(n.items, item{dev: d, w: w, h: h})
+		n.items = append(n.items, item{id: f.obj.id[d], w: w, h: h})
 	}
 	for _, ch := range cn.Children {
 		sub, err := f.build(ch, dims)
 		if err != nil {
 			return nil, err
 		}
-		n.items = append(n.items, item{child: sub})
+		n.items = append(n.items, item{id: -1, child: sub})
 	}
 	if len(n.items) == 0 {
 		return nil, fmt.Errorf("hbstar: empty sub-circuit %q", cn.Name)
@@ -158,137 +190,86 @@ func (f *Forest) build(cn *constraint.Node, dims func(string) (int, int, error))
 	return n, nil
 }
 
-// packed is a packed sub-circuit: its placement (origin at (0,0)) and
-// top skyline.
-type packed struct {
-	pl      geom.Placement
-	width   int
-	profile []seg
-}
-
 // Pack packs the whole forest and returns the design placement.
 func (f *Forest) Pack() (geom.Placement, error) {
-	p, err := f.root.pack(f.BBoxOutline)
-	if err != nil {
+	n := len(f.obj.names)
+	x, y, w, h := make([]int, n), make([]int, n), make([]int, n), make([]int, n)
+	if err := f.packInto(x, y, w, h); err != nil {
 		return nil, err
 	}
-	return p.pl, nil
+	pl := make(geom.Placement, n)
+	for i, name := range f.obj.names {
+		pl[name] = geom.NewRect(x[i], y[i], w[i], h[i])
+	}
+	return pl, nil
 }
 
-func (n *Node) pack(bboxOutline bool) (packed, error) {
+// packInto packs the whole forest into dense coordinate slices indexed
+// by module id, with the design's bounding box at the origin. Once
+// every node's buffers have grown, it allocates nothing.
+func (f *Forest) packInto(x, y, w, h []int) error {
+	if err := f.root.layout(f.BBoxOutline); err != nil {
+		return err
+	}
+	f.root.place(0, 0, x, y, w, h)
+	return nil
+}
+
+// grow sizes the node's per-item buffers for k items or members.
+func (n *Node) grow(k int) {
+	if cap(n.x) < k {
+		n.x, n.y, n.w, n.h = make([]int, k), make([]int, k), make([]int, k), make([]int, k)
+	}
+	n.x, n.y, n.w, n.h = n.x[:k], n.y[:k], n.w[:k], n.h[:k]
+}
+
+// layout packs the node's subtree bottom-up, each node relative to its
+// own origin: children first, then the node's tree by the pre-order
+// contour sweep, exactly as the paper describes. A hierarchy node
+// rests on the contour with its child's profile (or, with bboxOutline,
+// a flat top at the child's height).
+func (n *Node) layout(bboxOutline bool) error {
 	if n.island != nil {
-		pl, err := n.island.Pack()
+		n.grow(len(n.ids))
+		width, err := n.island.PackInto(&n.ws, n.x, n.y, n.w, n.h)
 		if err != nil {
-			return packed{}, err
+			return err
 		}
-		pl.Normalize()
-		return finishPacked(pl), nil
+		n.width = width
+		n.profile = asf.Profile(&n.ws, width, n.profile[:0])
+		return nil
 	}
-
-	// Pack children first.
-	sub := make([]packed, len(n.items))
-	for i, it := range n.items {
+	for _, it := range n.items {
 		if it.child != nil {
-			p, err := it.child.pack(bboxOutline)
-			if err != nil {
-				return packed{}, err
+			if err := it.child.layout(bboxOutline); err != nil {
+				return err
 			}
-			sub[i] = p
 		}
 	}
-	width := func(i int) int {
-		it := n.items[i]
-		if it.child != nil {
-			return sub[i].width
-		}
-		if n.tree.Rot[i] {
-			return it.h
-		}
-		return it.w
-	}
-	profile := func(i, atY int) []seg {
-		it := n.items[i]
-		if it.child != nil {
-			if bboxOutline {
-				top := 0
-				for _, s := range sub[i].profile {
-					if s.h > top {
-						top = s.h
-					}
-				}
-				return []seg{{0, sub[i].width, atY + top}}
-			}
-			out := make([]seg, len(sub[i].profile))
-			for k, s := range sub[i].profile {
-				out[k] = seg{s.x1, s.x2, s.h + atY}
-			}
-			return out
-		}
-		h := it.h
-		if n.tree.Rot[i] {
-			h = it.w
-		}
-		return []seg{{0, width(i), atY + h}}
-	}
-
-	// Pre-order contour packing over the node's tree.
-	const inf = int(^uint(0) >> 1)
-	contour := []seg{{0, inf, 0}}
-	maxOver := func(x1, x2 int) int {
-		top := 0
-		for _, s := range contour {
-			if s.x2 <= x1 || s.x1 >= x2 {
-				continue
-			}
-			if s.h > top {
-				top = s.h
-			}
-		}
-		return top
-	}
-	update := func(x int, prof []seg) {
-		var out []seg
-		// prof segments are absolute heights over [x+s.x1, x+s.x2).
-		lo, hi := x+prof[0].x1, x+prof[len(prof)-1].x2
-		inserted := false
-		for _, s := range contour {
-			if s.x2 <= lo || s.x1 >= hi {
-				out = append(out, s)
-				continue
-			}
-			if s.x1 < lo {
-				out = append(out, seg{s.x1, lo, s.h})
-			}
-			if !inserted {
-				for _, p := range prof {
-					out = append(out, seg{x + p.x1, x + p.x2, p.h})
-				}
-				inserted = true
-			}
-			if s.x2 > hi {
-				out = append(out, seg{hi, s.x2, s.h})
-			}
-		}
-		if !inserted {
-			for _, p := range prof {
-				out = append(out, seg{x + p.x1, x + p.x2, p.h})
-			}
-			sort.Slice(out, func(i, j int) bool { return out[i].x1 < out[j].x1 })
-		}
-		contour = mergeSegs(out)
-	}
-
-	xs := make([]int, len(n.items))
-	ys := make([]int, len(n.items))
-	type frame struct{ m, x int }
-	stack := []frame{{n.tree.Root, 0}}
+	n.grow(len(n.items))
+	n.contour.Reset()
+	width := 0
+	stack := append(n.stack[:0], frame{n.tree.Root, 0})
 	for len(stack) > 0 {
 		fr := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		w := width(fr.m)
-		y := maxOver(fr.x, fr.x+w)
-		xs[fr.m], ys[fr.m] = fr.x, y
-		update(fr.x, profile(fr.m, y))
+		it, w := n.items[fr.m], 0
+		switch {
+		case it.child == nil:
+			h := it.h
+			if w = it.w; n.tree.Rot[fr.m] {
+				w, h = h, w
+			}
+			n.y[fr.m] = n.contour.Place(fr.x, fr.x+w, h)
+		case bboxOutline:
+			w = it.child.width
+			n.y[fr.m] = n.contour.Place(fr.x, fr.x+w, top(it.child.profile))
+		default:
+			w = it.child.width
+			n.y[fr.m] = n.contour.PlaceProfile(fr.x, it.child.profile)
+		}
+		n.x[fr.m] = fr.x
+		width = max(width, fr.x+w)
 		if r := n.tree.Right[fr.m]; r != -1 {
 			stack = append(stack, frame{r, fr.x})
 		}
@@ -296,76 +277,41 @@ func (n *Node) pack(bboxOutline bool) (packed, error) {
 			stack = append(stack, frame{l, fr.x + w})
 		}
 	}
+	n.stack = stack[:0]
+	n.width = width
+	n.profile = n.contour.Profile(n.profile[:0], width)
+	return nil
+}
 
-	// Assemble the placement.
-	pl := geom.Placement{}
+// top returns the highest segment of a profile.
+func top(prof []bstar.Seg) int {
+	h := 0
+	for _, s := range prof {
+		h = max(h, s.H)
+	}
+	return h
+}
+
+// place writes the laid-out subtree's modules into the dense slices,
+// with the node's origin at (ox, oy).
+func (n *Node) place(ox, oy int, x, y, w, h []int) {
+	if n.island != nil {
+		for k, id := range n.ids {
+			x[id], y[id], w[id], h[id] = ox+n.x[k], oy+n.y[k], n.w[k], n.h[k]
+		}
+		return
+	}
 	for i, it := range n.items {
 		if it.child != nil {
-			for name, r := range sub[i].pl {
-				pl[name] = r.Translate(xs[i], ys[i])
-			}
+			it.child.place(ox+n.x[i], oy+n.y[i], x, y, w, h)
 			continue
 		}
-		w, h := it.w, it.h
+		iw, ih := it.w, it.h
 		if n.tree.Rot[i] {
-			w, h = h, w
+			iw, ih = ih, iw
 		}
-		pl[it.dev] = geom.NewRect(xs[i], ys[i], w, h)
+		x[it.id], y[it.id], w[it.id], h[it.id] = ox+n.x[i], oy+n.y[i], iw, ih
 	}
-	pl.Normalize()
-	return finishPacked(pl), nil
-}
-
-// finishPacked computes width and skyline of a normalized placement.
-func finishPacked(pl geom.Placement) packed {
-	bb := pl.BBox()
-	return packed{pl: pl, width: bb.W, profile: skyline(pl)}
-}
-
-// skyline computes the top profile of a placement as merged segments
-// covering [bbox.X, bbox.X2) — zero-height gaps included so the parent
-// contour stays well-formed.
-func skyline(pl geom.Placement) []seg {
-	bb := pl.BBox()
-	// Collect x breakpoints.
-	xsSet := map[int]bool{bb.X: true, bb.X2(): true}
-	for _, r := range pl {
-		xsSet[r.X] = true
-		xsSet[r.X2()] = true
-	}
-	xs := make([]int, 0, len(xsSet))
-	for x := range xsSet {
-		xs = append(xs, x)
-	}
-	sort.Ints(xs)
-	var out []seg
-	for i := 0; i+1 < len(xs); i++ {
-		x1, x2 := xs[i], xs[i+1]
-		h := 0
-		for _, r := range pl {
-			if r.X < x2 && x1 < r.X2() && r.Y2() > h {
-				h = r.Y2()
-			}
-		}
-		out = append(out, seg{x1 - bb.X, x2 - bb.X, h - bb.Y})
-	}
-	return mergeSegs(out)
-}
-
-// mergeSegs coalesces adjacent segments of equal height.
-func mergeSegs(in []seg) []seg {
-	var out []seg
-	for _, s := range in {
-		if s.x1 >= s.x2 {
-			continue
-		}
-		if len(out) > 0 && out[len(out)-1].h == s.h && out[len(out)-1].x2 == s.x1 {
-			out[len(out)-1].x2 = s.x2
-		} else {
-			out = append(out, s)
-		}
-	}
-	return out
 }
 
 // TreeCount returns the number of HB*-trees in the forest (the paper:
@@ -374,13 +320,13 @@ func (f *Forest) TreeCount() int { return len(f.all) }
 
 // Clone deep-copies the forest.
 func (f *Forest) Clone() *Forest {
-	nf := &Forest{BBoxOutline: f.BBoxOutline}
+	nf := &Forest{obj: f.obj, BBoxOutline: f.BBoxOutline}
 	nf.root = nf.cloneNode(f.root)
 	return nf
 }
 
 func (f *Forest) cloneNode(n *Node) *Node {
-	nn := &Node{name: n.name, kind: n.kind}
+	nn := &Node{name: n.name, kind: n.kind, ids: n.ids}
 	if n.island != nil {
 		nn.island = n.island.Clone()
 	} else {

@@ -86,6 +86,18 @@ func TestBuildErrors(t *testing.T) {
 	if _, err := Build(tree3, dimsFrom(dims3)); err == nil {
 		t.Fatal("stray device in symmetry node must fail")
 	}
+	// Pair member the symmetry node does not list.
+	tree4, dims4 := fig2Tree()
+	tree4.Children[0].Devices = []string{"D", "E"}
+	if _, err := Build(tree4, dimsFrom(dims4)); err == nil {
+		t.Fatal("unlisted self-symmetric device must fail")
+	}
+	// Device owned by two sub-circuits.
+	tree5, dims5 := fig2Tree()
+	tree5.Devices = append(tree5.Devices, "J")
+	if _, err := Build(tree5, dimsFrom(dims5)); err == nil {
+		t.Fatal("device placed twice must fail")
+	}
 	// Empty sub-circuit.
 	empty := &constraint.Node{Name: "top", Children: []*constraint.Node{{Name: "void"}}}
 	if _, err := Build(empty, dimsFrom(dims)); err == nil {

@@ -9,44 +9,35 @@ import (
 	"repro/internal/thermal"
 )
 
-// objective is the hierarchical placer's module universe: the devices
-// of the initial forest packing, in sorted-name order, with the
-// coordinate slices packings flatten into. Packings are map-shaped
-// (geom.Placement), so the adapter flattens them into coordinate
-// slices and lets the model's diff find the modules a perturbation
-// actually displaced — a hierarchical move repacks everything but
-// typically shifts only one subtree. The composite model itself is
-// built by newModel and owned by the engine kernel.
+// objective is the hierarchical placer's module universe: every
+// device of the hierarchy in sorted-name order, fixed when the forest
+// is built. A forest packs straight into coordinate slices over it,
+// and the model's diff finds the modules a perturbation actually
+// displaced — a hierarchical move repacks everything but typically
+// shifts only one subtree. The composite model itself is built by
+// newModel and owned by the engine kernel.
 type objective struct {
-	names      []string
-	id         map[string]int
-	x, y, w, h []int
+	names []string
+	id    map[string]int
 }
 
-// newObjective fixes the module universe from one reference packing.
-func newObjective(ref geom.Placement) *objective {
-	o := &objective{id: map[string]int{}}
-	o.names = ref.Names()
-	sort.Strings(o.names)
-	n := len(o.names)
-	for i, name := range o.names {
+// newUniverse indexes the sorted device names.
+func newUniverse(names []string) *objective {
+	o := &objective{names: names, id: make(map[string]int, len(names))}
+	for i, name := range names {
 		o.id[name] = i
 	}
-	o.x = make([]int, n)
-	o.y = make([]int, n)
-	o.w = make([]int, n)
-	o.h = make([]int, n)
 	return o
 }
 
-// newModel builds the placer's cost model from one reference packing
-// over the universe. The terms mirror the historical hbstar cost —
-// bounding-box area, weighted HPWL over the bench nets, and the
-// proximity-fragments penalty scaled by the average module area —
-// plus the optional fixed-outline and thermal-mismatch terms of the
+// newModel builds the placer's cost model over the universe from one
+// packing's module dimensions w, h. The terms mirror the historical
+// hbstar cost — bounding-box area, weighted HPWL over the bench nets,
+// and the proximity-fragments penalty scaled by the average module
+// area — plus the optional fixed-outline and thermal-mismatch terms of the
 // composable objective. Nets are indexed by sorted net name so runs
 // stay deterministic despite the bench's map-shaped net list.
-func (o *objective) newModel(p *Problem, ref geom.Placement) *cost.Model {
+func (o *objective) newModel(p *Problem, w, h []int) *cost.Model {
 	n := len(o.names)
 
 	var nets [][]int
@@ -67,9 +58,11 @@ func (o *objective) newModel(p *Problem, ref geom.Placement) *cost.Model {
 		}
 	}
 
+	areas := make([]int64, n)
 	var moduleArea int64
-	for _, name := range o.names {
-		moduleArea += ref[name].Area()
+	for i := range areas {
+		areas[i] = int64(w[i]) * int64(h[i])
+		moduleArea += areas[i]
 	}
 	avgArea := float64(moduleArea) / float64(max(1, n))
 
@@ -99,10 +92,6 @@ func (o *objective) newModel(p *Problem, ref geom.Placement) *cost.Model {
 					powers[i] = p.Power[name]
 				}
 			} else {
-				areas := make([]int64, n)
-				for i, name := range o.names {
-					areas[i] = ref[name].Area()
-				}
 				powers = cost.AreaNormalizedPowers(areas)
 			}
 			model.Add(p.ThermalWeight, cost.NewThermal(
@@ -110,22 +99,6 @@ func (o *objective) newModel(p *Problem, ref geom.Placement) *cost.Model {
 		}
 	}
 	return model
-}
-
-// load flattens a packing into the coordinate slices; it reports
-// whether every module of the universe is present.
-func (o *objective) load(pl geom.Placement) bool {
-	if len(pl) != len(o.names) {
-		return false
-	}
-	for i, name := range o.names {
-		r, ok := pl[name]
-		if !ok {
-			return false
-		}
-		o.x[i], o.y[i], o.w[i], o.h[i] = r.X, r.Y, r.W, r.H
-	}
-	return true
 }
 
 // proximityGroups maps the tree's proximity groups (the shared

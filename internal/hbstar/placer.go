@@ -66,7 +66,7 @@ func (f *Forest) PerturbUndoable(rng *rand.Rand, u *ForestUndo) {
 	}
 	if n.tree.N() > 1 {
 		n.tree.Perturb(rng)
-	} else if n.tree.N() == 1 && len(n.items) == 1 && n.items[0].dev != "" {
+	} else if n.tree.N() == 1 && len(n.items) == 1 && n.items[0].child == nil {
 		n.tree.Rotate(0)
 	}
 }
@@ -119,22 +119,22 @@ type Result struct {
 // forestRep adapts a Forest to the engine kernel. A perturbation
 // touches exactly one of the forest's trees, so undo restores just
 // that tree from a reusable buffer instead of cloning the whole forest
-// per proposed move; the kernel's composite objective reevaluates only
-// the modules the repack displaced (found by diffing the flattened
-// packing against the model's coordinate cache). The module universe
-// (objective) and the model are built lazily from the first feasible
-// packing, so construction — including Neighbor clones — never pays a
-// redundant full pack.
+// per proposed move. The forest packs straight into the coordinate
+// slices over its module universe, and the kernel's composite
+// objective reevaluates only the modules the repack displaced (found by
+// diffing against the model's coordinate cache). The model is built
+// lazily from the first feasible packing, so construction — including
+// Neighbor clones — never pays a redundant full pack.
 type forestRep struct {
-	prob   *Problem
-	forest *Forest
-	obj    *objective
-	ref    geom.Placement // last packing; the lazy model's reference
-	u      ForestUndo
+	prob       *Problem
+	forest     *Forest
+	x, y, w, h []int
+	u          ForestUndo
 }
 
 func newForestRep(p *Problem, f *Forest) *forestRep {
-	return &forestRep{prob: p, forest: f}
+	n := len(f.obj.names)
+	return &forestRep{prob: p, forest: f, x: make([]int, n), y: make([]int, n), w: make([]int, n), h: make([]int, n)}
 }
 
 // Perturb implements engine.Representation.
@@ -146,22 +146,13 @@ func (r *forestRep) Perturb(rng *rand.Rand) bool {
 // Undo implements engine.Representation.
 func (r *forestRep) Undo() { r.u.Undo() }
 
-// Pack implements engine.Representation: the forest packs to a named
-// placement, which is flattened onto the fixed module universe (built
-// from the first feasible packing).
+// Pack implements engine.Representation: the forest packs into the
+// representation's coordinate slices, indexed by module id.
 func (r *forestRep) Pack(c *engine.Coords) bool {
-	pl, err := r.forest.Pack()
-	if err != nil {
+	if r.forest.packInto(r.x, r.y, r.w, r.h) != nil {
 		return false
 	}
-	if r.obj == nil {
-		r.obj = newObjective(pl)
-	}
-	if !r.obj.load(pl) {
-		return false
-	}
-	r.ref = pl
-	c.X, c.Y, c.W, c.H, c.Rot = r.obj.x, r.obj.y, r.obj.w, r.obj.h, nil
+	c.X, c.Y, c.W, c.H, c.Rot = r.x, r.y, r.w, r.h, nil
 	return true
 }
 
@@ -169,7 +160,7 @@ func (r *forestRep) Pack(c *engine.Coords) bool {
 // packing; the kernel calls it lazily right after the first feasible
 // Pack.
 func (r *forestRep) newModel() *cost.Model {
-	return r.obj.newModel(r.prob, r.ref)
+	return r.forest.obj.newModel(r.prob, r.w, r.h)
 }
 
 // Snapshot implements engine.Representation.
@@ -182,8 +173,8 @@ func (r *forestRep) Restore(snapshot any) {
 	r.u.node = nil // pending undo would target the replaced forest
 }
 
-// Clone implements engine.Representation (universe and model are
-// rebuilt lazily from the clone's own first packing).
+// Clone implements engine.Representation (the model is rebuilt lazily
+// from the clone's own first packing).
 func (r *forestRep) Clone() engine.Representation {
 	return newForestRep(r.prob, r.forest.Clone())
 }

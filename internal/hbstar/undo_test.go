@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/circuits"
+	"repro/internal/engine"
 	"repro/internal/geom"
 )
 
@@ -130,5 +131,35 @@ func TestSolutionSnapshotRestoreRoundTrip(t *testing.T) {
 		if got := s.Cost(); got != costAt {
 			t.Fatalf("trial %d: second restore cost %v, want %v", trial, got, costAt)
 		}
+	}
+}
+
+// TestPackAllocFree: once its buffers have grown, the annealer's pack
+// of lnamixbias's forest allocates nothing — every node lays out on
+// its own contour and the modules land straight in the coordinate
+// slices.
+func TestPackAllocFree(t *testing.T) {
+	bench, err := circuits.TableIBench("lnamixbias")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := Build(bench.Tree, func(name string) (int, int, error) {
+		d := bench.Circuit.Device(name)
+		return d.FW, d.FH, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := newForestRep(&Problem{Bench: bench}, f)
+	var c engine.Coords
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 50; i++ {
+		r.Perturb(rng)
+		if !r.Pack(&c) {
+			t.Fatal("pack failed")
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { r.Pack(&c) }); allocs != 0 {
+		t.Fatalf("warmed pack allocates %v times", allocs)
 	}
 }

@@ -3,6 +3,7 @@ package shapefn
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/bstar"
 	"repro/internal/circuits"
@@ -107,27 +108,33 @@ func (p *placer) dims(name string) (int, int, error) {
 // fragment cannot violate a constraint it does not cover).
 func (p *placer) check(pl geom.Placement) error {
 	for i, g := range p.groups {
-		covered := true
-		for _, m := range p.members[i] {
-			if _, ok := pl[m]; !ok {
-				covered = false
-				break
+		if covers(pl, p.members[i]) {
+			if err := g.Check(pl); err != nil {
+				return err
 			}
-		}
-		if !covered {
-			continue
-		}
-		if err := g.Check(pl); err != nil {
-			return err
 		}
 	}
 	return nil
 }
 
+// covers reports whether pl places every one of members.
+func covers(pl geom.Placement, members []string) bool {
+	for _, m := range members {
+		if _, ok := pl[m]; !ok {
+			return false
+		}
+	}
+	return true
+}
+
 // enumerateSet computes the shape function of one basic module set of
 // at most maxEnumSet modules by exhaustive B*-tree (and rotation)
 // enumeration, keeping only placements that satisfy the applicable
-// constraints.
+// constraints. Each tree packs on one reused workspace, and the
+// symmetry check runs only when the set contains a whole group (the
+// only groups check validates). Candidates are kept as compact records
+// in enumeration order and pruned in that order, so ties resolve as
+// for a list of shapes; only the survivors become pointer trees.
 func (p *placer) enumerateSet(names []string) (Function, error) {
 	n := len(names)
 	w := make([]int, n)
@@ -139,12 +146,26 @@ func (p *placer) enumerateSet(names []string) (Function, error) {
 			return Function{}, err
 		}
 	}
-	var shapes []Shape
+	pl := geom.Placement{}
+	for _, name := range names {
+		pl[name] = geom.Rect{}
+	}
+	if !slices.ContainsFunc(p.members, func(m []string) bool { return covers(pl, m) }) {
+		pl = nil // every tree of the set passes check
+	}
+	// cand is one legal tree, kept compactly: its bounding box, its
+	// rotation mask and its links.
+	type cand struct {
+		w, h, mask, root int
+		left, right      [maxEnumSet]int8
+	}
+	var cands []cand
+	var ws bstar.PackWorkspace
+	ew := make([]int, n)
+	eh := make([]int, n)
 	trees := 0
 	// Every rotation mask: basic sets enumerate module rotations.
 	for mask := 0; mask < 1<<n; mask++ {
-		ew := make([]int, n)
-		eh := make([]int, n)
 		for i := 0; i < n; i++ {
 			if mask>>i&1 == 1 {
 				ew[i], eh[i] = h[i], w[i]
@@ -156,45 +177,54 @@ func (p *placer) enumerateSet(names []string) (Function, error) {
 			if trees++; trees%ctxCheckEvery == 0 && p.ctx.Err() != nil {
 				return false
 			}
-			root := toPointerTree(t, names, ew, eh)
-			pl, tw, th := packTree(root)
-			if p.check(pl) != nil {
-				return true
+			x, y := t.PackInto(&ws)
+			tw, th := 0, 0
+			for i := range x {
+				tw, th = max(tw, x[i]+ew[i]), max(th, y[i]+eh[i])
 			}
-			// Both function kinds keep the packed tree: it rebuilds
-			// the set's placement, and enhanced additions graft onto
-			// it.
-			shapes = append(shapes, Shape{W: tw, H: th, tree: root})
+			if pl != nil {
+				for i, name := range names {
+					pl[name] = geom.NewRect(x[i], y[i], ew[i], eh[i])
+				}
+				if p.check(pl) != nil {
+					return true
+				}
+			}
+			c := cand{w: tw, h: th, mask: mask, root: t.Root}
+			for m := range names {
+				c.left[m], c.right[m] = int8(t.Left[m]), int8(t.Right[m])
+			}
+			cands = append(cands, c)
 			return true
 		})
 		if err := p.ctx.Err(); err != nil {
 			return Function{}, err
 		}
 	}
+	// Both function kinds keep the packed tree: it rebuilds the set's
+	// placement, and enhanced additions graft onto it.
+	var shapes []Shape
+	for _, c := range pareto(cands, func(c *cand) (int, int, bool) { return c.w, c.h, true }) {
+		nodes := make([]tnode, n)
+		link := func(m int8) *tnode {
+			if m < 0 {
+				return nil
+			}
+			return &nodes[m]
+		}
+		for m := range nodes {
+			nodes[m] = tnode{name: names[m], w: w[m], h: h[m], left: link(c.left[m]), right: link(c.right[m])}
+			if c.mask>>m&1 == 1 {
+				nodes[m].w, nodes[m].h = h[m], w[m]
+			}
+		}
+		shapes = append(shapes, Shape{W: c.w, H: c.h, tree: &nodes[c.root]})
+	}
 	f := prune(shapes)
 	if len(f.Shapes) == 0 {
 		return Function{}, fmt.Errorf("shapefn: no constraint-satisfying placement for set %v", names)
 	}
 	return f, nil
-}
-
-// toPointerTree converts a dense bstar tree to the pointer form used
-// by shape packing.
-func toPointerTree(t *bstar.Tree, names []string, w, h []int) *tnode {
-	var conv func(m int) *tnode
-	conv = func(m int) *tnode {
-		if m < 0 {
-			return nil
-		}
-		return &tnode{
-			name:  names[m],
-			w:     w[m],
-			h:     h[m],
-			left:  conv(t.Left[m]),
-			right: conv(t.Right[m]),
-		}
-	}
-	return conv(t.Root)
 }
 
 // combine adds the functions left to right according to the placer

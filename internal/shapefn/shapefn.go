@@ -21,13 +21,16 @@ import (
 	"context"
 	"sort"
 
+	"repro/internal/bstar"
 	"repro/internal/geom"
 )
 
 // tnode is a pointer-based B*-tree node carrying a named module, used
 // for enhanced shapes. (Package bstar's dense-id trees cover whole
 // module sets; shape composition needs trees over arbitrary subsets,
-// which pointers express directly.)
+// which pointers express directly.) Pointer trees pack on the same
+// bstar.Contour as dense ones (packTree); a basic set's enumerated
+// dense trees become pointer trees only when they survive pruning.
 type tnode struct {
 	name        string
 	w, h        int
@@ -60,51 +63,16 @@ func lastPreorder(n *tnode) *tnode {
 	}
 }
 
-// packTree packs a pointer B*-tree with the standard contour sweep and
-// returns the placement with its bounding width and height.
-func packTree(root *tnode) (geom.Placement, int, int) {
-	pl := geom.Placement{}
-	if root == nil {
-		return pl, 0, 0
-	}
-	const inf = int(^uint(0) >> 1)
-	type cseg struct{ x1, x2, h int }
-	contour := []cseg{{0, inf, 0}}
-	place := func(n *tnode, x int) int {
-		top := 0
-		for _, s := range contour {
-			if s.x2 <= x || s.x1 >= x+n.w {
-				continue
-			}
-			if s.h > top {
-				top = s.h
-			}
-		}
-		var out []cseg
-		inserted := false
-		for _, s := range contour {
-			if s.x2 <= x || s.x1 >= x+n.w {
-				out = append(out, s)
-				continue
-			}
-			if s.x1 < x {
-				out = append(out, cseg{s.x1, x, s.h})
-			}
-			if !inserted {
-				out = append(out, cseg{x, x + n.w, top + n.h})
-				inserted = true
-			}
-			if s.x2 > x+n.w {
-				out = append(out, cseg{x + n.w, s.x2, s.h})
-			}
-		}
-		contour = out
-		return top
-	}
+// packTree packs a pointer B*-tree with the standard contour sweep on
+// c, reports every module's lower-left corner to at, and returns the
+// bounding width and height.
+func packTree(root *tnode, c *bstar.Contour, at func(n *tnode, x, y int)) (w, h int) {
+	c.Reset()
 	var walk func(n *tnode, x int)
 	walk = func(n *tnode, x int) {
-		y := place(n, x)
-		pl[n.name] = geom.NewRect(x, y, n.w, n.h)
+		y := c.Place(x, x+n.w, n.h)
+		at(n, x, y)
+		w, h = max(w, x+n.w), max(h, y+n.h)
 		if n.left != nil {
 			walk(n.left, x+n.w)
 		}
@@ -112,9 +80,10 @@ func packTree(root *tnode) (geom.Placement, int, int) {
 			walk(n.right, x)
 		}
 	}
-	walk(root, 0)
-	bb := pl.BBox()
-	return pl, bb.W, bb.H
+	if root != nil {
+		walk(root, 0)
+	}
+	return w, h
 }
 
 // Shape is one (width, height) alternative with enough provenance to
@@ -144,10 +113,10 @@ func (s *Shape) hasTree() bool { return s.tree != nil || s.graft != nil }
 func (s *Shape) Place(x, y int, out geom.Placement) {
 	switch {
 	case s.tree != nil:
-		pl, _, _ := packTree(s.tree)
-		for name, r := range pl {
-			out[name] = r.Translate(x, y)
-		}
+		var c bstar.Contour
+		packTree(s.tree, &c, func(n *tnode, nx, ny int) {
+			out[n.name] = geom.NewRect(x+nx, y+ny, n.w, n.h)
+		})
 	case s.a != nil:
 		s.a.Place(x, y, out)
 		if s.horiz {
@@ -178,39 +147,47 @@ type Function struct {
 // bound that keeps the ESF/RSF comparison tractable at 110 modules.
 const maxShapes = 72
 
-// prune removes dominated shapes: after sorting by width (then
-// height), it keeps shapes with strictly decreasing height.
+// prune removes dominated shapes (see pareto) and thins the rest to
+// maxShapes.
 func prune(shapes []Shape) Function {
-	if len(shapes) == 0 {
-		return Function{}
-	}
-	sort.Slice(shapes, func(i, j int) bool {
-		if shapes[i].W != shapes[j].W {
-			return shapes[i].W < shapes[j].W
-		}
-		if shapes[i].H != shapes[j].H {
-			return shapes[i].H < shapes[j].H
-		}
-		// Tie-break: prefer tree-carrying shapes, which keep the
-		// enhanced-addition machinery available downstream.
-		return shapes[i].hasTree() && !shapes[j].hasTree()
-	})
-	var out []Shape
-	for _, s := range shapes {
-		if s.W <= 0 || s.H <= 0 {
-			continue
-		}
-		// The previous kept shape is narrower or equal; if it is also
-		// no taller, it dominates s.
-		if len(out) > 0 && out[len(out)-1].H <= s.H {
-			continue
-		}
-		out = append(out, s)
-	}
+	out := pareto(shapes, func(s *Shape) (int, int, bool) { return s.W, s.H, s.hasTree() })
 	if len(out) > maxShapes {
 		out = thin(out)
 	}
 	return Function{Shapes: out}
+}
+
+// pareto sorts shapes by width, then height, then tree-carrying first,
+// and keeps those with strictly decreasing height: the previous kept
+// shape is narrower or equal, so if it is also no taller, it dominates.
+// Tree-carrying shapes win ties because they keep the
+// enhanced-addition machinery available downstream. dims reads a
+// shape's width, height and whether it carries a tree; the order
+// sort.Slice leaves equal shapes in depends only on those and on the
+// input order, whatever the element type.
+func pareto[S any](shapes []S, dims func(*S) (w, h int, tree bool)) []S {
+	sort.Slice(shapes, func(i, j int) bool {
+		wi, hi, ti := dims(&shapes[i])
+		wj, hj, tj := dims(&shapes[j])
+		if wi != wj {
+			return wi < wj
+		}
+		if hi != hj {
+			return hi < hj
+		}
+		return ti && !tj
+	})
+	var out []S
+	last := 0
+	for i := range shapes {
+		w, h, _ := dims(&shapes[i])
+		if w <= 0 || h <= 0 || (len(out) > 0 && last <= h) {
+			continue
+		}
+		out = append(out, shapes[i])
+		last = h
+	}
+	return out
 }
 
 // thin reduces a pruned shape list to maxShapes entries, keeping the
@@ -314,6 +291,11 @@ func AddRSF(f, g Function) Function {
 // before every shape pair; a cancelled sum returns ctx's error.
 func AddESF(ctx context.Context, f, g Function, check Checker) (Function, error) {
 	var out []Shape
+	var c bstar.Contour
+	// Every candidate covers the same modules, so one placement map,
+	// overwritten per candidate, serves every check.
+	pl := geom.Placement{}
+	record := func(n *tnode, x, y int) { pl[n.name] = geom.NewRect(x, y, n.w, n.h) }
 	addBBox := func(a, b *Shape) {
 		out = append(out,
 			Shape{W: a.W + b.W, H: max(a.H, b.H), horiz: true, a: a, b: b},
@@ -324,7 +306,7 @@ func AddESF(ctx context.Context, f, g Function, check Checker) (Function, error)
 		a := &f.Shapes[i]
 		var pts []attachSpec
 		if a.tree != nil {
-			pts = attachPoints(a.tree)
+			pts = attachPoints(a.tree, &c)
 		}
 		for j := range g.Shapes {
 			if err := ctx.Err(); err != nil {
@@ -341,7 +323,7 @@ func AddESF(ctx context.Context, f, g Function, check Checker) (Function, error)
 					continue
 				}
 				*slot = b.tree
-				pl, w, h := packTree(a.tree)
+				w, h := packTree(a.tree, &c, record)
 				*slot = nil
 				if check != nil {
 					if err := check(pl); err != nil {
@@ -388,20 +370,19 @@ type attachSpec struct {
 // slot, the topmost-extent module's right slot, and the ends of the
 // root's left and right chains (the bottom-right and top-left corners
 // of the packing).
-func attachPoints(a *tnode) []attachSpec {
+func attachPoints(a *tnode, c *bstar.Contour) []attachSpec {
 	tail := lastPreorder(a)
 	pts := []attachSpec{{tail.name, 0}, {tail.name, 1}}
-	pl, _, _ := packTree(a)
 	rightmost, topmost := "", ""
 	bestX, bestY := -1, -1
-	for name, r := range pl {
-		if r.X2() > bestX || (r.X2() == bestX && name < rightmost) {
-			bestX, rightmost = r.X2(), name
+	packTree(a, c, func(n *tnode, x, y int) {
+		if x2 := x + n.w; x2 > bestX || (x2 == bestX && n.name < rightmost) {
+			bestX, rightmost = x2, n.name
 		}
-		if r.Y2() > bestY || (r.Y2() == bestY && name < topmost) {
-			bestY, topmost = r.Y2(), name
+		if y2 := y + n.h; y2 > bestY || (y2 == bestY && n.name < topmost) {
+			bestY, topmost = y2, n.name
 		}
-	}
+	})
 	add := func(name string, side int) {
 		for _, p := range pts {
 			if p.name == name && p.side == side {

@@ -233,10 +233,11 @@ func (e shapeEngine) Solve(ctx context.Context, p *Problem, _ EngineOptions) (*R
 }
 
 // MaxShapeModules bounds the problem size esf and rsf accept: esf work
-// grows about 3.5-fold per doubling of the module count, and a balanced
-// binary hierarchy of random modules took 45 s at 256 modules and
-// 2.6 min at 512 (2-core x86-64 VM, under 60 MB of heap). The paper's
-// largest circuit has 110 modules.
+// grows about 2.9-fold per doubling of the module count, and a
+// balanced binary hierarchy of random modules took 2.9 s at 256
+// modules and 8.5 s at 512 (2-core x86-64 VM, under 20 MB of heap in
+// use). The paper's largest circuit has 110 modules. Raising the
+// ceiling changes which requests the daemon accepts.
 const MaxShapeModules = 256
 
 // CheckProblem reports why the named algorithm cannot solve p. Only
