@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"testing"
@@ -78,5 +80,64 @@ func TestHashPinned(t *testing.T) {
 		if got, err := FromCanon(p).Hash(); err != nil || got != want {
 			t.Errorf("%s: problem hash %s (err %v), pinned %s", name, got, err, want)
 		}
+	}
+}
+
+// TestHierarchySpellingPinned pins the wire spelling of the design
+// hierarchy, which no built-in problem exercises in full: every node
+// kind, a common_centroid node with units, selfs, and a symmetry pair
+// naming two child nodes. The symmetry node also carries units, so
+// one node spells all seven fields: a reordered field or a misspelled
+// tag changes the canonical bytes and so this hash.
+func TestHierarchySpellingPinned(t *testing.T) {
+	const problem = `{
+	  "name": "spelling",
+	  "modules": [
+	    {"name": "A", "w": 2, "h": 3}, {"name": "B", "w": 2, "h": 3},
+	    {"name": "C", "w": 2, "h": 3}, {"name": "D", "w": 2, "h": 3},
+	    {"name": "E", "w": 4, "h": 1}, {"name": "F", "w": 1, "h": 1},
+	    {"name": "G", "w": 1, "h": 1}, {"name": "H", "w": 5, "h": 2}
+	  ],
+	  "nets": [[0, 4], [5, 6, 7]],
+	  "objective": {"wire_weight": 1},
+	  "hierarchy": {
+	    "name": "top",
+	    "devices": ["H"],
+	    "children": [
+	      {
+	        "name": "mirror",
+	        "kind": "symmetry",
+	        "devices": ["E"],
+	        "pairs": [["right", "left"]],
+	        "selfs": ["E"],
+	        "units": {"ur": ["right"], "ul": ["left"]},
+	        "children": [
+	          {"name": "right", "kind": "proximity", "devices": ["D", "C"]},
+	          {"name": "left", "kind": "proximity", "devices": ["A", "B"]}
+	        ]
+	      },
+	      {
+	        "name": "cc",
+	        "kind": "common_centroid",
+	        "devices": ["G", "F"],
+	        "units": {"u2": ["G"], "u1": ["F"]}
+	      }
+	    ]
+	  }
+	}`
+	const want = "940ed1854bdd92a4f5ae4eb99d039a171425192b0b07918a7ed7cca0f4d39180"
+	p, err := DecodeProblem([]byte(problem))
+	if err != nil {
+		t.Fatal(err)
+	}
+	canon, err := p.Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum := sha256.Sum256(canon); hex.EncodeToString(sum[:]) != want {
+		t.Errorf("canonical bytes hash to %x, pinned %s:\n%s", sum, want, canon)
+	}
+	if got, err := p.Hash(); err != nil || got != want {
+		t.Errorf("problem hash %s (err %v), pinned %s", got, err, want)
 	}
 }
