@@ -137,16 +137,19 @@
 //
 // internal/wire is the canonical, versioned JSON wire format: a
 // Problem carries modules, symmetry groups, nets, proximity groups,
-// objective weights and (for the hierarchical placer) the design
+// objective weights and (for the hierarchical engines) the design
 // hierarchy; Options select and tune a solver; a Request bundles the
 // two. Decoding is strict — unknown fields, trailing bytes and
 // semantically invalid problems are rejected — and decoded values are
 // normalized so every semantic problem has exactly one canonical
 // encoding. Hash (SHA-256 of that encoding) is therefore a content
 // address: permuting nets or pair endpoints does not change it. The
-// format converts losslessly to place.Problem (flat placers) and to a
-// circuits.Bench with constraint tree (hierarchical placer); a fuzz
-// harness with a checked-in corpus pins "never panics" and
+// design hierarchy on the wire is constraint.Node itself, the one
+// tree type from the decoder to the packers: the hierarchical engines
+// (hbstar, esf, rsf) solve it as a circuits.Bench constraint tree, and
+// the flat placers bind its symmetry nodes through the same
+// constraint.Node.SymmetryGroups walker that place.FromBench uses; a
+// fuzz harness with a checked-in corpus pins "never panics" and
 // "decode→encode→decode is a fixed point".
 //
 // internal/service schedules wire requests over a bounded worker

@@ -57,7 +57,7 @@ func printTree(n *constraint.Node, depth int) {
 	}
 	kind := ""
 	if n.Kind != constraint.KindNone {
-		kind = " [" + n.Kind.String() + "]"
+		kind = " [" + n.Kind + "]"
 	}
 	fmt.Printf("%s%s%s %v\n", pad, n.Name, kind, n.Devices)
 	for _, c := range n.Children {

@@ -57,7 +57,7 @@ func main() {
 	fmt.Printf("problem %q, content address %s...\n", prob.Name, hash[:12])
 
 	req := wire.Request{Problem: *prob, Options: wire.Options{
-		Method: wire.MethodSeqPair, Seed: 3, MovesPerStage: 150, MaxStages: 200, StallStages: 40,
+		Method: placer.SeqPair, Seed: 3, MovesPerStage: 150, MaxStages: 200, StallStages: 40,
 	}}
 
 	// 1. Cold solve: async submit, then poll.
@@ -84,7 +84,7 @@ func main() {
 	// 4. Cancellation: a long run (near-flat cooling, so it will not
 	// finish on its own), stopped shortly after its first progress
 	// report; the job keeps the best placement found so far.
-	req.Options = wire.Options{Method: wire.MethodBStar, MovesPerStage: 400,
+	req.Options = wire.Options{Method: placer.BStar, MovesPerStage: 400,
 		MaxStages: 100000, StallStages: 100000, Cooling: 0.9999}
 	long := post(base, req, false)
 	for {
@@ -117,7 +117,7 @@ func main() {
 	defer tsrv.Close()
 
 	slow := req
-	slow.Options = wire.Options{Method: wire.MethodSeqPair, Seed: 7, MovesPerStage: 150,
+	slow.Options = wire.Options{Method: placer.SeqPair, Seed: 7, MovesPerStage: 150,
 		MaxStages: 100000, StallStages: 100000, Cooling: 0.9999, TimeoutMS: 1500}
 	blocker := post(tsrv.URL, slow, false) // occupies the only worker...
 	for get(tsrv.URL, blocker.ID).State != service.StateRunning {

@@ -91,10 +91,10 @@ func MillerOpAmp() *Bench {
 				Kind: constraint.KindProximity,
 				Children: []*constraint.Node{
 					{
-						Name:     "DP",
-						Kind:     constraint.KindSymmetry,
-						Devices:  []string{"P1", "P2"},
-						SymPairs: [][2]string{{"P1", "P2"}},
+						Name:    "DP",
+						Kind:    constraint.KindSymmetry,
+						Devices: []string{"P1", "P2"},
+						Pairs:   [][2]string{{"P1", "P2"}},
 					},
 					{
 						// At module level a two-device mirror is
@@ -102,10 +102,10 @@ func MillerOpAmp() *Bench {
 						// interdigitated common-centroid realization
 						// lives inside the module (constraint
 						// package's pattern generator).
-						Name:     "CM1",
-						Kind:     constraint.KindSymmetry,
-						Devices:  []string{"N3", "N4"},
-						SymPairs: [][2]string{{"N3", "N4"}},
+						Name:    "CM1",
+						Kind:    constraint.KindSymmetry,
+						Devices: []string{"N3", "N4"},
+						Pairs:   [][2]string{{"N3", "N4"}},
 					},
 					{
 						Name:    "CM2",
@@ -162,34 +162,34 @@ func FoldedCascode() *Bench {
 		Name: "FC",
 		Children: []*constraint.Node{
 			{
-				Name:     "DPIN",
-				Kind:     constraint.KindSymmetry,
-				Devices:  []string{"M1", "M2"},
-				SymPairs: [][2]string{{"M1", "M2"}},
+				Name:    "DPIN",
+				Kind:    constraint.KindSymmetry,
+				Devices: []string{"M1", "M2"},
+				Pairs:   [][2]string{{"M1", "M2"}},
 			},
 			{
-				Name:     "PSRC",
-				Kind:     constraint.KindSymmetry,
-				Devices:  []string{"M3", "M4"},
-				SymPairs: [][2]string{{"M3", "M4"}},
+				Name:    "PSRC",
+				Kind:    constraint.KindSymmetry,
+				Devices: []string{"M3", "M4"},
+				Pairs:   [][2]string{{"M3", "M4"}},
 			},
 			{
-				Name:     "PCAS",
-				Kind:     constraint.KindSymmetry,
-				Devices:  []string{"M5", "M6"},
-				SymPairs: [][2]string{{"M5", "M6"}},
+				Name:    "PCAS",
+				Kind:    constraint.KindSymmetry,
+				Devices: []string{"M5", "M6"},
+				Pairs:   [][2]string{{"M5", "M6"}},
 			},
 			{
-				Name:     "NCAS",
-				Kind:     constraint.KindSymmetry,
-				Devices:  []string{"M7", "M8"},
-				SymPairs: [][2]string{{"M7", "M8"}},
+				Name:    "NCAS",
+				Kind:    constraint.KindSymmetry,
+				Devices: []string{"M7", "M8"},
+				Pairs:   [][2]string{{"M7", "M8"}},
 			},
 			{
-				Name:     "NMIR",
-				Kind:     constraint.KindSymmetry,
-				Devices:  []string{"M9", "M10"},
-				SymPairs: [][2]string{{"M9", "M10"}},
+				Name:    "NMIR",
+				Kind:    constraint.KindSymmetry,
+				Devices: []string{"M9", "M10"},
+				Pairs:   [][2]string{{"M9", "M10"}},
 			},
 			{
 				Name:    "BIAS",
@@ -384,7 +384,7 @@ func fillLeaf(n *constraint.Node, modules int, rng *rand.Rand, newModule func(in
 		b := newModule(w, h)
 		n.Devices = []string{a, b}
 		n.Kind = constraint.KindSymmetry
-		n.SymPairs = [][2]string{{a, b}}
+		n.Pairs = [][2]string{{a, b}}
 	case modules >= 3 && rng.Intn(100) < 40:
 		// Mirror row: matched dimensions, symmetric about the center
 		// (outer devices pair up; an odd count leaves a central
@@ -395,10 +395,10 @@ func fillLeaf(n *constraint.Node, modules int, rng *rand.Rand, newModule func(in
 			n.Devices = append(n.Devices, newModule(w, h))
 		}
 		for i, j := 0, modules-1; i < j; i, j = i+1, j-1 {
-			n.SymPairs = append(n.SymPairs, [2]string{n.Devices[i], n.Devices[j]})
+			n.Pairs = append(n.Pairs, [2]string{n.Devices[i], n.Devices[j]})
 		}
 		if modules%2 == 1 {
-			n.SymSelfs = []string{n.Devices[modules/2]}
+			n.Selfs = []string{n.Devices[modules/2]}
 		}
 	default:
 		// Plain cluster with heterogeneous sizes.

@@ -29,7 +29,7 @@ func TestMillerOpAmpStructure(t *testing.T) {
 		}
 	}
 	dp := core.Child("DP")
-	if dp.Kind != constraint.KindSymmetry || len(dp.SymPairs) != 1 {
+	if dp.Kind != constraint.KindSymmetry || len(dp.Pairs) != 1 {
 		t.Fatal("DP must carry a symmetry pair")
 	}
 	if len(b.Tree.Leaves()) != 9 {
@@ -83,7 +83,7 @@ func TestFoldedCascodeStructure(t *testing.T) {
 	symPairs := 0
 	var count func(n *constraint.Node)
 	count = func(n *constraint.Node) {
-		symPairs += len(n.SymPairs)
+		symPairs += len(n.Pairs)
 		for _, c := range n.Children {
 			count(c)
 		}
@@ -175,7 +175,7 @@ func TestSyntheticProperties(t *testing.T) {
 		// Symmetric pairs must be dimension-matched.
 		var check func(n *constraint.Node)
 		check = func(n *constraint.Node) {
-			for _, pr := range n.SymPairs {
+			for _, pr := range n.Pairs {
 				da, db := b.Circuit.Device(pr[0]), b.Circuit.Device(pr[1])
 				if da != nil && db != nil && (da.FW != db.FW || da.FH != db.FH) {
 					t.Errorf("%s: pair (%s,%s) unmatched dims", b.Name, pr[0], pr[1])

@@ -7,6 +7,13 @@
 // Every constraint kind comes with a placement validator, so that any
 // placer in this repository — stochastic or deterministic, flat or
 // hierarchical — can be checked against the same ground truth.
+//
+// Node, the hierarchy type, is the only design-hierarchy type in the
+// repository: placer.Node aliases it, and its JSON tags are the wire
+// spelling, so the tree a request decodes into is the tree the
+// hierarchical engines pack. The flat engines and hbstar derive
+// proximity groups and id-based symmetry groups from a tree through
+// its two shared walkers, ProximityGroups and SymmetryGroups.
 package constraint
 
 import (

@@ -1,6 +1,7 @@
 package constraint
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/geom"
@@ -297,14 +298,36 @@ func TestNodeLeavesAndCounts(t *testing.T) {
 	if len(leaves) != 6 {
 		t.Fatalf("Leaves = %v, want 6 entries", leaves)
 	}
-	if tree.CountNodes() != 4 {
-		t.Fatalf("CountNodes = %d, want 4", tree.CountNodes())
-	}
-	if tree.Depth() != 3 {
-		t.Fatalf("Depth = %d, want 3", tree.Depth())
-	}
 	if tree.Child("s2") == nil || tree.Child("zz") != nil {
 		t.Fatal("Child lookup wrong")
+	}
+}
+
+// TestSymmetryGroups: one group per symmetry node in pre-order, with
+// members id does not list (here a pair naming two child nodes)
+// skipped and a node left empty dropped.
+func TestSymmetryGroups(t *testing.T) {
+	tree := &Node{Name: "top", Children: []*Node{
+		{Name: "outer", Kind: KindSymmetry, Devices: []string{"M"},
+			Pairs: [][2]string{{"l", "r"}}, Selfs: []string{"M"},
+			Children: []*Node{
+				{Name: "l", Kind: KindSymmetry, Devices: []string{"A", "B"}, Pairs: [][2]string{{"A", "B"}}},
+				{Name: "r", Kind: KindProximity, Devices: []string{"C"}},
+			}},
+		{Name: "hollow", Kind: KindSymmetry, Pairs: [][2]string{{"x", "y"}}},
+		{Name: "tail", Kind: KindSymmetry, Devices: []string{"D", "E"}, Pairs: [][2]string{{"E", "D"}}},
+	}}
+	id := map[string]int{"A": 0, "B": 1, "C": 2, "D": 3, "E": 4, "M": 5}
+	var got []string
+	for pairs, selfs := range tree.SymmetryGroups(id) {
+		got = append(got, fmt.Sprint(pairs, selfs))
+	}
+	want := []string{"[] [5]", "[[0 1]] []", "[[4 3]] []"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("groups %q, want %q", got, want)
+	}
+	for range tree.SymmetryGroups(id) {
+		break // an early break must not panic the walker
 	}
 }
 
@@ -316,7 +339,7 @@ func TestNodeValidate(t *testing.T) {
 			{Name: "L", Devices: []string{"A"}},
 			{Name: "R", Devices: []string{"B"}},
 		},
-		SymPairs: [][2]string{{"L", "R"}},
+		Pairs: [][2]string{{"L", "R"}},
 	}
 	if err := ok.Validate(); err != nil {
 		t.Fatalf("valid tree rejected: %v", err)
@@ -331,7 +354,7 @@ func TestNodeValidate(t *testing.T) {
 	if err := dupDevice.Validate(); err == nil {
 		t.Fatal("device owned twice must be rejected")
 	}
-	badRef := &Node{Name: "n", Kind: KindSymmetry, SymPairs: [][2]string{{"X", "Y"}}}
+	badRef := &Node{Name: "n", Kind: KindSymmetry, Pairs: [][2]string{{"X", "Y"}}}
 	if err := badRef.Validate(); err == nil {
 		t.Fatal("unknown symmetry member must be rejected")
 	}
@@ -357,7 +380,7 @@ func TestHierarchicalSymmetryCheck(t *testing.T) {
 			{Name: "D", Devices: []string{"d1", "d2"}},
 			{Name: "E", Devices: []string{"e1", "e2"}},
 		},
-		SymPairs: [][2]string{{"D", "E"}},
+		Pairs: [][2]string{{"D", "E"}},
 	}
 	if err := tree.Validate(); err != nil {
 		t.Fatal(err)
@@ -410,7 +433,7 @@ func TestSelfSymmetricSubcircuit(t *testing.T) {
 		Children: []*Node{
 			{Name: "M", Devices: []string{"m1", "m2"}},
 		},
-		SymSelfs: []string{"M"},
+		Selfs: []string{"M"},
 	}
 	// M straddles axis x=10 (axis2=20) and is internally mirrored.
 	p := geom.Placement{
@@ -424,17 +447,6 @@ func TestSelfSymmetricSubcircuit(t *testing.T) {
 	p["m2"] = geom.NewRect(10, 0, 9, 5)
 	if err := tree.Check(p); err == nil {
 		t.Fatal("asymmetric interior must fail")
-	}
-}
-
-func TestKindString(t *testing.T) {
-	for k, want := range map[Kind]string{
-		KindNone: "none", KindSymmetry: "symmetry",
-		KindCommonCentroid: "common-centroid", KindProximity: "proximity",
-	} {
-		if k.String() != want {
-			t.Errorf("%d.String() = %q, want %q", int(k), k.String(), want)
-		}
 	}
 }
 
@@ -521,7 +533,7 @@ func TestTreeCheckMissingMembers(t *testing.T) {
 			{Name: "L", Devices: []string{"a"}},
 			{Name: "R", Devices: []string{"b"}},
 		},
-		SymPairs: [][2]string{{"L", "R"}},
+		Pairs: [][2]string{{"L", "R"}},
 	}
 	// Missing device of a sub-circuit member.
 	p := geom.Placement{"a": geom.NewRect(0, 0, 2, 2)}
@@ -530,7 +542,7 @@ func TestTreeCheckMissingMembers(t *testing.T) {
 	}
 	// Direct-device symmetry member missing entirely.
 	tree2 := &Node{Name: "S", Kind: KindSymmetry,
-		Devices: []string{"x", "y"}, SymPairs: [][2]string{{"x", "y"}}}
+		Devices: []string{"x", "y"}, Pairs: [][2]string{{"x", "y"}}}
 	if err := tree2.Check(geom.Placement{}); err == nil {
 		t.Fatal("missing devices must fail")
 	}
@@ -555,7 +567,7 @@ func TestSelfSymmetricSubcircuitAxisFromSelf(t *testing.T) {
 		Children: []*Node{
 			{Name: "M", Devices: []string{"m1"}},
 		},
-		SymSelfs: []string{"M"},
+		Selfs: []string{"M"},
 	}
 	p := geom.Placement{"m1": geom.NewRect(0, 0, 4, 4)}
 	if err := tree.Check(p); err != nil {

@@ -2,57 +2,44 @@ package constraint
 
 import (
 	"fmt"
+	"iter"
 	"sort"
 
 	"repro/internal/geom"
 )
 
-// Kind labels the constraint attached to one node of a layout design
-// hierarchy (Fig. 2 of the paper).
-type Kind int
-
-// Constraint kinds for hierarchy nodes.
+// Hierarchy node kinds: the constraint attached to one node of a
+// layout design hierarchy (Fig. 2 of the paper), spelled as on the
+// wire.
 const (
-	KindNone           Kind = iota // plain grouping, no constraint
-	KindSymmetry                   // (hierarchical) symmetry
-	KindCommonCentroid             // common-centroid
-	KindProximity                  // (hierarchical) proximity
+	KindNone           = ""                // plain grouping, no constraint
+	KindSymmetry       = "symmetry"        // (hierarchical) symmetry
+	KindCommonCentroid = "common_centroid" // common-centroid
+	KindProximity      = "proximity"       // (hierarchical) proximity
 )
-
-// String implements fmt.Stringer.
-func (k Kind) String() string {
-	switch k {
-	case KindNone:
-		return "none"
-	case KindSymmetry:
-		return "symmetry"
-	case KindCommonCentroid:
-		return "common-centroid"
-	case KindProximity:
-		return "proximity"
-	}
-	return fmt.Sprintf("Kind(%d)", int(k))
-}
 
 // Node is one sub-circuit of a layout design hierarchy. Leaves carry
 // device names; inner nodes carry child sub-circuits. A node's
 // constraint may reference both its direct devices and its children
 // (hierarchical symmetry: "a sub-circuit with the hierarchical symmetry
 // constraint may contain some devices together with other sub-circuits").
+// The JSON tags are the wire spelling of the hierarchy, and the field
+// order is the order of the canonical encoding.
 type Node struct {
-	Name     string
-	Kind     Kind
-	Devices  []string // devices directly owned by this sub-circuit
-	Children []*Node  // nested sub-circuits
+	Name    string   `json:"name,omitempty"`
+	Kind    string   `json:"kind,omitempty"`    // one of the Kind constants
+	Devices []string `json:"devices,omitempty"` // devices directly owned by this sub-circuit
 
 	// Symmetry payload (Kind == KindSymmetry). Pair and self entries
 	// name either direct devices or children of this node; naming a
 	// child means the whole sub-circuit participates as one object.
-	SymPairs [][2]string
-	SymSelfs []string
+	Pairs [][2]string `json:"pairs,omitempty"`
+	Selfs []string    `json:"selfs,omitempty"`
 
 	// Common-centroid payload (Kind == KindCommonCentroid).
-	Units map[string][]string
+	Units map[string][]string `json:"units,omitempty"`
+
+	Children []*Node `json:"children,omitempty"` // nested sub-circuits
 }
 
 // Child returns the named child node, or nil.
@@ -89,6 +76,48 @@ func (n *Node) ProximityGroups() [][]string {
 	return groups
 }
 
+// SymmetryGroups yields, for every symmetry node in the subtree in
+// pre-order, its device-level members resolved to module ids through
+// id: the pairs whose two names id both lists, and the selfs it
+// lists. A pair or self naming anything else — a child node, say —
+// has no flat meaning and is skipped, and a node left without
+// members yields nothing. The flat engines' symmetry groups and the
+// hierarchical engine's thermal pairs all come from this one walker,
+// so they cannot drift on what a symmetry node binds.
+func (n *Node) SymmetryGroups(id map[string]int) iter.Seq2[[][2]int, []int] {
+	return func(yield func(pairs [][2]int, selfs []int) bool) {
+		var walk func(nd *Node) bool
+		walk = func(nd *Node) bool {
+			if nd.Kind == KindSymmetry {
+				var pairs [][2]int
+				var selfs []int
+				for _, pr := range nd.Pairs {
+					a, oka := id[pr[0]]
+					b, okb := id[pr[1]]
+					if oka && okb {
+						pairs = append(pairs, [2]int{a, b})
+					}
+				}
+				for _, s := range nd.Selfs {
+					if m, ok := id[s]; ok {
+						selfs = append(selfs, m)
+					}
+				}
+				if len(pairs)+len(selfs) > 0 && !yield(pairs, selfs) {
+					return false
+				}
+			}
+			for _, c := range nd.Children {
+				if !walk(c) {
+					return false
+				}
+			}
+			return true
+		}
+		walk(n)
+	}
+}
+
 // Leaves returns every device name in the subtree rooted at n, in a
 // deterministic (sorted) order.
 func (n *Node) Leaves() []string {
@@ -105,24 +134,71 @@ func (n *Node) Leaves() []string {
 	return out
 }
 
-// CountNodes returns the number of nodes in the subtree (including n).
-func (n *Node) CountNodes() int {
-	total := 1
-	for _, c := range n.Children {
-		total += c.CountNodes()
+// Clone deep-copies the subtree (nil-safe).
+func (n *Node) Clone() *Node {
+	if n == nil {
+		return nil
 	}
-	return total
-}
-
-// Depth returns the height of the subtree (a leaf-only node has depth 1).
-func (n *Node) Depth() int {
-	d := 0
-	for _, c := range n.Children {
-		if cd := c.Depth(); cd > d {
-			d = cd
+	c := *n
+	c.Devices = append([]string(nil), n.Devices...)
+	c.Pairs = append([][2]string(nil), n.Pairs...)
+	c.Selfs = append([]string(nil), n.Selfs...)
+	if n.Units != nil {
+		c.Units = make(map[string][]string, len(n.Units))
+		for k, v := range n.Units {
+			c.Units[k] = append([]string(nil), v...)
 		}
 	}
-	return d + 1
+	if n.Children != nil {
+		c.Children = make([]*Node, len(n.Children))
+		for i, ch := range n.Children {
+			c.Children[i] = ch.Clone()
+		}
+	}
+	return &c
+}
+
+// Normalize canonicalizes the subtree in place (nil-safe): pair
+// endpoints ordered, member lists sorted, children ordered by their
+// names, and empty lists nil. The normalized form is also the form
+// that solves, so different spellings of one tree hash and behave
+// identically.
+func (n *Node) Normalize() {
+	if n == nil {
+		return
+	}
+	sort.Strings(n.Devices)
+	for pi := range n.Pairs {
+		if n.Pairs[pi][0] > n.Pairs[pi][1] {
+			n.Pairs[pi][0], n.Pairs[pi][1] = n.Pairs[pi][1], n.Pairs[pi][0]
+		}
+	}
+	sort.Slice(n.Pairs, func(i, j int) bool {
+		if n.Pairs[i][0] != n.Pairs[j][0] {
+			return n.Pairs[i][0] < n.Pairs[j][0]
+		}
+		return n.Pairs[i][1] < n.Pairs[j][1]
+	})
+	sort.Strings(n.Selfs)
+	for _, devs := range n.Units {
+		sort.Strings(devs)
+	}
+	for _, c := range n.Children {
+		c.Normalize()
+	}
+	sort.Slice(n.Children, func(i, j int) bool { return n.Children[i].Name < n.Children[j].Name })
+	if len(n.Devices) == 0 {
+		n.Devices = nil
+	}
+	if len(n.Pairs) == 0 {
+		n.Pairs = nil
+	}
+	if len(n.Selfs) == 0 {
+		n.Selfs = nil
+	}
+	if len(n.Children) == 0 {
+		n.Children = nil
+	}
 }
 
 // Validate checks the subtree: unique device ownership, constraint
@@ -149,16 +225,16 @@ func (n *Node) Validate() error {
 		}
 		switch m.Kind {
 		case KindSymmetry:
-			if len(m.SymPairs) == 0 && len(m.SymSelfs) == 0 {
+			if len(m.Pairs) == 0 && len(m.Selfs) == 0 {
 				return fmt.Errorf("constraint: symmetry node %q has no pairs or selfs", m.Name)
 			}
-			for _, p := range m.SymPairs {
+			for _, p := range m.Pairs {
 				if !local[p[0]] || !local[p[1]] {
 					return fmt.Errorf("constraint: symmetry node %q references unknown member (%s,%s)",
 						m.Name, p[0], p[1])
 				}
 			}
-			for _, s := range m.SymSelfs {
+			for _, s := range m.Selfs {
 				if !local[s] {
 					return fmt.Errorf("constraint: symmetry node %q references unknown member %s", m.Name, s)
 				}
@@ -251,7 +327,7 @@ func (n *Node) checkSymmetry(p geom.Placement) error {
 	if !ok {
 		return fmt.Errorf("constraint: symmetry node %q: cannot derive axis", n.Name)
 	}
-	for _, pr := range n.SymPairs {
+	for _, pr := range n.Pairs {
 		ra, la, err := n.memberRect(pr[0], p)
 		if err != nil {
 			return err
@@ -274,7 +350,7 @@ func (n *Node) checkSymmetry(p geom.Placement) error {
 			}
 		}
 	}
-	for _, s := range n.SymSelfs {
+	for _, s := range n.Selfs {
 		r, leaves, err := n.memberRect(s, p)
 		if err != nil {
 			return err
@@ -293,7 +369,7 @@ func (n *Node) checkSymmetry(p geom.Placement) error {
 }
 
 func (n *Node) symmetryAxis2(p geom.Placement) (int, bool) {
-	for _, pr := range n.SymPairs {
+	for _, pr := range n.Pairs {
 		ra, _, errA := n.memberRect(pr[0], p)
 		rb, _, errB := n.memberRect(pr[1], p)
 		if errA != nil || errB != nil {
@@ -301,7 +377,7 @@ func (n *Node) symmetryAxis2(p geom.Placement) (int, bool) {
 		}
 		return (ra.CenterX2() + rb.CenterX2()) / 2, true
 	}
-	for _, s := range n.SymSelfs {
+	for _, s := range n.Selfs {
 		r, _, err := n.memberRect(s, p)
 		if err != nil {
 			return 0, false

@@ -41,7 +41,7 @@ type item struct {
 // Node is one sub-circuit with its tree.
 type Node struct {
 	name string
-	kind constraint.Kind
+	kind string
 
 	// Symmetry sub-circuits pack as an island; ids are the module ids
 	// of its members, in the island's Names() order.
@@ -119,7 +119,7 @@ func (f *Forest) build(cn *constraint.Node, dims func(string) (int, int, error))
 		inGroup := map[string]bool{}
 		var pairs []asf.Pair
 		var selfs []asf.Self
-		for _, pr := range cn.SymPairs {
+		for _, pr := range cn.Pairs {
 			wl, hl, err := dims(pr[0])
 			if err != nil {
 				return nil, err
@@ -134,7 +134,7 @@ func (f *Forest) build(cn *constraint.Node, dims func(string) (int, int, error))
 			pairs = append(pairs, asf.Pair{Left: pr[0], Right: pr[1], W: wl, H: hl})
 			inGroup[pr[0]], inGroup[pr[1]] = true, true
 		}
-		for _, s := range cn.SymSelfs {
+		for _, s := range cn.Selfs {
 			w, h, err := dims(s)
 			if err != nil {
 				return nil, err

@@ -33,11 +33,11 @@ func fig2Tree() (*constraint.Node, map[string][2]int) {
 		Name: "top",
 		Children: []*constraint.Node{
 			{
-				Name:     "sym",
-				Kind:     constraint.KindSymmetry,
-				Devices:  []string{"D", "E", "F"},
-				SymPairs: [][2]string{{"D", "E"}},
-				SymSelfs: []string{"F"},
+				Name:    "sym",
+				Kind:    constraint.KindSymmetry,
+				Devices: []string{"D", "E", "F"},
+				Pairs:   [][2]string{{"D", "E"}},
+				Selfs:   []string{"F"},
 			},
 			{
 				Name:    "prox",

@@ -119,25 +119,14 @@ func (o *objective) proximityGroups(root *constraint.Node) [][]int {
 	return groups
 }
 
-// symPairs collects device-level symmetric pairs for the thermal term.
+// symPairs collects the device-level symmetric pairs for the thermal
+// term: the shared constraint.Node.SymmetryGroups walker's pairs, in
+// walk order.
 func (o *objective) symPairs(root *constraint.Node) [][2]int {
 	var pairs [][2]int
-	var walk func(n *constraint.Node)
-	walk = func(n *constraint.Node) {
-		if n.Kind == constraint.KindSymmetry {
-			for _, pr := range n.SymPairs {
-				a, oka := o.id[pr[0]]
-				b, okb := o.id[pr[1]]
-				if oka && okb {
-					pairs = append(pairs, [2]int{a, b})
-				}
-			}
-		}
-		for _, c := range n.Children {
-			walk(c)
-		}
+	for ps := range root.SymmetryGroups(o.id) {
+		pairs = append(pairs, ps...)
 	}
-	walk(root)
 	return pairs
 }
 

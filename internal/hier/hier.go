@@ -192,7 +192,7 @@ func BuildTree(c *netlist.Circuit, globals ...string) (*constraint.Node, []Block
 		switch b.Kind {
 		case DiffPair:
 			child.Kind = constraint.KindSymmetry
-			child.SymPairs = [][2]string{{b.Devices[0], b.Devices[1]}}
+			child.Pairs = [][2]string{{b.Devices[0], b.Devices[1]}}
 		case CurrentMirror:
 			// Mirror devices with identical footprints can be matched
 			// as a symmetric row (pairs outside-in, central self for
@@ -200,10 +200,10 @@ func BuildTree(c *netlist.Circuit, globals ...string) (*constraint.Node, []Block
 			if equalFootprints(c, b.Devices) {
 				child.Kind = constraint.KindSymmetry
 				for i, j := 0, len(b.Devices)-1; i < j; i, j = i+1, j-1 {
-					child.SymPairs = append(child.SymPairs, [2]string{b.Devices[i], b.Devices[j]})
+					child.Pairs = append(child.Pairs, [2]string{b.Devices[i], b.Devices[j]})
 				}
 				if len(b.Devices)%2 == 1 {
-					child.SymSelfs = []string{b.Devices[len(b.Devices)/2]}
+					child.Selfs = []string{b.Devices[len(b.Devices)/2]}
 				}
 			} else {
 				child.Kind = constraint.KindProximity

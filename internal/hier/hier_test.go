@@ -146,7 +146,7 @@ func TestBuildTreeMiller(t *testing.T) {
 	for _, ch := range tree.Children {
 		if ch.Kind == constraint.KindSymmetry {
 			symNodes++
-			if len(ch.SymPairs) > 0 && ch.SymPairs[0][0] != "P1" {
+			if len(ch.Pairs) > 0 && ch.Pairs[0][0] != "P1" {
 				mirrorSym++
 			}
 		}

@@ -234,39 +234,9 @@ func FromBench(b *circuits.Bench) (*Problem, error) {
 	}
 	p := &Problem{Names: names, W: w, H: h, WireWeight: 1}
 
-	var walk func(n *constraint.Node) error
-	walk = func(n *constraint.Node) error {
-		if n.Kind == constraint.KindSymmetry {
-			g := seqpair.Group{}
-			for _, pr := range n.SymPairs {
-				a, oka := id[pr[0]]
-				bb, okb := id[pr[1]]
-				if !oka || !okb {
-					// Pair references a sub-circuit, not a device:
-					// flat placers cannot express it; skip.
-					continue
-				}
-				g.Pairs = append(g.Pairs, [2]int{a, bb})
-			}
-			for _, s := range n.SymSelfs {
-				if m, ok := id[s]; ok {
-					g.Selfs = append(g.Selfs, m)
-				}
-			}
-			if g.Size() > 0 {
-				p.Groups = append(p.Groups, g)
-			}
-		}
-		for _, c := range n.Children {
-			if err := walk(c); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	if b.Tree != nil {
-		if err := walk(b.Tree); err != nil {
-			return nil, err
+		for pairs, selfs := range b.Tree.SymmetryGroups(id) {
+			p.Groups = append(p.Groups, seqpair.Group{Pairs: pairs, Selfs: selfs})
 		}
 		// Proximity groups enter the cost only when the caller sets
 		// ProxWeight.

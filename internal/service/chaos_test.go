@@ -22,13 +22,14 @@ import (
 	"repro/internal/fault"
 	"repro/internal/store"
 	"repro/internal/wire"
+	"repro/placer"
 )
 
 // chaosRequest is a deliberately tiny solve so a storm of them runs in
 // test time; the deadline bounds injected stalls.
 func chaosRequest(t *testing.T, seed int64) *wire.Request {
 	t.Helper()
-	req := millerRequest(t, wire.MethodSeqPair)
+	req := millerRequest(t, placer.SeqPair)
 	req.Options.Seed = seed
 	req.Options.MovesPerStage = 20
 	req.Options.MaxStages = 10
@@ -280,7 +281,7 @@ func TestChaosDeterminismFaultsOff(t *testing.T) {
 	solve := func() *wire.Result {
 		s := New(Config{Workers: 2})
 		defer s.Close()
-		req := millerRequest(t, wire.MethodSeqPair)
+		req := millerRequest(t, placer.SeqPair)
 		req.Options.Seed = 1234
 		j, err := s.Submit(req)
 		if err != nil {
@@ -632,7 +633,7 @@ func TestChaosJobLifecycle(t *testing.T) {
 	bodies := make([][]byte, nProblems)
 	hashes := make([]string, nProblems)
 	for k := range bodies {
-		req := millerRequest(t, wire.MethodSeqPair)
+		req := millerRequest(t, placer.SeqPair)
 		req.Options.Seed = int64(k + 1)
 		req.Options.MovesPerStage = 150
 		bodies[k] = mustJSON(t, req)

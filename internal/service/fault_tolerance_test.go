@@ -21,7 +21,7 @@ import (
 func slowRequest(t *testing.T, seed int64) *wire.Request {
 	t.Helper()
 	return &wire.Request{Problem: *benchProblem(t, "buffer"), Options: wire.Options{
-		Method: wire.MethodSeqPair, MovesPerStage: 400, MaxStages: 100000, StallStages: 100000,
+		Method: placer.SeqPair, MovesPerStage: 400, MaxStages: 100000, StallStages: 100000,
 		Cooling: 0.9999, Seed: seed,
 	}}
 }
@@ -78,7 +78,7 @@ func TestResumeFromCheckpoint(t *testing.T) {
 func TestCheckpointDroppedAfterDone(t *testing.T) {
 	s := New(Config{Workers: 1, PressureDepth: -1})
 	defer s.Close()
-	j, err := s.Submit(millerRequest(t, wire.MethodSeqPair))
+	j, err := s.Submit(millerRequest(t, placer.SeqPair))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestWorkerPanicQuarantine(t *testing.T) {
 	s := New(Config{Workers: 1, MaxJobCrashes: -1})
 	defer s.Close()
 
-	j, err := s.Submit(millerRequest(t, wire.MethodSeqPair))
+	j, err := s.Submit(millerRequest(t, placer.SeqPair))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestWorkerPanicQuarantine(t *testing.T) {
 	}
 
 	fault.Reset()
-	j2, err := s.Submit(millerRequest(t, wire.MethodHBStar))
+	j2, err := s.Submit(millerRequest(t, placer.HBStar))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestWorkerCrashRequeue(t *testing.T) {
 	s := New(Config{Workers: 2, MaxJobCrashes: 1000})
 	defer s.Close()
 
-	j, err := s.Submit(millerRequest(t, wire.MethodSeqPair))
+	j, err := s.Submit(millerRequest(t, placer.SeqPair))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,13 +182,13 @@ func TestPressureModeDegrades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := millerRequest(t, wire.MethodSeqPair)
+	b := millerRequest(t, placer.SeqPair)
 	b.Options.Seed = 41
 	jb, err := s.Submit(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := millerRequest(t, wire.MethodSeqPair)
+	c := millerRequest(t, placer.SeqPair)
 	c.Options.Seed = 42
 	if _, err := s.Submit(c); err != nil {
 		t.Fatal(err)
@@ -207,7 +207,7 @@ func TestPressureModeDegrades(t *testing.T) {
 
 	// Quiet now: the identical request must re-solve (the degraded
 	// result was not cached) and come back canonical.
-	b2 := millerRequest(t, wire.MethodSeqPair)
+	b2 := millerRequest(t, placer.SeqPair)
 	b2.Options.Seed = 41
 	j2, err := s.Submit(b2)
 	if err != nil {
@@ -239,7 +239,7 @@ func TestPressureModeSkipsShapeEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Submit(millerRequest(t, wire.MethodSeqPair)); err != nil {
+	if _, err := s.Submit(millerRequest(t, placer.SeqPair)); err != nil {
 		t.Fatal(err)
 	}
 	s.Cancel(blocker.ID)

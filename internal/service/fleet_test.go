@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/store"
 	"repro/internal/wire"
+	"repro/placer"
 )
 
 // fleetConfig builds a Config whose result and job stores live on a
@@ -45,7 +46,7 @@ func TestFileStoreCrossInstance(t *testing.T) {
 	dir := t.TempDir()
 
 	s1 := New(fleetConfig(t, dir, "one"))
-	j1, err := s1.Submit(millerRequest(t, wire.MethodSeqPair))
+	j1, err := s1.Submit(millerRequest(t, placer.SeqPair))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestFileStoreCrossInstance(t *testing.T) {
 	// A second instance sharing the directory answers the identical
 	// request from the cache without solving.
 	h2 := newHarness(t, fleetConfig(t, dir, "two"))
-	j2, err := h2.s.Submit(millerRequest(t, wire.MethodSeqPair))
+	j2, err := h2.s.Submit(millerRequest(t, placer.SeqPair))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func batchBody(t *testing.T, seeds ...int64) []byte {
 	t.Helper()
 	var b wire.BatchRequest
 	for _, seed := range seeds {
-		req := millerRequest(t, wire.MethodSeqPair)
+		req := millerRequest(t, placer.SeqPair)
 		req.Options.Seed = seed
 		b.Items = append(b.Items, *req)
 	}
@@ -165,7 +166,7 @@ func TestBatchCoalescesIdenticalItems(t *testing.T) {
 
 	// An invalid item rejects the whole batch before any job exists.
 	var bad wire.BatchRequest
-	req := millerRequest(t, wire.MethodSeqPair)
+	req := millerRequest(t, placer.SeqPair)
 	req.Problem.Modules[0].W = -1
 	bad.Items = append(bad.Items, *req)
 	bb := mustJSON(t, bad)
@@ -317,7 +318,7 @@ func tenantDo(h *httpHarness, tenant, method, path string, body []byte) (int, []
 // content hashes per submission.
 func seedRequest(t *testing.T, seed int64) []byte {
 	t.Helper()
-	req := millerRequest(t, wire.MethodSeqPair)
+	req := millerRequest(t, placer.SeqPair)
 	req.Options.Seed = seed
 	return mustJSON(t, req)
 }

@@ -55,13 +55,13 @@ func PinRequests(t *testing.T) map[string]*wire.Request {
 	t.Helper()
 	miller := benchProblem(t, "miller")
 	reqs := map[string]*wire.Request{
-		"miller_seqpair":   {Problem: *miller, Options: wire.Options{Method: wire.MethodSeqPair, Seed: 1}},
-		"miller_hbstar":    {Problem: *miller, Options: wire.Options{Method: wire.MethodHBStar, Seed: 1}},
+		"miller_seqpair":   {Problem: *miller, Options: wire.Options{Method: placer.SeqPair, Seed: 1}},
+		"miller_hbstar":    {Problem: *miller, Options: wire.Options{Method: placer.HBStar, Seed: 1}},
 		"miller_portfolio": {Problem: *miller, Options: wire.Options{Method: wire.MethodPortfolio, Seed: 1}},
 		"miller_esf":       {Problem: *miller, Options: wire.Options{Method: placer.ESF, Seed: 1}},
 		"miller_rsf":       {Problem: *miller, Options: wire.Options{Method: placer.RSF, Seed: 1}},
 		"n1000_seqpair": {Problem: *pinN1000(), Options: wire.Options{
-			Method: wire.MethodSeqPair, Seed: 7, MovesPerStage: 150, MaxStages: 8, StallStages: 8,
+			Method: placer.SeqPair, Seed: 7, MovesPerStage: 150, MaxStages: 8, StallStages: 8,
 		}},
 	}
 	for _, r := range reqs {

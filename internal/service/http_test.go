@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/wire"
+	"repro/placer"
 )
 
 // httpHarness is one daemon instance under httptest.
@@ -108,7 +109,7 @@ func (h *httpHarness) metric(name string) float64 {
 func millerWireRequest(t *testing.T) []byte {
 	t.Helper()
 	req := wire.Request{Problem: *benchProblem(t, "miller"), Options: wire.Options{
-		Method: wire.MethodSeqPair, Seed: 3, MovesPerStage: 60, MaxStages: 40, StallStages: 40,
+		Method: placer.SeqPair, Seed: 3, MovesPerStage: 60, MaxStages: 40, StallStages: 40,
 	}}
 	b, err := json.Marshal(req)
 	if err != nil {
@@ -188,7 +189,7 @@ func TestEndToEnd(t *testing.T) {
 	// init retries on it even outside the service). Near-flat cooling
 	// keeps the schedule from reaching MinTemp before the DELETE.
 	breq, err := json.Marshal(wire.Request{Problem: *bp, Options: wire.Options{
-		Method: wire.MethodBStar, MovesPerStage: 500, MaxStages: 1000000, StallStages: 1000000, Cooling: 0.99999,
+		Method: placer.BStar, MovesPerStage: 500, MaxStages: 1000000, StallStages: 1000000, Cooling: 0.99999,
 	}})
 	if err != nil {
 		t.Fatal(err)

@@ -209,7 +209,7 @@ func TestBodyMemoCollision(t *testing.T) {
 	s.memo.key = func(maphash.Seed, []byte) uint64 { return 42 }
 	h := NewHandler(s)
 	a := millerWireRequest(t)
-	req := millerRequest(t, wire.MethodSeqPair)
+	req := millerRequest(t, placer.SeqPair)
 	b, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)

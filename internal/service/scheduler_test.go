@@ -56,7 +56,7 @@ func TestSchedulerSolvesAndCaches(t *testing.T) {
 	s := New(Config{Workers: 2})
 	defer s.Close()
 
-	req := millerRequest(t, wire.MethodSeqPair)
+	req := millerRequest(t, placer.SeqPair)
 	j1, err := s.Submit(req)
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +81,7 @@ func TestSchedulerSolvesAndCaches(t *testing.T) {
 	// leaves the live table an identical submit coalesces onto it
 	// instead, so wait for that first.
 	waitRecorded(t, s, j1.ID)
-	j2, err := s.Submit(millerRequest(t, wire.MethodSeqPair))
+	j2, err := s.Submit(millerRequest(t, placer.SeqPair))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestSchedulerSolvesAndCaches(t *testing.T) {
 	}
 
 	// Different seed → different content address → solved fresh.
-	req3 := millerRequest(t, wire.MethodSeqPair)
+	req3 := millerRequest(t, placer.SeqPair)
 	req3.Options.Seed = 99
 	j3, err := s.Submit(req3)
 	if err != nil {
@@ -135,7 +135,7 @@ func TestSchedulerDeterministicAcrossRuns(t *testing.T) {
 	run := func() *wire.Result {
 		s := New(Config{Workers: 1})
 		defer s.Close()
-		j, err := s.Submit(millerRequest(t, wire.MethodSeqPair))
+		j, err := s.Submit(millerRequest(t, placer.SeqPair))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +163,7 @@ func TestSchedulerCancelQueued(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	queued, err := s.Submit(millerRequest(t, wire.MethodSeqPair))
+	queued, err := s.Submit(millerRequest(t, placer.SeqPair))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +393,7 @@ func benchProblem(t *testing.T, name string) *wire.Problem {
 func TestProgressMultiStartMoves(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Close()
-	req := millerRequest(t, wire.MethodSeqPair)
+	req := millerRequest(t, placer.SeqPair)
 	req.Options.Workers = 3
 	j, err := s.Submit(req)
 	if err != nil {
@@ -423,7 +423,7 @@ func TestJobRetention(t *testing.T) {
 	defer s.Close()
 	var ids []string
 	for seed := int64(1); seed <= 3; seed++ {
-		req := millerRequest(t, wire.MethodSeqPair)
+		req := millerRequest(t, placer.SeqPair)
 		req.Options.Seed = seed
 		j, err := s.Submit(req)
 		if err != nil {
@@ -443,7 +443,7 @@ func TestJobRetention(t *testing.T) {
 	}
 	// Eviction forgets the job record, not the solved result: the
 	// content-addressed cache still answers.
-	req := millerRequest(t, wire.MethodSeqPair)
+	req := millerRequest(t, placer.SeqPair)
 	req.Options.Seed = 1
 	j, err := s.Submit(req)
 	if err != nil {
@@ -461,7 +461,7 @@ func TestJobRetention(t *testing.T) {
 func TestZeroStageScheduleFails(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Close()
-	req := millerRequest(t, wire.MethodSeqPair)
+	req := millerRequest(t, placer.SeqPair)
 	req.Options.MinTemp = 1e30
 	j, err := s.Submit(req)
 	if err != nil {
@@ -479,7 +479,7 @@ func TestZeroStageScheduleFails(t *testing.T) {
 func TestHBStarViaWire(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Close()
-	j, err := s.Submit(millerRequest(t, wire.MethodHBStar))
+	j, err := s.Submit(millerRequest(t, placer.HBStar))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -518,7 +518,7 @@ func (failingJobStore) Get(string) (*store.JobRecord, bool, error) { return nil,
 // store failed — rather than a misleading 404.
 func TestStoreErrorsCounted(t *testing.T) {
 	h := newHarness(t, Config{Workers: 1, Results: failingStore{}, Jobs: failingJobStore{}})
-	j, err := h.s.Submit(millerRequest(t, wire.MethodSeqPair))
+	j, err := h.s.Submit(millerRequest(t, placer.SeqPair))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -578,7 +578,7 @@ func TestCorruptCachedResultResolves(t *testing.T) {
 func TestStoreOpsTimed(t *testing.T) {
 	h := newHarness(t, Config{Workers: 1})
 	for i := 0; i < 2; i++ {
-		j, err := h.s.Submit(millerRequest(t, wire.MethodSeqPair))
+		j, err := h.s.Submit(millerRequest(t, placer.SeqPair))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -622,7 +622,7 @@ func TestCacheLookupOutsideLock(t *testing.T) {
 	}
 	s := New(Config{Workers: 1, Results: c})
 	defer s.Close()
-	first, second := millerRequest(t, wire.MethodSeqPair), millerRequest(t, wire.MethodSeqPair)
+	first, second := millerRequest(t, placer.SeqPair), millerRequest(t, placer.SeqPair)
 	second.Options.Seed = 2
 
 	blocked := make(chan *Job, 1)

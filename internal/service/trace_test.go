@@ -14,13 +14,14 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/wire"
+	"repro/placer"
 )
 
 // temperedRequest is a small parallel-tempering solve with exchanges
 // frequent enough that the recording must contain exchange events.
 func temperedRequest(t *testing.T, seed int64) *wire.Request {
 	t.Helper()
-	req := millerRequest(t, wire.MethodSeqPair)
+	req := millerRequest(t, placer.SeqPair)
 	req.Options.Seed = seed
 	req.Options.TemperChains = 3
 	req.Options.ExchangeEvery = 2
@@ -57,7 +58,7 @@ func TestTraceEndpointE2E(t *testing.T) {
 	if err := tr.Validate(); err != nil {
 		t.Fatalf("trace fails schema validation: %v", err)
 	}
-	if tr.Version != wire.Version || tr.Method != wire.MethodSeqPair {
+	if tr.Version != wire.Version || tr.Method != placer.SeqPair {
 		t.Fatalf("trace header version=%d method=%q", tr.Version, tr.Method)
 	}
 	rungs := map[int]bool{}
@@ -89,7 +90,7 @@ func TestTraceEndpointE2E(t *testing.T) {
 // result serves its (partial) recording.
 func TestTraceConflictWhileRunning(t *testing.T) {
 	h := newHarness(t, Config{Workers: 1})
-	req := millerRequest(t, wire.MethodSeqPair)
+	req := millerRequest(t, placer.SeqPair)
 	req.Options.MovesPerStage = 5000
 	req.Options.MaxStages = 100000
 	req.Options.StallStages = 100000
@@ -133,7 +134,7 @@ func TestTraceConflictWhileRunning(t *testing.T) {
 func TestTraceDisabled(t *testing.T) {
 	s := New(Config{Workers: 1, TraceEvents: -1})
 	defer s.Close()
-	j, err := s.Submit(millerRequest(t, wire.MethodSeqPair))
+	j, err := s.Submit(millerRequest(t, placer.SeqPair))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +159,7 @@ func TestTraceRecordsWorkerCrashes(t *testing.T) {
 
 	s := New(Config{Workers: 1, MaxJobCrashes: 1})
 	defer s.Close()
-	j, err := s.Submit(millerRequest(t, wire.MethodSeqPair))
+	j, err := s.Submit(millerRequest(t, placer.SeqPair))
 	if err != nil {
 		t.Fatal(err)
 	}

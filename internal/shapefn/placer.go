@@ -78,8 +78,8 @@ func newPlacer(ctx context.Context, b *circuits.Bench, enhanced bool) *placer {
 	p := &placer{ctx: ctx, enhanced: enhanced, bench: b}
 	var walk func(n *constraint.Node)
 	walk = func(n *constraint.Node) {
-		if n.Kind == constraint.KindSymmetry && len(n.SymPairs)+len(n.SymSelfs) > 0 {
-			g := constraint.SymmetryGroup{Name: n.Name, Vertical: true, Pairs: n.SymPairs, Selfs: n.SymSelfs}
+		if n.Kind == constraint.KindSymmetry && len(n.Pairs)+len(n.Selfs) > 0 {
+			g := constraint.SymmetryGroup{Name: n.Name, Vertical: true, Pairs: n.Pairs, Selfs: n.Selfs}
 			p.groups = append(p.groups, g)
 			p.members = append(p.members, g.Members())
 		}

@@ -5,13 +5,14 @@ import (
 	"testing"
 
 	"repro/internal/wire"
+	"repro/placer"
 )
 
 // BenchmarkResultCacheGet measures one cache hit on an n=1000 result:
 // a deep copy on the memory backend, a file read plus JSON decode on
 // the file backend.
 func BenchmarkResultCacheGet(b *testing.B) {
-	res := &wire.Result{Version: wire.Version, Method: wire.MethodSeqPair, Cost: 1234.5,
+	res := &wire.Result{Version: wire.Version, Method: placer.SeqPair, Cost: 1234.5,
 		Breakdown: &wire.Breakdown{Area: 1000, HPWL: 234.5}, BBoxW: 900, BBoxH: 800, Legal: true,
 		Placement: make([]wire.Placed, 1000)}
 	for i := range res.Placement {

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/wire"
+	"repro/placer"
 )
 
 func TestFilePersistsAcrossReopen(t *testing.T) {
@@ -139,13 +140,13 @@ func TestMemoryLRUEviction(t *testing.T) {
 // an adapter that aliases any of them shows it.
 func fullResult() *wire.Result {
 	tr := func(best float64) *wire.Trace {
-		return &wire.Trace{Version: wire.Version, Method: wire.MethodSeqPair, Capacity: 8, Events: []wire.TraceEvent{
+		return &wire.Trace{Version: wire.Version, Method: placer.SeqPair, Capacity: 8, Events: []wire.TraceEvent{
 			{Kind: wire.TraceKindStage, Best: best, Moves: 10, Accepted: 4},
 		}}
 	}
 	return &wire.Result{
 		Version:      wire.Version,
-		Method:       wire.MethodSeqPair,
+		Method:       placer.SeqPair,
 		Cost:         42.5,
 		Breakdown:    &wire.Breakdown{Area: 40, HPWL: 2.5},
 		Violations:   []string{"overlap m1/m2"},

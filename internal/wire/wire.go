@@ -2,8 +2,12 @@
 // placement service and the CLI speak: a Problem describes one
 // placement instance (modules, symmetry groups, nets, proximity
 // groups, objective weights, and an optional design hierarchy for the
-// hierarchical placer), Options describe how to solve it, and a
+// hierarchical engines), Options describe how to solve it, and a
 // Request bundles the two. Result carries a solved placement back.
+// The hierarchy is spelled by constraint.Node's JSON tags (Node
+// aliases it through placer.Node): name, kind, devices, pairs,
+// selfs, units and children, with kind one of "", "symmetry",
+// "common_centroid" and "proximity".
 //
 // The format is the JSON encoding of the public placer types: their
 // JSON tags are the wire spelling, and a wire Problem is a
@@ -58,18 +62,11 @@ type Problem struct {
 	placer.Problem
 }
 
-// Methods the service understands: the placer registry's algorithms,
-// plus MethodPortfolio, which races the portfolio-eligible flat
-// representations and keeps the best feasible placement.
-const (
-	MethodSeqPair   = placer.SeqPair
-	MethodBStar     = placer.BStar
-	MethodTCG       = placer.TCG
-	MethodSlicing   = placer.Slicing
-	MethodAbsolute  = placer.Absolute
-	MethodHBStar    = placer.HBStar
-	MethodPortfolio = "portfolio"
-)
+// MethodPortfolio is the one method that exists only on the wire:
+// it races the portfolio-eligible flat representations and keeps the
+// best feasible placement. Every other method is a placer registry
+// algorithm, named by its placer constant.
+const MethodPortfolio = "portfolio"
 
 // KnownMethod reports whether name is a method the service can run:
 // any algorithm in the placer registry, or the portfolio race. New
@@ -228,7 +225,7 @@ func (p *Problem) Normalize() {
 // per-problem calibration, which "0" is the canonical spelling of.
 func (o *Options) Normalize() {
 	if o.Method == "" {
-		o.Method = MethodSeqPair
+		o.Method = placer.SeqPair
 	}
 	if o.Workers < 1 {
 		o.Workers = 1

@@ -105,7 +105,7 @@ func TestRequestHashCoversOptions(t *testing.T) {
 	// The spelled-out service defaults must hash like the zero value,
 	// or semantically identical requests would split the cache.
 	c := Request{Problem: *testProblem(), Options: Options{
-		Method: MethodSeqPair, Workers: 1,
+		Method: placer.SeqPair, Workers: 1,
 		MovesPerStage: 150, MaxStages: 200, StallStages: 40, Cooling: 0.95,
 	}}
 	ha, err := a.Hash()

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/circuits"
-	"repro/internal/constraint"
 	"repro/internal/netlist"
 	"repro/internal/place"
 	"repro/internal/seqpair"
@@ -46,105 +45,22 @@ func (p *Problem) flat() (*place.Problem, error) {
 	}
 	if len(pp.Groups) == 0 && p.Hierarchy != nil {
 		// Symmetry spelled only in the hierarchy still binds the flat
-		// engines: derive device-level groups exactly as
-		// place.FromBench does from a bench tree (pairs naming child
-		// nodes rather than modules cannot be expressed flat and are
-		// skipped, as there).
+		// engines: one device-level group per symmetry node, as
+		// place.FromBench derives them (pairs naming child nodes
+		// rather than modules cannot be expressed flat and are
+		// skipped).
 		id := make(map[string]int, len(p.Modules))
 		for i, m := range p.Modules {
 			id[m.Name] = i
 		}
-		pp.Groups = append(pp.Groups, hierarchyGroups(p.Hierarchy, id)...)
+		for pairs, selfs := range p.Hierarchy.SymmetryGroups(id) {
+			pp.Groups = append(pp.Groups, seqpair.Group{Pairs: pairs, Selfs: selfs})
+		}
 	}
 	if err := pp.Validate(); err != nil {
 		return nil, err
 	}
 	return pp, nil
-}
-
-// hierarchyGroups collects the device-level symmetry groups of a
-// hierarchy: one group per symmetry node, members resolved through
-// the module-name index.
-func hierarchyGroups(nd *Node, id map[string]int) []seqpair.Group {
-	var groups []seqpair.Group
-	if nd.Kind == KindSymmetry {
-		g := seqpair.Group{}
-		for _, pr := range nd.Pairs {
-			a, oka := id[pr[0]]
-			b, okb := id[pr[1]]
-			if oka && okb {
-				g.Pairs = append(g.Pairs, [2]int{a, b})
-			}
-		}
-		for _, s := range nd.Selfs {
-			if m, ok := id[s]; ok {
-				g.Selfs = append(g.Selfs, m)
-			}
-		}
-		if g.Size() > 0 {
-			groups = append(groups, g)
-		}
-	}
-	for _, c := range nd.Children {
-		groups = append(groups, hierarchyGroups(c, id)...)
-	}
-	return groups
-}
-
-// kindValues maps hierarchy kind strings to constraint kinds.
-var kindValues = map[string]constraint.Kind{
-	KindNone:           constraint.KindNone,
-	KindSymmetry:       constraint.KindSymmetry,
-	KindCommonCentroid: constraint.KindCommonCentroid,
-	KindProximity:      constraint.KindProximity,
-}
-
-// kindNames is the inverse of kindValues.
-var kindNames = map[constraint.Kind]string{
-	constraint.KindNone:           KindNone,
-	constraint.KindSymmetry:       KindSymmetry,
-	constraint.KindCommonCentroid: KindCommonCentroid,
-	constraint.KindProximity:      KindProximity,
-}
-
-func toConstraintNode(nd *Node) *constraint.Node {
-	n := &constraint.Node{
-		Name:     nd.Name,
-		Kind:     kindValues[nd.Kind],
-		Devices:  append([]string(nil), nd.Devices...),
-		SymPairs: append([][2]string(nil), nd.Pairs...),
-		SymSelfs: append([]string(nil), nd.Selfs...),
-	}
-	if nd.Units != nil {
-		n.Units = make(map[string][]string, len(nd.Units))
-		for k, v := range nd.Units {
-			n.Units[k] = append([]string(nil), v...)
-		}
-	}
-	for _, c := range nd.Children {
-		n.Children = append(n.Children, toConstraintNode(c))
-	}
-	return n
-}
-
-func fromConstraintNode(n *constraint.Node) *Node {
-	nd := &Node{
-		Name:    n.Name,
-		Kind:    kindNames[n.Kind],
-		Devices: append([]string(nil), n.Devices...),
-		Pairs:   append([][2]string(nil), n.SymPairs...),
-		Selfs:   append([]string(nil), n.SymSelfs...),
-	}
-	if n.Units != nil {
-		nd.Units = make(map[string][]string, len(n.Units))
-		for k, v := range n.Units {
-			nd.Units[k] = append([]string(nil), v...)
-		}
-	}
-	for _, c := range n.Children {
-		nd.Children = append(nd.Children, fromConstraintNode(c))
-	}
-	return nd
 }
 
 // bench materializes the problem as a benchmark circuit for the
@@ -169,10 +85,8 @@ func (p *Problem) bench() (*circuits.Bench, error) {
 			return nil, fmt.Errorf("placer: %v", err)
 		}
 	}
-	var tree *constraint.Node
-	if p.Hierarchy != nil {
-		tree = toConstraintNode(p.Hierarchy)
-	} else {
+	tree := p.Hierarchy.Clone() // attachUncovered must not grow the caller's tree
+	if tree == nil {
 		tree = p.synthesizeTree(name)
 	}
 	attachUncovered(tree, p.Modules)
@@ -189,22 +103,22 @@ func (p *Problem) bench() (*circuits.Bench, error) {
 
 // synthesizeTree builds a one-level hierarchy from the flat symmetry
 // and proximity groups.
-func (p *Problem) synthesizeTree(name string) *constraint.Node {
-	root := &constraint.Node{Name: name}
+func (p *Problem) synthesizeTree(name string) *Node {
+	root := &Node{Name: name}
 	for gi, g := range p.Symmetry {
-		ch := &constraint.Node{
+		ch := &Node{
 			Name: fmt.Sprintf("sym%d", gi),
-			Kind: constraint.KindSymmetry,
+			Kind: KindSymmetry,
 		}
 		for _, pr := range g.Pairs {
 			a, b := p.Modules[pr[0]].Name, p.Modules[pr[1]].Name
 			ch.Devices = append(ch.Devices, a, b)
-			ch.SymPairs = append(ch.SymPairs, [2]string{a, b})
+			ch.Pairs = append(ch.Pairs, [2]string{a, b})
 		}
 		for _, s := range g.Selfs {
 			n := p.Modules[s].Name
 			ch.Devices = append(ch.Devices, n)
-			ch.SymSelfs = append(ch.SymSelfs, n)
+			ch.Selfs = append(ch.Selfs, n)
 		}
 		root.Children = append(root.Children, ch)
 	}
@@ -218,9 +132,9 @@ func (p *Problem) synthesizeTree(name string) *constraint.Node {
 		}
 	}
 	for gi, grp := range p.Proximity {
-		ch := &constraint.Node{
+		ch := &Node{
 			Name: fmt.Sprintf("prox%d", gi),
-			Kind: constraint.KindProximity,
+			Kind: KindProximity,
 		}
 		for _, m := range grp {
 			if covered[m] {
@@ -238,10 +152,10 @@ func (p *Problem) synthesizeTree(name string) *constraint.Node {
 
 // attachUncovered adds modules the tree does not own to the root, so
 // the hierarchical engine places every module.
-func attachUncovered(root *constraint.Node, modules []Module) {
+func attachUncovered(root *Node, modules []Module) {
 	owned := make(map[string]bool)
-	var walk func(n *constraint.Node)
-	walk = func(n *constraint.Node) {
+	var walk func(n *Node)
+	walk = func(n *Node) {
 		for _, d := range n.Devices {
 			owned[d] = true
 		}
@@ -262,16 +176,15 @@ func attachUncovered(root *constraint.Node, modules []Module) {
 // through place.FromBench — so the conventional area + HPWL objective
 // is preserved — plus the design hierarchy, so the hierarchical
 // engine sees the same tree a native run would. The result is
-// normalized.
+// normalized, and it takes b's tree rather than a copy: normalizing
+// reorders that tree in place, so b must not be used afterwards.
 func fromBench(b *circuits.Bench) (*Problem, error) {
 	pp, err := place.FromBench(b)
 	if err != nil {
 		return nil, err
 	}
 	p := fromPlace(b.Name, pp)
-	if b.Tree != nil {
-		p.Hierarchy = fromConstraintNode(b.Tree)
-	}
+	p.Hierarchy = b.Tree
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}

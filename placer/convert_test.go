@@ -1,6 +1,8 @@
 package placer
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 
 	"repro/internal/circuits"
@@ -121,5 +123,37 @@ func TestBenchSynthesizedHierarchy(t *testing.T) {
 	leaves := b.Tree.Leaves()
 	if len(leaves) != len(p.Modules) {
 		t.Fatalf("synthesized tree covers %d of %d modules", len(leaves), len(p.Modules))
+	}
+}
+
+// TestBenchLeavesHierarchyUntouched: bench attaches the modules a
+// hierarchy leaves uncovered to the root of the tree it hands the
+// engine, and that tree must be its own, not the problem's.
+func TestBenchLeavesHierarchyUntouched(t *testing.T) {
+	p := testProblem()
+	p.Hierarchy = &Node{
+		Name: "root",
+		Children: []*Node{
+			{Name: "dp", Kind: KindSymmetry, Devices: []string{"A", "B"},
+				Pairs: [][2]string{{"A", "B"}}},
+		},
+	} // C and D uncovered
+	before, err := json.Marshal(p.Hierarchy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := p.bench()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(b.Tree.Leaves()); got != len(p.Modules) {
+		t.Fatalf("bench tree covers %d of %d modules", got, len(p.Modules))
+	}
+	after, err := json.Marshal(p.Hierarchy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("bench changed the problem's hierarchy:\nbefore %s\n after %s", before, after)
 	}
 }

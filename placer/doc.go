@@ -56,7 +56,10 @@
 // schedules on internal/anneal. The JSON tags on [Problem] and its
 // parts are the wire spelling: internal/wire embeds Problem behind a
 // format version and adds strict decoding and content hashing, with no
-// conversion layer between the two. internal/service schedules Solve
+// conversion layer between the two. [Node], the design hierarchy, is
+// internal/constraint's tree type under an alias, so the hierarchy the
+// wire decodes is the tree hbstar and shapefn pack, also without
+// conversion. internal/service schedules Solve
 // calls behind the HTTP daemon. See PERFORMANCE.md's "Public API"
 // section for migration notes from the internal packages.
 package placer

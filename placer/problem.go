@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"repro/internal/constraint"
 )
 
 // Module is one placeable rectangle of W × H layout units.
@@ -43,25 +45,17 @@ type Objective struct {
 
 // Hierarchy node kinds.
 const (
-	KindNone           = ""
-	KindSymmetry       = "symmetry"
-	KindCommonCentroid = "common_centroid"
-	KindProximity      = "proximity"
+	KindNone           = constraint.KindNone
+	KindSymmetry       = constraint.KindSymmetry
+	KindCommonCentroid = constraint.KindCommonCentroid
+	KindProximity      = constraint.KindProximity
 )
 
 // Node is one node of the layout design hierarchy (the constraint
-// tree the hierarchical HB*-tree engine consumes). Devices name
-// modules; symmetry Pairs and Selfs may name either modules or child
-// nodes (a child participates as one rigid object).
-type Node struct {
-	Name     string              `json:"name,omitempty"`
-	Kind     string              `json:"kind,omitempty"` // one of the Kind constants
-	Devices  []string            `json:"devices,omitempty"`
-	Pairs    [][2]string         `json:"pairs,omitempty"`
-	Selfs    []string            `json:"selfs,omitempty"`
-	Units    map[string][]string `json:"units,omitempty"`
-	Children []*Node             `json:"children,omitempty"`
-}
+// tree the hierarchical engines consume). Devices name modules;
+// symmetry Pairs and Selfs may name either modules or child nodes (a
+// child participates as one rigid object).
+type Node = constraint.Node
 
 // Problem is the canonical placement instance every consumer of this
 // repository speaks: the CLI, the daemon, the engines and the
@@ -377,49 +371,7 @@ func (p *Problem) Normalize() {
 	if len(p.Power) == 0 {
 		p.Power = nil
 	}
-	p.Hierarchy.normalize()
-}
-
-// normalize canonicalizes a hierarchy subtree: pair endpoints
-// ordered, member lists sorted, children ordered by their (unique)
-// names. The normalized form is also the form that solves, so
-// different spellings of one tree hash and behave identically.
-func (nd *Node) normalize() {
-	if nd == nil {
-		return
-	}
-	sort.Strings(nd.Devices)
-	for pi := range nd.Pairs {
-		if nd.Pairs[pi][0] > nd.Pairs[pi][1] {
-			nd.Pairs[pi][0], nd.Pairs[pi][1] = nd.Pairs[pi][1], nd.Pairs[pi][0]
-		}
-	}
-	sort.Slice(nd.Pairs, func(i, j int) bool {
-		if nd.Pairs[i][0] != nd.Pairs[j][0] {
-			return nd.Pairs[i][0] < nd.Pairs[j][0]
-		}
-		return nd.Pairs[i][1] < nd.Pairs[j][1]
-	})
-	sort.Strings(nd.Selfs)
-	for _, devs := range nd.Units {
-		sort.Strings(devs)
-	}
-	for _, c := range nd.Children {
-		c.normalize()
-	}
-	sort.Slice(nd.Children, func(i, j int) bool { return nd.Children[i].Name < nd.Children[j].Name })
-	if len(nd.Devices) == 0 {
-		nd.Devices = nil
-	}
-	if len(nd.Pairs) == 0 {
-		nd.Pairs = nil
-	}
-	if len(nd.Selfs) == 0 {
-		nd.Selfs = nil
-	}
-	if len(nd.Children) == 0 {
-		nd.Children = nil
-	}
+	p.Hierarchy.Normalize()
 }
 
 // symKey is a group's smallest member, its canonical sort key (groups
@@ -488,28 +440,4 @@ func cloneIDLists(lists [][]int) [][]int {
 		out[i] = append([]int(nil), l...)
 	}
 	return out
-}
-
-// Clone deep-copies a hierarchy subtree (nil-safe).
-func (nd *Node) Clone() *Node {
-	if nd == nil {
-		return nil
-	}
-	c := *nd
-	c.Devices = append([]string(nil), nd.Devices...)
-	c.Pairs = append([][2]string(nil), nd.Pairs...)
-	c.Selfs = append([]string(nil), nd.Selfs...)
-	if nd.Units != nil {
-		c.Units = make(map[string][]string, len(nd.Units))
-		for k, v := range nd.Units {
-			c.Units[k] = append([]string(nil), v...)
-		}
-	}
-	if nd.Children != nil {
-		c.Children = make([]*Node, len(nd.Children))
-		for i, ch := range nd.Children {
-			c.Children[i] = ch.Clone()
-		}
-	}
-	return &c
 }

@@ -223,9 +223,12 @@ type Result struct {
 	BBoxW, BBoxH int
 	AreaUsage    float64
 	Legal        bool
-	// Violations lists remaining constraint violations against the
-	// problem's full constraint set (symmetry included, whether or not
-	// the representation enforced it by construction).
+	// Violations lists remaining constraint violations. Which
+	// constraints are checked depends on the engine: hbstar checks
+	// every node of its hierarchy (symmetry, common-centroid and
+	// proximity); the flat engines, esf and rsf check only the
+	// device-level symmetry groups, whether or not the representation
+	// enforced them by construction.
 	Violations []string
 	// Cancelled reports the run stopped on ctx cancellation or
 	// WithDeadline expiry; the placement is the best seen so far.
