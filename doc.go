@@ -7,9 +7,14 @@
 // every substrate they rest on:
 //
 //   - Section II — symmetric-feasible sequence-pairs: internal/seqpair
-//     (property (1), the search-space Lemma, O(n log log n) packing on
-//     the van Emde Boas queue of internal/veb, and a symmetric
-//     placement constructor), driven by internal/place.
+//     (property (1), the search-space Lemma, and three packers),
+//     driven by internal/place. Only the full flat pack, SP.PackInto,
+//     runs in O(n log log n) on the van Emde Boas queue of
+//     internal/veb. The annealer's flat moves repack with IncPack, a
+//     weighted-LCS scan on a sorted staircase that replays its cached
+//     journal outside the disturbed steps. Symmetric placements come
+//     from PackSymmetric, which solves the constraint graphs by
+//     iterated longest path.
 //   - Section III — hierarchical placement: internal/hbstar
 //     (HB*-trees with contour nodes) over internal/asf (ASF-B*-tree
 //     symmetry islands) and internal/bstar, whose contour packs every
@@ -240,7 +245,7 @@
 // re-scan the longest-common-subsequence evaluation only from the
 // alpha positions a move disturbed until it re-converges with the
 // previous one, and replay the cached scan everywhere else
-// (seqpair.IncPack, exact to the bit against a full pack, ~14× per
+// (seqpair.IncPack, exact to the bit against a full pack, ~15× per
 // move at n=10⁴), and B*-tree repacks replay the unchanged pre-order
 // prefix from per-step records (bstar.IncPackWorkspace). Second,
 // range-limited moves: above n≈2000 the sequence-pair placer draws

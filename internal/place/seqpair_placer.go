@@ -56,9 +56,9 @@ const (
 // re-converges, and the distance that takes grows with how far the
 // swapped modules are apart: TimberWolf-style bounded windows keep it
 // short, which is what makes 10⁴–10⁵-module walks affordable (at
-// n=10⁴ a local-move pack costs about two thirds of a global-swap
-// one). The threshold sits above every pinned golden instance, so the
-// RNG draw sequence (and thus the goldens) is unchanged below it.
+// n=10⁴ a local-move pack costs about 70 % of a global-swap one). The
+// threshold sits above every pinned golden instance, so the RNG draw
+// sequence (and thus the goldens) is unchanged below it.
 const spLocalMoveMinN = 2048
 
 // spRep is the symmetric-feasible sequence-pair Representation.

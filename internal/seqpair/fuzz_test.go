@@ -43,6 +43,11 @@ func FuzzIncPack(f *testing.F) {
 	f.Add([]byte{10, 1, 0, 0, 3, 0, 7, 9, 1, 0, 2, 0, 5, 9})
 	f.Add([]byte{200, 7, 4, 0, 0, 0, 150, 9, 2, 0, 9, 0, 80, 9, 5, 9, 4, 3, 0, 20, 9, 5, 9})
 	f.Add([]byte{130, 3, 6, 6, 6, 6, 9, 8, 9, 7, 0, 1, 0, 120, 9})
+	// n = 32 and n = 160, multiples of the minimum checkpoint stride
+	// (16): windows that straddle or end on a grid step, swaps,
+	// rotations, a burst, and save → pack → undo.
+	f.Add([]byte{31, 5, 3, 0, 16, 9, 7, 0, 18, 0, 17, 9, 4, 0, 0, 0, 0, 0, 31, 9, 5, 9, 3, 0, 31, 9})
+	f.Add([]byte{159, 11, 7, 0, 17, 0, 34, 9, 4, 2, 0, 48, 0, 144, 9, 6, 1, 0, 16, 0, 96, 2, 0, 64, 0, 128, 9, 5, 9, 7, 0, 162, 0, 2, 9})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := &byteReader{data: data}
 		n := 1 + r.next()%200

@@ -24,33 +24,39 @@ package seqpair
 //     checkpoint, or from where the previous interval's scan stopped
 //     if that is closer) by journal replay — cheap: no predecessor
 //     queries, just recorded splices;
-//   - it then re-scans for real while maintaining, against a shadow
-//     copy evolved by the old journal, a count of keys on which the
-//     two staircases disagree. Once the scan has passed the interval
-//     and the count is zero, every step up to the next interval would
-//     reproduce the cached journal entry, coordinate and checkpoint
-//     exactly, so the scan jumps ahead (or, past the last interval,
-//     stops).
+//   - it then re-scans for real. At each grid step past the interval,
+//     before refreshing that checkpoint, it compares the working
+//     staircase with it (same keys, same values). Equal means the new
+//     scan has re-converged with the old one, so every step up to the
+//     next interval would reproduce the cached journal entry,
+//     coordinate and checkpoint exactly: the scan jumps ahead (or,
+//     past the last interval, stops).
 //
 // The skip is exact, not approximate: the scan step is a deterministic
-// function of (staircase, module, key, dimension), so agreeing
-// staircases and undisturbed inputs imply identical steps. The
-// property tests in incpack_test.go and FuzzIncPack in fuzz_test.go
-// hold PackIncrementalInto bit-identical to PackInto (and PackNaive)
-// under randomized move/undo/disturb sequences.
+// function of (staircase, module, key, dimension), and the checkpoint
+// not yet refreshed by this pack is the old trajectory's staircase
+// just before its step, so equal staircases and undisturbed inputs
+// imply identical steps. Checking only on the grid costs overshoot,
+// never exactness: a scan may run up to one stride past the step where
+// it truly re-converged. The property tests in incpack_test.go and
+// FuzzIncPack in fuzz_test.go hold PackIncrementalInto bit-identical
+// to PackInto (and PackNaive) under randomized move/undo/disturb
+// sequences.
 //
-// The staircase here is a sorted key slice with epoch-stamped
-// value/membership arrays indexed by beta position, not the vEB queue
-// of the full packer: the incremental scan touches few steps, so the
-// O(log s) binary search and small memmoves beat re-Clearing a vEB
-// universe every pack.
+// The staircase here is a sorted key slice with a value array indexed
+// by key (beta position), not the vEB queue of the full packer: the
+// incremental scan touches few steps, so the O(log s) binary search
+// and small memmoves beat re-Clearing a vEB universe every pack.
 
-// incCkStride returns the checkpoint grid stride for n modules: dense
-// enough that journal replay to a dirty interval stays cheap, sparse
-// enough that checkpoint refreshes and memory stay bounded at n = 10⁵.
+// incCkStride returns the checkpoint grid stride for n modules. The
+// grid holds the seek points and is where a re-scan checks for
+// re-convergence, so a scan overshoots the true convergence step by
+// up to a stride; n/256 keeps that overshoot and the journal replay
+// behind a seek short, while checkpoint refreshes and memory stay
+// bounded at n = 10⁵.
 func incCkStride(n int) int {
-	const minStride = 64
-	if s := n / 64; s > minStride {
+	const minStride = 16
+	if s := n / 256; s > minStride {
 		return s
 	}
 	return minStride
@@ -76,17 +82,10 @@ type incAxis struct {
 	// Journal of the most recent trajectory, per scan step.
 	insKey, insVal []int
 	delKeys        [][]int
-	// Working staircase: sorted keys, plus value/membership indexed by
-	// key (beta position). A key is live iff stamp[key] == epoch.
-	keys  []int
-	val   []int
-	stamp []uint32
-	epoch uint32
-	// Shadow staircase evolved by the old journal during an
-	// incremental re-scan, for the agreement count.
-	oldVal   []int
-	oldStamp []uint32
-	oldEpoch uint32
+	// Working staircase: sorted keys, plus the value of each live key
+	// indexed by key (beta position).
+	keys []int
+	val  []int
 	// Checkpoints: staircase state just before step g*ck.
 	ckKeys, ckVals [][]int
 }
@@ -99,15 +98,11 @@ func (a *incAxis) ensure(n int) {
 		a.insVal = make([]int, n)
 		a.delKeys = make([][]int, n)
 		a.val = make([]int, n)
-		a.stamp = make([]uint32, n)
-		a.oldVal = make([]int, n)
-		a.oldStamp = make([]uint32, n)
 	}
 	a.coord = a.coord[:n]
 	a.insKey, a.insVal = a.insKey[:n], a.insVal[:n]
 	a.delKeys = a.delKeys[:n]
-	a.val, a.stamp = a.val[:n], a.stamp[:n]
-	a.oldVal, a.oldStamp = a.oldVal[:n], a.oldStamp[:n]
+	a.val = a.val[:n]
 	nck := (n-1)/a.ck + 1
 	if n == 0 {
 		nck = 0
@@ -133,28 +128,6 @@ func (a *incAxis) search(p int) int {
 		}
 	}
 	return lo
-}
-
-// agree reports whether the working and shadow staircases agree on
-// key k (same membership and, if live, same value).
-func (a *incAxis) agree(k int) bool {
-	live := a.stamp[k] == a.epoch
-	if live != (a.oldStamp[k] == a.oldEpoch) {
-		return false
-	}
-	return !live || a.val[k] == a.oldVal[k]
-}
-
-// count adjusts the disagreement count after key k changed from
-// agreeing (was) to a.agree(k).
-func (a *incAxis) count(k int, was bool, diff *int) {
-	if now := a.agree(k); now != was {
-		if was {
-			*diff++
-		} else {
-			*diff--
-		}
-	}
 }
 
 // splice replaces keys[i:i+nd] with the single key p.
@@ -183,18 +156,30 @@ func (a *incAxis) saveCk(g int) {
 }
 
 func (a *incAxis) loadCk(g int) {
-	a.epoch++
 	a.keys = append(a.keys[:0], a.ckKeys[g]...)
 	for i, k := range a.keys {
 		a.val[k] = a.ckVals[g][i]
-		a.stamp[k] = a.epoch
 	}
 }
 
+// atCk reports whether the working staircase equals checkpoint g:
+// same keys, same values.
+func (a *incAxis) atCk(g int) bool {
+	keys, vals := a.ckKeys[g], a.ckVals[g]
+	if len(keys) != len(a.keys) {
+		return false
+	}
+	for i, k := range a.keys {
+		if keys[i] != k || vals[i] != a.val[k] {
+			return false
+		}
+	}
+	return true
+}
+
 // step runs one scan step on the working staircase, overwriting the
-// journal entry for s. With diff non-nil it maintains the
-// working-vs-shadow agreement count across every mutation.
-func (a *incAxis) step(sp *SP, dim []int, s int, diff *int) {
+// journal entry for s.
+func (a *incAxis) step(sp *SP, dim []int, s int) {
 	var m int
 	if a.reverse {
 		m = sp.Alpha[len(sp.Alpha)-1-s]
@@ -211,75 +196,34 @@ func (a *incAxis) step(sp *SP, dim []int, s int, diff *int) {
 	end := c + dim[m]
 	// Dominated successors: larger keys whose value does not exceed
 	// the new entry's, exactly as the vEB packer deletes them.
-	dl := a.delKeys[s][:0]
 	j := i
-	for ; j < len(a.keys); j++ {
-		q := a.keys[j]
-		if a.val[q] > end {
-			break
-		}
-		dl = append(dl, q)
-		if diff != nil {
-			was := a.agree(q)
-			a.stamp[q] = 0
-			a.count(q, was, diff)
-		} else {
-			a.stamp[q] = 0
-		}
+	for j < len(a.keys) && a.val[a.keys[j]] <= end {
+		j++
 	}
-	a.delKeys[s] = dl
+	a.delKeys[s] = append(a.delKeys[s][:0], a.keys[i:j]...)
 	a.splice(i, j-i, p)
 	a.insKey[s], a.insVal[s] = p, end
-	if diff != nil {
-		was := a.agree(p)
-		a.val[p] = end
-		a.stamp[p] = a.epoch
-		a.count(p, was, diff)
-	} else {
-		a.val[p] = end
-		a.stamp[p] = a.epoch
-	}
+	a.val[p] = end
 }
 
 // replay applies the journaled step s to the working staircase
 // without recomputation: recorded deletions, recorded insertion.
 func (a *incAxis) replay(s int) {
-	p, v := a.insKey[s], a.insVal[s]
-	i := a.search(p)
-	for _, q := range a.delKeys[s] {
-		a.stamp[q] = 0
-	}
-	a.splice(i, len(a.delKeys[s]), p)
-	a.val[p] = v
-	a.stamp[p] = a.epoch
-}
-
-// oldStep evolves the shadow staircase by the old journal entry for
-// step s, before step overwrites it, maintaining the agreement count.
-func (a *incAxis) oldStep(s int, diff *int) {
-	for _, q := range a.delKeys[s] {
-		was := a.agree(q)
-		a.oldStamp[q] = 0
-		a.count(q, was, diff)
-	}
-	okey := a.insKey[s]
-	was := a.agree(okey)
-	a.oldVal[okey] = a.insVal[s]
-	a.oldStamp[okey] = a.oldEpoch
-	a.count(okey, was, diff)
+	p := a.insKey[s]
+	a.splice(a.search(p), len(a.delKeys[s]), p)
+	a.val[p] = a.insVal[s]
 }
 
 // full runs a complete scan, establishing coord, journal and
 // checkpoints from scratch.
 func (a *incAxis) full(sp *SP, dim []int) {
 	n := sp.N()
-	a.epoch++
 	a.keys = a.keys[:0]
 	for s := 0; s < n; s++ {
 		if s%a.ck == 0 {
 			a.saveCk(s / a.ck)
 		}
-		a.step(sp, dim, s, nil)
+		a.step(sp, dim, s)
 	}
 }
 
@@ -301,9 +245,9 @@ func (a *incAxis) seek(pos, lo int) {
 
 // incremental re-scans the disturbed scan-step intervals dirty (sorted,
 // disjoint): for each, seek to its first step, then run live steps
-// against the shadow staircase until past the interval with zero
-// disagreements. An interval the live scan reaches before converging
-// joins the scan in progress.
+// until a grid step past the interval finds the working staircase
+// equal to that step's checkpoint. An interval the live scan reaches
+// before converging joins the scan in progress.
 func (a *incAxis) incremental(sp *SP, dim []int, dirty []span) {
 	n := sp.N()
 	pos := -1
@@ -311,30 +255,20 @@ func (a *incAxis) incremental(sp *SP, dim []int, dirty []span) {
 		lo, hi := dirty[k].lo, dirty[k].hi
 		k++
 		a.seek(pos, lo)
-		// Shadow := snapshot of the working staircase (they agree on
-		// every key here, by checkpoint validity and the induction).
-		a.oldEpoch++
-		for _, key := range a.keys {
-			a.oldVal[key] = a.val[key]
-			a.oldStamp[key] = a.oldEpoch
-		}
-		diff := 0
 		s := lo
 		for ; s < n; s++ {
 			for k < len(dirty) && dirty[k].lo <= s {
 				hi = max(hi, dirty[k].hi)
 				k++
 			}
-			if s > hi && diff == 0 {
-				break // exact convergence: steps up to the next interval replay the cache
-			}
 			if s%a.ck == 0 {
+				// Compare before saveCk overwrites the old state.
+				if s > hi && a.atCk(s/a.ck) {
+					break // exact convergence: steps up to the next interval replay the cache
+				}
 				a.saveCk(s / a.ck)
 			}
-			// The shadow takes the old journal entry first, so step can
-			// overwrite it in place; the count is order-independent.
-			a.oldStep(s, &diff)
-			a.step(sp, dim, s, &diff)
+			a.step(sp, dim, s)
 		}
 		if s == n {
 			return

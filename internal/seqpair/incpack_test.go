@@ -310,3 +310,91 @@ func BenchmarkSeqPairIncrementalPack(b *testing.B) {
 		})
 	}
 }
+
+// TestIncrementalPackGridBoundaries disturbs the scan exactly on the
+// checkpoint grid, where the incremental packer seeks from and checks
+// for re-convergence: alpha position p is step p of the forward x scan
+// and step n-1-p of the reverse y scan, so each grid step is hit on
+// both axes. Every single swap, its undo and every rotation must pack
+// to PackInto's coordinates, and to PackNaive's where n ≤ 64.
+func TestIncrementalPackGridBoundaries(t *testing.T) {
+	for _, n := range []int{1, 15, 16, 17, 31, 32, 33, 257, 1000} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(2000 + n)))
+			sp := New(n)
+			sp.Shuffle(rng)
+			w, h := randDims(n, rng)
+			ip := &IncPack{}
+			ws := &PackWorkspace{}
+			check := func(tag string) {
+				t.Helper()
+				checkIncremental(t, sp, ip, ws, w, h, tag)
+				if n > 64 {
+					return
+				}
+				ix, iy := sp.PackIncrementalInto(ip, w, h)
+				nx, ny := sp.PackNaive(w, h)
+				for m := 0; m < n; m++ {
+					if ix[m] != nx[m] || iy[m] != ny[m] {
+						t.Fatalf("%s: module %d incremental (%d,%d) != naive (%d,%d)", tag, m, ix[m], iy[m], nx[m], ny[m])
+					}
+				}
+			}
+			check("initial")
+
+			// Grid steps of the x scan and, mirrored, of the y scan;
+			// the first step past the last grid point; both ends.
+			ck := incCkStride(n)
+			seen := map[int]bool{}
+			var pos []int
+			add := func(p int) {
+				if p >= 0 && p < n && !seen[p] {
+					seen[p] = true
+					pos = append(pos, p)
+				}
+			}
+			for s := 0; s < n; s += ck {
+				add(s)
+				add(n - 1 - s)
+			}
+			last := (n - 1) / ck * ck
+			add(last + 1)
+			add(n - 1 - (last + 1))
+			add(n - 1)
+
+			for i, p := range pos {
+				m := sp.Alpha[p]
+				w[m], h[m] = h[m], w[m]
+				ip.Disturb(p, p)
+				check(fmt.Sprintf("rotate alpha %d", p))
+				if n < 2 {
+					continue
+				}
+				q := pos[(i+1)%len(pos)]
+				if q == p {
+					q = (p + 1) % n
+				}
+				for _, tag := range []string{"swap", "undo"} {
+					sp.SwapAlpha(p, q)
+					ip.Disturb(p, p)
+					ip.Disturb(q, q)
+					check(fmt.Sprintf("%s alpha %d,%d", tag, p, q))
+				}
+			}
+
+			// Windows that end one step before grid step s: on the x
+			// scan (alpha [s-2, s-1]) and on the y scan (steps
+			// [s-2, s-1], alpha [n-s, n-s+1]).
+			for s := ck; s < n && n >= 3; s += ck {
+				for _, lo := range []int{s - 2, n - s} {
+					if lo < 0 || lo+1 >= n {
+						continue
+					}
+					sp.SwapAlpha(lo, lo+1)
+					ip.Disturb(lo, lo+1)
+					check(fmt.Sprintf("window [%d,%d]", lo, lo+1))
+				}
+			}
+		})
+	}
+}
