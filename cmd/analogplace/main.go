@@ -12,8 +12,9 @@
 //	            [-algorithms]
 //
 // -algorithms lists the placer registry — every valid -method value
-// with its kind (flat/hierarchical) and portfolio eligibility — and
-// exits; the daemon serves the same listing on GET /v1/algorithms.
+// with its kind (flat/hierarchical), portfolio eligibility and what
+// it guarantees and refuses (placer.Info) — and exits; the daemon
+// serves the same listing on GET /v1/algorithms.
 //
 // Every method, registry algorithm or portfolio, takes one path: the
 // CLI assembles a wire Request (internal/wire) from -bench and the
@@ -30,9 +31,7 @@
 // esf and rsf run Section IV's deterministic hierarchically bounded
 // enumeration with enhanced or regular shape functions on the
 // benchmark's canonical hierarchy (children sorted by name, the form
-// the daemon solves too). They ignore -seed, -workers and the
-// schedule, and minimize area only, so they reject -outline, -prox
-// and -thermal, and problems over placer.MaxShapeModules modules.
+// the daemon solves too).
 //
 // The objective flags tune the composable cost model: -outline adds a
 // fixed-outline penalty (the output reports whether the bounding box
@@ -189,18 +188,33 @@ func run(args []string, stdout, stderr io.Writer) error {
 }
 
 // printAlgorithms lists the registry: one row per engine plus the
-// portfolio meta-method.
+// portfolio meta-method, and under an engine that ignores the
+// schedule, caps the problem size or refuses objective terms, a line
+// saying so.
 func printAlgorithms(w io.Writer) {
-	fmt.Fprintf(w, "%-16s %-13s %-10s %s\n", "ALGORITHM", "KIND", "PORTFOLIO", "DESCRIPTION")
-	for _, v := range service.AlgorithmViews() {
-		eligible := "-"
-		if v.Portfolio {
-			eligible = "yes"
+	const row = "%-16s %-13s %-10s %-10s %-8s %s\n"
+	fmt.Fprintf(w, row, "ALGORITHM", "KIND", "PORTFOLIO", "SYMMETRIC", "OVERLAP", "DESCRIPTION")
+	mark := func(b bool, s string) string {
+		if b {
+			return s
 		}
-		if v.Kind == "portfolio" {
-			eligible = ""
+		return "-"
+	}
+	for _, v := range service.Algorithms() {
+		fmt.Fprintf(w, row, v.Name, v.Kind, mark(v.Portfolio, "yes"), mark(v.Symmetric, "yes"), mark(v.MayOverlap, "may"), v.Description)
+		var limits []string
+		if v.IgnoresSchedule {
+			limits = append(limits, "ignores seed, workers and schedule")
 		}
-		fmt.Fprintf(w, "%-16s %-13s %-10s %s\n", v.Name, v.Kind, eligible, v.Description)
+		if v.MaxModules > 0 {
+			limits = append(limits, fmt.Sprintf("at most %d modules", v.MaxModules))
+		}
+		if len(v.Refuses) > 0 {
+			limits = append(limits, "refuses the "+strings.Join(v.Refuses, ", ")+" terms")
+		}
+		if len(limits) > 0 {
+			fmt.Fprintf(w, "%-16s %s\n", "", strings.Join(limits, "; "))
+		}
 	}
 }
 

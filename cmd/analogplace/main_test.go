@@ -43,6 +43,44 @@ func TestAlgorithmsFlag(t *testing.T) {
 	}
 }
 
+// TestAlgorithmsFlagCapabilities: -algorithms shows what each engine
+// states in its Info — seqpair's symmetry, absolute's possible
+// overlaps, and esf's ignored schedule, module ceiling and refused
+// terms on the line under its row.
+func TestAlgorithmsFlagCapabilities(t *testing.T) {
+	out, err := cli(t, "-algorithms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := map[string][]string{}
+	lines := strings.Split(out, "\n")
+	for i, line := range lines {
+		if f := strings.Fields(line); len(f) > 0 && !strings.HasPrefix(line, " ") {
+			rows[f[0]] = f
+			if i+1 < len(lines) && strings.HasPrefix(lines[i+1], " ") {
+				rows[f[0]+" limits"] = []string{strings.TrimSpace(lines[i+1])}
+			}
+		}
+	}
+	if h := rows["ALGORITHM"]; len(h) < 5 || h[3] != "SYMMETRIC" || h[4] != "OVERLAP" {
+		t.Fatalf("header %v", h)
+	}
+	for name, want := range map[string][2]string{
+		placer.SeqPair: {"yes", "-"}, placer.BStar: {"-", "-"}, placer.Absolute: {"-", "may"}, placer.ESF: {"yes", "-"},
+	} {
+		if r := rows[name]; len(r) < 5 || r[3] != want[0] || r[4] != want[1] {
+			t.Errorf("%s row %v, want SYMMETRIC %s and OVERLAP %s", name, r, want[0], want[1])
+		}
+	}
+	want := "ignores seed, workers and schedule; at most 256 modules; refuses the outline, proximity, thermal terms"
+	if got := rows[placer.ESF+" limits"]; len(got) != 1 || got[0] != want {
+		t.Errorf("esf limits %q, want %q", got, want)
+	}
+	if got, ok := rows[placer.SeqPair+" limits"]; ok {
+		t.Errorf("seqpair lists limits %q", got)
+	}
+}
+
 // TestGeneticEndToEnd: the memetic registry entry is a first-class
 // CLI citizen — -algorithms lists it, and a solve with
 // -method genetic:seqpair produces a legal, constraint-satisfying

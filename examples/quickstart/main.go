@@ -53,7 +53,7 @@ func main() {
 	// -algorithms flag and the daemon's GET /v1/algorithms serve it.
 	fmt.Print("registry:")
 	for _, info := range placer.Algorithms() {
-		fmt.Printf(" %s(%s)", info.Name, info.Kind())
+		fmt.Printf(" %s(%s)", info.Name, info.Kind)
 	}
 	fmt.Println()
 }

@@ -41,7 +41,7 @@ func main() {
 	// 0. No guessing algorithm strings: the daemon lists the placer
 	// registry (every engine plus the portfolio meta-method).
 	fmt.Print("GET /v1/algorithms ->")
-	for _, a := range getAlgorithms(base) {
+	for _, a := range httpDo[[]placer.Info](http.MethodGet, base+"/v1/algorithms", nil) {
 		fmt.Printf(" %s", a.Name)
 	}
 	fmt.Println()
@@ -99,7 +99,7 @@ func main() {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	httpDo(http.MethodDelete, base+"/v1/jobs/"+long.ID, nil)
+	httpDo[service.JobView](http.MethodDelete, base+"/v1/jobs/"+long.ID, nil)
 	cancelled := pollDone(base, long.ID)
 	fmt.Printf("DELETE -> %s, best-so-far cost %.0f after %d stages\n",
 		cancelled.State, cancelled.Result.Cost, cancelled.Result.Stages)
@@ -182,24 +182,11 @@ func post(base string, req wire.Request, wait bool) service.JobView {
 	if wait {
 		url += "?wait=1"
 	}
-	return httpDo(http.MethodPost, url, body)
+	return httpDo[service.JobView](http.MethodPost, url, body)
 }
 
 func get(base, id string) service.JobView {
-	return httpDo(http.MethodGet, base+"/v1/jobs/"+id, nil)
-}
-
-func getAlgorithms(base string) []service.AlgorithmView {
-	resp, err := http.Get(base + "/v1/algorithms")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var views []service.AlgorithmView
-	if err := json.NewDecoder(resp.Body).Decode(&views); err != nil {
-		log.Fatal(err)
-	}
-	return views
+	return httpDo[service.JobView](http.MethodGet, base+"/v1/jobs/"+id, nil)
 }
 
 func pollDone(base, id string) service.JobView {
@@ -212,7 +199,8 @@ func pollDone(base, id string) service.JobView {
 	}
 }
 
-func httpDo(method, url string, body []byte) service.JobView {
+// httpDo sends one request and decodes its JSON answer into a T.
+func httpDo[T any](method, url string, body []byte) T {
 	req, err := http.NewRequest(method, url, bytes.NewReader(body))
 	if err != nil {
 		log.Fatal(err)
@@ -222,7 +210,7 @@ func httpDo(method, url string, body []byte) service.JobView {
 		log.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var v service.JobView
+	var v T
 	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
 		log.Fatalf("%s %s: %v", method, url, err)
 	}

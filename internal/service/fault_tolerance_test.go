@@ -2,11 +2,13 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -225,39 +227,107 @@ func TestPressureModeDegrades(t *testing.T) {
 	}
 }
 
-// TestPressureModeSkipsShapeEngines: esf and rsf ignore the schedule,
-// so queue pressure leaves their result whole, unflagged and cached.
+// fixedEngine is an externally registered engine that states its
+// capabilities the way esf and rsf do: it ignores the schedule, takes
+// at most nine modules and refuses the thermal term. It lays the
+// modules out in a row, a result no schedule changes.
+type fixedEngine struct{}
+
+const fixedName = "x-test-fixed"
+
+func init() {
+	placer.Register(placer.Info{Name: fixedName, IgnoresSchedule: true, MaxModules: 9, Refuses: []string{"thermal"}},
+		func() placer.Engine { return fixedEngine{} })
+}
+
+func (fixedEngine) Solve(_ context.Context, p *placer.Problem, _ placer.EngineOptions) (*placer.Result, error) {
+	res := &placer.Result{Algorithm: fixedName, Legal: true}
+	x := 0
+	for _, m := range p.Modules {
+		res.Placement = append(res.Placement, placer.Placed{Name: m.Name, X: x, W: m.W, H: m.H})
+		x += m.W
+	}
+	return res, nil
+}
+
+// TestPressureModeSkipsShapeEngines: an engine whose Info says it
+// ignores the schedule — esf, or one registered from outside — keeps
+// its result whole, unflagged and cached under queue pressure.
 func TestPressureModeSkipsShapeEngines(t *testing.T) {
-	s := New(Config{Workers: 1, QueueDepth: 8, PressureDepth: 1})
+	for _, method := range []string{placer.ESF, fixedName} {
+		t.Run(method, func(t *testing.T) {
+			s := New(Config{Workers: 1, QueueDepth: 8, PressureDepth: 1})
+			defer s.Close()
+
+			blocker, err := s.Submit(slowRequest(t, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			jb, err := s.Submit(millerRequest(t, method))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Submit(millerRequest(t, placer.SeqPair)); err != nil {
+				t.Fatal(err)
+			}
+			s.Cancel(blocker.ID)
+			waitJob(t, blocker)
+
+			// jb starts with the seqpair job still queued behind it.
+			waitJob(t, jb)
+			if jb.State() != StateDone || jb.Degraded() {
+				t.Fatalf("%s job under queue pressure ended %s, degraded %v: %s", method, jb.State(), jb.Degraded(), jb.Err())
+			}
+			waitRecorded(t, s, jb.ID)
+			j2, err := s.Submit(millerRequest(t, method))
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitJob(t, j2)
+			if !j2.CacheHit() {
+				t.Fatalf("%s result solved under queue pressure was not cached", method)
+			}
+		})
+	}
+}
+
+// TestRegisteredLimitsRefuseBeforeQueuing: the ceiling and refused
+// term an external engine states in its Info fail wire validation, so
+// the daemon answers 400 and never queues the job.
+func TestRegisteredLimitsRefuseBeforeQueuing(t *testing.T) {
+	s := New(Config{Workers: 1})
 	defer s.Close()
-
-	blocker, err := s.Submit(slowRequest(t, 1))
-	if err != nil {
-		t.Fatal(err)
+	srv := httptest.NewServer(NewHandler(s))
+	defer srv.Close()
+	over := millerRequest(t, fixedName)
+	over.Problem.Modules = append(over.Problem.Modules, placer.Module{Name: "X", W: 1, H: 1})
+	thermal := millerRequest(t, fixedName)
+	thermal.Problem.Objective.ThermalWeight = 1
+	for fact, req := range map[string]*wire.Request{"at most 9 modules": over, "the thermal term": thermal} {
+		err := req.Validate()
+		if err == nil || !strings.Contains(err.Error(), fact) {
+			t.Fatalf("wire.Request.Validate: got %v, want an error naming %q", err, fact)
+		}
+		want := err.Error()
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := http.Post(srv.URL+"/v1/place?wait=1", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var msg struct {
+			Error string `json:"error"`
+		}
+		err = json.NewDecoder(res.Body).Decode(&msg)
+		res.Body.Close()
+		if err != nil || res.StatusCode != http.StatusBadRequest || msg.Error != want {
+			t.Errorf("daemon answered %d %q (%v), want 400 %q", res.StatusCode, msg.Error, err, want)
+		}
 	}
-	jb, err := s.Submit(millerRequest(t, placer.ESF))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Submit(millerRequest(t, placer.SeqPair)); err != nil {
-		t.Fatal(err)
-	}
-	s.Cancel(blocker.ID)
-	waitJob(t, blocker)
-
-	// jb starts with the seqpair job still queued behind it.
-	waitJob(t, jb)
-	if jb.State() != StateDone || jb.Degraded() {
-		t.Fatalf("esf job under queue pressure ended %s, degraded %v: %s", jb.State(), jb.Degraded(), jb.Err())
-	}
-	waitRecorded(t, s, jb.ID)
-	j2, err := s.Submit(millerRequest(t, placer.ESF))
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitJob(t, j2)
-	if !j2.CacheHit() {
-		t.Fatal("esf result solved under queue pressure was not cached")
+	if m := s.Metrics(); m.JobsQueued+m.JobsRunning+m.JobsDone+m.JobsFailed+m.CacheMisses != 0 {
+		t.Errorf("a refused request reached the scheduler: %+v", m)
 	}
 }
 

@@ -311,7 +311,7 @@ func NewHandler(s *Scheduler) http.Handler {
 	})
 
 	mux.HandleFunc("GET /v1/algorithms", func(w http.ResponseWriter, r *http.Request) {
-		s.writeJSON(w, http.StatusOK, AlgorithmViews())
+		s.writeJSON(w, http.StatusOK, Algorithms())
 	})
 
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {

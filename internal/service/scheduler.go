@@ -916,12 +916,11 @@ func (s *Scheduler) run(j *Job) {
 	// annealing schedule instead of shedding — every waiting client
 	// gets a (degraded, uncached) placement sooner and the queue
 	// drains. The content hash was computed from the original options,
-	// and degraded results never enter the cache under it. esf and rsf
-	// ignore the schedule: their result is the full one and stays
-	// cacheable.
+	// and degraded results never enter the cache under it. An engine
+	// whose Info ignores the schedule (esf, rsf) is left alone.
 	var extra []placer.Option
-	shapeFn := req.Options.Method == placer.ESF || req.Options.Method == placer.RSF
-	if s.cfg.PressureDepth > 0 && depth >= s.cfg.PressureDepth && !shapeFn {
+	info, _ := placer.Lookup(req.Options.Method)
+	if s.cfg.PressureDepth > 0 && depth >= s.cfg.PressureDepth && !info.IgnoresSchedule {
 		sched := req.Options.Schedule()
 		sched.MaxStages = max(1, sched.MaxStages/4)
 		sched.StallStages = max(1, sched.StallStages/4)

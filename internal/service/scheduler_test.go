@@ -230,7 +230,9 @@ func TestDeterministicJobTimeout(t *testing.T) {
 // the solve's context is still live, as a timed-out store call would.
 type ctxErrEngine struct{}
 
-func (ctxErrEngine) Info() placer.Info { return placer.Info{Name: "x-test-ctxerr"} }
+func init() {
+	placer.Register(placer.Info{Name: "x-test-ctxerr"}, func() placer.Engine { return ctxErrEngine{} })
+}
 
 func (ctxErrEngine) Solve(context.Context, *placer.Problem, placer.EngineOptions) (*placer.Result, error) {
 	return nil, fmt.Errorf("store: %w", context.DeadlineExceeded)
@@ -240,7 +242,6 @@ func (ctxErrEngine) Solve(context.Context, *placer.Problem, placer.EngineOptions
 // makes a job cancelled; a context error from anywhere else is a
 // failure.
 func TestInnerContextErrorFails(t *testing.T) {
-	placer.Register("x-test-ctxerr", func() placer.Engine { return ctxErrEngine{} })
 	s := New(Config{Workers: 1})
 	defer s.Close()
 	j, err := s.Submit(millerRequest(t, "x-test-ctxerr"))

@@ -180,34 +180,15 @@ func wireBreakdown(terms []placer.TermCost) *wire.Breakdown {
 	return bd
 }
 
-// AlgorithmView is one registry entry on the HTTP API and in the
+// Algorithms lists every valid wire method: the placer registry's
+// engines, each with the capabilities its Info states, plus the
+// portfolio meta-method, so clients never have to guess valid
+// `algorithm` strings. It is the body of GET /v1/algorithms and the
 // CLI's -algorithms listing.
-type AlgorithmView struct {
-	Name        string `json:"name"`
-	Kind        string `json:"kind"` // flat, hierarchical, or portfolio (the meta-method)
-	Portfolio   bool   `json:"portfolio"`
-	Description string `json:"description,omitempty"`
-}
-
-// AlgorithmViews lists every valid wire method from the placer
-// registry: the registered engines (name, flat/hierarchical,
-// portfolio eligibility) plus the portfolio meta-method, so clients
-// never have to guess valid `algorithm` strings.
-func AlgorithmViews() []AlgorithmView {
-	infos := placer.Algorithms()
-	out := make([]AlgorithmView, 0, len(infos)+1)
-	for _, info := range infos {
-		out = append(out, AlgorithmView{
-			Name:        info.Name,
-			Kind:        info.Kind(),
-			Portfolio:   info.PortfolioEligible(),
-			Description: info.Description,
-		})
-	}
-	out = append(out, AlgorithmView{
+func Algorithms() []placer.Info {
+	return append(placer.Algorithms(), placer.Info{
 		Name:        wire.MethodPortfolio,
 		Kind:        "portfolio",
 		Description: fmt.Sprintf("races %v concurrently and keeps the best feasible placement", placer.PortfolioAlgorithms()),
 	})
-	return out
 }

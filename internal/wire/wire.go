@@ -73,7 +73,8 @@ const MethodPortfolio = "portfolio"
 // engines registered with placer.Register become valid wire methods
 // automatically.
 func KnownMethod(name string) bool {
-	return name == MethodPortfolio || placer.Known(name)
+	_, registered := placer.Lookup(name)
+	return name == MethodPortfolio || registered
 }
 
 // Options select and tune a solver. The zero value means: seqpair,

@@ -35,10 +35,10 @@
 // concurrently and keeps the winner (feasibility first, then cost,
 // then racing order — deterministic).
 //
-// esf and rsf enumerate over the problem's hierarchy, whose children
-// Solve sorts by name. They ignore seed, workers and schedule, and
-// reject a problem over [MaxShapeModules] modules or with an objective
-// term they cannot honour ([CheckProblem]).
+// Each engine states once, in its [Info], what it ignores, refuses
+// and guarantees; [CheckProblem] enforces the refusals. esf and rsf
+// enumerate over the problem's hierarchy, whose children Solve sorts
+// by name.
 //
 // # Cancellation and streaming
 //

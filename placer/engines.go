@@ -34,68 +34,82 @@ const (
 	RSF = "rsf"
 )
 
-// init self-registers the built-in engines. Registration order is
+// init self-registers the built-in engines, each with the
+// capabilities it states in its Info. Registration order is
 // load-bearing: it is the portfolio racing and tie-break order
 // (seqpair, bstar, tcg) and the display order of every listing.
 func init() {
-	Register(SeqPair, flatFactory(Info{
+	registerFlat(Info{
 		Name:        SeqPair,
 		Portfolio:   true,
+		Symmetric:   true,
 		Description: "simulated annealing over symmetric-feasible sequence pairs (symmetry by construction)",
-	}, place.SeqPair))
-	Register(BStar, flatFactory(Info{
+	}, place.SeqPair)
+	registerFlat(Info{
 		Name:        BStar,
 		Portfolio:   true,
 		Description: "B*-tree compacted placement",
-	}, place.BStar))
-	Register(TCG, flatFactory(Info{
+	}, place.BStar)
+	registerFlat(Info{
 		Name:        TCG,
 		Portfolio:   true,
 		Description: "transitive closure graph placement",
-	}, place.TCG))
-	Register(Slicing, flatFactory(Info{
+	}, place.TCG)
+	registerFlat(Info{
 		Name:        Slicing,
 		Description: "slicing tree (normalized Polish expression) placement",
-	}, place.Slicing))
-	Register(Absolute, flatFactory(Info{
+	}, place.Slicing)
+	registerFlat(Info{
 		Name:        Absolute,
+		MayOverlap:  true,
 		Description: "absolute-coordinate annealing baseline with overlap penalty",
-	}, place.Absolute))
-	Register(HBStar, func() Engine { return hbstarEngine{} })
-	Register(GeneticSeqPair, geneticFactory(Info{
+	}, place.Absolute)
+	Register(Info{
+		Name:        HBStar,
+		Kind:        "hierarchical",
+		Symmetric:   true,
+		Description: "hierarchical HB*-tree placement with ASF-B*-tree symmetry islands",
+	}, func() Engine { return hbstarEngine{} })
+	registerFlat(Info{
 		Name:        GeneticSeqPair,
+		Symmetric:   true,
 		Description: "memetic search (order-crossover GA + annealing refinement) over symmetric-feasible sequence pairs",
-	}, place.GeneticSeqPair))
-	Register(GeneticAbsolute, geneticFactory(Info{
+	}, genetic(place.GeneticSeqPair))
+	registerFlat(Info{
 		Name:        GeneticAbsolute,
+		MayOverlap:  true,
 		Description: "memetic search (uniform-crossover GA + annealing refinement) over absolute coordinates",
-	}, place.GeneticAbsolute))
-	Register(ESF, func() Engine { return shapeEngine{enhanced: true} })
-	Register(RSF, func() Engine { return shapeEngine{enhanced: false} })
+	}, genetic(place.GeneticAbsolute))
+	for _, e := range []shapeEngine{{ESF, "enhanced"}, {RSF, "regular"}} {
+		Register(Info{
+			Name:            e.name,
+			Kind:            "hierarchical",
+			IgnoresSchedule: true,
+			Refuses:         []string{"outline", "proximity", "thermal"},
+			MaxModules:      MaxShapeModules,
+			Symmetric:       true,
+			Description:     "deterministic hierarchically bounded enumeration with " + e.functions + " shape functions (Section IV)",
+		}, func() Engine { return e })
+	}
 }
 
 // flatEngine adapts one of the flat placers to the Engine interface:
 // the canonical problem converts to the id-based flat view
 // (hierarchy-spelled symmetry included), the placer anneals it, and
-// the result is judged against the problem's full constraint set —
-// symmetry included, whether or not the representation enforced it by
-// construction. Only the sequence-pair engine enforces symmetry
-// groups in its move set; the others ignore them in their moves but
-// still optimize the identical composite objective (including the
-// thermal term over symmetry pairs), so portfolio mode compares like
-// for like.
+// the result is judged against the problem's device-level symmetry
+// groups, whether or not the representation enforced them by
+// construction (Info.Symmetric says which do). The others still
+// optimize the identical composite objective (including the thermal
+// term over symmetry pairs), so portfolio mode compares like for like.
 type flatEngine struct {
-	info Info
+	name string
 	run  func(*place.Problem, anneal.Options) (*place.Result, error)
 }
 
-// flatFactory wraps a flat placer entry point as a registry factory.
-func flatFactory(info Info, run func(*place.Problem, anneal.Options) (*place.Result, error)) Factory {
-	return func() Engine { return flatEngine{info: info, run: run} }
+// registerFlat registers a flat placer entry point under info.
+func registerFlat(info Info, run func(*place.Problem, anneal.Options) (*place.Result, error)) {
+	Register(info, func() Engine { return flatEngine{name: info.Name, run: run} })
 }
-
-// Info implements Engine.
-func (e flatEngine) Info() Info { return e.info }
 
 // Solve implements Engine.
 func (e flatEngine) Solve(ctx context.Context, p *Problem, opt EngineOptions) (*Result, error) {
@@ -103,21 +117,21 @@ func (e flatEngine) Solve(ctx context.Context, p *Problem, opt EngineOptions) (*
 	if err != nil {
 		return nil, err
 	}
-	res, err := e.run(prob, opt.annealOptions(ctx, e.info.Name))
+	res, err := e.run(prob, opt.annealOptions(ctx, e.name))
 	if err != nil {
 		return nil, err
 	}
-	return annealedResult(p, e.info.Name, res.Placement, res.Cost, res.Stats, res.Breakdown,
+	return annealedResult(p, e.name, res.Placement, res.Cost, res.Stats, res.Breakdown,
 		prob.ConstraintSet().Violations(res.Placement))
 }
 
-// geneticFactory wraps a memetic placer entry point as a flat engine:
-// the same flat problem view, driven through the two-phase GA+SA
-// search. The GA phase derives its budget from the annealing schedule
-// (one generation per stage bound, offspring per the move bound's
-// scale) so wire-level schedule ceilings bound the genetic work too.
-func geneticFactory(info Info, run func(*place.Problem, anneal.GAOptions, anneal.Options) (*place.Result, error)) Factory {
-	return flatFactory(info, func(prob *place.Problem, sa anneal.Options) (*place.Result, error) {
+// genetic wraps a memetic placer entry point as a flat placer: the
+// same flat problem view, driven through the two-phase GA+SA search.
+// The GA phase derives its budget from the annealing schedule (one
+// generation per stage bound, offspring per the move bound's scale)
+// so wire-level schedule ceilings bound the genetic work too.
+func genetic(run func(*place.Problem, anneal.GAOptions, anneal.Options) (*place.Result, error)) func(*place.Problem, anneal.Options) (*place.Result, error) {
+	return func(prob *place.Problem, sa anneal.Options) (*place.Result, error) {
 		return run(prob, anneal.GAOptions{
 			Seed:             sa.Seed,
 			Generations:      sa.MaxStages,
@@ -125,23 +139,13 @@ func geneticFactory(info Info, run func(*place.Problem, anneal.GAOptions, anneal
 			CrossoverRate:    place.DefaultCrossoverRate,
 			Context:          sa.Context,
 		}, sa)
-	})
+	}
 }
 
 // hbstarEngine adapts the hierarchical HB*-tree placer: the problem
 // materializes as a benchmark circuit (hierarchy preserved, or
-// synthesized from the flat groups), and symmetry is satisfied by
-// construction through ASF-B*-tree symmetry islands.
+// synthesized from the flat groups).
 type hbstarEngine struct{}
-
-// Info implements Engine.
-func (hbstarEngine) Info() Info {
-	return Info{
-		Name:         HBStar,
-		Hierarchical: true,
-		Description:  "hierarchical HB*-tree placement with ASF-B*-tree symmetry islands",
-	}
-}
 
 // Solve implements Engine.
 func (e hbstarEngine) Solve(ctx context.Context, p *Problem, opt EngineOptions) (*Result, error) {
@@ -192,29 +196,16 @@ func annealedResult(p *Problem, algorithm string, pl geom.Placement, costVal flo
 // shapeEngine adapts Section IV's deterministic placer: the
 // hierarchically bounded enumeration over the problem's hierarchy
 // (or one synthesized from the flat groups), with enhanced (esf) or
-// regular (rsf) shape functions. Symmetry holds by construction. It
-// ignores seed, workers and schedule, and refuses the problems and
-// objective terms it cannot take (see CheckProblem). Cost and breakdown come from
-// the problem's own flat model, like flatEngine's.
+// regular (rsf) shape functions. Its Info states what it ignores and
+// refuses. Cost and breakdown come from the problem's own flat model,
+// like flatEngine's.
 type shapeEngine struct {
-	enhanced bool
-}
-
-// Info implements Engine.
-func (e shapeEngine) Info() Info {
-	if e.enhanced {
-		return Info{Name: ESF, Hierarchical: true,
-			Description: "deterministic hierarchically bounded enumeration with enhanced shape functions (Section IV)"}
-	}
-	return Info{Name: RSF, Hierarchical: true,
-		Description: "deterministic hierarchically bounded enumeration with regular shape functions (Section IV)"}
+	name      string
+	functions string // "enhanced" or "regular"
 }
 
 // Solve implements Engine.
 func (e shapeEngine) Solve(ctx context.Context, p *Problem, _ EngineOptions) (*Result, error) {
-	if err := CheckProblem(e.Info().Name, p); err != nil {
-		return nil, err
-	}
 	bench, err := p.bench()
 	if err != nil {
 		return nil, err
@@ -223,12 +214,12 @@ func (e shapeEngine) Solve(ctx context.Context, p *Problem, _ EngineOptions) (*R
 	if err != nil {
 		return nil, err
 	}
-	res, err := shapefn.Place(ctx, bench, e.enhanced)
+	res, err := shapefn.Place(ctx, bench, e.functions == "enhanced")
 	if err != nil {
 		return nil, err
 	}
 	costVal, breakdown := prob.Cost(res.Placement)
-	return newResult(p, e.Info().Name, res.Placement, costVal, anneal.Stats{}, breakdown,
+	return newResult(p, e.name, res.Placement, costVal, anneal.Stats{}, breakdown,
 		prob.ConstraintSet().Violations(res.Placement)), nil
 }
 
@@ -240,30 +231,29 @@ func (e shapeEngine) Solve(ctx context.Context, p *Problem, _ EngineOptions) (*R
 // ceiling changes which requests the daemon accepts.
 const MaxShapeModules = 256
 
-// CheckProblem reports why the named algorithm cannot solve p. Only
-// esf and rsf refuse any problem: one over MaxShapeModules modules, or
-// one whose objective has an outline, a proximity weight or a thermal
-// weight, which the enumeration (it minimizes bounding-box area) would
-// silently ignore. Their Solve calls it, and so does the wire format's
-// request validation, so the daemon answers such a request 400 before
-// queuing it.
+// optionalTerms are the objective terms an engine may refuse
+// (Info.Refuses), each with whether an objective sets it.
+var optionalTerms = map[string]func(Objective) bool{
+	"outline":   func(o Objective) bool { return o.OutlineW > 0 || o.OutlineH > 0 || o.OutlineWeight > 0 },
+	"proximity": func(o Objective) bool { return o.ProxWeight > 0 },
+	"thermal":   func(o Objective) bool { return o.ThermalWeight > 0 },
+}
+
+// CheckProblem reports why the named algorithm's Info refuses p: over
+// its MaxModules, or an objective term it Refuses and would otherwise
+// silently ignore (the message says why in esf and rsf's terms). An
+// unregistered name (the wire's portfolio) passes. Solve runs it before
+// every engine, portfolio racers included, and so does wire request
+// validation: the daemon answers 400 before queuing.
 func CheckProblem(algorithm string, p *Problem) error {
-	if algorithm != ESF && algorithm != RSF {
-		return nil
+	info, _ := Lookup(algorithm)
+	if info.MaxModules > 0 && p.N() > info.MaxModules {
+		return fmt.Errorf("placer: %s takes at most %d modules, the problem has %d", algorithm, info.MaxModules, p.N())
 	}
-	if p.N() > MaxShapeModules {
-		return fmt.Errorf("placer: %s takes at most %d modules, the problem has %d", algorithm, MaxShapeModules, p.N())
+	for _, term := range info.Refuses {
+		if optionalTerms[term](p.Objective) {
+			return fmt.Errorf("placer: %s minimizes bounding-box area over the hierarchy and cannot honour the %s term; drop it from the objective", algorithm, term)
+		}
 	}
-	var term string
-	switch o := p.Objective; {
-	case o.OutlineW > 0 || o.OutlineH > 0 || o.OutlineWeight > 0:
-		term = "outline"
-	case o.ProxWeight > 0:
-		term = "proximity"
-	case o.ThermalWeight > 0:
-		term = "thermal"
-	default:
-		return nil
-	}
-	return fmt.Errorf("placer: %s minimizes bounding-box area over the hierarchy and cannot honour the %s term; drop it from the objective", algorithm, term)
+	return nil
 }

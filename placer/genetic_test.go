@@ -66,7 +66,7 @@ func TestGeneticEnginesListed(t *testing.T) {
 	found := map[string]bool{}
 	for _, info := range placer.Algorithms() {
 		found[info.Name] = true
-		if strings.HasPrefix(info.Name, "genetic:") && info.PortfolioEligible() {
+		if strings.HasPrefix(info.Name, "genetic:") && info.Portfolio {
 			t.Errorf("%s must not be portfolio-eligible", info.Name)
 		}
 	}

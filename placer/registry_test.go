@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/service"
@@ -19,12 +18,16 @@ import (
 // eligibility; the portfolio must skip it anyway.
 type fakeHierEngine struct{}
 
-func (fakeHierEngine) Info() placer.Info {
-	return placer.Info{Name: "x-test-hier", Hierarchical: true, Portfolio: true}
-}
-
 func (fakeHierEngine) Solve(ctx context.Context, p *placer.Problem, opt placer.EngineOptions) (*placer.Result, error) {
 	panic("the portfolio must never race a hierarchical-only engine")
+}
+
+func newFakeHier() placer.Engine { return fakeHierEngine{} }
+
+// Registered once per test binary, so the tests stay rerunnable
+// under -count.
+func init() {
+	placer.Register(placer.Info{Name: "x-test-hier", Kind: "hierarchical", Portfolio: true}, newFakeHier)
 }
 
 func TestRegisterDuplicatePanics(t *testing.T) {
@@ -37,17 +40,24 @@ func TestRegisterDuplicatePanics(t *testing.T) {
 		}()
 		f()
 	}
-	placer.Register("x-test-dup", func() placer.Engine { return fakeHierEngine{} })
 	mustPanic("duplicate name", func() {
-		placer.Register("x-test-dup", func() placer.Engine { return fakeHierEngine{} })
+		placer.Register(placer.Info{Name: "x-test-hier"}, newFakeHier)
 	})
 	mustPanic("builtin name", func() {
-		placer.Register(placer.SeqPair, func() placer.Engine { return fakeHierEngine{} })
+		placer.Register(placer.Info{Name: placer.SeqPair}, newFakeHier)
 	})
 	mustPanic("empty name", func() {
-		placer.Register("", func() placer.Engine { return fakeHierEngine{} })
+		placer.Register(placer.Info{}, newFakeHier)
 	})
-	mustPanic("nil factory", func() { placer.Register("x-test-nil", nil) })
+	mustPanic("nil factory", func() { placer.Register(placer.Info{Name: "x-test-nil"}, nil) })
+	mustPanic("unknown refused term", func() {
+		placer.Register(placer.Info{Name: "x-test-term", Refuses: []string{"hpwl"}}, newFakeHier)
+	})
+	for _, name := range []string{"x-test-nil", "x-test-term"} {
+		if _, ok := placer.Lookup(name); ok {
+			t.Errorf("a panicking Register left %q registered", name)
+		}
+	}
 }
 
 // TestRegistryListsBuiltins: the built-in engines self-register in
@@ -68,7 +78,7 @@ func TestRegistryListsBuiltins(t *testing.T) {
 		}
 	}
 	for _, name := range want {
-		if !placer.Known(name) || !wire.KnownMethod(name) {
+		if _, ok := placer.Lookup(name); !ok || !wire.KnownMethod(name) {
 			t.Errorf("%s not known", name)
 		}
 	}
@@ -81,7 +91,9 @@ func TestRegistryListsBuiltins(t *testing.T) {
 // never races, even when its Info claims portfolio eligibility, and
 // the racing order is the registration (tie-break) order.
 func TestPortfolioSkipsHierarchicalOnly(t *testing.T) {
-	placer.Register("x-test-hier", func() placer.Engine { return fakeHierEngine{} })
+	if info, ok := placer.Lookup("x-test-hier"); !ok || info.Portfolio {
+		t.Fatalf("x-test-hier registered as %+v (%v), want it known and not portfolio-eligible", info, ok)
+	}
 	got := placer.PortfolioAlgorithms()
 	want := []string{placer.SeqPair, placer.BStar, placer.TCG}
 	if !reflect.DeepEqual(got, want) {
@@ -151,7 +163,10 @@ func TestUnknownAlgorithmOneMessage(t *testing.T) {
 	}
 }
 
-// TestAlgorithmsEndpoint: GET /v1/algorithms serves the registry.
+// TestAlgorithmsEndpoint: GET /v1/algorithms serves the registry's
+// Info: the name, kind, portfolio and description of every built-in
+// and of the portfolio meta-method as they always read, and the
+// capabilities each engine states.
 func TestAlgorithmsEndpoint(t *testing.T) {
 	sched := service.New(service.Config{Workers: 1})
 	defer sched.Close()
@@ -165,28 +180,53 @@ func TestAlgorithmsEndpoint(t *testing.T) {
 	if res.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", res.StatusCode)
 	}
-	var views []service.AlgorithmView
-	if err := json.NewDecoder(res.Body).Decode(&views); err != nil {
+	var infos []placer.Info
+	if err := json.NewDecoder(res.Body).Decode(&infos); err != nil {
 		t.Fatal(err)
 	}
-	byName := map[string]service.AlgorithmView{}
-	for _, v := range views {
+	byName := map[string]placer.Info{}
+	for _, v := range infos {
 		byName[v.Name] = v
 	}
-	for _, name := range []string{placer.SeqPair, placer.HBStar, wire.MethodPortfolio} {
-		if _, ok := byName[name]; !ok {
-			t.Errorf("endpoint misses %q: %+v", name, views)
+	type listed struct {
+		kind        string
+		portfolio   bool
+		description string
+	}
+	for name, want := range map[string]listed{
+		placer.SeqPair:         {"flat", true, "simulated annealing over symmetric-feasible sequence pairs (symmetry by construction)"},
+		placer.BStar:           {"flat", true, "B*-tree compacted placement"},
+		placer.TCG:             {"flat", true, "transitive closure graph placement"},
+		placer.Slicing:         {"flat", false, "slicing tree (normalized Polish expression) placement"},
+		placer.Absolute:        {"flat", false, "absolute-coordinate annealing baseline with overlap penalty"},
+		placer.HBStar:          {"hierarchical", false, "hierarchical HB*-tree placement with ASF-B*-tree symmetry islands"},
+		placer.GeneticSeqPair:  {"flat", false, "memetic search (order-crossover GA + annealing refinement) over symmetric-feasible sequence pairs"},
+		placer.GeneticAbsolute: {"flat", false, "memetic search (uniform-crossover GA + annealing refinement) over absolute coordinates"},
+		placer.ESF:             {"hierarchical", false, "deterministic hierarchically bounded enumeration with enhanced shape functions (Section IV)"},
+		placer.RSF:             {"hierarchical", false, "deterministic hierarchically bounded enumeration with regular shape functions (Section IV)"},
+		wire.MethodPortfolio:   {"portfolio", false, "races [seqpair bstar tcg] concurrently and keeps the best feasible placement"},
+	} {
+		v, ok := byName[name]
+		if got := (listed{v.Kind, v.Portfolio, v.Description}); !ok || got != want {
+			t.Errorf("%s listed as %+v (present %v), want %+v", name, got, ok, want)
 		}
 	}
-	if !byName[placer.SeqPair].Portfolio || byName[placer.SeqPair].Kind != "flat" {
-		t.Errorf("seqpair misdescribed: %+v", byName[placer.SeqPair])
+	if v := byName["x-test-hier"]; v.Kind != "hierarchical" || v.Portfolio {
+		t.Errorf("a hierarchical engine registered as portfolio-eligible is listed as %+v", v)
 	}
-	for _, name := range []string{placer.HBStar, placer.ESF, placer.RSF} {
-		if v := byName[name]; v.Kind != "hierarchical" || v.Portfolio {
-			t.Errorf("%s listed as %+v, want hierarchical and not portfolio-eligible", name, v)
+	for _, name := range []string{placer.ESF, placer.RSF} {
+		v := byName[name]
+		if !v.IgnoresSchedule || v.MaxModules != 256 ||
+			!reflect.DeepEqual(v.Refuses, []string{"outline", "proximity", "thermal"}) {
+			t.Errorf("%s capabilities listed as %+v", name, v)
 		}
 	}
-	if strings.Contains(strings.ToLower(byName[wire.MethodPortfolio].Kind), "flat") {
-		t.Errorf("portfolio entry should be the meta-method: %+v", byName[wire.MethodPortfolio])
+	for _, name := range []string{placer.Absolute, placer.GeneticAbsolute} {
+		if !byName[name].MayOverlap {
+			t.Errorf("%s not listed as possibly overlapping: %+v", name, byName[name])
+		}
+	}
+	if v := byName[placer.SeqPair]; !v.Symmetric || v.MayOverlap || v.IgnoresSchedule || v.MaxModules != 0 || v.Refuses != nil {
+		t.Errorf("seqpair capabilities listed as %+v", v)
 	}
 }

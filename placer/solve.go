@@ -418,16 +418,20 @@ func solveConfigured(ctx context.Context, p *Problem, cfg config) (*Result, erro
 	return solveEngine(ctx, p, cfg, cfg.algorithm)
 }
 
-// solveEngine runs one registry engine under its own span; with
-// tracing on, the result carries the engine's recording.
+// solveEngine runs one registry engine, if its Info accepts the
+// problem, under its own span; with tracing on, the result carries the
+// engine's recording.
 func solveEngine(ctx context.Context, p *Problem, cfg config, name string) (*Result, error) {
-	factory, ok := Lookup(name)
+	r, ok := lookup(name)
 	if !ok {
 		return nil, ErrUnknownAlgorithm(name)
 	}
+	if err := CheckProblem(name, p); err != nil {
+		return nil, err
+	}
 	eo := cfg.engineOptions()
 	ctx, span := obs.StartSpan(ctx, "engine", obs.KV("algorithm", name))
-	res, err := factory().Solve(ctx, p, eo)
+	res, err := r.factory().Solve(ctx, p, eo)
 	span.End()
 	if err == nil && eo.flight != nil {
 		res.Trace = traceFromFlight(name, eo.flight)

@@ -1,11 +1,14 @@
 package placer_test
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/constraint"
+	"repro/internal/geom"
 	"repro/placer"
 )
 
@@ -198,39 +201,72 @@ func TestSolveHierarchicalFromFlat(t *testing.T) {
 	}
 }
 
-// TestSolveEveryAlgorithm: every built-in engine that keeps its
-// placements overlap-free places all of the Miller op amp's modules
-// legally.
+// TestSolveEveryAlgorithm: every registered engine places all of the
+// Miller op amp's modules and keeps the guarantees its Info states:
+// an overlap-free placement unless it may overlap, and, where it
+// claims symmetry, every symmetry group of the problem met. Symmetry
+// is checked against the problem's own groups, not Result.Violations,
+// whose contents differ by engine.
 func TestSolveEveryAlgorithm(t *testing.T) {
-	for _, algorithm := range []string{
-		placer.SeqPair, placer.BStar, placer.TCG, placer.Slicing, placer.HBStar, placer.GeneticSeqPair,
-	} {
-		res, err := placer.Solve(t.Context(), miller(t), quick, placer.WithSeed(1), placer.WithAlgorithm(algorithm))
-		if err != nil {
-			t.Fatalf("%s: %v", algorithm, err)
+	for _, info := range placer.Algorithms() {
+		if strings.HasPrefix(info.Name, "x-test-") {
+			continue // fakes this package's tests register
 		}
-		if len(res.Placement) != 9 {
-			t.Errorf("%s: placed %d modules, want 9", algorithm, len(res.Placement))
-		}
-		if !res.Legal || res.AreaUsage < 1 {
-			t.Errorf("%s: legal %v, area usage %.3f", algorithm, res.Legal, res.AreaUsage)
-		}
+		t.Run(info.Name, func(t *testing.T) {
+			p := miller(t)
+			res, err := placer.Solve(t.Context(), p, quick, placer.WithSeed(1), placer.WithAlgorithm(info.Name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Placement) != 9 {
+				t.Errorf("placed %d modules, want 9", len(res.Placement))
+			}
+			if !info.MayOverlap && (!res.Legal || res.AreaUsage < 1) {
+				t.Errorf("legal %v, area usage %.3f", res.Legal, res.AreaUsage)
+			}
+			if info.Symmetric {
+				for _, err := range symmetryViolations(p, res) {
+					t.Error(err)
+				}
+			}
+		})
 	}
 }
 
-// TestSolveAbsoluteMayOverlap: the absolute-coordinate engines may
-// leave residual overlaps under their overlap penalty, but they still
-// place all of the Miller op amp's modules.
-func TestSolveAbsoluteMayOverlap(t *testing.T) {
-	for _, algorithm := range []string{placer.Absolute, placer.GeneticAbsolute} {
-		res, err := placer.Solve(t.Context(), miller(t), quick, placer.WithSeed(2), placer.WithAlgorithm(algorithm))
-		if err != nil {
-			t.Fatalf("%s: %v", algorithm, err)
-		}
-		if len(res.Placement) != 9 {
-			t.Errorf("%s: placed %d modules, want 9", algorithm, len(res.Placement))
+// symmetryViolations checks res against every device-level symmetry
+// group of p: the flat groups, or else those its hierarchy spells.
+func symmetryViolations(p *placer.Problem, res *placer.Result) []error {
+	id := map[string]int{}
+	for i, m := range p.Modules {
+		id[m.Name] = i
+	}
+	var groups []placer.SymGroup
+	if groups = p.Symmetry; len(groups) == 0 && p.Hierarchy != nil {
+		for pairs, selfs := range p.Hierarchy.SymmetryGroups(id) {
+			groups = append(groups, placer.SymGroup{Pairs: pairs, Selfs: selfs})
 		}
 	}
+	pl := geom.Placement{}
+	for _, m := range res.Placement {
+		pl[m.Name] = geom.NewRect(m.X, m.Y, m.W, m.H)
+	}
+	var errs []error
+	for i, g := range groups {
+		sg := constraint.SymmetryGroup{Name: fmt.Sprint(i), Vertical: true}
+		for _, pr := range g.Pairs {
+			sg.Pairs = append(sg.Pairs, [2]string{p.Modules[pr[0]].Name, p.Modules[pr[1]].Name})
+		}
+		for _, s := range g.Selfs {
+			sg.Selfs = append(sg.Selfs, p.Modules[s].Name)
+		}
+		if err := sg.Check(pl); err != nil {
+			errs = append(errs, err)
+		}
+	}
+	if len(groups) == 0 {
+		errs = append(errs, fmt.Errorf("problem %q has no symmetry group to check", p.Name))
+	}
+	return errs
 }
 
 // objectiveSchedule is the schedule of the objective tests.
