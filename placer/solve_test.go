@@ -269,6 +269,24 @@ func symmetryViolations(p *placer.Problem, res *placer.Result) []error {
 	return errs
 }
 
+// TestSolveAbsoluteMayOverlap: the absolute-coordinate engines may
+// leave residual overlaps under their overlap penalty, and their Info
+// says so, but they still place all of the Miller op amp's modules.
+func TestSolveAbsoluteMayOverlap(t *testing.T) {
+	for _, algorithm := range []string{placer.Absolute, placer.GeneticAbsolute} {
+		if info, ok := placer.Lookup(algorithm); !ok || !info.MayOverlap {
+			t.Errorf("%s: registered %v, MayOverlap %v", algorithm, ok, info.MayOverlap)
+		}
+		res, err := placer.Solve(t.Context(), miller(t), quick, placer.WithSeed(2), placer.WithAlgorithm(algorithm))
+		if err != nil {
+			t.Fatalf("%s: %v", algorithm, err)
+		}
+		if len(res.Placement) != 9 {
+			t.Errorf("%s: placed %d modules, want 9", algorithm, len(res.Placement))
+		}
+	}
+}
+
 // objectiveSchedule is the schedule of the objective tests.
 var objectiveSchedule = placer.WithSchedule(placer.Schedule{MovesPerStage: 40, MaxStages: 60, StallStages: 15})
 
