@@ -196,6 +196,10 @@ func BenchmarkTable1(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		prob, err := place.FromBench(bench)
+		if err != nil {
+			b.Fatal(err)
+		}
 		for _, m := range []struct {
 			label    string
 			enhanced bool
@@ -203,7 +207,7 @@ func BenchmarkTable1(b *testing.B) {
 			b.Run(name+"/"+m.label, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					res, err := shapefn.Place(b.Context(), bench, m.enhanced)
+					res, err := shapefn.Place(b.Context(), prob, bench.Tree, m.enhanced)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -224,10 +228,14 @@ func BenchmarkTable1Large(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		prob, err := place.FromBench(bench)
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := shapefn.Place(b.Context(), bench, true); err != nil {
+				if _, err := shapefn.Place(b.Context(), prob, bench.Tree, true); err != nil {
 					b.Fatal(err)
 				}
 			}

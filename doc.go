@@ -25,9 +25,10 @@
 //     functions, enhanced shape additions, hierarchically bounded
 //     enumeration) over internal/bstar enumeration, registered as the
 //     esf and rsf engines. Table I and Fig. 8 call shapefn.Place on
-//     the authored trees of internal/circuits' benchmark generators,
-//     because placer.Solve sorts hierarchy children by name and
-//     shape-function results depend on that order.
+//     place.FromBench's flat view under the authored trees of
+//     internal/circuits' benchmark generators, because placer.Solve
+//     sorts hierarchy children by name and shape-function results
+//     depend on that order.
 //   - Section V — layout-aware sizing: internal/sizing over the
 //     device model (internal/mos), analytic performance evaluation
 //     (internal/perf), layout templates (internal/template) and
@@ -100,8 +101,8 @@
 // anneal.MoveReporter, exposing each move's dirty set for
 // verification; the property tests in internal/place and
 // internal/cost pin incremental-equals-full with tolerance zero.
-// place.Problem (flat placers) and hbstar.Problem (hierarchical)
-// carry the per-term weights; placer.Objective and cmd/analogplace's
+// place.Problem carries the per-term weights for every engine, flat
+// and hierarchical; placer.Objective and cmd/analogplace's
 // -outline/-thermal/-prox/-wire/-area flags thread them from the top.
 //
 // Packing — the annealer's dominant inner operation — is
@@ -151,8 +152,8 @@
 // address: permuting nets or pair endpoints does not change it. The
 // design hierarchy on the wire is constraint.Node itself, the one
 // tree type from the decoder to the packers: the hierarchical engines
-// (hbstar, esf, rsf) solve it as a circuits.Bench constraint tree, and
-// the flat placers bind its symmetry nodes through the same
+// (hbstar, esf, rsf) solve the flat engines' place.Problem view under
+// it, and the flat placers bind its symmetry nodes through the same
 // constraint.Node.SymmetryGroups walker that place.FromBench uses; a
 // fuzz harness with a checked-in corpus pins "never panics" and
 // "decode→encode→decode is a fixed point".

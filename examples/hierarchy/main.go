@@ -15,6 +15,7 @@ import (
 	"repro/internal/constraint"
 	"repro/internal/hbstar"
 	"repro/internal/hier"
+	"repro/internal/place"
 )
 
 func main() {
@@ -34,7 +35,12 @@ func main() {
 	_ = detected
 
 	// Place with HB*-trees: one tree per sub-circuit plus the top.
-	res, err := hbstar.Place(&hbstar.Problem{Bench: bench, WireWeight: 0.5},
+	prob, err := place.FromBench(bench)
+	if err != nil {
+		log.Fatal(err)
+	}
+	prob.WireWeight = 0.5
+	res, err := hbstar.Place(prob, bench.Tree,
 		anneal.Options{Seed: 3, MovesPerStage: 150, MaxStages: 200, StallStages: 40})
 	if err != nil {
 		log.Fatal(err)

@@ -6,13 +6,13 @@
 //     of symmetric-feasible sequence-pair codes.
 //   - RunTableI / RunFig8 — Section IV's deterministic hierarchically
 //     bounded enumeration with enhanced versus regular shape
-//     functions, through shapefn.Place on the authored benchmark
-//     trees.
+//     functions, through shapefn.Place on each benchmark's flat view
+//     (place.FromBench) under its authored tree.
 //   - RunFig10 — Section V's layout-aware sizing flow.
 //
 // Every placement method, esf and rsf included, is a registry engine
 // behind placer.Solve. Table I and Fig. 8 still call shapefn.Place
-// directly, on the authored trees: placer.Solve normalizes the
+// directly, with the authored trees: placer.Solve normalizes the
 // hierarchy (children sorted by name), and shape-function results
 // depend on the order shapes are combined in, so through the registry
 // the figures would change.

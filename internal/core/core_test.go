@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/anneal"
 	"repro/internal/circuits"
+	"repro/internal/place"
 	"repro/internal/shapefn"
 )
 
@@ -17,9 +18,13 @@ func TestPlaceDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		p, err := place.FromBench(b)
+		if err != nil {
+			t.Fatal(err)
+		}
 		usage := map[bool]float64{}
 		for _, enhanced := range []bool{true, false} {
-			res, err := shapefn.Place(t.Context(), b, enhanced)
+			res, err := shapefn.Place(t.Context(), p, b.Tree, enhanced)
 			if err != nil {
 				t.Fatalf("%s enhanced=%v: %v", name, enhanced, err)
 			}

@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"repro/internal/circuits"
+	"repro/internal/constraint"
+	"repro/internal/place"
 	"repro/internal/seqpair"
 	"repro/internal/shapefn"
 )
@@ -35,11 +37,15 @@ func RunTableI(names []string) ([]TableIRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		row := TableIRow{Name: name, Modules: len(bench.Circuit.Devices)}
-		if row.ESFUsage, row.ESFTime, err = tableICell(bench, true); err != nil {
+		p, err := place.FromBench(bench)
+		if err != nil {
+			return nil, err
+		}
+		row := TableIRow{Name: name, Modules: p.N()}
+		if row.ESFUsage, row.ESFTime, err = tableICell(p, bench.Tree, true); err != nil {
 			return nil, fmt.Errorf("core: %s ESF: %v", name, err)
 		}
-		if row.RSFUsage, row.RSFTime, err = tableICell(bench, false); err != nil {
+		if row.RSFUsage, row.RSFTime, err = tableICell(p, bench.Tree, false); err != nil {
 			return nil, fmt.Errorf("core: %s RSF: %v", name, err)
 		}
 		if row.RSFUsage > 0 {
@@ -50,11 +56,12 @@ func RunTableI(names []string) ([]TableIRow, error) {
 	return rows, nil
 }
 
-// tableICell places a benchmark deterministically and measures its
-// area usage and wall-clock; an illegal placement is an error.
-func tableICell(b *circuits.Bench, enhanced bool) (float64, time.Duration, error) {
+// tableICell places a benchmark's modules deterministically under its
+// authored tree and measures the area usage and wall-clock; an illegal
+// placement is an error.
+func tableICell(p *place.Problem, tree *constraint.Node, enhanced bool) (float64, time.Duration, error) {
 	start := time.Now()
-	res, err := shapefn.Place(context.TODO(), b, enhanced)
+	res, err := shapefn.Place(context.TODO(), p, tree, enhanced)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -76,8 +83,12 @@ func RunFig8(name string) (esf, rsf ShapeCurve, err error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	p, err := place.FromBench(bench)
+	if err != nil {
+		return nil, nil, err
+	}
 	curve := func(enhanced bool) (ShapeCurve, error) {
-		res, err := shapefn.Place(context.TODO(), bench, enhanced)
+		res, err := shapefn.Place(context.TODO(), p, bench.Tree, enhanced)
 		if err != nil {
 			return nil, err
 		}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/constraint"
 	"repro/internal/cost"
 	"repro/internal/geom"
+	"repro/internal/place"
 )
 
 func dimsFrom(m map[string][2]int) func(string) (int, int, error) {
@@ -284,8 +285,12 @@ func TestCloneIndependence(t *testing.T) {
 
 func TestPlaceMillerOpAmp(t *testing.T) {
 	b := circuits.MillerOpAmp()
-	res, err := Place(&Problem{Bench: b, WireWeight: 0.5},
-		anneal.Options{Seed: 5, MovesPerStage: 60, MaxStages: 80, StallStages: 25})
+	p, err := place.FromBench(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.WireWeight = 0.5
+	res, err := Place(p, b.Tree, anneal.Options{Seed: 5, MovesPerStage: 60, MaxStages: 80, StallStages: 25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,8 +317,12 @@ func TestPlaceTableICircuit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Place(&Problem{Bench: b, WireWeight: 0.2},
-		anneal.Options{Seed: 9, MovesPerStage: 50, MaxStages: 60, StallStages: 20})
+	p, err := place.FromBench(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.WireWeight = 0.2
+	res, err := Place(p, b.Tree, anneal.Options{Seed: 9, MovesPerStage: 50, MaxStages: 60, StallStages: 20})
 	if err != nil {
 		t.Fatal(err)
 	}

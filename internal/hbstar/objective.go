@@ -1,13 +1,16 @@
 package hbstar
 
 import (
-	"sort"
-
 	"repro/internal/constraint"
 	"repro/internal/cost"
 	"repro/internal/geom"
+	"repro/internal/place"
 	"repro/internal/thermal"
 )
+
+// proximityPenalty is the cost of one disconnected fragment of a
+// proximity sub-circuit, in units of the average module area.
+const proximityPenalty = 2
 
 // objective is the hierarchical placer's module universe: every
 // device of the hierarchy in sorted-name order, fixed when the forest
@@ -30,34 +33,60 @@ func newUniverse(names []string) *objective {
 	return o
 }
 
-// newModel builds the placer's cost model over the universe from one
-// packing's module dimensions w, h. The terms mirror the historical
-// hbstar cost — bounding-box area, weighted HPWL over the bench nets,
-// and the proximity-fragments penalty scaled by the average module
-// area — plus the optional fixed-outline and thermal-mismatch terms of the
-// composable objective. Nets are indexed by sorted net name so runs
-// stay deterministic despite the bench's map-shaped net list.
-func (o *objective) newModel(p *Problem, w, h []int) *cost.Model {
-	n := len(o.names)
+// instance is a placement problem mapped into a forest's module
+// universe once, at Place: the problem's nets and powers re-indexed
+// from problem ids to universe ids, and the tree's proximity groups
+// and device-level symmetric pairs. The objective weights are read
+// from the problem itself.
+type instance struct {
+	p     *place.Problem
+	nets  [][]int
+	power []float64 // nil = area-normalized default
+	prox  [][]int
+	pairs [][2]int
+}
 
-	var nets [][]int
-	netNames := make([]string, 0, len(p.Bench.Nets))
-	for name := range p.Bench.Nets {
-		netNames = append(netNames, name)
+// instance maps p and the hierarchy tree the forest was built from
+// into the universe. Nets keep the problem's order; members outside
+// the universe are dropped, and so are nets left with fewer than two.
+func (o *objective) instance(p *place.Problem, tree *constraint.Node) *instance {
+	uid := make([]int, p.N())
+	for i, name := range p.Names {
+		uid[i] = -1
+		if m, ok := o.id[name]; ok {
+			uid[i] = m
+		}
 	}
-	sort.Strings(netNames)
-	for _, name := range netNames {
+	in := &instance{p: p, prox: o.proximityGroups(tree), pairs: o.symPairs(tree)}
+	for _, pnet := range p.Nets {
 		var net []int
-		for _, d := range p.Bench.Nets[name] {
-			if m, ok := o.id[d]; ok {
-				net = append(net, m)
+		for _, i := range pnet {
+			if uid[i] >= 0 {
+				net = append(net, uid[i])
 			}
 		}
 		if len(net) >= 2 {
-			nets = append(nets, net)
+			in.nets = append(in.nets, net)
 		}
 	}
+	if p.Power != nil {
+		in.power = make([]float64, len(o.names))
+		for i, m := range uid {
+			if m >= 0 {
+				in.power[m] = p.Power[i]
+			}
+		}
+	}
+	return in
+}
 
+// newModel builds the placer's cost model over the universe from one
+// packing's module dimensions w, h: bounding-box area, weighted HPWL
+// over the problem's nets, and the proximity-fragments penalty scaled
+// by the average module area, plus the optional fixed-outline and
+// thermal-mismatch terms of the composable objective.
+func (in *instance) newModel(w, h []int) *cost.Model {
+	p, n := in.p, len(w)
 	areas := make([]int64, n)
 	var moduleArea int64
 	for i := range areas {
@@ -72,9 +101,9 @@ func (o *objective) newModel(p *Problem, w, h []int) *cost.Model {
 		aw = 1
 	}
 	model.Add(aw, cost.NewArea())
-	model.Add(p.WireWeight, cost.NewHPWL(nets))
-	if groups := o.proximityGroups(p.Bench.Tree); len(groups) > 0 {
-		model.Add(p.ProximityPenalty*avgArea, newFragTerm(groups))
+	model.Add(p.WireWeight, cost.NewHPWL(in.nets))
+	if len(in.prox) > 0 {
+		model.Add(proximityPenalty*avgArea, newFragTerm(in.prox))
 	}
 	if p.OutlineW > 0 && p.OutlineH > 0 {
 		ow := p.OutlineWeight
@@ -83,20 +112,13 @@ func (o *objective) newModel(p *Problem, w, h []int) *cost.Model {
 		}
 		model.Add(ow, cost.NewFixedOutline(p.OutlineW, p.OutlineH))
 	}
-	if p.ThermalWeight > 0 {
-		if pairs := o.symPairs(p.Bench.Tree); len(pairs) > 0 {
-			var powers []float64
-			if p.Power != nil {
-				powers = make([]float64, n)
-				for i, name := range o.names {
-					powers[i] = p.Power[name]
-				}
-			} else {
-				powers = cost.AreaNormalizedPowers(areas)
-			}
-			model.Add(p.ThermalWeight, cost.NewThermal(
-				&thermal.Field{Sigma: p.ThermalSigma}, powers, pairs))
+	if p.ThermalWeight > 0 && len(in.pairs) > 0 {
+		powers := in.power
+		if powers == nil {
+			powers = cost.AreaNormalizedPowers(areas)
 		}
+		model.Add(p.ThermalWeight, cost.NewThermal(
+			&thermal.Field{Sigma: p.ThermalSigma}, powers, in.pairs))
 	}
 	return model
 }

@@ -6,11 +6,11 @@ import (
 
 	"repro/internal/anneal"
 	"repro/internal/bstar"
-	"repro/internal/circuits"
 	"repro/internal/constraint"
 	"repro/internal/cost"
 	"repro/internal/engine"
 	"repro/internal/geom"
+	"repro/internal/place"
 )
 
 // Perturb selects one of the forest's HB*-trees uniformly and applies
@@ -71,36 +71,6 @@ func (f *Forest) PerturbUndoable(rng *rand.Rand, u *ForestUndo) {
 	}
 }
 
-// Problem is a hierarchical placement instance. Its objective is the
-// composite cost.Model of internal/cost: area plus weighted HPWL, the
-// proximity-fragments penalty, and optional fixed-outline and thermal
-// terms, all evaluated incrementally over the modules each
-// perturbation actually displaces.
-type Problem struct {
-	Bench *circuits.Bench
-	// AreaWeight scales the bounding-box area term (0 = default 1).
-	AreaWeight float64
-	// WireWeight scales HPWL against area.
-	WireWeight float64
-	// ProximityPenalty is added per disconnected fragment of a
-	// proximity sub-circuit (scaled by average module area).
-	ProximityPenalty float64
-	// OutlineW/OutlineH, when both positive, add a fixed-outline
-	// penalty term (quadratic in the bounding box's excess).
-	OutlineW, OutlineH int
-	// OutlineWeight scales the fixed-outline penalty (0 = heuristic
-	// default of max(1, module area / 100)).
-	OutlineWeight float64
-	// ThermalWeight scales the thermal-mismatch term over the
-	// hierarchy's device-level symmetric pairs (0 = off).
-	ThermalWeight float64
-	// ThermalSigma is the thermal decay length (0 = thermal default).
-	ThermalSigma float64
-	// Power gives per-device dissipated power for the thermal term
-	// (device name → power). Nil means the area-normalized default.
-	Power map[string]float64
-}
-
 // Result of a hierarchical placement run.
 type Result struct {
 	Placement geom.Placement
@@ -126,15 +96,15 @@ type Result struct {
 // lazily from the first feasible packing, so construction — including
 // Neighbor clones — never pays a redundant full pack.
 type forestRep struct {
-	prob       *Problem
+	in         *instance
 	forest     *Forest
 	x, y, w, h []int
 	u          ForestUndo
 }
 
-func newForestRep(p *Problem, f *Forest) *forestRep {
+func newForestRep(in *instance, f *Forest) *forestRep {
 	n := len(f.obj.names)
-	return &forestRep{prob: p, forest: f, x: make([]int, n), y: make([]int, n), w: make([]int, n), h: make([]int, n)}
+	return &forestRep{in: in, forest: f, x: make([]int, n), y: make([]int, n), w: make([]int, n), h: make([]int, n)}
 }
 
 // Perturb implements engine.Representation.
@@ -160,7 +130,7 @@ func (r *forestRep) Pack(c *engine.Coords) bool {
 // packing; the kernel calls it lazily right after the first feasible
 // Pack.
 func (r *forestRep) newModel() *cost.Model {
-	return r.forest.obj.newModel(r.prob, r.w, r.h)
+	return r.in.newModel(r.w, r.h)
 }
 
 // Snapshot implements engine.Representation.
@@ -176,7 +146,7 @@ func (r *forestRep) Restore(snapshot any) {
 // Clone implements engine.Representation (the model is rebuilt lazily
 // from the clone's own first packing).
 func (r *forestRep) Clone() engine.Representation {
-	return newForestRep(r.prob, r.forest.Clone())
+	return newForestRep(r.in, r.forest.Clone())
 }
 
 // Placement implements engine.Representation.
@@ -184,38 +154,36 @@ func (r *forestRep) Placement() (geom.Placement, error) { return r.forest.Pack()
 
 // newSolution wraps a forest in the engine kernel over the
 // hierarchical composite objective.
-func newSolution(p *Problem, f *Forest) *engine.Solution {
-	return engine.New(newForestRep(p, f), engine.Config{
+func newSolution(in *instance, f *Forest) *engine.Solution {
+	return engine.New(newForestRep(in, f), engine.Config{
 		NewModel: func(rep engine.Representation) *cost.Model {
 			return rep.(*forestRep).newModel()
 		},
 	})
 }
 
-// Place runs the HB*-tree hierarchical placer on a benchmark.
-func Place(p *Problem, opt anneal.Options) (*Result, error) {
-	if p.Bench == nil || p.Bench.Tree == nil {
-		return nil, fmt.Errorf("hbstar: benchmark with hierarchy tree required")
+// Place runs the HB*-tree hierarchical placer on the valid problem p's
+// modules under the design hierarchy tree, which must own every module
+// to be placed. Module sizes are read by id, and names are used only
+// where the tree spells them. The objective is internal/cost's
+// composite model over p's weights: area plus weighted HPWL over
+// p.Nets, the proximity-fragments penalty of the tree's proximity
+// sub-circuits, and the optional fixed-outline and thermal terms (over
+// the tree's device-level symmetric pairs, with p.Power or the
+// area-normalized default). p.ProxWeight and p.ProxGroups, the flat
+// engines' proximity pull, are not read. Every term is evaluated
+// incrementally over the modules each perturbation actually displaces.
+func Place(p *place.Problem, tree *constraint.Node, opt anneal.Options) (*Result, error) {
+	if tree == nil {
+		return nil, fmt.Errorf("hbstar: hierarchy tree required")
 	}
-	if p.ProximityPenalty == 0 {
-		p.ProximityPenalty = 2
-	}
-	dims := func(name string) (int, int, error) {
-		d := p.Bench.Circuit.Device(name)
-		if d == nil {
-			return 0, 0, fmt.Errorf("hbstar: unknown device %q", name)
-		}
-		if d.FW <= 0 || d.FH <= 0 {
-			return 0, 0, fmt.Errorf("hbstar: device %q has no footprint", name)
-		}
-		return d.FW, d.FH, nil
-	}
-	forest, err := Build(p.Bench.Tree, dims)
+	forest, err := Build(tree, p.Dims())
 	if err != nil {
 		return nil, err
 	}
+	in := forest.obj.instance(p, tree)
 	newSol := func(seed int64) *engine.Solution {
-		s := newSolution(p, forest.Clone())
+		s := newSolution(in, forest.Clone())
 		_ = seed // the canonical initial forest ignores the seed
 		return s
 	}
@@ -226,7 +194,7 @@ func Place(p *Problem, opt anneal.Options) (*Result, error) {
 	}
 	pl.Normalize()
 	res := &Result{Placement: pl, Cost: sol.Cost(), Stats: stats, Breakdown: sol.Breakdown()}
-	res.Violations = treeViolations(p.Bench.Tree, pl)
+	res.Violations = treeViolations(tree, pl)
 	return res, nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"repro/internal/circuits"
 	"repro/internal/engine"
 	"repro/internal/geom"
+	"repro/internal/place"
 )
 
 func buildTestForest(t *testing.T) *Forest {
@@ -23,6 +24,18 @@ func buildTestForest(t *testing.T) *Forest {
 		t.Fatal(err)
 	}
 	return f
+}
+
+// testInstance maps bench's flat view, with the given wire weight,
+// into f's module universe under the bench's tree.
+func testInstance(t *testing.T, bench *circuits.Bench, f *Forest, wireWeight float64) *instance {
+	t.Helper()
+	p, err := place.FromBench(bench)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.WireWeight = wireWeight
+	return f.obj.instance(p, bench.Tree)
 }
 
 func samePlacement(a, b geom.Placement) bool {
@@ -68,8 +81,8 @@ func TestSolutionPerturbUndo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prob := &Problem{Bench: bench, WireWeight: 0.5, ProximityPenalty: 2}
-	s := newSolution(prob, buildTestForest(t))
+	f := buildTestForest(t)
+	s := newSolution(testInstance(t, bench, f, 0.5), f)
 	rng := rand.New(rand.NewSource(77))
 	for step := 0; step < 200; step++ {
 		costBefore := s.Cost()
@@ -98,8 +111,8 @@ func TestSolutionSnapshotRestoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prob := &Problem{Bench: bench, WireWeight: 0.5, ProximityPenalty: 2}
-	s := newSolution(prob, buildTestForest(t))
+	f := buildTestForest(t)
+	s := newSolution(testInstance(t, bench, f, 0.5), f)
 	pack := func() geom.Placement {
 		pl, err := s.Placement()
 		if err != nil {
@@ -150,7 +163,7 @@ func TestPackAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := newForestRep(&Problem{Bench: bench}, f)
+	r := newForestRep(testInstance(t, bench, f, 0), f)
 	var c engine.Coords
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 50; i++ {

@@ -1,6 +1,7 @@
 package place
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/anneal"
@@ -187,6 +188,28 @@ func TestFromBench(t *testing.T) {
 	}
 	if len(p.Nets) == 0 {
 		t.Fatal("no nets extracted")
+	}
+}
+
+// TestFromBenchNetOrderDeterministic: the bench's nets are a map, and
+// FromBench must list them in the same order on every call.
+func TestFromBenchNetOrderDeterministic(t *testing.T) {
+	b, err := circuits.ByName("buffer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := FromBench(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		p, err := FromBench(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(p.Nets, first.Nets) {
+			t.Fatalf("call %d listed the nets in another order:\n got %v\nwant %v", i+1, p.Nets, first.Nets)
+		}
 	}
 }
 

@@ -17,6 +17,7 @@ package place
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"repro/internal/circuits"
 	"repro/internal/constraint"
@@ -100,6 +101,23 @@ func (p *Problem) Validate() error {
 		}
 	}
 	return nil
+}
+
+// Dims returns a footprint lookup by module name, for the
+// hierarchical placers: they read a name wherever a hierarchy tree
+// spells one, and the size by id.
+func (p *Problem) Dims() func(name string) (w, h int, err error) {
+	id := make(map[string]int, p.N())
+	for i, name := range p.Names {
+		id[name] = i
+	}
+	return func(name string) (int, int, error) {
+		i, ok := id[name]
+		if !ok {
+			return 0, 0, fmt.Errorf("place: unknown module %q", name)
+		}
+		return p.W[i], p.H[i], nil
+	}
 }
 
 // ModuleArea returns the sum of module areas.
@@ -225,7 +243,8 @@ func (p *Problem) ConstraintSet() *constraint.Set {
 // FromBench converts a benchmark circuit into a flat placement
 // problem: device footprints become modules, every symmetry node of
 // the hierarchy tree (device-level pairs and selfs) becomes a symmetry
-// group, and the bench's signal nets become wirelength nets.
+// group, and the bench's signal nets become wirelength nets, in
+// sorted net-name order.
 func FromBench(b *circuits.Bench) (*Problem, error) {
 	names, w, h := b.Modules()
 	id := map[string]int{}
@@ -252,9 +271,14 @@ func FromBench(b *circuits.Bench) (*Problem, error) {
 			}
 		}
 	}
-	for _, devs := range b.Nets {
+	netNames := make([]string, 0, len(b.Nets))
+	for name := range b.Nets {
+		netNames = append(netNames, name)
+	}
+	sort.Strings(netNames) // map order would differ per call
+	for _, name := range netNames {
 		var net []int
-		for _, d := range devs {
+		for _, d := range b.Nets[name] {
 			if m, ok := id[d]; ok {
 				net = append(net, m)
 			}

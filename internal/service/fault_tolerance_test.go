@@ -308,6 +308,12 @@ func TestRegisteredLimitsRefuseBeforeQueuing(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), fact) {
 			t.Fatalf("wire.Request.Validate: got %v, want an error naming %q", err, fact)
 		}
+		// The refusal is worded from the fake's Info alone: nothing in
+		// it says how the engine places (esf and rsf minimize
+		// bounding-box area; the fake lays modules in a row).
+		if strings.Contains(err.Error(), "bounding-box area") {
+			t.Errorf("wire.Request.Validate: %q describes another engine", err)
+		}
 		want := err.Error()
 		body, err := json.Marshal(req)
 		if err != nil {

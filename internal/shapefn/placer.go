@@ -6,9 +6,9 @@ import (
 	"slices"
 
 	"repro/internal/bstar"
-	"repro/internal/circuits"
 	"repro/internal/constraint"
 	"repro/internal/geom"
+	"repro/internal/place"
 )
 
 // maxEnumSet bounds exhaustive enumeration of a basic module set:
@@ -31,7 +31,7 @@ const ctxCheckEvery = 1024
 type placer struct {
 	ctx      context.Context
 	enhanced bool // enhanced shape functions (ESF) instead of regular ones (RSF)
-	bench    *circuits.Bench
+	dims     func(name string) (w, h int, err error)
 	// groups are the tree's symmetry constraints and members their
 	// modules. Proximity is implied by construction (shape addition
 	// keeps operands adjacent), and module-level common centroid
@@ -47,20 +47,22 @@ type Result struct {
 	Shape     Shape    // chosen (minimum-area) shape
 }
 
-// Place runs the Section IV placer on a benchmark, with enhanced shape
-// functions (ESF) when enhanced is set and regular ones (RSF)
-// otherwise: the bottom-up combination over the hierarchy tree, whose
-// minimum-area root shape is the placement. The order of the tree's
-// children and devices fixes the order shapes are combined in, so the
-// result depends on it. ctx is checked every ctxCheckEvery enumerated
-// trees and before every shape addition and ESF shape pair, which
-// changes no output; an enumeration has no best-so-far, so a cancelled
-// run returns ctx's error.
-func Place(ctx context.Context, b *circuits.Bench, enhanced bool) (*Result, error) {
-	if b.Tree == nil {
+// Place runs the Section IV placer on the valid problem p's modules
+// under the design hierarchy tree, with enhanced shape functions (ESF)
+// when enhanced is set and regular ones (RSF) otherwise: the bottom-up
+// combination over the tree, whose minimum-area root shape is the
+// placement. Module sizes are read by id, and names are used only
+// where the tree spells them; p's nets and objective weights are not
+// read. The order of the tree's children and devices fixes the order
+// shapes are combined in, so the result depends on it. ctx is checked
+// every ctxCheckEvery enumerated trees and before every shape addition
+// and ESF shape pair, which changes no output; an enumeration has no
+// best-so-far, so a cancelled run returns ctx's error.
+func Place(ctx context.Context, p *place.Problem, tree *constraint.Node, enhanced bool) (*Result, error) {
+	if tree == nil {
 		return nil, fmt.Errorf("shapefn: nil hierarchy tree")
 	}
-	f, err := newPlacer(ctx, b, enhanced).functionFor(b.Tree)
+	f, err := newPlacer(ctx, p, tree, enhanced).functionFor(tree)
 	if err != nil {
 		return nil, err
 	}
@@ -73,9 +75,10 @@ func Place(ctx context.Context, b *circuits.Bench, enhanced bool) (*Result, erro
 	return &Result{Placement: pl, Function: f, Shape: s}, nil
 }
 
-// newPlacer builds the placer for a benchmark with a hierarchy tree.
-func newPlacer(ctx context.Context, b *circuits.Bench, enhanced bool) *placer {
-	p := &placer{ctx: ctx, enhanced: enhanced, bench: b}
+// newPlacer builds the placer for prob's modules under a hierarchy
+// tree.
+func newPlacer(ctx context.Context, prob *place.Problem, tree *constraint.Node, enhanced bool) *placer {
+	p := &placer{ctx: ctx, enhanced: enhanced, dims: prob.Dims()}
 	var walk func(n *constraint.Node)
 	walk = func(n *constraint.Node) {
 		if n.Kind == constraint.KindSymmetry && len(n.Pairs)+len(n.Selfs) > 0 {
@@ -87,20 +90,8 @@ func newPlacer(ctx context.Context, b *circuits.Bench, enhanced bool) *placer {
 			walk(c)
 		}
 	}
-	walk(b.Tree)
+	walk(tree)
 	return p
-}
-
-// dims returns a device's footprint.
-func (p *placer) dims(name string) (int, int, error) {
-	d := p.bench.Circuit.Device(name)
-	if d == nil {
-		return 0, 0, fmt.Errorf("shapefn: unknown device %q", name)
-	}
-	if d.FW <= 0 || d.FH <= 0 {
-		return 0, 0, fmt.Errorf("shapefn: device %q has no footprint", name)
-	}
-	return d.FW, d.FH, nil
 }
 
 // check is the Checker of every shape: it validates each symmetry

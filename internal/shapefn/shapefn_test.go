@@ -8,6 +8,7 @@ import (
 	"repro/internal/circuits"
 	"repro/internal/constraint"
 	"repro/internal/geom"
+	"repro/internal/place"
 )
 
 func TestLeafShapes(t *testing.T) {
@@ -173,8 +174,19 @@ func TestEnhancedAdditionRespectsConstraints(t *testing.T) {
 	}
 }
 
+// flatView is a benchmark's id-based problem view.
+func flatView(t *testing.T, b *circuits.Bench) *place.Problem {
+	t.Helper()
+	p, err := place.FromBench(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func TestEnumerateSetRespectsSymmetry(t *testing.T) {
-	p := newPlacer(t.Context(), circuits.MillerOpAmp(), true)
+	b := circuits.MillerOpAmp()
+	p := newPlacer(t.Context(), flatView(t, b), b.Tree, true)
 	f, err := p.enumerateSet([]string{"P1", "P2"})
 	if err != nil {
 		t.Fatal(err)
@@ -194,7 +206,7 @@ func TestEnumerateSetRespectsSymmetry(t *testing.T) {
 func TestDeterministicPlaceMiller(t *testing.T) {
 	bench := circuits.MillerOpAmp()
 	for _, enhanced := range []bool{false, true} {
-		res, err := Place(t.Context(), bench, enhanced)
+		res, err := Place(t.Context(), flatView(t, bench), bench.Tree, enhanced)
 		if err != nil {
 			t.Fatalf("enhanced=%v: %v", enhanced, err)
 		}
@@ -227,7 +239,7 @@ func TestESFNotWorseThanRSF(t *testing.T) {
 		}
 		areas := map[bool]int64{}
 		for _, enhanced := range []bool{false, true} {
-			res, err := Place(t.Context(), bench, enhanced)
+			res, err := Place(t.Context(), flatView(t, bench), bench.Tree, enhanced)
 			if err != nil {
 				t.Fatalf("%s enhanced=%v: %v", name, enhanced, err)
 			}
@@ -243,7 +255,8 @@ func TestESFNotWorseThanRSF(t *testing.T) {
 }
 
 func TestShapeBBoxMatchesReconstruction(t *testing.T) {
-	res, err := Place(t.Context(), circuits.MillerOpAmp(), true)
+	b := circuits.MillerOpAmp()
+	res, err := Place(t.Context(), flatView(t, b), b.Tree, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/circuits"
-	"repro/internal/netlist"
 	"repro/internal/place"
 	"repro/internal/seqpair"
 )
@@ -63,42 +62,24 @@ func (p *Problem) flat() (*place.Problem, error) {
 	return pp, nil
 }
 
-// bench materializes the problem as a benchmark circuit for the
-// hierarchical engine: modules become block devices, nets become
-// signal nets, and the hierarchy becomes the constraint tree. When
-// the problem carries no hierarchy, one is synthesized from the flat
-// constraints — a symmetry node per symmetry group, a proximity node
-// per proximity group, everything else directly at the root — so any
-// problem can be solved hierarchically. Modules the hierarchy does
-// not mention are attached to the root.
-func (p *Problem) bench() (*circuits.Bench, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	name := p.Name
-	if name == "" {
-		name = "wire"
-	}
-	c := netlist.NewCircuit(name)
-	for _, m := range p.Modules {
-		if err := c.Add(&netlist.Device{Name: m.Name, Type: netlist.Block, FW: m.W, FH: m.H}); err != nil {
-			return nil, fmt.Errorf("placer: %v", err)
-		}
-	}
+// tree is the design hierarchy the hierarchical engines solve p's
+// flat view under: a copy of the problem's hierarchy, or, when the
+// problem carries none, one synthesized from the flat constraints (a
+// symmetry node per symmetry group, a proximity node per proximity
+// group, everything else directly at the root), so any problem can be
+// solved hierarchically. Modules the hierarchy does not mention are
+// attached to the root. p must be valid.
+func (p *Problem) tree() *Node {
 	tree := p.Hierarchy.Clone() // attachUncovered must not grow the caller's tree
 	if tree == nil {
+		name := p.Name
+		if name == "" {
+			name = "wire"
+		}
 		tree = p.synthesizeTree(name)
 	}
 	attachUncovered(tree, p.Modules)
-	nets := make(map[string][]string, len(p.Nets))
-	for i, net := range p.Nets {
-		devs := make([]string, len(net))
-		for j, m := range net {
-			devs[j] = p.Modules[m].Name
-		}
-		nets[fmt.Sprintf("net%d", i)] = devs
-	}
-	return &circuits.Bench{Name: name, Circuit: c, Tree: tree, Nets: nets}, nil
+	return tree
 }
 
 // synthesizeTree builds a one-level hierarchy from the flat symmetry

@@ -62,16 +62,13 @@ func TestBenchmarkMiller(t *testing.T) {
 	if p.Objective.WireWeight != 1 {
 		t.Fatalf("conventional objective lost: %+v", p.Objective)
 	}
-	// The hierarchy must survive the bench round-trip well enough for
-	// the hierarchical engine: same proximity groups, same leaves.
-	b, err := p.bench()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := len(b.Tree.ProximityGroups()), len(circuits.MillerOpAmp().Tree.ProximityGroups()); got != want {
+	// The hierarchy must survive the conversion well enough for the
+	// hierarchical engine: same proximity groups, same leaves.
+	tree := p.tree()
+	if got, want := len(tree.ProximityGroups()), len(circuits.MillerOpAmp().Tree.ProximityGroups()); got != want {
 		t.Fatalf("proximity groups: got %d want %d", got, want)
 	}
-	if got, want := len(b.Tree.Leaves()), len(circuits.MillerOpAmp().Tree.Leaves()); got != want {
+	if got, want := len(tree.Leaves()), len(circuits.MillerOpAmp().Tree.Leaves()); got != want {
 		t.Fatalf("tree leaves: got %d want %d", got, want)
 	}
 	if _, err := Benchmark("no-such-bench"); err == nil {
@@ -111,22 +108,21 @@ func TestHierarchyOnlySymmetryBindsFlat(t *testing.T) {
 	}
 }
 
+// TestBenchSynthesizedHierarchy: a problem without a hierarchy gets a
+// synthesized tree that covers every module.
 func TestBenchSynthesizedHierarchy(t *testing.T) {
 	p := testProblem() // no hierarchy
-	b, err := p.bench()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Tree == nil {
+	tree := p.tree()
+	if tree == nil {
 		t.Fatal("no tree synthesized")
 	}
-	leaves := b.Tree.Leaves()
+	leaves := tree.Leaves()
 	if len(leaves) != len(p.Modules) {
 		t.Fatalf("synthesized tree covers %d of %d modules", len(leaves), len(p.Modules))
 	}
 }
 
-// TestBenchLeavesHierarchyUntouched: bench attaches the modules a
+// TestBenchLeavesHierarchyUntouched: tree attaches the modules a
 // hierarchy leaves uncovered to the root of the tree it hands the
 // engine, and that tree must be its own, not the problem's.
 func TestBenchLeavesHierarchyUntouched(t *testing.T) {
@@ -142,18 +138,14 @@ func TestBenchLeavesHierarchyUntouched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := p.bench()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(b.Tree.Leaves()); got != len(p.Modules) {
-		t.Fatalf("bench tree covers %d of %d modules", got, len(p.Modules))
+	if got := len(p.tree().Leaves()); got != len(p.Modules) {
+		t.Fatalf("tree covers %d of %d modules", got, len(p.Modules))
 	}
 	after, err := json.Marshal(p.Hierarchy)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(before, after) {
-		t.Fatalf("bench changed the problem's hierarchy:\nbefore %s\n after %s", before, after)
+		t.Fatalf("tree changed the problem's hierarchy:\nbefore %s\n after %s", before, after)
 	}
 }

@@ -36,9 +36,11 @@
 // then racing order — deterministic).
 //
 // Each engine states once, in its [Info], what it ignores, refuses
-// and guarantees; [CheckProblem] enforces the refusals. esf and rsf
-// enumerate over the problem's hierarchy, whose children Solve sorts
-// by name.
+// and guarantees; [CheckProblem] enforces the refusals. Every engine
+// solves one id-based view of the problem (internal/place's Problem);
+// hbstar, esf and rsf solve it under the problem's hierarchy, or one
+// synthesized from the flat groups, whose children Solve sorts by
+// name.
 //
 // # Cancellation and streaming
 //

@@ -142,38 +142,20 @@ func genetic(run func(*place.Problem, anneal.GAOptions, anneal.Options) (*place.
 	}
 }
 
-// hbstarEngine adapts the hierarchical HB*-tree placer: the problem
-// materializes as a benchmark circuit (hierarchy preserved, or
-// synthesized from the flat groups).
+// hbstarEngine adapts the hierarchical HB*-tree placer: the same flat
+// view the flat engines anneal, under the problem's hierarchy (or one
+// synthesized from the flat groups). ProxWeight tunes the flat
+// engines' pull term only; the hierarchical placer always enforces
+// proximity through its fragments penalty.
 type hbstarEngine struct{}
 
 // Solve implements Engine.
 func (e hbstarEngine) Solve(ctx context.Context, p *Problem, opt EngineOptions) (*Result, error) {
-	bench, err := p.bench()
+	prob, err := p.flat()
 	if err != nil {
 		return nil, err
 	}
-	obj := p.Objective
-	// ProxWeight tunes the flat engines' pull term only; the
-	// hierarchical placer always enforces proximity through its
-	// fragments penalty.
-	hp := &hbstar.Problem{
-		Bench:         bench,
-		AreaWeight:    obj.AreaWeight,
-		WireWeight:    obj.WireWeight,
-		OutlineW:      obj.OutlineW,
-		OutlineH:      obj.OutlineH,
-		OutlineWeight: obj.OutlineWeight,
-		ThermalWeight: obj.ThermalWeight,
-		ThermalSigma:  obj.ThermalSigma,
-	}
-	if len(p.Power) > 0 {
-		hp.Power = make(map[string]float64, len(p.Power))
-		for i, pw := range p.Power {
-			hp.Power[p.Modules[i].Name] = pw
-		}
-	}
-	res, err := hbstar.Place(hp, opt.annealOptions(ctx, HBStar))
+	res, err := hbstar.Place(prob, p.tree(), opt.annealOptions(ctx, HBStar))
 	if err != nil {
 		return nil, err
 	}
@@ -206,15 +188,11 @@ type shapeEngine struct {
 
 // Solve implements Engine.
 func (e shapeEngine) Solve(ctx context.Context, p *Problem, _ EngineOptions) (*Result, error) {
-	bench, err := p.bench()
-	if err != nil {
-		return nil, err
-	}
 	prob, err := p.flat()
 	if err != nil {
 		return nil, err
 	}
-	res, err := shapefn.Place(ctx, bench, e.functions == "enhanced")
+	res, err := shapefn.Place(ctx, prob, p.tree(), e.functions == "enhanced")
 	if err != nil {
 		return nil, err
 	}
@@ -241,7 +219,7 @@ var optionalTerms = map[string]func(Objective) bool{
 
 // CheckProblem reports why the named algorithm's Info refuses p: over
 // its MaxModules, or an objective term it Refuses and would otherwise
-// silently ignore (the message says why in esf and rsf's terms). An
+// silently ignore. The message says only what the Info states. An
 // unregistered name (the wire's portfolio) passes. Solve runs it before
 // every engine, portfolio racers included, and so does wire request
 // validation: the daemon answers 400 before queuing.
@@ -252,7 +230,7 @@ func CheckProblem(algorithm string, p *Problem) error {
 	}
 	for _, term := range info.Refuses {
 		if optionalTerms[term](p.Objective) {
-			return fmt.Errorf("placer: %s minimizes bounding-box area over the hierarchy and cannot honour the %s term; drop it from the objective", algorithm, term)
+			return fmt.Errorf("placer: %s cannot honour the %s term; drop it from the objective", algorithm, term)
 		}
 	}
 	return nil
