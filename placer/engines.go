@@ -144,9 +144,7 @@ func genetic(run func(*place.Problem, anneal.GAOptions, anneal.Options) (*place.
 
 // hbstarEngine adapts the hierarchical HB*-tree placer: the same flat
 // view the flat engines anneal, under the problem's hierarchy (or one
-// synthesized from the flat groups). ProxWeight tunes the flat
-// engines' pull term only; the hierarchical placer always enforces
-// proximity through its fragments penalty.
+// synthesized from the flat groups).
 type hbstarEngine struct{}
 
 // Solve implements Engine.
