@@ -6,9 +6,11 @@
 package service
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"slices"
 	"testing"
 	"time"
 
@@ -210,5 +212,74 @@ func TestTraceDeterministicAcrossDaemons(t *testing.T) {
 	a, b := trace(), trace()
 	if !bytes.Equal(a, b) {
 		t.Fatalf("fixed-seed traces differ across daemons:\n%s\n%s", a, b)
+	}
+}
+
+// TestSSEMatchesTrace: the recorder events a job stream carries are
+// byte for byte its trace's events, both streamed live from the
+// solve's ring (in arrival order, so compared as a set) and replayed
+// from the finished job's record (in the trace's order).
+func TestSSEMatchesTrace(t *testing.T) {
+	h := newHarness(t, Config{Workers: 1})
+	req := temperedRequest(t, 5)
+	req.Options.MovesPerStage = 300 // long enough for the live stream to attach
+	code, body := h.do(http.MethodPost, "/v1/place", mustJSON(t, req))
+	if code != http.StatusOK && code != http.StatusAccepted {
+		t.Fatalf("submit: %d %s", code, body)
+	}
+	id := h.job(body).ID
+	stream := func() []string {
+		req, err := http.NewRequest(http.MethodGet, h.srv.URL+"/v1/jobs/"+id, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Accept", "text/event-stream")
+		resp, err := h.httpc.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var data []string
+		for _, e := range readSSE(t, bufio.NewScanner(resp.Body)) {
+			if e.name != "progress" && e.name != "done" {
+				data = append(data, e.data)
+			}
+		}
+		return data
+	}
+	live := stream()
+	// The replay must come from the job store, so wait for the job to
+	// leave the live table, which it does just after its done event.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if _, ok := h.s.Job(id); !ok {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("finished job never left the live table")
+		}
+	}
+	replay := stream()
+
+	code, body = h.do(http.MethodGet, "/v1/jobs/"+id+"/trace", nil)
+	if code != http.StatusOK {
+		t.Fatalf("GET trace: %d %s", code, body)
+	}
+	var tr struct {
+		Events []json.RawMessage `json:"events"`
+	}
+	if err := json.Unmarshal(body, &tr); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]string, len(tr.Events))
+	for i, e := range tr.Events {
+		want[i] = string(e)
+	}
+	if !slices.Equal(replay, want) {
+		t.Fatalf("replayed events differ from the trace:\n%q\n%q", replay, want)
+	}
+	slices.Sort(live)
+	slices.Sort(want)
+	if !slices.Equal(live, want) {
+		t.Fatalf("streamed events differ from the trace:\n%q\n%q", live, want)
 	}
 }
