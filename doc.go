@@ -281,6 +281,15 @@
 // replays a pre-instrumentation golden against the traced path, and
 // placer/trace_test.go pins byte-equal trace JSON across runs.
 //
+// One event type runs from the recorder to the wire.
+// placer.TraceEventFromObs maps an obs.Event to a placer.TraceEvent and
+// applies the wire's rules there: ±Inf clamps to ±MaxFloat64, NaN to
+// 0, and only exchange events carry a peer. placer.Trace holds the
+// JSON tags, wire.Trace is a placer.Trace behind a version field, and
+// the SSE stream sends the same mapped events, so result traces, the
+// trace endpoint and streamed events share one spelling. TestTracePinned
+// pins those bytes against fixtures in placer/testdata.
+//
 // Tracing is on by default in the daemon (placed -trace-events,
 // negative disables; service.Config.TraceEvents). A finished job's
 // recording — including failpoint and worker-crash provenance from
@@ -319,7 +328,7 @@
 // Admission is per-tenant: the X-API-Key header names the tenant,
 // token buckets (placed -tenant-rate/-tenant-burst) shed over-quota
 // submissions with 429 + Retry-After, queued work is dequeued
-// weighted-fair across tenants, and /metrics breaks admitted,
+// fairly across tenants, and /metrics breaks admitted,
 // throttled and queue depth out per tenant. cmd/placeload drives the
 // whole serve path with a seeded open-loop workload (synthetic
 // instances, tenant mix, cold and cache-hit scenarios at 1/8/64

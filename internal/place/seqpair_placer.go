@@ -75,7 +75,6 @@ type spRep struct {
 	sp   *seqpair.SP
 	rot  []bool
 	w, h []int // effective dims, kept in sync with rot
-	pws  seqpair.PackWorkspace
 	ip   seqpair.IncPack
 
 	saved      seqpair.State

@@ -6,18 +6,18 @@ import (
 	"testing"
 
 	"repro/internal/wire"
+	"repro/placer"
 )
 
 func chartTrace() *wire.Trace {
 	return &wire.Trace{
-		Version: wire.Version, Method: "seqpair", Capacity: 2048,
-		Events: []wire.TraceEvent{
+		Version: wire.Version, Trace: placer.Trace{Method: "seqpair", Capacity: 2048, Events: []wire.TraceEvent{
 			{Kind: wire.TraceKindStage, Worker: 0, Stage: 1, Temp: 10, Best: 90, Cur: 95, Moves: 40, Accepted: 30},
 			{Kind: wire.TraceKindStage, Worker: 1, Stage: 1, Temp: 35, Best: 98, Cur: 99, Moves: 40, Accepted: 38},
 			{Kind: wire.TraceKindExchange, Worker: 0, Stage: 2, Temp: 10, Cur: 95, Peer: 1, PeerTemp: 35, PeerCost: 99, Accept: true},
 			{Kind: wire.TraceKindStage, Worker: 0, Stage: 2, Temp: 9, Best: 80, Cur: 85, Moves: 80, Accepted: 50},
 			{Kind: wire.TraceKindStage, Worker: 1, Stage: 2, Temp: 31.5, Best: 95, Cur: 97, Moves: 80, Accepted: 74},
-		},
+		}},
 	}
 }
 
@@ -63,7 +63,7 @@ func TestChartSVGDeterministic(t *testing.T) {
 
 func TestChartSVGRejectsEmpty(t *testing.T) {
 	var buf bytes.Buffer
-	if err := ChartSVG(&buf, &wire.Trace{Version: wire.Version, Method: "seqpair"}); err == nil {
+	if err := ChartSVG(&buf, &wire.Trace{Version: wire.Version, Trace: placer.Trace{Method: "seqpair"}}); err == nil {
 		t.Fatal("empty trace rendered without error")
 	}
 	if err := ChartSVG(&buf, nil); err == nil {

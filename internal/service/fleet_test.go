@@ -396,10 +396,10 @@ func fakeJob(id, tenant string) *Job {
 	return &Job{ID: id, tenant: tenant, done: make(chan struct{})}
 }
 
-// TestFairQueueOrder pins the weighted-fair dequeue: FIFO within a
-// tenant, interleaving across tenants (no flooding tenant starves a
-// trickle), weight-proportional service, deterministic tie-breaks, and
-// crash requeue at the head of the lane without a new vtime charge.
+// TestFairQueueOrder pins the fair dequeue: FIFO within a tenant,
+// interleaving across tenants (no flooding tenant starves a trickle),
+// deterministic tie-breaks, and crash requeue at the head of the lane
+// without a new vtime charge.
 func TestFairQueueOrder(t *testing.T) {
 	popAll := func(q *fairQueue) []string {
 		var ids []string
@@ -410,28 +410,16 @@ func TestFairQueueOrder(t *testing.T) {
 	}
 
 	// A floods three jobs before B's one: B is served after a single A.
-	q := newFairQueue(nil)
+	q := newFairQueue()
 	for _, j := range []*Job{fakeJob("a1", "A"), fakeJob("a2", "A"), fakeJob("a3", "A"), fakeJob("b1", "B")} {
 		q.push(j)
 	}
 	if got := fmt.Sprint(popAll(q)); got != "[a1 b1 a2 a3]" {
-		t.Fatalf("unweighted pop order %s", got)
-	}
-
-	// Weight 2 drains twice as fast under contention.
-	q = newFairQueue(map[string]float64{"B": 2})
-	for i := 1; i <= 3; i++ {
-		q.push(fakeJob(fmt.Sprintf("a%d", i), "A"))
-	}
-	for i := 1; i <= 3; i++ {
-		q.push(fakeJob(fmt.Sprintf("b%d", i), "B"))
-	}
-	if got := fmt.Sprint(popAll(q)); got != "[a1 b1 b2 a2 b3 a3]" {
-		t.Fatalf("weighted pop order %s", got)
+		t.Fatalf("pop order %s", got)
 	}
 
 	// Crash requeue goes back to the head of its own lane.
-	q = newFairQueue(nil)
+	q = newFairQueue()
 	q.push(fakeJob("a1", "A"))
 	q.push(fakeJob("a2", "A"))
 	first := q.pop()
@@ -441,7 +429,7 @@ func TestFairQueueOrder(t *testing.T) {
 	}
 
 	// remove frees the slot and is idempotent for popped jobs.
-	q = newFairQueue(nil)
+	q = newFairQueue()
 	j1, j2 := fakeJob("a1", "A"), fakeJob("a2", "A")
 	q.push(j1)
 	q.push(j2)
@@ -457,7 +445,7 @@ func TestFairQueueOrder(t *testing.T) {
 
 	// An idling tenant banks no credit: B activating late starts at the
 	// current virtual clock, not at zero.
-	q = newFairQueue(nil)
+	q = newFairQueue()
 	for i := 1; i <= 4; i++ {
 		q.push(fakeJob(fmt.Sprintf("a%d", i), "A"))
 	}
@@ -471,7 +459,7 @@ func TestFairQueueOrder(t *testing.T) {
 	}
 
 	// depths reports per-tenant backlog.
-	q = newFairQueue(nil)
+	q = newFairQueue()
 	q.push(fakeJob("a1", "A"))
 	q.push(fakeJob("b1", "B"))
 	q.push(fakeJob("b2", "B"))

@@ -198,9 +198,7 @@ func (s *Scheduler) Metrics() Metrics {
 			snap.CacheEntries = st.Entries
 		}
 	}
-	if s.checkpoints != nil {
-		snap.CheckpointsSaved, snap.CheckpointsResumed, snap.CheckpointEntries = s.checkpoints.Counters()
-	}
+	snap.CheckpointsSaved, snap.CheckpointsResumed, snap.CheckpointEntries = s.checkpoints.Counters()
 	return snap
 }
 
@@ -236,10 +234,7 @@ func (s *Scheduler) WriteMetrics(w io.Writer) error {
 		cacheStats, _ = s.results.Stats()
 	}
 	jobStats, _ = s.jobstore.Stats()
-	var ckptSaved, ckptResumed, ckptEntries int64
-	if s.checkpoints != nil {
-		ckptSaved, ckptResumed, ckptEntries = s.checkpoints.Counters()
-	}
+	ckptSaved, ckptResumed, ckptEntries := s.checkpoints.Counters()
 
 	var err error
 	p := func(format string, args ...any) {

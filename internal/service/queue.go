@@ -3,42 +3,33 @@ package service
 import "container/list"
 
 // fairQueue is the scheduler's pending-job structure: one FIFO per
-// tenant, dequeued by weighted fair queueing over virtual time. Each
-// tenant's queue keeps strict FIFO order (so the single-tenant daemon
-// behaves exactly like the plain list it replaced, crash requeue at
-// the front included), while across tenants every pop charges the
-// served tenant 1/weight of virtual time and the next pop goes to the
-// smallest vtime — so a tenant flooding the queue cannot starve one
-// submitting at a trickle, and a tenant with weight 2 drains twice as
-// fast as one with weight 1 under contention. Ties break on the
-// tenant name, so dequeue order is deterministic for a fixed arrival
-// order. All methods are called under the scheduler's mutex.
+// tenant, dequeued by fair queueing over virtual time. Each tenant's
+// queue keeps strict FIFO order (so the single-tenant daemon behaves
+// exactly like the plain list it replaced, crash requeue at the front
+// included), while across tenants every pop charges the served tenant
+// one unit of virtual time and the next pop goes to the smallest vtime
+// — so a tenant flooding the queue cannot starve one submitting at a
+// trickle. Ties break on the tenant name, so dequeue order is
+// deterministic for a fixed arrival order. All methods are called
+// under the scheduler's mutex.
 type fairQueue struct {
 	size    int
 	tenants map[string]*tenantQ
-	weights map[string]float64
 	// vclock is the virtual time of the most recent dequeue. A tenant
 	// (re)activating from idle starts at the clock rather than its
 	// stale vtime, so idle time banks no credit — fairness is over
 	// backlogged tenants only, the classic start-time fairness rule.
-	vclock float64
+	vclock int
 }
 
 type tenantQ struct {
 	name  string
 	jobs  *list.List // of *Job; Front is next out
-	vtime float64
+	vtime int
 }
 
-func newFairQueue(weights map[string]float64) *fairQueue {
-	return &fairQueue{tenants: make(map[string]*tenantQ), weights: weights}
-}
-
-func (q *fairQueue) weight(tenant string) float64 {
-	if w, ok := q.weights[tenant]; ok && w > 0 {
-		return w
-	}
-	return 1
+func newFairQueue() *fairQueue {
+	return &fairQueue{tenants: make(map[string]*tenantQ)}
 }
 
 // tq returns (creating if needed) the tenant's queue, applying the
@@ -83,7 +74,7 @@ func (q *fairQueue) pop() *Job {
 	j := el.Value.(*Job)
 	j.qelem = nil
 	q.size--
-	best.vtime += 1 / q.weight(best.name)
+	best.vtime++
 	q.vclock = best.vtime
 	if best.jobs.Len() == 0 {
 		delete(q.tenants, best.name)

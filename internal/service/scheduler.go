@@ -304,26 +304,12 @@ type Config struct {
 	// and running jobs live in the scheduler's own table and are never
 	// evicted. Unused when Jobs is set. Default 1024.
 	RetainJobs int
-	// MaxSolve is the server-side ceiling on one job's solve
-	// wall-clock: it caps the request's timeout_ms (and substitutes
-	// for an absent one), so a single maximal-schedule request cannot
-	// camp on a pool worker indefinitely. Hitting it cancels at the
-	// next stage boundary, keeping best-so-far. Default 10 minutes;
-	// negative disables the ceiling.
-	MaxSolve time.Duration
 	// MaxJobCrashes is how many worker panics (panics escaping the
 	// contained solver path — scheduler bugs or injected faults) one
 	// job may cause before it is quarantined as failed with the
 	// captured stack; below the limit the job is requeued for retry.
 	// Default 2; negative quarantines on the first crash.
 	MaxJobCrashes int
-	// RetainCheckpoints bounds the checkpoint store (distinct content
-	// hashes with saved best-so-far solver state). Interrupted jobs —
-	// cancelled, deadline-expired, crashed — leave a checkpoint
-	// behind, and a resubmission of the identical request resumes
-	// annealing from it instead of restarting cold. 0 means the
-	// default of 64; negative disables checkpoint/resume.
-	RetainCheckpoints int
 	// PressureDepth is the queued-job depth at or beyond which new
 	// solves enter deadline-pressure mode: the annealing schedule is
 	// shortened (stage and stall bounds quartered) so the queue
@@ -350,12 +336,6 @@ type Config struct {
 	// means an in-memory store of RetainJobs entries; a durable backend
 	// keeps records across restarts and shares them between instances.
 	Jobs store.JobStore
-	// ResultTTL/JobTTL expire store entries (0 = never). They only
-	// apply to the default in-memory stores and to backends the caller
-	// constructs with these TTLs; New passes them through when it
-	// builds the defaults.
-	ResultTTL time.Duration
-	JobTTL    time.Duration
 	// Instance prefixes job ids ("<instance>-job-N") so two daemons
 	// sharing a file-backed job store never collide. Empty keeps the
 	// bare "job-N" (single-instance and test default). Job ids are
@@ -371,11 +351,6 @@ type Config struct {
 	// TenantBurst is the bucket depth when quotas are enabled; values
 	// below 1 mean 1.
 	TenantBurst int
-	// TenantWeights sets per-tenant weights for the fair dequeue
-	// (default weight 1): under contention a tenant drains
-	// proportionally to its weight. Fair queueing is always on — with
-	// a single tenant it degenerates to the plain FIFO it replaced.
-	TenantWeights map[string]float64
 
 	// Worker supervision backoff: a crashed worker slot restarts after
 	// an exponentially growing, jittered delay that starts at
@@ -446,17 +421,11 @@ func New(cfg Config) *Scheduler {
 	if cfg.RetainJobs <= 0 {
 		cfg.RetainJobs = 1024
 	}
-	if cfg.MaxSolve == 0 {
-		cfg.MaxSolve = 10 * time.Minute
-	}
 	switch {
 	case cfg.MaxJobCrashes == 0:
 		cfg.MaxJobCrashes = 2
 	case cfg.MaxJobCrashes < 0:
 		cfg.MaxJobCrashes = 0 // quarantine on the first crash
-	}
-	if cfg.RetainCheckpoints == 0 {
-		cfg.RetainCheckpoints = 64
 	}
 	switch {
 	case cfg.PressureDepth == 0:
@@ -478,7 +447,8 @@ func New(cfg Config) *Scheduler {
 		cfg:           cfg,
 		jobs:          make(map[string]*Job),
 		inflight:      make(map[string]*Job),
-		queue:         newFairQueue(cfg.TenantWeights),
+		queue:         newFairQueue(),
+		checkpoints:   store.NewCheckpoints(retainCheckpoints),
 		workerCrashes: make([]int64, cfg.Workers),
 	}
 	s.qcond = sync.NewCond(&s.mu)
@@ -489,7 +459,7 @@ func New(cfg Config) *Scheduler {
 	case cfg.Results != nil:
 		s.results = cfg.Results
 	case size > 0:
-		s.results = store.NewResultCache(store.NewMemory(size), cfg.ResultTTL)
+		s.results = store.NewResultCache(store.NewMemory(size), 0)
 	}
 	if s.results != nil {
 		// The memo is bounded like the cache it answers from: a
@@ -503,10 +473,7 @@ func New(cfg Config) *Scheduler {
 	if cfg.Jobs != nil {
 		s.jobstore = cfg.Jobs
 	} else {
-		s.jobstore = store.NewJobStore(store.NewMemory(cfg.RetainJobs), cfg.JobTTL)
-	}
-	if cfg.RetainCheckpoints > 0 {
-		s.checkpoints = store.NewCheckpoints(cfg.RetainCheckpoints)
+		s.jobstore = store.NewJobStore(store.NewMemory(cfg.RetainJobs), 0)
 	}
 	s.quotas = newQuotas(cfg.TenantRate, cfg.TenantBurst)
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
@@ -746,6 +713,20 @@ func (s *Scheduler) Close() {
 // defaultCacheSize is the result cache's default entry bound.
 const defaultCacheSize = 128
 
+// maxSolve is the server-side ceiling on one job's solve wall-clock:
+// it caps the request's timeout_ms (and substitutes for an absent
+// one), so a single maximal-schedule request cannot camp on a pool
+// worker indefinitely. Hitting it cancels at the next stage boundary,
+// keeping best-so-far.
+const maxSolve = 10 * time.Minute
+
+// retainCheckpoints bounds the checkpoint store (distinct content
+// hashes with saved best-so-far solver state). Interrupted jobs —
+// cancelled, deadline-expired, crashed — leave a checkpoint behind,
+// and a resubmission of the identical request resumes annealing from
+// it instead of restarting cold.
+const retainCheckpoints = 64
+
 // restartBackoff is one worker slot's restart delay (see
 // Config.restartBase): it doubles after every crash up to max, and
 // starts over after a crash that ended a long healthy run.
@@ -889,13 +870,7 @@ func (s *Scheduler) run(j *Job) {
 	// own timeout_ms on top. The submitting request's span (if any)
 	// re-parents here, bridging the trace across the queue hand-off.
 	base := obs.ContextWithSpan(s.baseCtx, j.span)
-	var ctx context.Context
-	var cancel context.CancelFunc
-	if s.cfg.MaxSolve > 0 {
-		ctx, cancel = context.WithTimeout(base, s.cfg.MaxSolve)
-	} else {
-		ctx, cancel = context.WithCancel(base)
-	}
+	ctx, cancel := context.WithTimeout(base, maxSolve)
 	ctx, jobSpan := obs.StartSpan(ctx, "job",
 		obs.KV("id", j.ID), obs.Int("crashes", j.crashes))
 	j.state = StateRunning
@@ -938,9 +913,7 @@ func (s *Scheduler) run(j *Job) {
 	// Checkpoint/resume: the engines periodically save their best
 	// snapshot under the job's content hash, and an identical
 	// resubmission after an interruption resumes annealing from it.
-	if s.checkpoints != nil {
-		extra = append(extra, placer.WithCheckpoint(&jobCheckpointer{s: s, hash: j.Hash}))
-	}
+	extra = append(extra, placer.WithCheckpoint(&jobCheckpointer{s: s, hash: j.Hash}))
 	// Flight recording: every solve records into a job-owned ring
 	// unless the daemon disabled tracing, so SSE streams can read stage
 	// events live (obs.Flight.Since) while the solve runs. A fresh ring
@@ -1059,7 +1032,7 @@ func (s *Scheduler) finish(j *Job, from State, out store.JobRecord) bool {
 	// A completed canonical solve retires its checkpoint — the result
 	// cache answers future resubmissions. Interrupted (and degraded)
 	// runs keep theirs, so the next identical request warm-starts.
-	if canonical && s.checkpoints != nil {
+	if canonical {
 		s.checkpoints.Drop(j.Hash)
 	}
 	close(j.done)

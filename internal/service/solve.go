@@ -103,8 +103,8 @@ func Solve(ctx context.Context, req *wire.Request, progress func(placer.Progress
 var errCancelled = errors.New("service: solve cancelled")
 
 // maxInjectedStall bounds the "solve/slow" failpoint's stall on a
-// context with no deadline, so an injected hang can prove the
-// MaxSolve/timeout machinery cuts stuck solves loose without being
+// context with no deadline, so an injected hang can prove the server
+// ceiling and timeout machinery cuts stuck solves loose without being
 // able to wedge a deadline-free caller forever.
 const maxInjectedStall = 30 * time.Second
 

@@ -10,7 +10,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/store"
-	"repro/internal/wire"
+	"repro/placer"
 )
 
 // sseTick is how often a job stream polls the job's ring and progress
@@ -65,7 +65,7 @@ func (s *Scheduler) serveJobStream(w http.ResponseWriter, r *http.Request, job *
 		}
 		for _, e := range ring.Since(cursor) {
 			cursor = e.Seq + 1
-			if !s.writeEvent(w, fmt.Sprintf("id: %d\nevent: %s\n", e.Seq, e.Kind), wire.TraceEventFromObs(e)) {
+			if !s.writeEvent(w, fmt.Sprintf("id: %d\nevent: %s\n", e.Seq, e.Kind), placer.TraceEventFromObs(e)) {
 				return false
 			}
 			wrote = true

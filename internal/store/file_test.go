@@ -140,9 +140,9 @@ func TestMemoryLRUEviction(t *testing.T) {
 // an adapter that aliases any of them shows it.
 func fullResult() *wire.Result {
 	tr := func(best float64) *wire.Trace {
-		return &wire.Trace{Version: wire.Version, Method: placer.SeqPair, Capacity: 8, Events: []wire.TraceEvent{
+		return &wire.Trace{Version: wire.Version, Trace: placer.Trace{Method: placer.SeqPair, Capacity: 8, Events: []wire.TraceEvent{
 			{Kind: wire.TraceKindStage, Best: best, Moves: 10, Accepted: 4},
-		}}
+		}}}
 	}
 	return &wire.Result{
 		Version:      wire.Version,

@@ -5,12 +5,11 @@ import (
 	"math"
 	"slices"
 
-	"repro/internal/obs"
 	"repro/placer"
 )
 
-// Trace event kinds on the wire. They mirror the placer trace's
-// spellings; TraceEvent documents which fields each kind populates.
+// Trace event kinds on the wire; placer.TraceEvent documents which
+// fields each kind populates.
 const (
 	TraceKindStage      = "stage"
 	TraceKindExchange   = "exchange"
@@ -20,53 +19,18 @@ const (
 )
 
 // TraceEvent is one flight-recorder record on the wire.
-//
-//   - "stage": one completed temperature stage of chain `worker`:
-//     temperature after cooling, best/current cost and cumulative
-//     move counters.
-//   - "exchange": one replica-exchange attempt between tempering rungs
-//     `worker` and `peer` with the pre-swap decision inputs and the
-//     Metropolis outcome in `accept`.
-//   - "checkpoint": a best-so-far snapshot capture; worker -1 is the
-//     tempering coordinator capturing the ladder-wide best.
-//   - "resume": the run warm-started from a checkpoint.
-//   - "failpoint": an injected fault (chaos testing) named by `point`;
-//     worker/stage are -1 for faults hit outside any chain.
-type TraceEvent struct {
-	Kind     string  `json:"kind"`
-	Worker   int     `json:"worker"`
-	Stage    int     `json:"stage"`
-	Temp     float64 `json:"temp,omitempty"`
-	Best     float64 `json:"best,omitempty"`
-	Cur      float64 `json:"cur,omitempty"`
-	Moves    int64   `json:"moves,omitempty"`
-	Accepted int64   `json:"accepted,omitempty"`
-	Improved int64   `json:"improved,omitempty"`
-
-	// Exchange fields. Peer is always > worker ≥ 0 on exchange events,
-	// so omitempty never hides it.
-	Peer     int     `json:"peer,omitempty"`
-	PeerTemp float64 `json:"peer_temp,omitempty"`
-	PeerCost float64 `json:"peer_cost,omitempty"`
-	Accept   bool    `json:"accept,omitempty"`
-
-	Point string `json:"point,omitempty"`
-}
+type TraceEvent = placer.TraceEvent
 
 // Trace is a solve's flight recording on the wire: versioned JSON,
-// served by GET /v1/jobs/{id}/trace and attached to Result.Trace.
-// For a deterministic (fixed-seed, fault-free) solve the canonical
-// encoding is itself deterministic byte for byte, provided the
-// recording dropped no events.
+// served by GET /v1/jobs/{id}/trace and attached to Result.Trace. It is
+// a placer.Trace behind the version field, so its floats are finite
+// (+Inf reads MaxFloat64) and only exchange events carry a peer. For a
+// deterministic (fixed-seed, fault-free) solve the canonical encoding
+// is itself deterministic byte for byte, provided the recording
+// dropped no events.
 type Trace struct {
-	Version int    `json:"version"`
-	Method  string `json:"method"`
-	// Capacity is the recorder ring size the solve ran with; Dropped
-	// counts events lost to overwriting after the ring filled (the
-	// newest events are the ones kept).
-	Capacity int          `json:"capacity"`
-	Dropped  uint64       `json:"dropped,omitempty"`
-	Events   []TraceEvent `json:"events"`
+	Version int `json:"version"`
+	placer.Trace
 }
 
 // Clone returns a deep copy of the trace; a nil Events stays nil.
@@ -79,81 +43,15 @@ func (t *Trace) Clone() *Trace {
 	return &c
 }
 
-// traceFloat makes a recorded float JSON-encodable: JSON has no
-// IEEE-754 specials, and a trace may legitimately contain +Inf costs
-// (infeasible early states are priced at +Inf). Non-finite values
-// clamp to ±MaxFloat64; NaN (never produced by the engines) becomes 0.
-func traceFloat(v float64) float64 {
-	switch {
-	case math.IsNaN(v):
-		return 0
-	case math.IsInf(v, 1):
-		return math.MaxFloat64
-	case math.IsInf(v, -1):
-		return -math.MaxFloat64
-	}
-	return v
-}
-
-// TraceFromPlacer converts a placer trace into its wire form.
+// TraceFromPlacer wraps a placer trace in its wire form, with its own
+// copy of the events.
 func TraceFromPlacer(tr *placer.Trace) *Trace {
 	if tr == nil {
 		return nil
 	}
-	out := &Trace{
-		Version:  Version,
-		Method:   tr.Algorithm,
-		Capacity: tr.Capacity,
-		Dropped:  tr.Dropped,
-		Events:   make([]TraceEvent, 0, len(tr.Events)),
-	}
-	for _, e := range tr.Events {
-		we := TraceEvent{
-			Kind:     e.Kind,
-			Worker:   e.Worker,
-			Stage:    e.Stage,
-			Temp:     traceFloat(e.Temp),
-			Best:     traceFloat(e.Best),
-			Cur:      traceFloat(e.Cur),
-			Moves:    e.Moves,
-			Accepted: e.Accepted,
-			Improved: e.Improved,
-			PeerTemp: traceFloat(e.PeerTemp),
-			PeerCost: traceFloat(e.PeerCost),
-			Accept:   e.Accept,
-			Point:    e.Point,
-		}
-		if e.Kind == "exchange" {
-			we.Peer = e.Peer
-		}
-		out.Events = append(out.Events, we)
-	}
+	out := &Trace{Version: Version, Trace: *tr}
+	out.Events = slices.Clone(tr.Events)
 	return out
-}
-
-// TraceEventFromObs converts one live flight-recorder event into its
-// wire form: the mapping TraceFromPlacer applies to a finished trace,
-// so a client decodes streamed and completed events with one type.
-func TraceEventFromObs(e obs.Event) TraceEvent {
-	we := TraceEvent{
-		Kind:     e.Kind.String(),
-		Worker:   int(e.Worker),
-		Stage:    int(e.Stage),
-		Temp:     traceFloat(e.Temp),
-		Best:     traceFloat(e.Best),
-		Cur:      traceFloat(e.Cur),
-		Moves:    e.Moves,
-		Accepted: e.Accepted,
-		Improved: e.Improved,
-		PeerTemp: traceFloat(e.PeerTemp),
-		PeerCost: traceFloat(e.PeerCost),
-		Accept:   e.Accept,
-		Point:    e.Point,
-	}
-	if e.Kind == obs.EventExchange {
-		we.Peer = int(e.Peer)
-	}
-	return we
 }
 
 // traceKinds is the closed set of event kinds this wire version

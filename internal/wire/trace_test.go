@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -11,14 +12,13 @@ import (
 
 func validTrace() *Trace {
 	return &Trace{
-		Version: Version, Method: "seqpair", Capacity: 2048,
-		Events: []TraceEvent{
+		Version: Version, Trace: placer.Trace{Method: "seqpair", Capacity: 2048, Events: []TraceEvent{
 			{Kind: TraceKindResume, Worker: 0, Cur: 10, Best: 10},
 			{Kind: TraceKindStage, Worker: 0, Stage: 1, Temp: 5, Best: 9, Cur: 9.5, Moves: 40, Accepted: 20, Improved: 5},
 			{Kind: TraceKindExchange, Worker: 0, Stage: 2, Temp: 5, Cur: 9, Peer: 1, PeerTemp: 17.5, PeerCost: 11, Accept: true},
 			{Kind: TraceKindCheckpoint, Worker: -1, Stage: 2, Best: 9},
 			{Kind: TraceKindFailpoint, Worker: -1, Stage: -1, Point: "solve/slow"},
-		},
+		}},
 	}
 }
 
@@ -61,47 +61,45 @@ func TestTraceValidateRejects(t *testing.T) {
 	}
 }
 
-// TestTraceFromPlacerSanitizes: +Inf costs (infeasible early states)
-// must clamp to JSON-encodable values the validator then accepts, and
-// non-exchange events must not leak their Peer -1 sentinel. The live
-// mapping (TraceEventFromObs, what SSE streams) must agree with the
-// finished-trace one event for event.
+// TestTraceFromPlacerSanitizes: the one mapping from recorder events
+// (placer.TraceEventFromObs, what result traces and SSE carry) clamps
+// +Inf costs (infeasible early states) to JSON-encodable values the
+// validator accepts, keeps Peer only on exchange events (no -1
+// sentinel leaks), and encodes to the wire bytes; TraceFromPlacer wraps
+// the result with the version and copies its events.
 func TestTraceFromPlacerSanitizes(t *testing.T) {
-	tr := TraceFromPlacer(&placer.Trace{
-		Algorithm: "seqpair",
-		Capacity:  16,
-		Events: []placer.TraceEvent{
-			{Kind: "stage", Worker: 0, Stage: 1, Temp: 2, Best: math.Inf(1), Cur: math.Inf(1), Moves: 3, Peer: -1},
-		},
-	})
-	if err := tr.Validate(); err != nil {
-		t.Fatalf("sanitized trace rejected: %v", err)
-	}
-	e := tr.Events[0]
-	if e.Best != math.MaxFloat64 || e.Cur != math.MaxFloat64 {
-		t.Fatalf("+Inf not clamped: %+v", e)
-	}
-	if e.Peer != 0 {
-		t.Fatalf("non-exchange event leaked peer %d", e.Peer)
-	}
-	if TraceFromPlacer(nil) != nil {
-		t.Fatal("nil placer trace must convert to nil")
-	}
-
 	live := []obs.Event{
 		{Kind: obs.EventStage, Worker: 0, Stage: 1, Temp: 2, Best: math.Inf(1), Cur: math.Inf(1), Moves: 3, Peer: -1},
 		{Kind: obs.EventExchange, Worker: 0, Stage: 2, Temp: 5, Cur: 9, Peer: 1, PeerTemp: math.Inf(1), PeerCost: 11, Accept: true},
 	}
-	want := TraceFromPlacer(&placer.Trace{Events: []placer.TraceEvent{
-		{Kind: "stage", Worker: 0, Stage: 1, Temp: 2, Best: math.Inf(1), Cur: math.Inf(1), Moves: 3, Peer: -1},
-		{Kind: "exchange", Worker: 0, Stage: 2, Temp: 5, Cur: 9, Peer: 1, PeerTemp: math.Inf(1), PeerCost: 11, Accept: true},
-	}}).Events
-	for i, e := range live {
-		if got := TraceEventFromObs(e); got != want[i] {
-			t.Fatalf("live event %d streams as %+v, finished trace holds %+v", i, got, want[i])
-		}
+	want := []string{
+		`{"kind":"stage","worker":0,"stage":1,"temp":2,"best":1.7976931348623157e+308,"cur":1.7976931348623157e+308,"moves":3}`,
+		`{"kind":"exchange","worker":0,"stage":2,"temp":5,"cur":9,"peer":1,"peer_temp":1.7976931348623157e+308,"peer_cost":11,"accept":true}`,
 	}
-	if got := TraceEventFromObs(live[0]); got.Best != math.MaxFloat64 {
-		t.Fatalf("+Inf best streams as %v, want MaxFloat64", got.Best)
+	pt := &placer.Trace{Method: "seqpair", Capacity: 16}
+	for i, e := range live {
+		te := placer.TraceEventFromObs(e)
+		b, err := json.Marshal(te)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(b) != want[i] {
+			t.Fatalf("event %d encodes as\n%s\nwant\n%s", i, b, want[i])
+		}
+		pt.Events = append(pt.Events, te)
+	}
+	tr := TraceFromPlacer(pt)
+	if err := tr.Validate(); err != nil {
+		t.Fatalf("sanitized trace rejected: %v", err)
+	}
+	if tr.Version != Version {
+		t.Fatalf("wire trace version %d", tr.Version)
+	}
+	tr.Events[0].Moves = 99
+	if pt.Events[0].Moves != 3 {
+		t.Fatal("wire trace aliases the placer trace's events")
+	}
+	if TraceFromPlacer(nil) != nil {
+		t.Fatal("nil placer trace must convert to nil")
 	}
 }

@@ -51,6 +51,13 @@
 // ctx's error. [WithProgress] streams per-stage snapshots from every
 // annealing chain while the solve runs.
 //
+// [WithTrace] and [WithRecorder] record the annealing stages, replica
+// exchanges and checkpoints into a flight recorder, returned as
+// Result.Trace. [TraceEventFromObs] is the one mapping from a recorder
+// event to a [TraceEvent]: floats clamped finite, a peer only on
+// exchange events. The service's live event stream maps through it as
+// well.
+//
 // # Relation to the internal packages
 //
 // The package is a facade: engines run on internal/place,
@@ -58,7 +65,8 @@
 // schedules on internal/anneal. The JSON tags on [Problem] and its
 // parts are the wire spelling: internal/wire embeds Problem behind a
 // format version and adds strict decoding and content hashing, with no
-// conversion layer between the two. [Node], the design hierarchy, is
+// conversion layer between the two; [Trace] is likewise the wire's
+// trace behind the same version field. [Node], the design hierarchy, is
 // internal/constraint's tree type under an alias, so the hierarchy the
 // wire decodes is the tree hbstar and shapefn pack, also without
 // conversion. internal/service schedules Solve

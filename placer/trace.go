@@ -1,6 +1,10 @@
 package placer
 
-import "repro/internal/obs"
+import (
+	"math"
+
+	"repro/internal/obs"
+)
 
 // Trace is a solve's flight recording: the per-stage annealing
 // telemetry WithTrace asked the engines to capture. It is attached to
@@ -9,20 +13,24 @@ import "repro/internal/obs"
 // tracing on places bit-identically to one without — and events carry
 // no wall-clock, so for a fixed seed the trace itself is deterministic
 // byte for byte (as long as no events were dropped).
+//
+// Trace is also the wire form: wire.Trace is a Trace behind a version
+// field, so the JSON tags here are the wire's spelling and the values
+// are already wire-safe (see TraceEventFromObs).
 type Trace struct {
-	// Algorithm whose run was recorded.
-	Algorithm string
+	// Method is the algorithm whose run was recorded.
+	Method string `json:"method"`
 	// Capacity is the recorder's ring size; Dropped counts events that
 	// were overwritten after the ring filled. A trace with Dropped > 0
 	// kept the newest events.
-	Capacity int
-	Dropped  uint64
+	Capacity int    `json:"capacity"`
+	Dropped  uint64 `json:"dropped,omitempty"`
 	// Events in canonical order: by stage, then kind, then worker.
-	Events []TraceEvent
+	Events []TraceEvent `json:"events"`
 }
 
-// TraceEvent is one flight-recorder record. Kind selects which fields
-// are meaningful:
+// TraceEvent is one flight-recorder record, as TraceEventFromObs maps
+// it. Kind selects which fields are meaningful:
 //
 //   - "stage": one completed temperature stage of chain Worker — Temp
 //     after cooling, Best/Cur cost and cumulative
@@ -35,56 +43,88 @@ type Trace struct {
 //     means the tempering ladder's coordinator (ladder-wide best).
 //   - "resume": the run warm-started from a checkpoint costing Cur.
 //   - "failpoint": an injected fault (chaos testing) named by Point,
-//     observed on the solve path before or during the run.
+//     observed on the solve path before or during the run; Worker and
+//     Stage are -1 for faults hit outside any chain.
+//
+// Floats are always finite: a +Inf cost (an infeasible early state)
+// reads MaxFloat64. Peer is 0 except on exchange events.
 type TraceEvent struct {
-	Kind     string
-	Worker   int
-	Stage    int
-	Temp     float64
-	Best     float64
-	Cur      float64
-	Moves    int64
-	Accepted int64
-	Improved int64
+	Kind     string  `json:"kind"`
+	Worker   int     `json:"worker"`
+	Stage    int     `json:"stage"`
+	Temp     float64 `json:"temp,omitempty"`
+	Best     float64 `json:"best,omitempty"`
+	Cur      float64 `json:"cur,omitempty"`
+	Moves    int64   `json:"moves,omitempty"`
+	Accepted int64   `json:"accepted,omitempty"`
+	Improved int64   `json:"improved,omitempty"`
 
-	Peer     int
-	PeerTemp float64
-	PeerCost float64
-	Accept   bool
+	// Exchange fields. Peer is always > Worker ≥ 0 on exchange events,
+	// so omitempty never hides it.
+	Peer     int     `json:"peer,omitempty"`
+	PeerTemp float64 `json:"peer_temp,omitempty"`
+	PeerCost float64 `json:"peer_cost,omitempty"`
+	Accept   bool    `json:"accept,omitempty"`
 
-	Point string
+	Point string `json:"point,omitempty"`
 }
 
-// traceFromFlight converts a recorder's canonical snapshot into the
-// public trace.
-func traceFromFlight(algorithm string, f *obs.Flight) *Trace {
+// TraceEventFromObs maps one flight-recorder event to its trace record
+// under the wire's rules. JSON has no IEEE-754 specials, so non-finite
+// floats clamp to ±MaxFloat64 and NaN (never produced by the engines)
+// becomes 0; Peer is kept only on exchange events, where the
+// recorder's -1 sentinel cannot leak. Result traces and the service's
+// live event stream both map through it, so a client decodes streamed
+// and finished events with one type.
+func TraceEventFromObs(e obs.Event) TraceEvent {
+	te := TraceEvent{
+		Kind:     e.Kind.String(),
+		Worker:   int(e.Worker),
+		Stage:    int(e.Stage),
+		Temp:     finite(e.Temp),
+		Best:     finite(e.Best),
+		Cur:      finite(e.Cur),
+		Moves:    e.Moves,
+		Accepted: e.Accepted,
+		Improved: e.Improved,
+		PeerTemp: finite(e.PeerTemp),
+		PeerCost: finite(e.PeerCost),
+		Accept:   e.Accept,
+		Point:    e.Point,
+	}
+	if e.Kind == obs.EventExchange {
+		te.Peer = int(e.Peer)
+	}
+	return te
+}
+
+// finite clamps ±Inf to ±MaxFloat64 and maps NaN to 0.
+func finite(v float64) float64 {
+	switch {
+	case math.IsNaN(v):
+		return 0
+	case math.IsInf(v, 1):
+		return math.MaxFloat64
+	case math.IsInf(v, -1):
+		return -math.MaxFloat64
+	}
+	return v
+}
+
+// traceFromFlight maps a recorder's canonical snapshot into a trace.
+func traceFromFlight(method string, f *obs.Flight) *Trace {
 	if f == nil {
 		return nil
 	}
 	events := f.Snapshot()
 	tr := &Trace{
-		Algorithm: algorithm,
-		Capacity:  f.Capacity(),
-		Dropped:   f.Dropped(),
-		Events:    make([]TraceEvent, 0, len(events)),
+		Method:   method,
+		Capacity: f.Capacity(),
+		Dropped:  f.Dropped(),
+		Events:   make([]TraceEvent, len(events)),
 	}
-	for _, e := range events {
-		tr.Events = append(tr.Events, TraceEvent{
-			Kind:     e.Kind.String(),
-			Worker:   int(e.Worker),
-			Stage:    int(e.Stage),
-			Temp:     e.Temp,
-			Best:     e.Best,
-			Cur:      e.Cur,
-			Moves:    e.Moves,
-			Accepted: e.Accepted,
-			Improved: e.Improved,
-			Peer:     int(e.Peer),
-			PeerTemp: e.PeerTemp,
-			PeerCost: e.PeerCost,
-			Accept:   e.Accept,
-			Point:    e.Point,
-		})
+	for i, e := range events {
+		tr.Events[i] = TraceEventFromObs(e)
 	}
 	return tr
 }

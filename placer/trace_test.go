@@ -111,8 +111,8 @@ func TestTraceTemperedContent(t *testing.T) {
 	if tr == nil {
 		t.Fatal("no trace")
 	}
-	if tr.Algorithm != "seqpair" {
-		t.Errorf("trace algorithm %q", tr.Algorithm)
+	if tr.Method != "seqpair" {
+		t.Errorf("trace algorithm %q", tr.Method)
 	}
 	stages := map[int]int{}
 	exchanges := 0
@@ -236,18 +236,18 @@ func TestPortfolioEngineTraces(t *testing.T) {
 	if len(res.EngineTraces) != len(racers) {
 		t.Fatalf("EngineTraces has %d entries, want one per racer (%d)", len(res.EngineTraces), len(racers))
 	}
-	if res.Trace == nil || res.Trace.Algorithm != res.Algorithm {
+	if res.Trace == nil || res.Trace.Method != res.Algorithm {
 		t.Fatalf("winner trace %+v does not match winning algorithm %q", res.Trace, res.Algorithm)
 	}
 	seenWinner := false
 	for i, tr := range res.EngineTraces {
-		if tr.Algorithm != racers[i] {
-			t.Fatalf("EngineTraces[%d] is %q, want racing order %q", i, tr.Algorithm, racers[i])
+		if tr.Method != racers[i] {
+			t.Fatalf("EngineTraces[%d] is %q, want racing order %q", i, tr.Method, racers[i])
 		}
 		if len(tr.Events) > placer.MaxEngineTraceEvents {
-			t.Fatalf("racer %q trace has %d events, over the %d cap", tr.Algorithm, len(tr.Events), placer.MaxEngineTraceEvents)
+			t.Fatalf("racer %q trace has %d events, over the %d cap", tr.Method, len(tr.Events), placer.MaxEngineTraceEvents)
 		}
-		if tr.Algorithm == res.Algorithm {
+		if tr.Method == res.Algorithm {
 			seenWinner = true
 		}
 	}
