@@ -129,10 +129,11 @@ func NewHandler(s *Scheduler) http.Handler {
 		ctx, span := obs.StartSpan(r.Context(), "request", obs.KV("path", "/v1/place"))
 		defer span.End()
 		ctx = WithTenant(ctx, r.Header.Get(TenantHeader))
-		body, ok := s.readBody(w, r)
+		buf, ok := s.readBody(w, r)
 		if !ok {
 			return
 		}
+		body := buf.Bytes()
 		// A byte-identical repeat of an accepted body skips decoding,
 		// validation and hashing: the memo remembers its hash.
 		hash, known := s.memo.lookup(body)
@@ -163,6 +164,10 @@ func NewHandler(s *Scheduler) http.Handler {
 			submitError(w, s, err)
 			return
 		}
+		// Nothing submitted keeps a slice of body (the memo and the
+		// decoded request hold copies), so its buffer goes back before
+		// any wait. An error return above leaves the buffer to the GC.
+		releaseBody(buf)
 		wait := r.URL.Query().Get("wait")
 		if wait == "1" || wait == "true" {
 			select {
@@ -188,13 +193,14 @@ func NewHandler(s *Scheduler) http.Handler {
 		ctx, span := obs.StartSpan(r.Context(), "request", obs.KV("path", "/v1/place:batch"))
 		defer span.End()
 		ctx = WithTenant(ctx, r.Header.Get(TenantHeader))
-		body, ok := s.readBody(w, r)
+		buf, ok := s.readBody(w, r)
 		if !ok {
 			return
 		}
 		// One decode validates every item up front: a batch with any
 		// invalid item is rejected whole, before any job is enqueued.
-		batch, hashes, err := wire.DecodeBatchRequestHash(body)
+		batch, hashes, err := wire.DecodeBatchRequestHash(buf.Bytes())
+		releaseBody(buf) // the decoded batch holds copies
 		if err != nil {
 			s.httpError(w, http.StatusBadRequest, "%v", err)
 			return
@@ -268,7 +274,14 @@ func NewHandler(s *Scheduler) http.Handler {
 		switch {
 		case !ok: // findJob answered
 		case job != nil && wantsEventStream(r):
-			s.serveJobStream(w, r, job)
+			// A job whose record is sealed but which has not left the
+			// live table yet replays like one read from the job store,
+			// so a finished job's stream has one order.
+			if rec := job.record(); rec != nil {
+				s.serveRecordStream(w, rec)
+			} else {
+				s.serveJobStream(w, r, job)
+			}
 		case job != nil:
 			s.writeJSON(w, http.StatusOK, job.View())
 		case wantsEventStream(r):
@@ -398,22 +411,47 @@ const (
 
 var writeErrorKindNames = [numWriteErrorKinds]string{"encode", "write"}
 
-// readBody reads a POST body. When the body cannot be read or is over
-// maxRequestBytes, it answers 400 or 413 and reports false.
-func (s *Scheduler) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBytes+1))
+// maxBodyPrealloc caps how far readBody grows its buffer from a
+// declared Content-Length, so a header alone cannot make the server
+// allocate more; a buffer grown past it is not pooled.
+const maxBodyPrealloc = 1 << 20
+
+// readBody reads a POST body into a pooled buffer, which the caller
+// hands back with releaseBody once nothing uses its bytes. When the
+// body cannot be read or is over maxRequestBytes, it answers 400 or
+// 413 and reports false.
+func (s *Scheduler) readBody(w http.ResponseWriter, r *http.Request) (*bytes.Buffer, bool) {
+	buf := bufs.Get().(*bytes.Buffer)
+	if n := r.ContentLength; n > 0 {
+		// MinRead spare bytes let the final read see EOF without a
+		// further grow.
+		buf.Grow(int(min(n, maxBodyPrealloc-bytes.MinRead)) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(io.LimitReader(r.Body, maxRequestBytes+1))
 	switch {
 	case err != nil:
 		s.httpError(w, http.StatusBadRequest, "reading body: %v", err)
-	case len(body) > maxRequestBytes:
+	case buf.Len() > maxRequestBytes:
 		s.httpError(w, http.StatusRequestEntityTooLarge, "request over %d bytes", maxRequestBytes)
 	default:
-		return body, true
+		return buf, true
 	}
+	releaseBody(buf)
 	return nil, false
 }
 
-// bufs recycles the buffers responses are encoded into.
+// releaseBody returns a readBody buffer to the pool, unless it grew
+// past maxBodyPrealloc.
+func releaseBody(buf *bytes.Buffer) {
+	if buf.Cap() > maxBodyPrealloc {
+		return
+	}
+	buf.Reset()
+	bufs.Put(buf)
+}
+
+// bufs recycles the buffers request bodies are read into and responses
+// are encoded into.
 var bufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // writeJSON answers v as JSON with status. v is encoded before the

@@ -9,8 +9,10 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -281,5 +283,53 @@ func TestSSEMatchesTrace(t *testing.T) {
 	slices.Sort(want)
 	if !slices.Equal(live, want) {
 		t.Fatalf("streamed events differ from the trace:\n%q\n%q", live, want)
+	}
+}
+
+// TestSSESealedJobReplaysRecord: a finished job that is still in the
+// live table streams the same bytes as its replay from the job store.
+// finish seals the record and wakes the waiters before it drops the
+// job from the table; the test holds the job in that window by putting
+// it back into the table.
+func TestSSESealedJobReplaysRecord(t *testing.T) {
+	h := newHarness(t, Config{Workers: 1})
+	job, err := h.s.Submit(temperedRequest(t, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitJob(t, job)
+	waitRecorded(t, h.s, job.ID)
+	stream := func() string {
+		req, err := http.NewRequest(http.MethodGet, h.srv.URL+"/v1/jobs/"+job.ID, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Accept", "text/event-stream")
+		resp, err := h.httpc.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(out)
+	}
+	stored := stream()
+
+	h.s.mu.Lock()
+	h.s.jobs[job.ID] = job
+	h.s.mu.Unlock()
+	sealed := stream()
+	h.s.mu.Lock()
+	delete(h.s.jobs, job.ID)
+	h.s.mu.Unlock()
+
+	if !strings.Contains(stored, "event: exchange\n") {
+		t.Fatalf("the stored replay has no exchange events:\n%s", stored)
+	}
+	if sealed != stored {
+		t.Fatalf("a sealed job in the live table streams\n%s\nwhere the job store replays\n%s", sealed, stored)
 	}
 }

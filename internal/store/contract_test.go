@@ -35,6 +35,7 @@ func TestContract(t *testing.T) {
 			t.Run("KeysAndStats", func(t *testing.T) { testKeysAndStats(t, mk()) })
 			t.Run("KeyValidation", func(t *testing.T) { testKeyValidation(t, mk()) })
 			t.Run("Concurrent", func(t *testing.T) { testConcurrent(t, mk()) })
+			t.Run("PutDoesNotRetain", func(t *testing.T) { testPutDoesNotRetain(t, mk()) })
 		})
 	}
 }
@@ -68,6 +69,57 @@ func testPutGetDelete(t *testing.T, s Store) {
 	}
 	if err := s.Delete("abc123"); err != nil {
 		t.Fatalf("Delete of missing key must be a no-op, got %v", err)
+	}
+}
+
+// testPutDoesNotRetain: the caller may reuse a value once Put returns.
+func testPutDoesNotRetain(t *testing.T, s Store) {
+	defer s.Close()
+	val := []byte("stored-value")
+	if err := s.Put("k", val, 0); err != nil {
+		t.Fatal(err)
+	}
+	copy(val, "overwritten!")
+	if got, ok, err := s.Get("k"); err != nil || !ok || string(got) != "stored-value" {
+		t.Fatalf("Get after overwriting the Put value = %q ok=%v err=%v", got, ok, err)
+	}
+}
+
+// TestJobStorePutDoesNotRetain: a JobStore encodes every record into a
+// reused buffer, which holds only because no Store keeps a Put value.
+// Records read back unchanged after later Puts have reused the buffer:
+// without a result, with one, and with one whose bytes an earlier
+// record of the same hash already holds (over a Memory, a shared run).
+func TestJobStorePutDoesNotRetain(t *testing.T) {
+	for name, mk := range backends(t) {
+		t.Run(name, func(t *testing.T) {
+			other := fullResult()
+			other.Cost = 99
+			recs := []*JobRecord{
+				{ID: "job-1", Hash: "hash1", State: "done", Result: fullResult(), FinishedMS: 1},
+				{ID: "job-2", Hash: "hash2", State: "failed", Error: "solver crashed"},
+				{ID: "job-3", Hash: "hash1", State: "done", CacheHit: true, Result: fullResult(), FinishedMS: 3},
+				{ID: "job-4", Hash: "hash4", State: "done", Result: other},
+				{ID: "job-5", Hash: "hash5", State: "cancelled"},
+			}
+			js := NewJobStore(mk(), 0)
+			want := make(map[string]string)
+			for _, rec := range recs {
+				if err := js.Put(rec); err != nil {
+					t.Fatal(err)
+				}
+				want[rec.ID] = mustJSON(t, rec)
+			}
+			for _, rec := range recs {
+				back, ok, err := js.Get(rec.ID)
+				if err != nil || !ok {
+					t.Fatalf("Get(%s): ok=%v err=%v", rec.ID, ok, err)
+				}
+				if g := mustJSON(t, back); g != want[rec.ID] {
+					t.Fatalf("Get(%s) after later Puts:\n got %s\nwant %s", rec.ID, g, want[rec.ID])
+				}
+			}
+		})
 	}
 }
 

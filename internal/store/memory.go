@@ -70,9 +70,10 @@ func (m *Memory) putDecoded(key string, val []byte, dec any, ttl time.Duration) 
 }
 
 // putShared stores value, which is base with one contiguous run of
-// bytes inserted, and takes over base. The run is held once for every
-// entry whose run under the same share key has equal bytes; Get and
-// Stats see value as if it were stored whole.
+// bytes inserted, and takes over base; value is not kept, since
+// shareLocked copies the run. The run is held once for every entry
+// whose run under the same share key has equal bytes; Get and Stats
+// see value as if it were stored whole.
 func (m *Memory) putShared(key string, value, base []byte, share string, ttl time.Duration) error {
 	at := 0
 	for at < len(base) && value[at] == base[at] {

@@ -51,7 +51,9 @@ type Stats struct {
 // a Put is never a durability promise — this is a cache-and-scratch
 // tier, not a database.
 type Store interface {
-	// Put stores value under key, replacing any previous entry.
+	// Put stores value under key, replacing any previous entry. It
+	// does not retain value after it returns, so the caller may reuse
+	// the slice.
 	Put(key string, value []byte, ttl time.Duration) error
 	// Get returns the value stored under key. The boolean reports
 	// presence; an expired or evicted entry is an ordinary miss, while

@@ -1,9 +1,11 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/wire"
@@ -140,14 +142,24 @@ type jobStore struct {
 	ttl time.Duration
 }
 
+// recordBufs recycles the buffers job records are encoded into.
+var recordBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
 func (j *jobStore) Put(rec *JobRecord) error {
 	if rec == nil || rec.ID == "" {
 		return fmt.Errorf("store: job record without id")
 	}
-	b, err := json.Marshal(rec)
-	if err != nil {
+	buf := recordBufs.Get().(*bytes.Buffer)
+	defer func() {
+		buf.Reset()
+		recordBufs.Put(buf)
+	}()
+	// Encode writes json.Marshal's bytes and a newline. No Store keeps
+	// the value it is given, so the buffer is free again on return.
+	if err := json.NewEncoder(buf).Encode(rec); err != nil {
 		return err
 	}
+	b := bytes.TrimSuffix(buf.Bytes(), []byte{'\n'})
 	if j.mem == nil || rec.Result == nil {
 		return j.s.Put(rec.ID, b, j.ttl)
 	}
