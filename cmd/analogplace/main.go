@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	analogplace [-method seqpair|bstar|hbstar|tcg|slicing|absolute|esf|rsf|portfolio|...]
+//	analogplace [-method seqpair|bstar|hbstar|genetic:seqpair|esf|rsf|portfolio|...]
 //	            [-bench miller|folded|<table1-name>] [-seed N]
 //	            [-workers N] [-outline WxH] [-outline-weight W]
 //	            [-thermal W] [-prox W] [-wire W] [-area W] [-v]
@@ -23,7 +23,7 @@
 // algorithm dispatch of its own, so a backend registered with
 // placer.Register is placeable here at once, and a CLI run and a
 // daemon run of the same request give the same placement. Method
-// portfolio races seqpair/bstar/tcg.
+// portfolio races seqpair/bstar.
 //
 // -workers above 1 runs parallel multi-start annealing: that many
 // independent chains on separate cores, keeping the best placement.
@@ -192,8 +192,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 // schedule, caps the problem size or refuses objective terms, a line
 // saying so.
 func printAlgorithms(w io.Writer) {
-	const row = "%-16s %-13s %-10s %-10s %-8s %s\n"
-	fmt.Fprintf(w, row, "ALGORITHM", "KIND", "PORTFOLIO", "SYMMETRIC", "OVERLAP", "DESCRIPTION")
+	const row = "%-16s %-13s %-10s %-10s %s\n"
+	fmt.Fprintf(w, row, "ALGORITHM", "KIND", "PORTFOLIO", "SYMMETRIC", "DESCRIPTION")
 	mark := func(b bool, s string) string {
 		if b {
 			return s
@@ -201,7 +201,7 @@ func printAlgorithms(w io.Writer) {
 		return "-"
 	}
 	for _, v := range service.Algorithms() {
-		fmt.Fprintf(w, row, v.Name, v.Kind, mark(v.Portfolio, "yes"), mark(v.Symmetric, "yes"), mark(v.MayOverlap, "may"), v.Description)
+		fmt.Fprintf(w, row, v.Name, v.Kind, mark(v.Portfolio, "yes"), mark(v.Symmetric, "yes"), v.Description)
 		var limits []string
 		if v.IgnoresSchedule {
 			limits = append(limits, "ignores seed, workers and schedule")
@@ -409,7 +409,7 @@ func printWireBreakdown(w io.Writer, bd *wire.Breakdown) {
 	}{
 		{"area", bd.Area}, {"hpwl", bd.HPWL}, {"outline", bd.Outline},
 		{"proximity", bd.Proximity}, {"thermal", bd.Thermal},
-		{"overlap", bd.Overlap}, {"fragments", bd.Fragments},
+		{"fragments", bd.Fragments},
 	} {
 		if f.v != 0 {
 			parts = append(parts, fmt.Sprintf("%s=%.4g", f.name, f.v))

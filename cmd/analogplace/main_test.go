@@ -44,9 +44,8 @@ func TestAlgorithmsFlag(t *testing.T) {
 }
 
 // TestAlgorithmsFlagCapabilities: -algorithms shows what each engine
-// states in its Info — seqpair's symmetry, absolute's possible
-// overlaps, and esf's ignored schedule, module ceiling and refused
-// terms on the line under its row.
+// states in its Info — seqpair's symmetry, and esf's ignored schedule,
+// module ceiling and refused terms on the line under its row.
 func TestAlgorithmsFlagCapabilities(t *testing.T) {
 	out, err := cli(t, "-algorithms")
 	if err != nil {
@@ -62,14 +61,14 @@ func TestAlgorithmsFlagCapabilities(t *testing.T) {
 			}
 		}
 	}
-	if h := rows["ALGORITHM"]; len(h) < 5 || h[3] != "SYMMETRIC" || h[4] != "OVERLAP" {
+	if h := rows["ALGORITHM"]; len(h) < 5 || h[3] != "SYMMETRIC" || h[4] != "DESCRIPTION" {
 		t.Fatalf("header %v", h)
 	}
-	for name, want := range map[string][2]string{
-		placer.SeqPair: {"yes", "-"}, placer.BStar: {"-", "-"}, placer.Absolute: {"-", "may"}, placer.ESF: {"yes", "-"},
+	for name, want := range map[string]string{
+		placer.SeqPair: "yes", placer.BStar: "-", placer.ESF: "yes",
 	} {
-		if r := rows[name]; len(r) < 5 || r[3] != want[0] || r[4] != want[1] {
-			t.Errorf("%s row %v, want SYMMETRIC %s and OVERLAP %s", name, r, want[0], want[1])
+		if r := rows[name]; len(r) < 4 || r[3] != want {
+			t.Errorf("%s row %v, want SYMMETRIC %s", name, r, want)
 		}
 	}
 	want := "ignores seed, workers and schedule; at most 256 modules; refuses the outline, proximity, thermal terms"
@@ -90,8 +89,8 @@ func TestGeneticEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "genetic:seqpair") || !strings.Contains(out, "genetic:absolute") {
-		t.Fatalf("-algorithms misses the genetic engines:\n%s", out)
+	if !strings.Contains(out, "genetic:seqpair") {
+		t.Fatalf("-algorithms misses the genetic engine:\n%s", out)
 	}
 
 	resOut := filepath.Join(t.TempDir(), "genetic.json")

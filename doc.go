@@ -34,11 +34,15 @@
 //     (internal/perf), layout templates (internal/template) and
 //     parasitic extraction (internal/extract).
 //
-// Every placement method runs through the placer registry behind
-// placer.Solve; internal/core hosts the paper-experiment drivers that
-// regenerate each table and figure, and the benchmarks in this package
-// (bench_test.go) exercise them. cmd/table1, cmd/fig8 and cmd/fig10
-// regenerate Table I, Fig. 8 and Fig. 10 and print the results.
+// The six registered placement methods (seqpair, bstar, hbstar,
+// genetic:seqpair, esf and rsf) run through the placer registry behind
+// placer.Solve. internal/place keeps two unregistered baselines, the
+// absolute-coordinate and slicing-tree placers, which only the
+// Section II ablations in bench_test.go run. internal/core hosts the
+// paper-experiment drivers that regenerate each table and figure, and
+// the benchmarks in this package (bench_test.go) exercise them.
+// cmd/table1, cmd/fig8 and cmd/fig10 regenerate Table I, Fig. 8 and
+// Fig. 10 and print the results.
 //
 // # The optimization hot path
 //
@@ -68,16 +72,16 @@
 // engine.MovedModules, full Eval on restores of direct-coordinate
 // state), the model-journal undo bookkeeping, feasible-init retries
 // (engine.FeasibleInit / RunFeasible) and result assembly. The
-// adapters in internal/place (spRep, btRep, tcgRep, slRep, absRep) and
+// adapters in internal/place (spRep, btRep, slRep, absRep) and
 // internal/hbstar (forestRep) are each the encoding and its moves,
 // nothing else.
 //
 // Cross-engine features land in the kernel once: representations
 // implementing engine.Crossover gain the memetic genetic:<repr>
-// registry engines (order crossover over sequence-pairs, uniform
-// crossover over absolute coordinates, through anneal.Evolve's
-// CrossoverRate). They are off the default path, which stays
-// bit-identical to the pinned pre-kernel goldens.
+// registry engines (today genetic:seqpair, order crossover over
+// sequence-pairs, through anneal.Evolve's CrossoverRate). They are
+// off the default path, which stays bit-identical to the pinned
+// pre-kernel goldens.
 //
 // # The composable objective
 //
@@ -114,8 +118,7 @@
 // its representative tree's contour, mirrored), and shapefn packs its
 // pointer trees and enumerated dense trees on it.
 // seqpair.SP.PackInto(*seqpair.PackWorkspace)
-// reuses the vEB queue and LCS buffers, and tcg.TCG.PackInto does the
-// same for longest-path evaluation. The compatibility wrappers
+// reuses the vEB queue and LCS buffers. The compatibility wrappers
 // (Pack()) remain and allocate only the returned slices;
 // seqpair.SP.Pack and PackSymmetric additionally cache their solver
 // scratch on the SP, which makes packing methods unsafe for concurrent
@@ -165,8 +168,8 @@
 // anneal.Options.Progress across chains and racers, and lands in a
 // content-addressed LRU cache keyed by the request hash — identical
 // requests are answered without re-solving, and identical in-flight
-// requests coalesce onto one job. MethodPortfolio races the seqpair,
-// bstar and tcg representations on the same problem concurrently and
+// requests coalesce onto one job. MethodPortfolio races the seqpair
+// and bstar representations on the same problem concurrently and
 // keeps the winner under feasibility-first ranking (fewest constraint
 // violations, then cost), so a representation that ignores symmetry
 // groups cannot "win" a constrained problem on raw cost.

@@ -75,7 +75,7 @@ func main() {
 	fmt.Printf("identical POST -> %s, cache_hit=%v, same cost %.0f\n",
 		again.State, again.CacheHit, again.Result.Cost)
 
-	// 3. Portfolio: race seqpair, bstar and tcg on the same problem.
+	// 3. Portfolio: race seqpair and bstar on the same problem.
 	req.Options.Method = wire.MethodPortfolio
 	race := post(base, req, true)
 	fmt.Printf("portfolio -> winner %s at cost %.0f (feasibility-first ranking)\n",

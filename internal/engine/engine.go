@@ -2,8 +2,8 @@
 // in this repository. The DATE'09 paper's central idea is that analog
 // placement is one optimization problem explored through
 // interchangeable topological representations — sequence-pairs,
-// B*-trees, transitive closure graphs, slicing trees, HB*-tree
-// forests; this package is that idea in code. A representation
+// B*-trees, slicing trees, HB*-tree forests; this package is that
+// idea in code. A representation
 // contributes only its topology encoding and move set through the
 // Representation interface, and one Solution kernel supplies
 // everything the representations used to duplicate: ownership of the

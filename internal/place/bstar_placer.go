@@ -234,18 +234,6 @@ func (r *absRep) Placement() (geom.Placement, error) {
 	return r.prob.BuildPlacement(r.x, r.y, r.rot), nil
 }
 
-// CrossoverFrom implements engine.Crossover: uniform per-module
-// inheritance of position and rotation from the two parents (always a
-// valid encoding — overlap is already priced by the penalty term).
-func (r *absRep) CrossoverFrom(a, b engine.Representation, rng *rand.Rand) {
-	pb := b.(*absRep)
-	for i := range r.x {
-		if rng.Intn(2) == 0 {
-			r.x[i], r.y[i], r.rot[i] = pb.x[i], pb.y[i], pb.rot[i]
-		}
-	}
-}
-
 // absConfig is the kernel configuration of the absolute placer: its
 // model carries the overlap penalty term on top of the problem's
 // composite objective.
@@ -271,9 +259,8 @@ func Absolute(p *Problem, opt anneal.Options) (*Result, error) {
 	return finishResult(best, stats)
 }
 
-// newAbsSol is the absolute-coordinate solution factory shared by the
-// annealing and memetic engines: modules spread on a loose grid in a
-// seed-dependent random order.
+// newAbsSol is the absolute-coordinate solution factory: modules
+// spread on a loose grid in a seed-dependent random order.
 func newAbsSol(p *Problem) func(seed int64) *engine.Solution {
 	n := p.N()
 	// Initial spread: place modules on a loose grid.

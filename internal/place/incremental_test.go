@@ -10,7 +10,6 @@ import (
 	"repro/internal/circuits"
 	"repro/internal/engine"
 	"repro/internal/seqpair"
-	"repro/internal/tcg"
 )
 
 // incrementalFixtures builds one kernel solution per placer over a
@@ -48,7 +47,6 @@ func incrementalFixtures(t *testing.T) map[string]*engine.Solution {
 	bt := newKernel(free, newBTRep(free, bstar.NewRandom(free.W, free.H, rng)))
 	sps := newKernel(prob, newSPRep(prob, seqpair.RandomSF(prob.N(), prob.Groups, rng)))
 	rej := newKernel(prob, newSPRejectRep(prob, seqpair.RandomSF(prob.N(), prob.Groups, rng)))
-	tc := newKernel(free, newTCGRep(free, tcg.New(free.W, free.H)))
 
 	n := free.N()
 	expr := polish{0}
@@ -67,7 +65,6 @@ func incrementalFixtures(t *testing.T) map[string]*engine.Solution {
 		"bstar":          bt,
 		"seqpair":        sps,
 		"seqpair-reject": rej,
-		"tcg":            tc,
 		"slicing":        sl,
 		"absolute":       abs,
 	}

@@ -22,17 +22,6 @@ import (
 // move set).
 const DefaultCrossoverRate = 0.6
 
-// memetic drives one two-phase run from a solution factory, with the
-// sequence-pair-style feasibility contract on the initial draw.
-func memetic(name string, newSol func(seed int64) *engine.Solution, ga anneal.GAOptions, sa anneal.Options) (*Result, error) {
-	init := newSol(sa.Seed)
-	if math.IsInf(init.Cost(), 1) {
-		return nil, fmt.Errorf("%s: no feasible initial solution after %d attempts", name, engine.InitRetries)
-	}
-	best, stats := anneal.TwoPhase(init, ga, sa)
-	return finishResult(best, stats)
-}
-
 // GeneticSeqPair runs the memetic engine over symmetric-feasible
 // sequence pairs: offspring recombine through order crossover on both
 // sequences (children that break symmetric feasibility pack to +Inf
@@ -44,7 +33,12 @@ func GeneticSeqPair(p *Problem, ga anneal.GAOptions, sa anneal.Options) (*Result
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	res, err := memetic("place: genetic:seqpair", newSPSol(p), ga, sa)
+	init := newSPSol(p)(sa.Seed)
+	if math.IsInf(init.Cost(), 1) {
+		return nil, fmt.Errorf("place: genetic:seqpair: no feasible initial solution after %d attempts", engine.InitRetries)
+	}
+	best, stats := anneal.TwoPhase(init, ga, sa)
+	res, err := finishResult(best, stats)
 	if err != nil {
 		return nil, err
 	}
@@ -52,16 +46,4 @@ func GeneticSeqPair(p *Problem, ga anneal.GAOptions, sa anneal.Options) (*Result
 		return nil, fmt.Errorf("place: internal error, result violates constraints: %v", err)
 	}
 	return res, nil
-}
-
-// GeneticAbsolute runs the memetic engine over absolute coordinates:
-// offspring inherit each module's position and rotation uniformly from
-// two parents, the rest mutate through translate/swap/rotate moves,
-// and annealing refines the evolved best. Like Absolute, the result
-// may contain residual overlaps (penalized, not forbidden).
-func GeneticAbsolute(p *Problem, ga anneal.GAOptions, sa anneal.Options) (*Result, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return memetic("place: genetic:absolute", newAbsSol(p), ga, sa)
 }

@@ -260,21 +260,3 @@ func TestValidPolish(t *testing.T) {
 		t.Fatal("wrong operand count accepted")
 	}
 }
-
-func TestTCGPlacer(t *testing.T) {
-	p := smallProblem()
-	p.Groups = nil
-	res, err := TCG(p, fastOpts(11))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Placement.Legal() {
-		t.Fatalf("TCG placement overlaps: %v", res.Placement.Overlaps())
-	}
-	if len(res.Placement) != p.N() {
-		t.Fatal("placement missing modules")
-	}
-	if ratio := float64(res.Placement.Area()) / float64(p.ModuleArea()); ratio > 3 {
-		t.Fatalf("area usage %.2f unexpectedly bad", ratio)
-	}
-}

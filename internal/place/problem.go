@@ -11,7 +11,9 @@
 // plus weighted half-perimeter wirelength — over the same Problem, so
 // the representation ablations in the root package's bench_test.go
 // (BenchmarkSlicingVsNonslicing, BenchmarkAbsoluteVsTopological,
-// BenchmarkSFMovesVsRejection) compare like for like.
+// BenchmarkSFMovesVsRejection) compare like for like. Absolute and
+// Slicing are those ablations' baselines only: the placer registry
+// does not serve them.
 package place
 
 import (

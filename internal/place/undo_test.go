@@ -10,7 +10,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/geom"
 	"repro/internal/seqpair"
-	"repro/internal/tcg"
 )
 
 // mutableFixture drives one placer solution through the exact-undo
@@ -71,7 +70,6 @@ func fixtures(t *testing.T) []mutableFixture {
 	bt := newKernel(free, newBTRep(free, bstar.NewRandom(free.W, free.H, rng)))
 	sps := newKernel(prob, newSPRep(prob, seqpair.RandomSF(prob.N(), prob.Groups, rng)))
 	rej := newKernel(prob, newSPRejectRep(prob, seqpair.RandomSF(prob.N(), prob.Groups, rng)))
-	tc := newKernel(free, newTCGRep(free, tcg.New(free.W, free.H)))
 
 	n := free.N()
 	expr := polish{0}
@@ -90,7 +88,6 @@ func fixtures(t *testing.T) []mutableFixture {
 		fixture("bstar", bt),
 		fixture("seqpair", sps),
 		fixture("seqpair-reject", rej),
-		fixture("tcg", tc),
 		fixture("slicing", sl),
 		fixture("absolute", abs),
 	}

@@ -419,8 +419,13 @@ const maxBodyPrealloc = 1 << 20
 // readBody reads a POST body into a pooled buffer, which the caller
 // hands back with releaseBody once nothing uses its bytes. When the
 // body cannot be read or is over maxRequestBytes, it answers 400 or
-// 413 and reports false.
+// 413 and reports false; a body whose Content-Length declares more
+// than maxRequestBytes is refused before any of it is read.
 func (s *Scheduler) readBody(w http.ResponseWriter, r *http.Request) (*bytes.Buffer, bool) {
+	if r.ContentLength > maxRequestBytes {
+		s.httpError(w, http.StatusRequestEntityTooLarge, "request over %d bytes", maxRequestBytes)
+		return nil, false
+	}
 	buf := bufs.Get().(*bytes.Buffer)
 	if n := r.ContentLength; n > 0 {
 		// MinRead spare bytes let the final read see EOF without a

@@ -171,8 +171,6 @@ func wireBreakdown(terms []placer.TermCost) *wire.Breakdown {
 			bd.Proximity = t.Cost
 		case "thermal":
 			bd.Thermal = t.Cost
-		case "overlap":
-			bd.Overlap = t.Cost
 		case "proximity-frag":
 			bd.Fragments = t.Cost
 		}

@@ -116,9 +116,11 @@ type Request struct {
 
 // Breakdown decomposes a result's cost per objective term: each field
 // is that term's weighted contribution (weight × value), so the
-// populated fields sum to Result.Cost exactly. Overlap is the
-// absolute placer's residual overlap penalty; Fragments is the
-// hierarchical placer's proximity-connectivity penalty.
+// populated fields sum to Result.Cost exactly. Fragments is the
+// hierarchical placer's proximity-connectivity penalty. Overlap is the
+// residual overlap penalty of the absolute-coordinate baseline, which
+// is no longer registered; it stays so that stored results of past
+// absolute solves decode and re-encode to the same bytes.
 type Breakdown struct {
 	Area      float64 `json:"area,omitempty"`
 	HPWL      float64 `json:"hpwl,omitempty"`

@@ -8,8 +8,8 @@ import (
 	"repro/internal/seqpair"
 )
 
-// flat converts the problem into the placement problem the flat
-// engines (sequence-pair, B*-tree, TCG, slicing, absolute) consume.
+// flat converts the problem into the id-based placement problem every
+// engine solves.
 func (p *Problem) flat() (*place.Problem, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err

@@ -23,9 +23,9 @@
 // # Algorithms and the registry
 //
 // The built-in engines self-register at init — the flat annealing
-// placers (seqpair, bstar, tcg, slicing, absolute and the memetic
-// genetic:seqpair and genetic:absolute), the hierarchical hbstar, and
-// Section IV's deterministic esf and rsf — and external backends join
+// placers (seqpair, bstar and the memetic genetic:seqpair), the
+// hierarchical hbstar, and Section IV's deterministic esf and rsf —
+// and external backends join
 // with [Register]. [Algorithms] enumerates the registry; it is the
 // single source of truth behind WithAlgorithm, the portfolio set,
 // `analogplace -algorithms` and the daemon's GET /v1/algorithms, so

@@ -15,19 +15,15 @@ import (
 // Built-in algorithm names. The strings double as the wire format's
 // options.method values and the CLI's -method arguments.
 const (
-	SeqPair  = "seqpair"
-	BStar    = "bstar"
-	TCG      = "tcg"
-	Slicing  = "slicing"
-	Absolute = "absolute"
-	HBStar   = "hbstar"
+	SeqPair = "seqpair"
+	BStar   = "bstar"
+	HBStar  = "hbstar"
 	// Memetic engines over crossover-capable representations: a
 	// crossover-enabled evolutionary exploration followed by annealing
 	// refinement (the GA+SA scheme of Zhang et al.). The genetic:<repr>
 	// naming is open-ended — any representation implementing
 	// engine.Crossover can register one.
-	GeneticSeqPair  = "genetic:seqpair"
-	GeneticAbsolute = "genetic:absolute"
+	GeneticSeqPair = "genetic:seqpair"
 	// Section IV's deterministic placers: the hierarchically bounded
 	// enumeration with enhanced or regular shape functions.
 	ESF = "esf"
@@ -37,7 +33,7 @@ const (
 // init self-registers the built-in engines, each with the
 // capabilities it states in its Info. Registration order is
 // load-bearing: it is the portfolio racing and tie-break order
-// (seqpair, bstar, tcg) and the display order of every listing.
+// (seqpair, bstar) and the display order of every listing.
 func init() {
 	registerFlat(Info{
 		Name:        SeqPair,
@@ -50,20 +46,6 @@ func init() {
 		Portfolio:   true,
 		Description: "B*-tree compacted placement",
 	}, place.BStar)
-	registerFlat(Info{
-		Name:        TCG,
-		Portfolio:   true,
-		Description: "transitive closure graph placement",
-	}, place.TCG)
-	registerFlat(Info{
-		Name:        Slicing,
-		Description: "slicing tree (normalized Polish expression) placement",
-	}, place.Slicing)
-	registerFlat(Info{
-		Name:        Absolute,
-		MayOverlap:  true,
-		Description: "absolute-coordinate annealing baseline with overlap penalty",
-	}, place.Absolute)
 	Register(Info{
 		Name:        HBStar,
 		Kind:        "hierarchical",
@@ -75,11 +57,6 @@ func init() {
 		Symmetric:   true,
 		Description: "memetic search (order-crossover GA + annealing refinement) over symmetric-feasible sequence pairs",
 	}, genetic(place.GeneticSeqPair))
-	registerFlat(Info{
-		Name:        GeneticAbsolute,
-		MayOverlap:  true,
-		Description: "memetic search (uniform-crossover GA + annealing refinement) over absolute coordinates",
-	}, genetic(place.GeneticAbsolute))
 	for _, e := range []shapeEngine{{ESF, "enhanced"}, {RSF, "regular"}} {
 		Register(Info{
 			Name:            e.name,

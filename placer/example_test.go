@@ -46,7 +46,7 @@ func ExampleSolve_portfolio() {
 	fmt.Printf("raced %v; %s won with a legal=%v placement\n",
 		placer.PortfolioAlgorithms(), res.Algorithm, res.Legal)
 	// Output:
-	// raced [seqpair bstar tcg]; seqpair won with a legal=true placement
+	// raced [seqpair bstar]; seqpair won with a legal=true placement
 }
 
 // WithProgress streams one snapshot per completed annealing stage

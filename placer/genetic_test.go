@@ -10,55 +10,51 @@ import (
 // fastSchedule keeps the stochastic engines cheap in tests.
 var fastSchedule = placer.Schedule{MovesPerStage: 30, MaxStages: 15, StallStages: 10}
 
-// TestGeneticEnginesSolve: the memetic registry entries solve a
+// TestGeneticEnginesSolve: the memetic registry entry solves a
 // symmetry-constrained benchmark end to end — a legal placement over
-// every module, and for the sequence-pair variant zero violations
-// (symmetry holds by construction through the S-F encoding).
+// every module with zero violations (symmetry holds by construction
+// through the S-F encoding), deterministic for a fixed seed.
 func TestGeneticEnginesSolve(t *testing.T) {
 	p, err := placer.Benchmark("miller")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, algo := range []string{placer.GeneticSeqPair, placer.GeneticAbsolute} {
-		t.Run(algo, func(t *testing.T) {
-			res, err := placer.Solve(t.Context(), p,
-				placer.WithAlgorithm(algo), placer.WithSeed(3),
-				placer.WithSchedule(fastSchedule))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Algorithm != algo {
-				t.Fatalf("algorithm %q, want %q", res.Algorithm, algo)
-			}
-			if len(res.Placement) != len(p.Modules) {
-				t.Fatalf("placed %d modules, want %d", len(res.Placement), len(p.Modules))
-			}
-			if res.Stages == 0 || res.Moves == 0 {
-				t.Fatalf("no search work reported: stages=%d moves=%d", res.Stages, res.Moves)
-			}
-			if algo == placer.GeneticSeqPair {
-				if len(res.Violations) != 0 {
-					t.Fatalf("genetic seqpair violates constraints: %v", res.Violations)
-				}
-				if !res.Legal {
-					t.Fatal("genetic seqpair placement overlaps")
-				}
-			}
-			// Deterministic for a fixed seed.
-			again, err := placer.Solve(t.Context(), p,
-				placer.WithAlgorithm(algo), placer.WithSeed(3),
-				placer.WithSchedule(fastSchedule))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if again.Cost != res.Cost {
-				t.Fatalf("costs differ across identical runs: %v vs %v", again.Cost, res.Cost)
-			}
-		})
-	}
+	algo := placer.GeneticSeqPair
+	t.Run(algo, func(t *testing.T) {
+		res, err := placer.Solve(t.Context(), p,
+			placer.WithAlgorithm(algo), placer.WithSeed(3),
+			placer.WithSchedule(fastSchedule))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Algorithm != algo {
+			t.Fatalf("algorithm %q, want %q", res.Algorithm, algo)
+		}
+		if len(res.Placement) != len(p.Modules) {
+			t.Fatalf("placed %d modules, want %d", len(res.Placement), len(p.Modules))
+		}
+		if res.Stages == 0 || res.Moves == 0 {
+			t.Fatalf("no search work reported: stages=%d moves=%d", res.Stages, res.Moves)
+		}
+		if len(res.Violations) != 0 {
+			t.Fatalf("genetic seqpair violates constraints: %v", res.Violations)
+		}
+		if !res.Legal {
+			t.Fatal("genetic seqpair placement overlaps")
+		}
+		again, err := placer.Solve(t.Context(), p,
+			placer.WithAlgorithm(algo), placer.WithSeed(3),
+			placer.WithSchedule(fastSchedule))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again.Cost != res.Cost {
+			t.Fatalf("costs differ across identical runs: %v vs %v", again.Cost, res.Cost)
+		}
+	})
 }
 
-// TestGeneticEnginesListed: the memetic engines appear in the registry
+// TestGeneticEnginesListed: the memetic engine appears in the registry
 // listing (and therefore in analogplace -algorithms and GET
 // /v1/algorithms, which render this listing) and are never raced by
 // the portfolio.
@@ -70,7 +66,7 @@ func TestGeneticEnginesListed(t *testing.T) {
 			t.Errorf("%s must not be portfolio-eligible", info.Name)
 		}
 	}
-	if !found[placer.GeneticSeqPair] || !found[placer.GeneticAbsolute] {
-		t.Fatalf("genetic engines missing from registry listing: %v", found)
+	if !found[placer.GeneticSeqPair] {
+		t.Fatalf("genetic engine missing from registry listing: %v", found)
 	}
 }

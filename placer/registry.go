@@ -11,8 +11,9 @@ import (
 // CheckProblem, the daemon's pressure mode and both listings (it is
 // the JSON of GET /v1/algorithms) all read it from there. A zero
 // capability field claims nothing: the engine honours seed, workers,
-// schedule and every objective term, takes any problem size, keeps
-// placements overlap-free and promises nothing about symmetry.
+// schedule and every objective term, takes any problem size and
+// promises nothing about symmetry. Every engine keeps its placements
+// overlap-free.
 type Info struct {
 	// Name is the registry key — the string WithAlgorithm, the CLI's
 	// -method flag and the wire format's options.method all accept.
@@ -38,8 +39,6 @@ type Info struct {
 	// MaxModules is the largest problem the engine accepts (0: no
 	// ceiling beyond the problem's own MaxModules).
 	MaxModules int `json:"max_modules,omitempty"`
-	// MayOverlap marks an engine whose Result.Legal may be false.
-	MayOverlap bool `json:"may_overlap,omitempty"`
 	// Symmetric marks an engine that meets every device-level symmetry
 	// group by construction.
 	Symmetric bool `json:"symmetric,omitempty"`

@@ -63,8 +63,7 @@ func TestRegisterDuplicatePanics(t *testing.T) {
 // TestRegistryListsBuiltins: the built-in engines self-register in
 // portfolio tie-break order, and KnownMethod follows the registry.
 func TestRegistryListsBuiltins(t *testing.T) {
-	want := []string{placer.SeqPair, placer.BStar, placer.TCG, placer.Slicing, placer.Absolute, placer.HBStar,
-		placer.GeneticSeqPair, placer.GeneticAbsolute, placer.ESF, placer.RSF}
+	want := []string{placer.SeqPair, placer.BStar, placer.HBStar, placer.GeneticSeqPair, placer.ESF, placer.RSF}
 	var got []string
 	for _, info := range placer.Algorithms() {
 		got = append(got, info.Name)
@@ -95,7 +94,7 @@ func TestPortfolioSkipsHierarchicalOnly(t *testing.T) {
 		t.Fatalf("x-test-hier registered as %+v (%v), want it known and not portfolio-eligible", info, ok)
 	}
 	got := placer.PortfolioAlgorithms()
-	want := []string{placer.SeqPair, placer.BStar, placer.TCG}
+	want := []string{placer.SeqPair, placer.BStar}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("portfolio set %v, want %v", got, want)
 	}
@@ -194,17 +193,13 @@ func TestAlgorithmsEndpoint(t *testing.T) {
 		description string
 	}
 	for name, want := range map[string]listed{
-		placer.SeqPair:         {"flat", true, "simulated annealing over symmetric-feasible sequence pairs (symmetry by construction)"},
-		placer.BStar:           {"flat", true, "B*-tree compacted placement"},
-		placer.TCG:             {"flat", true, "transitive closure graph placement"},
-		placer.Slicing:         {"flat", false, "slicing tree (normalized Polish expression) placement"},
-		placer.Absolute:        {"flat", false, "absolute-coordinate annealing baseline with overlap penalty"},
-		placer.HBStar:          {"hierarchical", false, "hierarchical HB*-tree placement with ASF-B*-tree symmetry islands"},
-		placer.GeneticSeqPair:  {"flat", false, "memetic search (order-crossover GA + annealing refinement) over symmetric-feasible sequence pairs"},
-		placer.GeneticAbsolute: {"flat", false, "memetic search (uniform-crossover GA + annealing refinement) over absolute coordinates"},
-		placer.ESF:             {"hierarchical", false, "deterministic hierarchically bounded enumeration with enhanced shape functions (Section IV)"},
-		placer.RSF:             {"hierarchical", false, "deterministic hierarchically bounded enumeration with regular shape functions (Section IV)"},
-		wire.MethodPortfolio:   {"portfolio", false, "races [seqpair bstar tcg] concurrently and keeps the best feasible placement"},
+		placer.SeqPair:        {"flat", true, "simulated annealing over symmetric-feasible sequence pairs (symmetry by construction)"},
+		placer.BStar:          {"flat", true, "B*-tree compacted placement"},
+		placer.HBStar:         {"hierarchical", false, "hierarchical HB*-tree placement with ASF-B*-tree symmetry islands"},
+		placer.GeneticSeqPair: {"flat", false, "memetic search (order-crossover GA + annealing refinement) over symmetric-feasible sequence pairs"},
+		placer.ESF:            {"hierarchical", false, "deterministic hierarchically bounded enumeration with enhanced shape functions (Section IV)"},
+		placer.RSF:            {"hierarchical", false, "deterministic hierarchically bounded enumeration with regular shape functions (Section IV)"},
+		wire.MethodPortfolio:  {"portfolio", false, "races [seqpair bstar] concurrently and keeps the best feasible placement"},
 	} {
 		v, ok := byName[name]
 		if got := (listed{v.Kind, v.Portfolio, v.Description}); !ok || got != want {
@@ -221,12 +216,7 @@ func TestAlgorithmsEndpoint(t *testing.T) {
 			t.Errorf("%s capabilities listed as %+v", name, v)
 		}
 	}
-	for _, name := range []string{placer.Absolute, placer.GeneticAbsolute} {
-		if !byName[name].MayOverlap {
-			t.Errorf("%s not listed as possibly overlapping: %+v", name, byName[name])
-		}
-	}
-	if v := byName[placer.SeqPair]; !v.Symmetric || v.MayOverlap || v.IgnoresSchedule || v.MaxModules != 0 || v.Refuses != nil {
+	if v := byName[placer.SeqPair]; !v.Symmetric || v.IgnoresSchedule || v.MaxModules != 0 || v.Refuses != nil {
 		t.Errorf("seqpair capabilities listed as %+v", v)
 	}
 }

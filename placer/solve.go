@@ -214,8 +214,7 @@ type Result struct {
 	Cost float64
 	// Breakdown decomposes Cost per objective term (area, hpwl,
 	// outline, proximity, thermal, plus engine-specific terms such as
-	// the absolute engine's overlap penalty or the hierarchical
-	// engine's proximity-frag count).
+	// the hierarchical engine's proximity-frag count).
 	Breakdown []TermCost
 	// BBoxW/BBoxH is the placement bounding box; AreaUsage is module
 	// area over bounding-box area; Legal reports the placement
@@ -247,7 +246,7 @@ type Result struct {
 	// EngineTraces holds every racer's recording under WithPortfolio —
 	// winner included, in racing order, each bounded to its newest
 	// MaxEngineTraceEvents events — so losing representations remain
-	// inspectable (why did seqpair beat slicing here?). Nil outside
+	// inspectable (why did seqpair beat bstar here?). Nil outside
 	// portfolio mode or when tracing was not requested.
 	EngineTraces []*Trace
 	// Placement lists modules in problem order, so equal results mean
